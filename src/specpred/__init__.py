@@ -14,6 +14,7 @@ from .controller import (
     predictor_taps,
     transition_eval,
 )
+from .errors import SpecpredError
 from .iss_certifier import (
     CertifierError,
     EnvelopeReport,

@@ -10,7 +10,8 @@ Subcommands:
                      point (parallel, deterministic for a fixed seed);
 * ``validate-lemma2`` ensemble evidence for the delay-difference decay lemma.
 
-The exit status is 0 exactly when every requested check passes.  The env var
+The exit status is 0 exactly when every requested check passes, and 2 when
+the input is rejected or the run fails with a package error.  The env var
 ``SPECPRED_LOG`` selects the log level (DEBUG, INFO, WARNING, ...).
 """
 
@@ -27,6 +28,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import iss_certifier, sim_engine, spectral_model, synthesis
+from .errors import SpecpredError
 from .iss_certifier import Lemma2Problem
 from .sim_engine import DelaySignal, DisturbanceSignal, Scenario
 from .spectral_model import SystemDescriptor
@@ -498,7 +500,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(sys.argv[1:] if argv is None else argv)
         return run(config)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (SpecpredError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SpecpredError
 from .numerics import exp_moments
 
 
-class ControllerError(RuntimeError):
+class ControllerError(SpecpredError, RuntimeError):
     pass
 
 
@@ -333,7 +334,3 @@ class PredictorController:
                     f"implicit equation residual {residual:.3g} at t={t}")
         hist.append(t, u)
         return u
-
-    def delayed_value(self, t: float):
-        """u(t) read from the recorded history (linear interpolation)."""
-        return self.history.interp(np.asarray(t))

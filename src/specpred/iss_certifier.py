@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .sim_engine import Scenario, Trajectory, simulate
+from .errors import SpecpredError
+from .sim_engine import Scenario, Trajectory
 from .synthesis import Certificate, assemble_x_constants, finalize_tail_constants
 
 
-class CertifierError(ValueError):
+class CertifierError(SpecpredError, ValueError):
     pass
 
 
@@ -151,32 +152,6 @@ def _ratio_check(name, observed, bound, ts, constants, provenance,
         constants=constants,
         provenance=provenance,
     )
-
-
-def envelope_rhs_x(trajectory: Trajectory, certificate: Certificate):
-    """RHS of the state ISS estimate on the trajectory grid.
-
-    The d2 channel enters through the causally lagged window: disturbances in
-    the computation of the control cannot reach the state before one minimum
-    delay D0 - delta has elapsed.
-    """
-    cert = certificate
-    scen = trajectory.scenario
-    ts = trajectory.t
-    dt = ts[1] - ts[0]
-    xb = cert.x_constants
-    if xb is None:
-        raise CertifierError("fit_constants must run before envelope checks")
-    k = cert.kappa
-    n1, n2 = _signal_norms(scen, ts)
-    X0 = trajectory.norm_upper[0]
-    lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
-    rhs = (
-        xb["Cbar1"] * np.exp(-k * ts) * X0
-        + xb["Cbar2"] * fading_memory_sup(n1, k, dt)
-        + xb["Cbar3"] * windowed_fading_sup(n2, k, dt, lag)
-    )
-    return rhs
 
 
 def check_envelopes(trajectory: Trajectory, certificate: Certificate) -> EnvelopeReport:
@@ -408,49 +383,98 @@ class Lemma2Problem:
                                 - math.exp(-lam * self.eps)) < lam
 
 
-def simulate_delay_difference(problem: Lemma2Problem, dt: float, T: float):
-    """RK4 integration of the delay-difference system with cubic history reads."""
-    A = np.asarray(problem.A, dtype=float)
-    C = np.asarray(problem.C, dtype=float)
-    n = A.shape[0]
-    r, eps = problem.r, problem.eps
-    n_pre = int(math.ceil((r + eps) / dt)) + 2
-    J = int(round(T / dt))
-    xs = np.zeros((n_pre + J + 1, n))
-    t_hist0 = -n_pre * dt
-    for j in range(n_pre + 1):
-        xs[j] = problem.x0(max(t_hist0 + j * dt, -(r + eps)))
+# Catmull-Rom stencil: offsets of the four samples around a history read.
+_STENCIL = np.arange(-1, 3)[:, np.newaxis, np.newaxis]
 
-    def read(t):
-        x = (t - t_hist0) / dt
-        x = min(max(x, 0.0), n_pre + J)
-        j = int(x)
-        j = min(max(j, 1), len(xs) - 3)
-        w = x - j
-        p0, p1, p2, p3 = xs[j - 1], xs[j], xs[j + 1], xs[j + 2]
-        return (p1 + 0.5 * w * (p2 - p0)
-                + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
-                + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0)))
 
-    def rhs(t, x):
-        lag = read(t - r - eps * float(problem.d(t)))
-        nom = read(t - r)
-        return A @ x + float(problem.q(t)) * (C @ (lag - nom)) + np.atleast_1d(problem.p(t))
+def _matvec(M, v):
+    """Per-member product M[s] @ v[s] for M (S, n, n) and v (S, n)."""
+    return np.matmul(M, v[..., np.newaxis])[..., 0]
 
+
+def simulate_delay_difference(problem, dt: float, T: float,
+                              with_forcing: bool = False):
+    """RK4 integration of the delay-difference system with cubic history reads.
+
+    ``problem`` is one ``Lemma2Problem`` or a sequence of them.  A sequence
+    is stepped together in one pass: the state is shaped (S, n), the history
+    (n_pre + J + 1, S, n), and every history read is one gather over the
+    members, whose A, C, r and eps may differ; members of a lower state
+    dimension are zero-padded to the largest n.  The delayed reads touch
+    only final samples, so stages 2 and 3 share one read and the end of a
+    step is the start of the next: each member's d, q and p are evaluated
+    once per half-step.
+
+    Returns (ts, xs) with xs shaped (J+1, n) for one problem and (J+1, S, n)
+    for a sequence; ``with_forcing`` appends p sampled on ts, shaped as xs.
+    """
+    single = isinstance(problem, Lemma2Problem)
+    members = [problem] if single else list(problem)
+    S = len(members)
+    dims = [np.asarray(pr.A).shape[0] for pr in members]
+    n = max(dims)
+    A = np.zeros((S, n, n))
+    C = np.zeros((S, n, n))
+    for i, (pr, k) in enumerate(zip(members, dims)):
+        A[i, :k, :k] = pr.A
+        C[i, :k, :k] = pr.C
+    r = np.array([pr.r for pr in members], dtype=float)
+    eps = np.array([pr.eps for pr in members], dtype=float)
     # Cubic reads touch samples up to index j+2; the delayed arguments stay at
-    # least min(r - eps, r) behind t, so dt must be well below that margin.
-    if dt * 3 > r - eps and eps < r:
+    # least r - eps behind t, so dt must be well below that margin.
+    if np.any(dt * 3 > r - eps):
         raise ValueError("dt too large for the delay margin")
+    n_pre = max(int(math.ceil((pr.r + pr.eps) / dt)) for pr in members) + 2
+    J = int(round(T / dt))
+    xs = np.zeros((n_pre + J + 1, S, n))
+    t_hist0 = -n_pre * dt
+    for i, (pr, k) in enumerate(zip(members, dims)):
+        for j in range(n_pre + 1):
+            xs[j, i, :k] = pr.x0(max(t_hist0 + j * dt, -(pr.r + pr.eps)))
+    ds = [pr.d for pr in members]
+    qs = [pr.q for pr in members]
+    p_rows = [(pr.p, k) for pr, k in zip(members, dims)]
+    rows = np.arange(S)
+
+    def forcing(t, p_out):
+        """(q C [x(t - r - eps d) - x(t - r)], p) at time t for every member;
+        p is written into ``p_out``."""
+        d = np.fromiter((f(t) for f in ds), float, S)
+        q = np.fromiter((f(t) for f in qs), float, S)
+        x = (np.stack([t - r - eps * d, t - r]) - t_hist0) / dt
+        x = np.clip(x, 0.0, n_pre + J)
+        j = np.clip(x.astype(int), 1, len(xs) - 3)
+        w = (x - j)[..., np.newaxis]
+        p0, p1, p2, p3 = xs[j + _STENCIL, rows]
+        lag, nom = (p1 + 0.5 * w * (p2 - p0)
+                    + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
+                    + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0)))
+        for i, (f, k) in enumerate(p_rows):
+            p_out[i, :k] = f(t)
+        return q[:, np.newaxis] * _matvec(C, lag - nom), p_out
+
+    def rhs(x, g):
+        return _matvec(A, x) + g[0] + g[1]
+
     ts = dt * np.arange(J + 1)
+    ps = np.zeros((J + 1, S, n))
+    p_half = np.zeros((S, n))
+    g0 = forcing(ts[0], ps[0])
     for j in range(J):
         t = ts[j]
         x = xs[n_pre + j]
-        k1 = rhs(t, x)
-        k2 = rhs(t + dt / 2, x + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, x + dt / 2 * k2)
-        k4 = rhs(t + dt, x + dt * k3)
+        gh = forcing(t + dt / 2, p_half)
+        g1 = forcing(ts[j + 1], ps[j + 1])
+        k1 = rhs(x, g0)
+        k2 = rhs(x + dt / 2 * k1, gh)
+        k3 = rhs(x + dt / 2 * k2, gh)
+        k4 = rhs(x + dt * k3, g1)
         xs[n_pre + j + 1] = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return ts, xs[n_pre:]
+        g0 = g1
+    xs = xs[n_pre:]
+    if single:
+        xs, ps = xs[:, 0], ps[:, 0]
+    return (ts, xs, ps) if with_forcing else (ts, xs)
 
 
 def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
@@ -461,20 +485,23 @@ def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
     Simulates every problem and extracts the smallest constants such that
     ||x(t)|| <= M e^{-sigma t} sup||x0|| + N sup_tau e^{-sigma(t-tau)}||p||
     holds on the grid.  Members with p = 0 pin down M; members with zero
-    history pin down N.  The report can only falsify the estimate (M or N
-    unbounded / growing), never prove it.
+    history pin down N.  All members are integrated together in one batched
+    ``simulate_delay_difference`` call, whose forcing samples give the grid
+    norms of p.  The report can only falsify the estimate (M or N unbounded
+    / growing), never prove it.
     """
+    if enforce_smallgain and not all(prob.smallgain_ok(M_lambda, lam)
+                                     for prob in problems):
+        raise CertifierError("small-gain precondition violated for a member")
+    ts, xs, ps = simulate_delay_difference(problems, dt, T, with_forcing=True)
     M_fit = 1.0
     N_fit = 0.0
     per_member = []
-    for prob in problems:
-        if enforce_smallgain and not prob.smallgain_ok(M_lambda, lam):
-            raise CertifierError("small-gain precondition violated for a member")
-        ts, xs = simulate_delay_difference(prob, dt, T)
-        xn = np.linalg.norm(xs, axis=1)
+    for i, prob in enumerate(problems):
+        xn = np.linalg.norm(xs[:, i], axis=1)
         hist_ts = np.linspace(-(prob.r + prob.eps), 0.0, 201)
         sup_x0 = max(np.linalg.norm(np.atleast_1d(prob.x0(t))) for t in hist_ts)
-        p_norms = np.array([np.linalg.norm(np.atleast_1d(prob.p(t))) for t in ts])
+        p_norms = np.linalg.norm(ps[:, i], axis=1)
         has_p = np.max(p_norms) > 0
         if sup_x0 > 0 and not has_p:
             ratio = _max_ratio(xn, np.exp(-sigma * ts) * sup_x0)

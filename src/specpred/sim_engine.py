@@ -30,6 +30,7 @@ from .controller import (
     predictor_taps,
     transition_eval,
 )
+from .errors import SpecpredError
 from .numerics import exp_moments, simpson_weights
 from .spectral_model import SystemDescriptor
 from .synthesis import Certificate
@@ -38,7 +39,7 @@ DEFAULT_MODE_DECAY_FACTOR = 50.0
 MAX_MODES = 400
 
 
-class ScenarioError(ValueError):
+class ScenarioError(SpecpredError, ValueError):
     pass
 
 
@@ -62,6 +63,8 @@ class DelaySignal:
     table: Optional[tuple] = None   # (times, values) knots, PCHIP interpolated
 
     def __call__(self, t):
+        """D(t); a table holds its end values outside the knot span, and PCHIP
+        does not overshoot between knots, so the knots bound it."""
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             return np.broadcast_to(self.D0, t.shape).copy() if t.ndim else self.D0
@@ -72,7 +75,7 @@ class DelaySignal:
 
             knots_t, knots_v = self.table
             f = PchipInterpolator(np.asarray(knots_t), np.asarray(knots_v))
-            return f(t)
+            return f(np.clip(t, knots_t[0], knots_t[-1]))
         raise ScenarioError(f"unknown delay kind {self.kind!r}")
 
     def max_amplitude(self) -> float:
@@ -124,12 +127,10 @@ class DisturbanceSignal:
             raise ScenarioError(f"unknown disturbance kind {self.kind!r}")
         return np.asarray(base)[..., np.newaxis] * a
 
-    def sup_norm_bound(self, T: float) -> float:
-        return float(np.linalg.norm(self._amp()))
 
-
-def make_delay(spec: dict) -> DelaySignal:
-    """Build a delay signal from its config mapping."""
+def make_delay(spec: dict, T_final: float = 100.0) -> DelaySignal:
+    """Build a delay signal from its config mapping; it must stay positive
+    on the horizon [0, T_final]."""
     kind = spec.get("kind", "constant")
     sig = DelaySignal(
         kind=kind,
@@ -139,7 +140,7 @@ def make_delay(spec: dict) -> DelaySignal:
         phase=float(spec.get("phase", 0.0)),
         table=(tuple(spec["times"]), tuple(spec["values"])) if kind == "table" else None,
     )
-    if np.any(np.asarray(sig(np.linspace(0, 100, 1001))) <= 0):
+    if np.any(np.asarray(sig(np.linspace(0.0, T_final, 1001))) <= 0):
         raise ScenarioError("delay signal must stay positive")
     return sig
 
@@ -639,7 +640,7 @@ def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
     return Scenario(
         descriptor=desc,
         certificate=certificate,
-        delay=make_delay(d["delay"]),
+        delay=make_delay(d["delay"], float(integ["T_final"])),
         d1=make_disturbance(d["disturbance_d1"], m=desc.num_inputs),
         d2=make_disturbance(d["disturbance_d2"], m=desc.num_inputs),
         X0_coeffs=np.asarray(d["initial"]["X0_coeffs"], dtype=float),

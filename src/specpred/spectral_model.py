@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import SpecpredError
 from .numerics import simpson_integrate
 
 DESCRIPTOR_KEYS = (
@@ -30,7 +31,7 @@ DESCRIPTOR_KEYS = (
 )
 
 
-class SpectrumError(ValueError):
+class SpectrumError(SpecpredError, ValueError):
     """Raised when a scan cannot produce an admissible mode split."""
 
 

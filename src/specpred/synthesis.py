@@ -18,11 +18,12 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
+from .errors import SpecpredError
 from .numerics import matrix_exp_norm
 from .spectral_model import SystemDescriptor, TruncatedModel, lifting_norms
 
 
-class SynthesisError(ValueError):
+class SynthesisError(SpecpredError, ValueError):
     pass
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specpred import cli, sim_engine, synthesis
+from specpred import cli, controller, sim_engine, synthesis
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +49,15 @@ def test_config_from_args(tmp_path):
 def test_main_reports_errors(capsys):
     assert cli.main(["simulate"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_main_maps_package_errors_to_status_2(monkeypatch, capsys):
+    def fail(config):
+        raise controller.ControllerError("history read outside covered span")
+
+    monkeypatch.setattr(cli, "cmd_validate_lemma2", fail)
+    assert cli.main(["validate-lemma2"]) == 2
+    assert "error: history read outside covered span" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,174 @@
+"""The batched delay-difference integrator against a per-member RK4 reference.
+
+``reference_simulate`` and ``reference_validate`` are the former one-member-
+at-a-time implementations of ``simulate_delay_difference`` and
+``lemma2_validate``, kept here as the reference the batched pass must match.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from specpred import cli, synthesis
+from specpred.iss_certifier import (
+    Lemma2Problem,
+    _max_ratio,
+    fading_memory_sup,
+    lemma2_validate,
+    simulate_delay_difference,
+)
+
+REL_TOL = 1e-12
+
+
+def reference_simulate(problem, dt, T):
+    """Per-member RK4 with scalar Catmull-Rom history reads."""
+    A = np.asarray(problem.A, dtype=float)
+    C = np.asarray(problem.C, dtype=float)
+    n = A.shape[0]
+    r, eps = problem.r, problem.eps
+    n_pre = int(math.ceil((r + eps) / dt)) + 2
+    J = int(round(T / dt))
+    xs = np.zeros((n_pre + J + 1, n))
+    t_hist0 = -n_pre * dt
+    for j in range(n_pre + 1):
+        xs[j] = problem.x0(max(t_hist0 + j * dt, -(r + eps)))
+
+    def read(t):
+        x = (t - t_hist0) / dt
+        x = min(max(x, 0.0), n_pre + J)
+        j = int(x)
+        j = min(max(j, 1), len(xs) - 3)
+        w = x - j
+        p0, p1, p2, p3 = xs[j - 1], xs[j], xs[j + 1], xs[j + 2]
+        return (p1 + 0.5 * w * (p2 - p0)
+                + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
+                + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0)))
+
+    def rhs(t, x):
+        lag = read(t - r - eps * float(problem.d(t)))
+        nom = read(t - r)
+        return A @ x + float(problem.q(t)) * (C @ (lag - nom)) \
+            + np.atleast_1d(problem.p(t))
+
+    if dt * 3 > r - eps and eps < r:
+        raise ValueError("dt too large for the delay margin")
+    ts = dt * np.arange(J + 1)
+    for j in range(J):
+        t = ts[j]
+        x = xs[n_pre + j]
+        k1 = rhs(t, x)
+        k2 = rhs(t + dt / 2, x + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, x + dt / 2 * k2)
+        k4 = rhs(t + dt, x + dt * k3)
+        xs[n_pre + j + 1] = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return ts, xs[n_pre:]
+
+
+def reference_validate(problems, sigma, M_lambda, lam, dt=5e-3, T=12.0):
+    """Per-member validator: one simulation and one p evaluation pass each."""
+    M_fit, N_fit, per_member = 1.0, 0.0, []
+    for prob in problems:
+        assert prob.smallgain_ok(M_lambda, lam)
+        ts, xs = reference_simulate(prob, dt, T)
+        xn = np.linalg.norm(xs, axis=1)
+        hist_ts = np.linspace(-(prob.r + prob.eps), 0.0, 201)
+        sup_x0 = max(np.linalg.norm(np.atleast_1d(prob.x0(t))) for t in hist_ts)
+        p_norms = np.array([np.linalg.norm(np.atleast_1d(prob.p(t))) for t in ts])
+        has_p = np.max(p_norms) > 0
+        if sup_x0 > 0 and not has_p:
+            ratio = _max_ratio(xn, np.exp(-sigma * ts) * sup_x0)
+            M_fit = max(M_fit, ratio)
+            per_member.append({"channel": "x0", "ratio": ratio})
+        elif has_p and sup_x0 == 0:
+            ratio = _max_ratio(xn, fading_memory_sup(p_norms, sigma, dt))
+            N_fit = max(N_fit, ratio)
+            per_member.append({"channel": "p", "ratio": ratio})
+        else:
+            per_member.append({"channel": "mixed", "ratio": float(np.max(xn))})
+    return {"M": M_fit, "N": N_fit, "members": per_member}
+
+
+def assert_close(got, want):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    assert float(np.max(np.abs(got - want))) <= REL_TOL * scale
+
+
+def sinusoid_member(a, c, r, eps, wd, wq, amp, w, phase, forced, n=1):
+    A = a * np.eye(n)
+    C = c * np.eye(n)
+    if forced:
+        p = (lambda t: amp * math.sin(w * t + phase) * np.ones(n))
+        x0 = (lambda t: np.zeros(n))
+    else:
+        p = (lambda t: np.zeros(n))
+        x0 = (lambda t: amp * math.cos(w * t) * np.ones(n))
+    return Lemma2Problem(A=A, C=C, r=r, eps=eps,
+                         d=lambda t: math.sin(wd * t + phase),
+                         q=lambda t: math.cos(wq * t), p=p, x0=x0)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 31])
+def test_batched_validator_matches_per_member_reference(seed):
+    p = cli.LEMMA2_DEFAULTS
+    sigma, _ = synthesis.sigma_rate(1.0, -p["a"], abs(p["a"]), p["c_norm"],
+                                    p["r"], p["eps"])
+    problems = cli.lemma2_suite(seed=seed, **p)
+    got = lemma2_validate(problems, sigma, 1.0, -p["a"], T=4.0)
+    want = reference_validate(problems, sigma, 1.0, -p["a"], T=4.0)
+    assert got["M"] == pytest.approx(want["M"], rel=REL_TOL)
+    assert got["N"] == pytest.approx(want["N"], rel=REL_TOL)
+    assert [m["channel"] for m in got["members"]] == \
+        [m["channel"] for m in want["members"]]
+    for g, w in zip(got["members"], want["members"]):
+        assert g["ratio"] == pytest.approx(w["ratio"], rel=REL_TOL)
+
+
+def test_heterogeneous_members_match_per_member_runs():
+    members = [
+        sinusoid_member(-1.0, 2.0, 0.5, 0.05, 3.0, 1.0, 1.5, 2.0, 0.3, False),
+        sinusoid_member(-0.5, 0.7, 0.3, 0.10, 5.0, 2.0, 0.8, 1.0, 1.1, True),
+        sinusoid_member(-2.0, 0.0, 0.8, 0.00, 1.0, 4.0, 1.0, 3.0, 2.0, False),
+        sinusoid_member(-1.5, 1.2, 0.4, 0.02, 2.0, 0.5, 0.6, 0.7, 0.4, True, n=2),
+    ]
+    dt, T = 4e-3, 2.0
+    ts, xs, ps = simulate_delay_difference(members, dt, T, with_forcing=True)
+    assert xs.shape == ps.shape == (len(ts), len(members), 2)
+    for i, prob in enumerate(members):
+        k = prob.A.shape[0]
+        _, want = reference_simulate(prob, dt, T)
+        assert_close(xs[:, i, :k], want)
+        assert np.all(xs[:, i, k:] == 0.0)
+        _, alone, p_alone = simulate_delay_difference(prob, dt, T,
+                                                      with_forcing=True)
+        assert alone.shape == want.shape
+        assert_close(alone, want)
+        assert np.array_equal(p_alone, np.array([prob.p(t) for t in ts]))
+        assert np.array_equal(ps[:, i, :k], p_alone)
+
+
+def test_delay_margin_is_checked_for_every_member():
+    ok = sinusoid_member(-1.0, 1.0, 0.5, 0.05, 1.0, 1.0, 1.0, 1.0, 0.0, False)
+    tight = sinusoid_member(-1.0, 1.0, 0.1, 0.09, 1.0, 1.0, 1.0, 1.0, 0.0, False)
+    with pytest.raises(ValueError, match="delay margin"):
+        simulate_delay_difference([ok, tight], 5e-3, 1.0)
+
+
+member_params = st.tuples(
+    st.floats(-2.0, -0.1), st.floats(0.0, 2.0), st.floats(0.2, 0.8),
+    st.floats(0.0, 0.15), st.floats(0.1, 6.0), st.floats(0.1, 6.0),
+    st.floats(0.1, 2.0), st.floats(0.0, 5.0), st.floats(0.0, 2 * math.pi),
+    st.booleans())
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(member_params, min_size=1, max_size=4))
+def test_batched_pass_matches_reference_on_random_sinusoidal_members(params):
+    members = [sinusoid_member(*prm) for prm in params]
+    dt, T = 5e-3, 1.0
+    _, xs = simulate_delay_difference(members, dt, T)
+    for i, prob in enumerate(members):
+        _, want = reference_simulate(prob, dt, T)
+        assert_close(xs[:, i], want)

@@ -56,6 +56,14 @@ def test_delay_signal_kinds():
     assert tab.max_amplitude() == pytest.approx(0.02)
 
 
+def test_table_delay_holds_its_end_values():
+    tab = DelaySignal(kind="table", D0=0.5,
+                      table=((0.0, 1.0, 2.0), (0.5, 0.501, 0.502)))
+    ts = np.linspace(0.0, 10.0, 10001)
+    assert np.all(np.abs(tab(ts) - 0.5) <= tab.max_amplitude())
+    assert tab(10.0) == 0.502
+
+
 def test_make_delay_rejects_nonpositive():
     with pytest.raises(ScenarioError):
         make_delay({"kind": "sinusoid", "D0": 0.1, "amplitude": 0.2, "omega": 1.0})
