@@ -9,7 +9,6 @@ from .controller import (
     PredictorController,
     TransitionSignal,
     control_step,
-    picard_contraction_factor,
     predictor_integral,
     predictor_taps,
     transition_eval,

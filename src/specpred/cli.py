@@ -123,13 +123,13 @@ def certify_pipeline(descriptor: SystemDescriptor, design: dict = None,
                      seed: int = 0, n_fit: int = 20, dt: float = 2e-3,
                      T: float = 8.0) -> Certificate:
     """Full certification: exact synthesis plus ensemble-fitted constants."""
-    model, cert = design_pipeline(descriptor, design)
+    _, cert = design_pipeline(descriptor, design)
     log.info("synthesized: N0=%d delta_max=%.4g sigma=%.4g kappa=%.4g",
              cert.N0, cert.delta_max, cert.sigma, cert.kappa)
     scens = fitting_ensemble(descriptor, cert, seed=seed, n_members=n_fit,
                              dt=dt, T=T)
     trajs = [sim_engine.simulate(s) for s in scens]
-    iss_certifier.fit_constants(trajs, cert, descriptor=descriptor, model=model)
+    iss_certifier.fit_constants(trajs, cert)
     log.info("fitted constants from %d members", n_fit)
     return cert
 
@@ -225,9 +225,12 @@ def parse_sweep_axis(text: str):
     try:
         param, rng = text.split("=", 1)
         lo, hi, n = rng.split(":")
-        return param.strip(), float(lo), float(hi), int(n)
+        axis = param.strip(), float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ValueError(f"bad --sweep spec {text!r}; expected param=lo:hi:n") from exc
+    if axis[3] < 1:
+        raise ValueError(f"bad --sweep spec {text!r}; the point count n must be >= 1")
+    return axis
 
 
 def build_parser():
@@ -345,8 +348,8 @@ def apply_sweep_param(scen_dict: dict, param: str, value: float) -> dict:
         m = len(np.atleast_1d(sig.get("amplitude", [0.0])))
         sig["amplitude"] = [value] * m
     elif param == "X0_scale":
-        x0 = np.asarray(d["initial"]["X0_coeffs"], dtype=float)
-        d["initial"]["X0_coeffs"] = (value * x0).tolist()
+        x0 = synthesis._array_from_list(d["initial"]["X0_coeffs"])
+        d["initial"]["X0_coeffs"] = synthesis._array_to_list(value * x0)
     else:
         raise ValueError(f"unknown sweep parameter {param!r}; "
                          f"choose from {SWEEP_PARAMS}")

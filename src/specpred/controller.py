@@ -16,7 +16,8 @@ update of the same integral amplifies rounding like exp(lambda_1 t) on the
 unstable head modes.  Because the law is linear in u_j, ``PredictorController``
 solves (I - phi K G_0) u_j = phi (K Y_j + d2_j + K sum_{k>=1} G_k u_{j-k})
 directly.  ``control_step`` (per-segment quadrature plus warm-started Picard
-iteration) is kept as the per-step reference for that fast path.
+iteration) and ``predictor_integral`` (``numerics.segment_exp_integral``
+per segment) are kept as the per-step references for that fast path.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecpredError
-from .numerics import exp_moments
+from .numerics import exp_moments, segment_exp_integral, smoothstep
 
 
 class ControllerError(SpecpredError, RuntimeError):
@@ -47,7 +48,7 @@ class TransitionSignal:
 def transition_eval(signal: TransitionSignal, t: float):
     """Return (phi(t), phi'(t)) for the cubic smoothstep transition."""
     s = np.clip(np.asarray(t, dtype=float) / signal.t0, 0.0, 1.0)
-    phi = s * s * (3.0 - 2.0 * s)
+    phi = smoothstep(s)
     dphi = 6.0 * s * (1.0 - s) / signal.t0
     if phi.ndim == 0:
         return float(phi), float(dphi)
@@ -131,16 +132,11 @@ def windowed_exp_integral(history: ControlHistory, lo: float, hi: float,
     bounds = np.concatenate([[lo], grid_times, [hi]])
     u_nodes = history.interp(bounds)                      # (S+1, m)
     f_nodes = u_nodes @ B.T                               # (S+1, N0): (B u)_n
-    a = bounds[:-1]
-    h = np.diff(bounds)
-    keep = h > 1e-15
-    a, h = a[keep], h[keep]
-    f0 = f_nodes[:-1][keep]
-    f1 = f_nodes[1:][keep]
-    lam_col = lambdas[np.newaxis, :]
-    m0, m1 = exp_moments(lam_col, h[:, np.newaxis])
-    pre = np.exp(lam_col * (t_ref - D0 - a[:, np.newaxis]))
-    seg = pre * (f0 * m0 + (f1 - f0) * (m1 / h[:, np.newaxis]))
+    s0, s1 = bounds[:-1], bounds[1:]
+    keep = s1 - s0 > 1e-15
+    seg = segment_exp_integral(lambdas, t_ref - D0, s0[keep, np.newaxis],
+                               s1[keep, np.newaxis], f_nodes[:-1][keep],
+                               f_nodes[1:][keep])
     return seg.sum(axis=0)
 
 
@@ -177,29 +173,13 @@ def predictor_taps(lambdas, B, D0: float, dt: float):
     return g[:, :, np.newaxis] * B[np.newaxis, :, :]
 
 
-def final_segment_weight(lambdas, B, D0: float, h: float):
-    """Weight matrix W with I[u](t) = I_known + W @ u(t) for the last segment."""
-    lambdas = np.asarray(lambdas)
-    B = np.atleast_2d(np.asarray(B))
-    _, m1 = exp_moments(lambdas, h)
-    return (np.exp(lambdas * (h - D0)) * (m1 / h))[:, np.newaxis] * B
-
-
-def picard_contraction_factor(K, lambdas, B, D0: float, dt: float) -> float:
-    """Norm of K W: the actual contraction factor of the implicit iteration.
-
-    The crude sufficient bound dt * ||K|| ||B|| e^{||A|| D0} is far too
-    conservative for unstable modes (the kernel on the final segment is
-    e^{(t-s-D0) A} with t-s-D0 ~ -D0, which *shrinks* unstable modes); the
-    exact final-segment weight is what the iteration actually sees.
-    """
-    W = final_segment_weight(lambdas, B, D0, dt)
-    return float(np.linalg.norm(np.atleast_2d(np.asarray(K)) @ W, 2))
+# Picard iteration limits of the reference ``control_step``.
+PICARD_MAX_ITERS = 50
+PICARD_TOL = 1e-12
 
 
 def control_step(Y_t, d2_t, t: float, certificate, history: ControlHistory,
-                 transition: TransitionSignal, max_iters: int = 50,
-                 tol: float = 1e-12):
+                 transition: TransitionSignal):
     """Solve the implicit control law at time t and return u(t).
 
     Per-segment reference for ``PredictorController.step``, which evaluates
@@ -208,7 +188,7 @@ def control_step(Y_t, d2_t, t: float, certificate, history: ControlHistory,
     through the final interpolation segment, so the integral splits as
     I_known + W u(t) and the Picard iteration is cheap.
     The converged residual of the implicit equation is checked against
-    ``tol`` and a ControllerError is raised on non-convergence.
+    ``PICARD_TOL`` and a ControllerError is raised on non-convergence.
     """
     K = np.atleast_2d(np.asarray(certificate.K))
     lambdas = certificate.lambdas
@@ -222,8 +202,7 @@ def control_step(Y_t, d2_t, t: float, certificate, history: ControlHistory,
     Y_t = np.atleast_1d(np.asarray(Y_t))
     d2_t = np.zeros(m) if d2_t is None else np.atleast_1d(np.asarray(d2_t))
     lower = max(t - D0, 0.0)
-    t_prev = t - dt
-    s_break = max(t_prev, lower)
+    s_break = max(t - dt, lower)
     I_known = windowed_exp_integral(history, lower, s_break, t, lambdas, B, D0)
     h = t - s_break
     u_prev = history.samples[history.filled]
@@ -231,9 +210,8 @@ def control_step(Y_t, d2_t, t: float, certificate, history: ControlHistory,
     if h > 1e-15:
         s0 = t - h
         u_s0 = history.interp(np.asarray(s0))
-        lam = lambdas
-        m0, m1 = exp_moments(lam, h)
-        pre = np.exp(lam * (h - D0))
+        m0, m1 = exp_moments(lambdas, h)
+        pre = np.exp(lambdas * (h - D0))
         base = pre * m0
         slope = pre * (m1 / h)
         f_s0 = B @ u_s0
@@ -243,25 +221,22 @@ def control_step(Y_t, d2_t, t: float, certificate, history: ControlHistory,
         I_fixed = I_known
         W = np.zeros((len(lambdas), m), dtype=B.dtype)
     drive = K @ Y_t + d2_t
-    KW = K @ W
     u = np.array(u_prev, dtype=float if not np.iscomplexobj(K) else complex)
-    converged = False
-    for _ in range(max_iters):
+    for _ in range(PICARD_MAX_ITERS):
         u_new = phi * (drive + K @ (I_fixed + W @ u))
         step = np.linalg.norm(u_new - u)
         u = u_new
-        if step < tol:
-            converged = True
+        if step < PICARD_TOL:
             break
-    if not converged:
+    else:
         raise ControllerError(
             f"implicit control solve did not converge at t={t} "
-            f"(contraction factor {np.linalg.norm(phi * KW, 2):.3g}); reduce dt"
+            f"(contraction factor {np.linalg.norm(phi * K @ W, 2):.3g}); reduce dt"
         )
     if not np.all(np.isfinite(u)):
         raise ControllerError(f"non-finite control value at t={t}")
     residual = np.linalg.norm(u - phi * (drive + K @ (I_fixed + W @ u)))
-    if residual > 10 * tol:
+    if residual > 10 * PICARD_TOL:
         raise ControllerError(f"implicit equation residual {residual:.3g} at t={t}")
     return u
 

@@ -17,8 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpecpredError
+from .numerics import catmull_rom
 from .sim_engine import Scenario, Trajectory
-from .synthesis import Certificate, assemble_x_constants, finalize_tail_constants
+from .synthesis import Certificate, finalize_tail_constants
 
 
 class CertifierError(SpecpredError, ValueError):
@@ -234,15 +235,38 @@ def _max_ratio(num, den, floor=1e-12):
     return float(np.max(num[ok] / den[ok]))
 
 
+# Fitted constants of the |u|, |Y| and |Z| envelopes on each channel.
+_CHANNEL_CONSTANTS = {"x0": ("Cbar4", "C1", "gamma3"),
+                      "d1": ("Cbar5", "C2", "gamma4"),
+                      "d2": ("Cbar6", "C3", "gamma5")}
+
+
+def _channel_bounds(channel: str, traj: Trajectory, cert: Certificate):
+    """Envelope shapes that the channel's |u|, |Y| and |Z| constants scale."""
+    ts = traj.t
+    dt = ts[1] - ts[0]
+    k, s = cert.kappa, cert.sigma
+    if channel == "x0":
+        X0, y0 = traj.norm_upper[0], np.linalg.norm(traj.Y[0])
+        return np.exp(-k * ts) * X0, np.exp(-s * ts) * X0, np.exp(-s * ts) * y0
+    n1, n2 = _signal_norms(traj.scenario, ts)
+    if channel == "d1":
+        n1_s = fading_memory_sup(n1, s, dt)
+        return fading_memory_sup(n1, k, dt), n1_s, n1_s
+    lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
+    return (fading_memory_sup(n2, k, dt), windowed_fading_sup(n2, s, dt, lag),
+            fading_memory_sup(n2, s, dt))
+
+
 def fit_constants(trajectories: Sequence[Trajectory], certificate: Certificate,
-                  descriptor=None, model=None, inflation: float = 1.1) -> Certificate:
+                  inflation: float = 1.1) -> Certificate:
     """Fit the existential channel gains from an isolated-channel ensemble.
 
     The ensemble must contain disturbance-free (x0), d1-only and d2-only
-    runs; by linearity each channel isolates its constant.  Each constant is
+    runs; by linearity each channel isolates its constants.  Each constant is
     the worst observed ratio over its channel, inflated by ``inflation``.
-    Fills u/y/z constants on the certificate; when descriptor and model are
-    given, also finalizes the tail constants and the assembled state bounds.
+    Fills the u/y/z constants on the certificate, then the tail constants
+    and the assembled state bounds (``finalize_tail_constants``).
     """
     cert = certificate
     buckets = {"x0": [], "d1": [], "d2": []}
@@ -258,42 +282,15 @@ def fit_constants(trajectories: Sequence[Trajectory], certificate: Certificate,
         if not runs:
             raise CertifierError(f"fit ensemble is missing the {ch} channel")
 
-    k, s = cert.kappa, cert.sigma
-    fits = {"Cbar4": 0.0, "Cbar5": 0.0, "Cbar6": 0.0,
-            "C1": 0.0, "C2": 0.0, "C3": 0.0,
-            "gamma3": 0.0, "gamma4": 0.0, "gamma5": 0.0}
-    for traj in buckets["x0"]:
-        ts = traj.t
-        dt = ts[1] - ts[0]
-        X0 = traj.norm_upper[0]
-        y0 = np.linalg.norm(traj.Y[0])
-        u_norm = np.linalg.norm(traj.u, axis=1)
-        y_norm = np.linalg.norm(traj.Y, axis=1)
-        z_norm = np.linalg.norm(traj.Z, axis=1)
-        fits["Cbar4"] = max(fits["Cbar4"], _max_ratio(u_norm, np.exp(-k * ts) * X0))
-        fits["C1"] = max(fits["C1"], _max_ratio(y_norm, np.exp(-s * ts) * X0))
-        fits["gamma3"] = max(fits["gamma3"], _max_ratio(z_norm, np.exp(-s * ts) * y0))
-    for traj in buckets["d1"]:
-        ts = traj.t
-        dt = ts[1] - ts[0]
-        n1, _ = _signal_norms(traj.scenario, ts)
-        u_norm = np.linalg.norm(traj.u, axis=1)
-        y_norm = np.linalg.norm(traj.Y, axis=1)
-        z_norm = np.linalg.norm(traj.Z, axis=1)
-        fits["Cbar5"] = max(fits["Cbar5"], _max_ratio(u_norm, fading_memory_sup(n1, k, dt)))
-        fits["C2"] = max(fits["C2"], _max_ratio(y_norm, fading_memory_sup(n1, s, dt)))
-        fits["gamma4"] = max(fits["gamma4"], _max_ratio(z_norm, fading_memory_sup(n1, s, dt)))
-    for traj in buckets["d2"]:
-        ts = traj.t
-        dt = ts[1] - ts[0]
-        _, n2 = _signal_norms(traj.scenario, ts)
-        lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
-        u_norm = np.linalg.norm(traj.u, axis=1)
-        y_norm = np.linalg.norm(traj.Y, axis=1)
-        z_norm = np.linalg.norm(traj.Z, axis=1)
-        fits["Cbar6"] = max(fits["Cbar6"], _max_ratio(u_norm, fading_memory_sup(n2, k, dt)))
-        fits["C3"] = max(fits["C3"], _max_ratio(y_norm, windowed_fading_sup(n2, s, dt, lag)))
-        fits["gamma5"] = max(fits["gamma5"], _max_ratio(z_norm, fading_memory_sup(n2, s, dt)))
+    fits = {key: 0.0 for keys in _CHANNEL_CONSTANTS.values() for key in keys}
+    for ch, runs in buckets.items():
+        for traj in runs:
+            norms = (np.linalg.norm(traj.u, axis=1),
+                     np.linalg.norm(traj.Y, axis=1),
+                     np.linalg.norm(traj.Z, axis=1))
+            for key, num, den in zip(_CHANNEL_CONSTANTS[ch], norms,
+                                     _channel_bounds(ch, traj, cert)):
+                fits[key] = max(fits[key], _max_ratio(num, den))
 
     fits = {key: val * inflation for key, val in fits.items()}
     cert.u_constants = {key: fits[key] for key in ("Cbar4", "Cbar5", "Cbar6")}
@@ -304,23 +301,7 @@ def fit_constants(trajectories: Sequence[Trajectory], certificate: Certificate,
         "channels": {ch: len(runs) for ch, runs in buckets.items()},
         "inflation": inflation,
     }
-    if descriptor is not None and model is not None:
-        finalize_tail_constants(cert, descriptor, model)
-    else:
-        # Tail constants from the stored certificate data alone.
-        C0 = cert.tail_constants["C0"]
-        ek = math.exp(cert.kappa * (cert.D0 + cert.delta_max))
-        denom = (cert.alpha - cert.kappa) ** 2
-        m = cert.B.shape[1]
-        C4, C5, C6 = (fits["Cbar4"], fits["Cbar5"], fits["Cbar6"])
-        cert.tail_constants = {
-            "C0": C0,
-            "C1": (4.0 / cert.m_R) * (1.0 + 2.0 * m * C4**2 * ek**2 * C0 / denom),
-            "C2": 8.0 * m * (1.0 + C5 * ek) ** 2 * C0 / (cert.m_R * denom),
-            "C3": 8.0 * m * C6**2 * ek**2 * C0 / (cert.m_R * denom),
-        }
-        cert.x_constants = assemble_x_constants(cert.y_constants,
-                                                cert.tail_constants, cert.M_R)
+    finalize_tail_constants(cert)
     return cert
 
 
@@ -334,8 +315,7 @@ def fit_decay_rate(trajectory: Trajectory, certificate: Certificate,
     cert = certificate
     scen = trajectory.scenario
     if scen is not None:
-        _, n2 = _signal_norms(scen, trajectory.t)
-        n1, _ = _signal_norms(scen, trajectory.t)
+        n1, n2 = _signal_norms(scen, trajectory.t)
         if np.max(n1) > 0 or np.max(n2) > 0:
             raise CertifierError("fit_decay_rate needs a disturbance-free run")
     ts = trajectory.t
@@ -445,10 +425,7 @@ def simulate_delay_difference(problem, dt: float, T: float,
         x = np.clip(x, 0.0, n_pre + J)
         j = np.clip(x.astype(int), 1, len(xs) - 3)
         w = (x - j)[..., np.newaxis]
-        p0, p1, p2, p3 = xs[j + _STENCIL, rows]
-        lag, nom = (p1 + 0.5 * w * (p2 - p0)
-                    + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
-                    + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0)))
+        lag, nom = catmull_rom(xs[j + _STENCIL, rows], w)
         for i, (f, k) in enumerate(p_rows):
             p_out[i, :k] = f(t)
         return q[:, np.newaxis] * _matvec(C, lag - nom), p_out

@@ -1,4 +1,5 @@
-"""Shared low-level numerics: exponential quadrature moments and Simpson rule.
+"""Shared low-level numerics: exponential quadrature moments, Simpson rule,
+the Catmull-Rom cubic and the smoothstep polynomial.
 
 The exponential moments are the workhorse of both the predictor integral and
 the per-mode exponential integrator: every integral of the form
@@ -87,6 +88,23 @@ def simpson_integrate(values, h, axis=-1):
     shape = [1] * values.ndim
     shape[axis] = n
     return np.sum(values * w.reshape(shape), axis=axis)
+
+
+def catmull_rom(p, w):
+    """Catmull-Rom cubic on the uniform stencil p = (p0, p1, p2, p3) at
+    w in grid units past p1: p1 at w = 0, p2 at w = 1, exact for quadratics."""
+    p0, p1, p2, p3 = p
+    return (
+        p1
+        + 0.5 * w * (p2 - p0)
+        + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
+        + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0))
+    )
+
+
+def smoothstep(s):
+    """C^1 cubic ramp s^2 (3 - 2 s) for an ``s`` already clipped to [0, 1]."""
+    return s * s * (3.0 - 2.0 * s)
 
 
 def matrix_exp_norm(A, ts):

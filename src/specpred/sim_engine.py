@@ -31,9 +31,9 @@ from .controller import (
     transition_eval,
 )
 from .errors import SpecpredError
-from .numerics import exp_moments, simpson_weights
+from .numerics import catmull_rom, exp_moments, simpson_weights, smoothstep
 from .spectral_model import SystemDescriptor
-from .synthesis import Certificate
+from .synthesis import Certificate, _array_from_list, _array_to_list
 
 DEFAULT_MODE_DECAY_FACTOR = 50.0
 MAX_MODES = 400
@@ -45,11 +45,6 @@ class ScenarioError(SpecpredError, ValueError):
 
 # ---------------------------------------------------------------------------
 # Signal library
-
-def _smoothstep(s):
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * (3.0 - 2.0 * s)
-
 
 @dataclass(frozen=True)
 class DelaySignal:
@@ -120,7 +115,7 @@ class DisturbanceSignal:
         if self.kind == "sinusoid":
             base = np.sin(self.omega * t + self.phase)
         elif self.kind == "smoothed_step":
-            base = _smoothstep((t - self.t_on) / self.ramp)
+            base = smoothstep(np.clip((t - self.t_on) / self.ramp, 0.0, 1.0))
         elif self.kind == "exp_decay":
             base = np.exp(-self.rate * np.maximum(t, 0.0))
         else:
@@ -214,15 +209,13 @@ class Trajectory:
         return self.coeffs[:, :n0]
 
 
-def default_mode_count(descriptor: SystemDescriptor, alpha: float,
-                       factor: float = DEFAULT_MODE_DECAY_FACTOR,
-                       cap: int = MAX_MODES) -> int:
-    """Smallest n with Re(lambda_n) <= -factor*alpha, capped."""
-    target = -factor * alpha
-    for n in range(1, cap + 1):
+def default_mode_count(descriptor: SystemDescriptor, alpha: float) -> int:
+    """Smallest n with Re(lambda_n) <= -DEFAULT_MODE_DECAY_FACTOR * alpha, capped."""
+    target = -DEFAULT_MODE_DECAY_FACTOR * alpha
+    for n in range(1, MAX_MODES + 1):
         if complex(descriptor.eigenvalue_law(n)).real <= target:
             return n
-    return cap
+    return MAX_MODES
 
 
 def state_norm(coeffs, m_R: float, M_R: float):
@@ -234,6 +227,18 @@ def state_norm(coeffs, m_R: float, M_R: float):
     coeffs = np.asarray(coeffs)
     S = np.sum(np.abs(coeffs) ** 2, axis=-1)
     return np.sqrt(m_R * S), np.sqrt(M_R * S)
+
+
+def _trajectory(scenario: Scenario, ts, c, u, v, engine: str,
+                meta: dict) -> Trajectory:
+    """Common epilogue of both engines: state norms, the record and Z."""
+    desc = scenario.descriptor
+    lower, upper = state_norm(c, desc.riesz_lower, desc.riesz_upper)
+    traj = Trajectory(t=ts, coeffs=c, u=u, v=v, Z=None,
+                      norm_lower=lower, norm_upper=upper,
+                      scenario=scenario, engine=engine, meta=meta)
+    traj.Z = artstein_transform(traj, scenario.certificate)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +255,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     m = desc.num_inputs
     lam_all = desc.eigenvalues(n_modes)
     B_all = desc.input_matrix(n_modes)
-    is_complex = desc.field == "complex"
-    cdtype = complex if is_complex else float
+    cdtype = complex if desc.field == "complex" else float
 
     c = np.zeros((J + 1, n_modes), dtype=cdtype)
     X0 = np.asarray(scenario.X0_coeffs, dtype=cdtype)
@@ -290,16 +294,8 @@ def simulate(scenario: Scenario) -> Trajectory:
             raise ScenarioError(f"non-finite state at step {j + 1} (t={tn:.6g})")
         u[j + 1] = controller.step(tn, c[j + 1, : cert.N0], d2_ts[j + 1])
 
-    lower, upper = state_norm(c, desc.riesz_lower, desc.riesz_upper)
-    traj = Trajectory(
-        t=ts, coeffs=c, u=u, v=v,
-        Z=np.zeros((J + 1, cert.N0), dtype=cdtype),
-        norm_lower=lower, norm_upper=upper,
-        scenario=scenario, engine="exp",
-        meta={"dt": dt, "N_modes": n_modes},
-    )
-    traj.Z = artstein_transform(traj, cert)
-    return traj
+    return _trajectory(scenario, ts, c, u, v, "exp",
+                       {"dt": dt, "N_modes": n_modes})
 
 
 def artstein_transform(trajectory: Trajectory, certificate: Certificate) -> np.ndarray:
@@ -401,17 +397,7 @@ class _CubicHistory:
         x = np.clip(x, 0.0, self.filled)
         j = np.clip(x.astype(int), 1, self.filled - 2)
         w = (x - j)[..., np.newaxis]
-        p0 = self.samples[j - 1]
-        p1 = self.samples[j]
-        p2 = self.samples[j + 1]
-        p3 = self.samples[j + 2]
-        # Catmull-Rom basis
-        return (
-            p1
-            + 0.5 * w * (p2 - p0)
-            + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
-            + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0))
-        )
+        return catmull_rom([self.samples[j + k] for k in (-1, 0, 1, 2)], w)
 
 
 def rk4_substep(lam, h, x, f0, fm, f1):
@@ -542,23 +528,19 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
         u[j + 1] = uj1
         hist.append(uj1)
 
-    lower, upper = state_norm(c, desc.riesz_lower, desc.riesz_upper)
-    traj = Trajectory(
-        t=ts, coeffs=c, u=u, v=v,
-        Z=np.zeros((J + 1, cert.N0)),
-        norm_lower=lower, norm_upper=upper,
-        scenario=scenario, engine="rk4",
-        meta={"dt": dt, "refine": refine, "N_modes": n_modes},
-    )
-    traj.Z = artstein_transform(traj, cert)
-    return traj
+    return _trajectory(scenario, ts, c, u, v, "rk4",
+                       {"dt": dt, "refine": refine, "N_modes": n_modes})
 
 
 # ---------------------------------------------------------------------------
 # CSV export / import
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write the trajectory with the fixed header schema (round-trip floats)."""
+    """Write the trajectory with the fixed header schema (round-trip floats);
+    the schema is real, so complex data raises ScenarioError."""
+    if any(np.iscomplexobj(a) for a in (traj.coeffs, traj.Z, traj.u, traj.v)):
+        raise ScenarioError("trajectory CSV holds real data only; "
+                            "complex-field trajectories cannot be written")
     n = traj.coeffs.shape[1]
     n0 = traj.Z.shape[1]
     m = traj.u.shape[1]
@@ -572,7 +554,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         + ["norm_lower", "norm_upper"]
     )
     data = np.column_stack([
-        traj.t, traj.coeffs.real, traj.Y.real, traj.Z.real,
+        traj.t, traj.coeffs, traj.Y, traj.Z,
         traj.u, traj.v, traj.norm_lower, traj.norm_upper,
     ])
     with open(path, "w") as fh:
@@ -626,7 +608,7 @@ def scenario_to_dict(scen: Scenario) -> dict:
         "delay": sig_dict(scen.delay),
         "disturbance_d1": sig_dict(scen.d1),
         "disturbance_d2": sig_dict(scen.d2),
-        "initial": {"X0_coeffs": np.asarray(scen.X0_coeffs).real.tolist()},
+        "initial": {"X0_coeffs": _array_to_list(scen.X0_coeffs)},
         "integration": {"dt": scen.dt, "T_final": scen.T_final,
                         "N_modes": scen.N_modes, "certified": scen.certified},
     }
@@ -643,7 +625,7 @@ def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
         delay=make_delay(d["delay"], float(integ["T_final"])),
         d1=make_disturbance(d["disturbance_d1"], m=desc.num_inputs),
         d2=make_disturbance(d["disturbance_d2"], m=desc.num_inputs),
-        X0_coeffs=np.asarray(d["initial"]["X0_coeffs"], dtype=float),
+        X0_coeffs=_array_from_list(d["initial"]["X0_coeffs"]),
         dt=float(integ["dt"]),
         T_final=float(integ["T_final"]),
         N_modes=int(integ["N_modes"]),

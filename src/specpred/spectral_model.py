@@ -20,17 +20,6 @@ import numpy as np
 from .errors import SpecpredError
 from .numerics import simpson_integrate
 
-DESCRIPTOR_KEYS = (
-    "kind",
-    "c",
-    "m",
-    "riesz_lower",
-    "riesz_upper",
-    "explicit_eigenvalues",
-    "explicit_b",
-)
-
-
 class SpectrumError(SpecpredError, ValueError):
     """Raised when a scan cannot produce an admissible mode split."""
 

@@ -27,6 +27,12 @@ class SynthesisError(SpecpredError, ValueError):
     pass
 
 
+LAMBDA_FRACTION = 0.95   # envelope rate lam / spectral abscissa of A_cl
+ENVELOPE_GRID = 8192     # grid points of the envelope supremum
+DELTA_SAFETY = 0.9       # delta_max / small-gain equality point
+KAPPA_FRACTION = 0.5     # kappa / min(alpha, sigma)
+
+
 @dataclass
 class Certificate:
     """Numeric stability certificate for one (plant, gain, delay) design."""
@@ -136,33 +142,29 @@ def scalar_gain(a: float, b: float, D0: float, pole: float) -> float:
     return (pole - a) * np.exp(D0 * a) / b
 
 
-def decay_envelope(A_cl, lambda_fraction: float = 0.95, T_check: Optional[float] = None,
-                   n_grid: int = 8192):
+def decay_envelope(A_cl):
     """Certified envelope ||e^{A_cl t}|| <= M_lambda e^{-lam t}.
 
     lam is a fraction of the spectral abscissa; M_lambda is the dense-grid
     supremum of ||e^{A_cl t}|| e^{lam t}, inflated by 5% and clamped >= 1.
-    T_check defaults to the time beyond which the conditioning-based tail
+    The grid ends at T_check, the time beyond which the conditioning-based tail
     bound kappa(V) e^{abscissa t} e^{lam t} has dropped below 1, so the grid
     maximum has provably passed its peak.
     """
     A_cl = np.asarray(A_cl)
-    if not (0.0 < lambda_fraction < 1.0):
-        raise ValueError("lambda_fraction must be in (0,1)")
     mu, V = np.linalg.eig(A_cl)
     abscissa = float(mu.real.max())
     if abscissa >= 0.0:
         raise SynthesisError("decay_envelope requires a Hurwitz matrix")
-    lam = lambda_fraction * (-abscissa)
-    if T_check is None:
-        condV = float(np.linalg.cond(V))
-        if not np.isfinite(condV):
-            condV = 1e16
-        # kappa(V) e^{(abscissa + lam) t} <= 1  for t >= T_tail; M_lambda >= 1
-        # always (t = 0), so the supremum is attained on [0, T_tail].
-        gap = (1.0 - lambda_fraction) * (-abscissa)
-        T_check = max(1.0, np.log(max(condV, 1.0)) / gap * 1.1)
-    ts = np.linspace(0.0, T_check, n_grid)
+    lam = LAMBDA_FRACTION * (-abscissa)
+    condV = float(np.linalg.cond(V))
+    if not np.isfinite(condV):
+        condV = 1e16
+    # kappa(V) e^{(abscissa + lam) t} <= 1  for t >= T_tail; M_lambda >= 1
+    # always (t = 0), so the supremum is attained on [0, T_tail].
+    gap = (1.0 - LAMBDA_FRACTION) * (-abscissa)
+    T_check = max(1.0, np.log(max(condV, 1.0)) / gap * 1.1)
+    ts = np.linspace(0.0, T_check, ENVELOPE_GRID)
     norms = matrix_exp_norm(A_cl, ts)
     M = float(np.max(norms * np.exp(lam * ts)))
     M_lambda = max(1.0, M) * 1.05
@@ -261,45 +263,17 @@ def sigma_rate(M_lambda: float, lam: float, A_norm: float, C_norm: float,
 
 
 def iss_constants(descriptor: SystemDescriptor, model: TruncatedModel,
-                  sigma: float, D0: float, delta: float,
-                  kappa_fraction: float = 0.5,
-                  u_constants: Optional[dict] = None,
-                  quad_panels: int = 4096):
-    """Explicit tail constants C~0..C~3 and the rates kappa, epsilon.
+                  sigma: float):
+    """Tail constant C~0 and the rates kappa, epsilon.
 
-    C~1..C~3 require the fitted u-channel constants Cbar4..Cbar6; when they
-    are not yet available only C~0, kappa and epsilon are returned and the
-    dependent entries are None.
+    C~1..C~3 also need the fitted u-channel constants; see
+    ``finalize_tail_constants``.
     """
-    if not (0.0 < kappa_fraction < 1.0):
-        raise ValueError("kappa_fraction must be in (0,1)")
-    alpha, xi, m_R = model.alpha, model.xi, descriptor.riesz_lower
-    m = descriptor.num_inputs
-    kappa = kappa_fraction * min(alpha, sigma)
-    eps = kappa / alpha
-    be2, abe2 = lifting_norms(descriptor, panels=quad_panels)
+    alpha, xi = model.alpha, model.xi
+    kappa = KAPPA_FRACTION * min(alpha, sigma)
+    be2, abe2 = lifting_norms(descriptor)
     C0 = float(alpha**2 * xi**2 * np.sum(be2) + np.sum(abe2))
-    out = {"C0": C0, "kappa": kappa, "epsilon": eps,
-           "C1": None, "C2": None, "C3": None}
-    if u_constants is not None:
-        C4, C5, C6 = (u_constants["Cbar4"], u_constants["Cbar5"],
-                      u_constants["Cbar6"])
-        ek = np.exp(kappa * (D0 + delta))
-        denom = (alpha - kappa) ** 2
-        out["C1"] = (4.0 / m_R) * (1.0 + 2.0 * m * C4**2 * ek**2 * C0 / denom)
-        out["C2"] = 8.0 * m * (1.0 + C5 * ek) ** 2 * C0 / (m_R * denom)
-        out["C3"] = 8.0 * m * C6**2 * ek**2 * C0 / (m_R * denom)
-    return out
-
-
-def assemble_x_constants(y_constants: dict, tail_constants: dict, M_R: float) -> dict:
-    """Cbar_i = sqrt(M_R) (C_i + sqrt(C~_i)) for i = 1..3."""
-    out = {}
-    for i in (1, 2, 3):
-        Ci = y_constants[f"C{i}"]
-        Cti = tail_constants[f"C{i}"]
-        out[f"Cbar{i}"] = float(np.sqrt(M_R) * (Ci + np.sqrt(Cti)))
-    return out
+    return {"C0": C0, "kappa": kappa, "epsilon": kappa / alpha}
 
 
 def synthesize_certificate(
@@ -308,15 +282,12 @@ def synthesize_certificate(
     D0: float = 0.5,
     t0: float = 1.0,
     target_poles=None,
-    lambda_fraction: float = 0.95,
-    delta_safety: float = 0.9,
-    kappa_fraction: float = 0.5,
     K: Optional[np.ndarray] = None,
 ) -> Certificate:
     """Run the full synthesis pipeline up to the exactly-computable constants.
 
-    ``delta_safety`` shrinks the small-gain equality point before it is used
-    as the certified delay radius; without it the contraction value at the
+    DELTA_SAFETY shrinks the small-gain equality point before it is used as
+    the certified delay radius; without it the contraction value at the
     radius is exactly 1 and no positive sigma exists.
     """
     if K is None:
@@ -329,17 +300,16 @@ def synthesize_certificate(
     A_cl = A + expm(-D0 * A) @ B @ K
     if np.iscomplexobj(A_cl) and np.allclose(A_cl.imag, 0.0):
         A_cl = A_cl.real
-    M_lambda, lam, _ = decay_envelope(A_cl, lambda_fraction=lambda_fraction)
+    M_lambda, lam, _ = decay_envelope(A_cl)
     BK_norm = float(np.linalg.norm(B @ K, 2))
     d_cap, delta_star, degenerate = delta_margin(A_cl, BK_norm, M_lambda, lam, D0)
     if degenerate:
         delta_max = d_cap
     else:
-        delta_max = min(delta_star * delta_safety, D0 * (1.0 - 1e-6))
+        delta_max = min(delta_star * DELTA_SAFETY, D0 * (1.0 - 1e-6))
     A_cl_norm = float(np.linalg.norm(A_cl, 2))
     sigma, dtil = sigma_rate(M_lambda, lam, A_cl_norm, BK_norm, r=D0, eps=delta_max)
-    tail = iss_constants(descriptor, model, sigma, D0, delta_max,
-                         kappa_fraction=kappa_fraction)
+    tail = iss_constants(descriptor, model, sigma)
     cert = Certificate(
         lambdas=np.diag(A), B=B, K=K, N0=model.N0, D0=float(D0), t0=float(t0),
         alpha=model.alpha, xi=model.xi,
@@ -363,17 +333,26 @@ def synthesize_certificate(
     return cert
 
 
-def finalize_tail_constants(cert: Certificate, descriptor: SystemDescriptor,
-                            model: TruncatedModel) -> None:
-    """Fill in C~1..C~3 and Cbar1..3 once the u/Y constants have been fitted."""
+def finalize_tail_constants(cert: Certificate) -> None:
+    """Fill in C~1..C~3 from the certificate's exact data and fitted u-channel
+    constants, then Cbar_i = sqrt(M_R) (C_i + sqrt(C~_i)) for i = 1..3."""
     if cert.u_constants is None or cert.y_constants is None:
         raise SynthesisError("fit the u/Y channel constants first")
-    tail = iss_constants(descriptor, model, cert.sigma, cert.D0, cert.delta_max,
-                         kappa_fraction=cert.kappa / min(model.alpha, cert.sigma),
-                         u_constants=cert.u_constants)
-    cert.tail_constants = {k: tail[k] for k in ("C0", "C1", "C2", "C3")}
-    cert.x_constants = assemble_x_constants(cert.y_constants, cert.tail_constants,
-                                            cert.M_R)
+    C0, kappa, m_R = cert.tail_constants["C0"], cert.kappa, cert.m_R
+    m = cert.B.shape[1]
+    C4, C5, C6 = (cert.u_constants[k] for k in ("Cbar4", "Cbar5", "Cbar6"))
+    ek = np.exp(kappa * (cert.D0 + cert.delta_max))
+    denom = (cert.alpha - kappa) ** 2
+    cert.tail_constants = {
+        "C0": C0,
+        "C1": (4.0 / m_R) * (1.0 + 2.0 * m * C4**2 * ek**2 * C0 / denom),
+        "C2": 8.0 * m * (1.0 + C5 * ek) ** 2 * C0 / (m_R * denom),
+        "C3": 8.0 * m * C6**2 * ek**2 * C0 / (m_R * denom),
+    }
+    tail, y = cert.tail_constants, cert.y_constants
+    cert.x_constants = {
+        f"Cbar{i}": float(np.sqrt(cert.M_R) * (y[f"C{i}"] + np.sqrt(tail[f"C{i}"])))
+        for i in (1, 2, 3)}
 
 
 # ---------------------------------------------------------------------------

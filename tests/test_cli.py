@@ -16,6 +16,13 @@ def test_parse_sweep_axis():
         cli.parse_sweep_axis("delay_amplitude")
     with pytest.raises(ValueError):
         cli.parse_sweep_axis("a=1:2")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cli.parse_sweep_axis("X0_scale=1:2:0")
+
+
+def test_empty_sweep_is_rejected(capsys):
+    assert cli.main(["sweep", "--sweep", "X0_scale=1:2:0"]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_runconfig_roundtrip(tmp_path):
@@ -74,6 +81,10 @@ def test_apply_sweep_param(descriptor, exact_cert):
     assert d3["disturbance_d1"]["amplitude"] == [0.5]
     d4 = cli.apply_sweep_param(d, "X0_scale", 2.0)
     assert d4["initial"]["X0_coeffs"][0] == pytest.approx(2.0 * d["initial"]["X0_coeffs"][0])
+    # A complex initial state keeps its imaginary part through the sweep.
+    d["initial"]["X0_coeffs"] = {"real": [1.0, 0.5], "imag": [1.0, -2.0]}
+    d5 = cli.apply_sweep_param(d, "X0_scale", 2.0)
+    assert d5["initial"]["X0_coeffs"] == {"real": [2.0, 1.0], "imag": [2.0, -4.0]}
     with pytest.raises(ValueError):
         cli.apply_sweep_param(d, "nonsense", 1.0)
 

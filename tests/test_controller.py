@@ -10,8 +10,6 @@ from specpred.controller import (
     PredictorController,
     TransitionSignal,
     control_step,
-    final_segment_weight,
-    picard_contraction_factor,
     predictor_integral,
     predictor_taps,
     transition_eval,
@@ -140,25 +138,6 @@ def test_predictor_taps_match_windowed_integral(dt, t):
     got = np.einsum("kna,ka->n", taps, newest_first)
     want = predictor_integral(h, t, lam, B, D0)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_final_segment_weight_is_integral_slope():
-    lam = np.array([2.0])
-    B = np.array([[3.0]])
-    D0, h = 0.5, 0.01
-    W = final_segment_weight(lam, B, D0, h)
-    want = 3.0 * quad(
-        lambda s: np.exp(2.0 * (h - s - D0)) * (s / h), 0.0, h)[0]
-    assert W[0, 0] == pytest.approx(want, rel=1e-10)
-
-
-def test_contraction_factor_small_at_fine_steps(exact_cert):
-    rho = picard_contraction_factor(exact_cert.K, exact_cert.lambdas,
-                                    exact_cert.B, exact_cert.D0, 1e-3)
-    assert rho < 1.0
-    rho2 = picard_contraction_factor(exact_cert.K, exact_cert.lambdas,
-                                     exact_cert.B, exact_cert.D0, 2e-3)
-    assert rho < rho2 < 1.0  # shrinks with dt
 
 
 def test_control_step_residual_direct(exact_cert):

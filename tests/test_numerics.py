@@ -4,6 +4,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from specpred.numerics import (
+    catmull_rom,
     exp_moments,
     matrix_exp_norm,
     segment_exp_integral,
@@ -99,3 +100,19 @@ def test_matrix_exp_norm_defective_fallback():
     got = matrix_exp_norm(A, [1.0])
     want = np.linalg.norm(expm(A), 2)
     assert got[0] == pytest.approx(want, rel=1e-9)
+
+
+def test_catmull_rom_interpolates_the_inner_samples():
+    p = np.array([[3.0, -1.0], [0.5, 2.0], [-4.0, 7.0], [1.0, 0.25]])
+    assert np.array_equal(catmull_rom(p, 0.0), p[1])
+    assert np.array_equal(catmull_rom(p, 1.0), p[2])
+
+
+def test_catmull_rom_reproduces_quadratics():
+    def f(x):
+        return 2.0 - 3.0 * x + 0.75 * x * x
+
+    x1 = 1.3
+    p = f(x1 + np.arange(-1.0, 3.0))
+    w = np.linspace(0.0, 1.0, 11)
+    assert np.allclose(catmull_rom(p, w), f(x1 + w), rtol=0, atol=1e-13)

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from specpred.sim_engine import (
     oracle_simulate,
     rk4_substep,
     save_scenario,
+    scenario_to_dict,
     simulate,
     state_norm,
     trajectory_from_csv,
@@ -35,7 +37,7 @@ from specpred.sim_engine import (
     _CubicHistory,
 )
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
-from specpred.synthesis import synthesize_certificate
+from specpred.synthesis import save_certificate, synthesize_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +265,8 @@ def test_oracle_matches_sequential_rk4_substeps(descriptor, exact_cert):
     assert worst <= 1e-10 * np.max(np.abs(traj.coeffs))
 
 
-def test_oracle_rejects_complex_field(exact_cert):
+def complex_plant_scenario():
+    """One complex mode lambda = -1 + 2i with X0 = 1 + 1i and K = 0."""
     desc = SystemDescriptor(
         eigenvalue_law=lambda n: -1.0 + 2.0j,
         input_coeff_law=lambda n, k: 1.0 + 0.0j,
@@ -275,14 +278,60 @@ def test_oracle_rejects_complex_field(exact_cert):
     cert = synthesize_certificate(desc, model, D0=0.4, t0=1.0,
                                   K=np.array([[0.0 + 0.0j]]))
     zero = DisturbanceSignal(kind="zero", m=1)
-    scen = Scenario(descriptor=desc, certificate=cert,
+    return Scenario(descriptor=desc, certificate=cert,
                     delay=DelaySignal(kind="constant", D0=0.4),
                     d1=zero, d2=zero, X0_coeffs=np.array([1.0 + 1.0j]),
                     dt=1e-3, T_final=0.5, N_modes=1)
+
+
+# The complex plant as explicit eigen-data, which a scenario file can hold.
+COMPLEX_PLANT_DICT = {"kind": "explicit", "m": 1, "riesz_lower": 1.0,
+                      "riesz_upper": 1.0, "explicit_eigenvalues": ["-1+2j"],
+                      "explicit_b": [["1+0j"]]}
+
+
+def test_oracle_rejects_complex_field():
+    scen = complex_plant_scenario()
     traj = simulate(scen)  # complex plants run on the primary engine
     assert np.all(np.isfinite(traj.coeffs.real))
     with pytest.raises(ScenarioError):
         oracle_simulate(scen)
+
+
+def test_complex_initial_state_roundtrips_through_scenario_file(tmp_path):
+    scen = complex_plant_scenario()
+    path = tmp_path / "scen.json"
+    save_scenario(scen, path)
+    d = json.loads(path.read_text())
+    assert d["initial"]["X0_coeffs"] == {"real": [1.0], "imag": [1.0]}
+    d["system"] = COMPLEX_PLANT_DICT
+    path.write_text(json.dumps(d))
+    back = load_scenario(path, scen.certificate)
+    assert back.descriptor.field == "complex"
+    assert np.array_equal(back.X0_coeffs, scen.X0_coeffs)
+    assert np.array_equal(simulate(back).coeffs, simulate(scen).coeffs)
+
+
+def test_complex_trajectory_csv_is_refused(tmp_path):
+    traj = simulate(complex_plant_scenario())
+    assert np.any(traj.coeffs.imag != 0)
+    with pytest.raises(ScenarioError):
+        trajectory_to_csv(traj, tmp_path / "traj.csv")
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_complex_plant_exits_2(tmp_path, capsys):
+    scen = complex_plant_scenario()
+    cert_path = tmp_path / "cert.json"
+    scen_path = tmp_path / "scen.json"
+    save_certificate(scen.certificate, cert_path)
+    d = scenario_to_dict(scen)
+    d["system"] = COMPLEX_PLANT_DICT
+    scen_path.write_text(json.dumps(d))
+    argv = ["simulate", "--certificate", str(cert_path), "--scenario",
+            str(scen_path), "--out", str(tmp_path / "traj.csv")]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_artstein_transform_definition(descriptor, exact_cert):

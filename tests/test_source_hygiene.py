@@ -1,0 +1,60 @@
+"""Source hygiene of the package: no unused imports, no unreferenced defs.
+
+Every module of ``src/specpred`` except ``__init__.py`` is parsed with
+``ast``.  An import whose bound name is never read in its module fails, and
+so does a top-level function or class whose name appears nowhere in
+``src/``, ``tests/`` or ``specbench/`` apart from its own definition.
+"""
+
+import ast
+import functools
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "specpred"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@functools.cache
+def _corpus():
+    files = [p for d in ("src", "tests", "specbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    return {p: p.read_text() for p in files}
+
+
+def _imported_names(tree):
+    """(bound name, line) of every import in the module, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree)
+              if name not in read]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_def_is_referenced(path):
+    corpus = _corpus()
+    tree = ast.parse(corpus[path])
+    defs = [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    orphans = []
+    for name in defs:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        uses = sum(len(word.findall(text)) for text in corpus.values())
+        if uses <= 1:       # the definition itself
+            orphans.append(name)
+    assert not orphans, f"{path.name}: defined but never referenced {orphans}"

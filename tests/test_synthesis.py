@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from specpred.synthesis import (
     decay_envelope,
     delta_margin,
     delta_tilde,
+    finalize_tail_constants,
     iss_constants,
     load_certificate,
     place_gain,
@@ -115,25 +117,39 @@ def test_sigma_rate_degenerate_channels():
 
 
 def test_iss_constants_flagship_c0(descriptor, model):
-    out = iss_constants(descriptor, model, sigma=0.13, D0=0.5, delta=0.004)
+    out = iss_constants(descriptor, model, sigma=0.13)
     # C0 = alpha^2 xi^2 ||Be||^2 + ||ABe||^2 = alpha^2 / 3 + 225 / 3.
     want = model.alpha**2 / 3.0 + 75.0
     assert out["C0"] == pytest.approx(want, rel=1e-9)
     assert out["kappa"] == pytest.approx(0.5 * min(model.alpha, 0.13))
     assert out["epsilon"] == pytest.approx(out["kappa"] / model.alpha)
-    assert out["C1"] is None
+    assert set(out) == {"C0", "kappa", "epsilon"}
 
 
-def test_iss_constants_with_u_channel(descriptor, model):
+def test_finalize_tail_constants_from_u_channel(exact_cert):
     u = {"Cbar4": 10.0, "Cbar5": 5.0, "Cbar6": 2.0}
-    out = iss_constants(descriptor, model, sigma=0.13, D0=0.5, delta=0.004,
-                        u_constants=u)
-    C0, k = out["C0"], out["kappa"]
-    ek = math.exp(k * 0.504)
-    denom = (model.alpha - k) ** 2
+    y = {"C1": 1.0, "C2": 2.0, "C3": 3.0}
+    cert = replace(exact_cert, u_constants=u, y_constants=y)
+    finalize_tail_constants(cert)
+    out = cert.tail_constants
+    C0, k = out["C0"], cert.kappa
+    assert C0 == exact_cert.tail_constants["C0"]
+    assert cert.m_R == 1.0 and cert.B.shape[1] == 1
+    ek = math.exp(k * (cert.D0 + cert.delta_max))
+    denom = (cert.alpha - k) ** 2
     assert out["C1"] == pytest.approx(4.0 * (1 + 2 * 100.0 * ek**2 * C0 / denom))
     assert out["C2"] == pytest.approx(8.0 * (1 + 5.0 * ek) ** 2 * C0 / denom)
     assert out["C3"] == pytest.approx(8.0 * 4.0 * ek**2 * C0 / denom)
+    for i in (1, 2, 3):
+        assert cert.x_constants[f"Cbar{i}"] == pytest.approx(
+            math.sqrt(cert.M_R) * (y[f"C{i}"] + math.sqrt(out[f"C{i}"])))
+    # The exact certificate it was copied from keeps its open entries.
+    assert exact_cert.tail_constants["C1"] is None
+
+
+def test_finalize_tail_constants_needs_fitted_channels(exact_cert):
+    with pytest.raises(SynthesisError):
+        finalize_tail_constants(replace(exact_cert))
 
 
 def test_synthesize_certificate_flagship(descriptor, model, exact_cert):
