@@ -8,8 +8,6 @@ from .controller import (
     ControllerError,
     PredictorController,
     TransitionSignal,
-    control_step,
-    predictor_integral,
     predictor_taps,
     transition_eval,
 )

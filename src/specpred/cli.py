@@ -128,7 +128,7 @@ def certify_pipeline(descriptor: SystemDescriptor, design: dict = None,
              cert.N0, cert.delta_max, cert.sigma, cert.kappa)
     scens = fitting_ensemble(descriptor, cert, seed=seed, n_members=n_fit,
                              dt=dt, T=T)
-    trajs = [sim_engine.simulate(s) for s in scens]
+    trajs = sim_engine.simulate(scens)
     iss_certifier.fit_constants(trajs, cert)
     log.info("fitted constants from %d members", n_fit)
     return cert

@@ -1,4 +1,4 @@
-"""Runtime implementation of the implicit predictor feedback law.
+"""The implicit predictor feedback law and its per-step implementation.
 
 The control value at time t solves
 
@@ -13,11 +13,12 @@ samples, I(t_j) = sum_{k=0..L} G_k u_{j-k} with L = ceil(D0/dt); the taps are
 exact exponential moments, built once per run (``predictor_taps``).  The
 convolution is evaluated explicitly at every step: the recursive sliding-window
 update of the same integral amplifies rounding like exp(lambda_1 t) on the
-unstable head modes.  Because the law is linear in u_j, ``PredictorController``
-solves (I - phi K G_0) u_j = phi (K Y_j + d2_j + K sum_{k>=1} G_k u_{j-k})
-directly.  ``control_step`` (per-segment quadrature plus warm-started Picard
-iteration) and ``predictor_integral`` (``numerics.segment_exp_integral``
-per segment) are kept as the per-step references for that fast path.
+unstable head modes.  Because the law is linear in u_j, it is solved as
+(I - phi K G_0) u_j = phi (K Y_j + d2_j + K sum_{k>=1} G_k u_{j-k}), checked
+against ``SOLVE_CONDITIONING_FLOOR`` and ``SOLVE_RESIDUAL_TOL``.
+``sim_engine.simulate`` applies this law to a batch of scenarios at once;
+``ControlHistory`` and ``PredictorController`` are the one-scenario,
+one-step form of the same computation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecpredError
-from .numerics import exp_moments, segment_exp_integral, smoothstep
+from .numerics import exp_moments, smoothstep
 
 
 class ControllerError(SpecpredError, RuntimeError):
@@ -111,40 +112,6 @@ class ControlHistory:
         return vals
 
 
-def windowed_exp_integral(history: ControlHistory, lo: float, hi: float,
-                          t_ref: float, lambdas, B, D0: float):
-    """Exact integral of exp((t_ref-s-D0) A) B u(s) over [lo, hi].
-
-    u is the piecewise-linear interpolant of the history; partial end
-    segments are clipped exactly.  Returns a length-N0 vector.
-    """
-    lambdas = np.asarray(lambdas)
-    B = np.atleast_2d(np.asarray(B))
-    if hi <= lo + 1e-15:
-        return np.zeros(len(lambdas), dtype=B.dtype)
-    if history.latest_time < hi - 1e-9 * max(1.0, abs(hi)):
-        raise ControllerError("insufficient history for predictor integral")
-    dt = history.dt
-    # Segment boundaries: lo, then every grid point in (lo, hi), then hi.
-    j_lo = int(np.floor(history.index_of(lo) + 1e-12)) + 1
-    j_hi = int(np.ceil(history.index_of(hi) - 1e-12))
-    grid_times = history.start_time + dt * np.arange(j_lo, j_hi)
-    bounds = np.concatenate([[lo], grid_times, [hi]])
-    u_nodes = history.interp(bounds)                      # (S+1, m)
-    f_nodes = u_nodes @ B.T                               # (S+1, N0): (B u)_n
-    s0, s1 = bounds[:-1], bounds[1:]
-    keep = s1 - s0 > 1e-15
-    seg = segment_exp_integral(lambdas, t_ref - D0, s0[keep, np.newaxis],
-                               s1[keep, np.newaxis], f_nodes[:-1][keep],
-                               f_nodes[1:][keep])
-    return seg.sum(axis=0)
-
-
-def predictor_integral(history: ControlHistory, t: float, lambdas, B, D0: float):
-    """Exact integral of exp((t-s-D0) A) B u(s) over [max(t-D0,0), t]."""
-    return windowed_exp_integral(history, max(t - D0, 0.0), t, t, lambdas, B, D0)
-
-
 def predictor_taps(lambdas, B, D0: float, dt: float):
     """Taps G_k, shape (L+1, N0, m), with I(t_j) = sum_k G_k u_{j-k} exactly.
 
@@ -171,74 +138,6 @@ def predictor_taps(lambdas, B, D0: float, dt: float):
     g[L - 1] += (m0r - m1r / r) * w + m1r / r
     g[L] += (m0r - m1r / r) * (1.0 - w)
     return g[:, :, np.newaxis] * B[np.newaxis, :, :]
-
-
-# Picard iteration limits of the reference ``control_step``.
-PICARD_MAX_ITERS = 50
-PICARD_TOL = 1e-12
-
-
-def control_step(Y_t, d2_t, t: float, certificate, history: ControlHistory,
-                 transition: TransitionSignal):
-    """Solve the implicit control law at time t and return u(t).
-
-    Per-segment reference for ``PredictorController.step``, which evaluates
-    the same integral through the predictor taps.  The history must be valid
-    up to t - dt; the candidate u(t) enters the predictor integral only
-    through the final interpolation segment, so the integral splits as
-    I_known + W u(t) and the Picard iteration is cheap.
-    The converged residual of the implicit equation is checked against
-    ``PICARD_TOL`` and a ControllerError is raised on non-convergence.
-    """
-    K = np.atleast_2d(np.asarray(certificate.K))
-    lambdas = certificate.lambdas
-    B = certificate.B
-    D0 = certificate.D0
-    phi, _ = transition_eval(transition, t)
-    m = K.shape[0]
-    if phi == 0.0:
-        return np.zeros(m, dtype=K.dtype)
-    dt = history.dt
-    Y_t = np.atleast_1d(np.asarray(Y_t))
-    d2_t = np.zeros(m) if d2_t is None else np.atleast_1d(np.asarray(d2_t))
-    lower = max(t - D0, 0.0)
-    s_break = max(t - dt, lower)
-    I_known = windowed_exp_integral(history, lower, s_break, t, lambdas, B, D0)
-    h = t - s_break
-    u_prev = history.samples[history.filled]
-    # Final segment from s0 = t-h to t: linear from u(s0) to the candidate.
-    if h > 1e-15:
-        s0 = t - h
-        u_s0 = history.interp(np.asarray(s0))
-        m0, m1 = exp_moments(lambdas, h)
-        pre = np.exp(lambdas * (h - D0))
-        base = pre * m0
-        slope = pre * (m1 / h)
-        f_s0 = B @ u_s0
-        I_fixed = I_known + (base - slope) * f_s0
-        W = slope[:, np.newaxis] * B
-    else:
-        I_fixed = I_known
-        W = np.zeros((len(lambdas), m), dtype=B.dtype)
-    drive = K @ Y_t + d2_t
-    u = np.array(u_prev, dtype=float if not np.iscomplexobj(K) else complex)
-    for _ in range(PICARD_MAX_ITERS):
-        u_new = phi * (drive + K @ (I_fixed + W @ u))
-        step = np.linalg.norm(u_new - u)
-        u = u_new
-        if step < PICARD_TOL:
-            break
-    else:
-        raise ControllerError(
-            f"implicit control solve did not converge at t={t} "
-            f"(contraction factor {np.linalg.norm(phi * K @ W, 2):.3g}); reduce dt"
-        )
-    if not np.all(np.isfinite(u)):
-        raise ControllerError(f"non-finite control value at t={t}")
-    residual = np.linalg.norm(u - phi * (drive + K @ (I_fixed + W @ u)))
-    if residual > 10 * PICARD_TOL:
-        raise ControllerError(f"implicit equation residual {residual:.3g} at t={t}")
-    return u
 
 
 # Smallest admissible sigma_min(I - phi K G_0); below it the direct solve

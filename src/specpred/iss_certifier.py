@@ -26,6 +26,16 @@ class CertifierError(SpecpredError, ValueError):
     pass
 
 
+# Each fitted channel gain is its worst observed ratio times this factor.
+FIT_INFLATION = 1.1
+# Envelope bounds at or below these are treated as zero: in the envelope
+# checks, and in the ratios that the fits and lemma-2 reports take.
+CHECK_BOUND_FLOOR = 1e-13
+RATIO_BOUND_FLOOR = 1e-12
+# State norms at or below this end the decay-rate fit window (log underflow).
+DECAY_FIT_FLOOR = 1e-280
+
+
 # ---------------------------------------------------------------------------
 # Fading-memory suprema
 
@@ -46,26 +56,6 @@ def fading_memory_sup(norms, kappa: float, dt: float) -> np.ndarray:
     for j in range(1, len(norms)):
         s = max(decay * s, norms[j])
         out[j] = s
-    return out
-
-
-def fading_memory_sup_brute(norms, kappa: float, dt: float) -> np.ndarray:
-    """O(n^2) reference: direct maximum over per-sample decayed candidates.
-
-    Each candidate e^{-kappa (t_j - t_i)} ||d_i|| is accumulated by one decay
-    multiplication per step, so rounding matches the recursion exactly
-    (multiplying by a positive factor is order preserving, hence commutes
-    with the maximum bit-for-bit).
-    """
-    norms = np.asarray(norms, dtype=float)
-    n = len(norms)
-    decay = math.exp(-kappa * dt)
-    cand = np.empty(n)
-    out = np.empty(n)
-    for j in range(n):
-        cand[:j] *= decay
-        cand[j] = norms[j]
-        out[j] = cand[: j + 1].max()
     return out
 
 
@@ -134,15 +124,16 @@ def _signal_norms(scen: Scenario, ts):
     return np.linalg.norm(d1, axis=-1), np.linalg.norm(d2, axis=-1)
 
 
-def _ratio_check(name, observed, bound, ts, constants, provenance,
-                 floor=1e-13) -> EstimateCheck:
+def _ratio_check(name, observed, bound, ts, constants,
+                 provenance) -> EstimateCheck:
     observed = np.asarray(observed, dtype=float)
     bound = np.asarray(bound, dtype=float)
-    live = bound > floor
-    if not np.any(live) and np.all(observed <= floor):
+    live = bound > CHECK_BOUND_FLOOR
+    zero = observed <= CHECK_BOUND_FLOOR
+    if not np.any(live) and np.all(zero):
         return EstimateCheck(name, True, True, 0.0, 0.0, constants, provenance)
     ratios = np.where(live, observed / np.where(live, bound, 1.0), np.inf)
-    ratios = np.where(~live & (observed <= floor), 0.0, ratios)
+    ratios = np.where(~live & zero, 0.0, ratios)
     worst = int(np.argmax(ratios))
     return EstimateCheck(
         name=name,
@@ -226,10 +217,10 @@ def _channel_of(scen: Scenario) -> str:
     return "mixed"
 
 
-def _max_ratio(num, den, floor=1e-12):
+def _max_ratio(num, den):
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
-    ok = den > floor
+    ok = den > RATIO_BOUND_FLOOR
     if not np.any(ok):
         return 0.0
     return float(np.max(num[ok] / den[ok]))
@@ -258,13 +249,13 @@ def _channel_bounds(channel: str, traj: Trajectory, cert: Certificate):
             fading_memory_sup(n2, s, dt))
 
 
-def fit_constants(trajectories: Sequence[Trajectory], certificate: Certificate,
-                  inflation: float = 1.1) -> Certificate:
+def fit_constants(trajectories: Sequence[Trajectory],
+                  certificate: Certificate) -> Certificate:
     """Fit the existential channel gains from an isolated-channel ensemble.
 
     The ensemble must contain disturbance-free (x0), d1-only and d2-only
     runs; by linearity each channel isolates its constants.  Each constant is
-    the worst observed ratio over its channel, inflated by ``inflation``.
+    the worst observed ratio over its channel times ``FIT_INFLATION``.
     Fills the u/y/z constants on the certificate, then the tail constants
     and the assembled state bounds (``finalize_tail_constants``).
     """
@@ -292,21 +283,20 @@ def fit_constants(trajectories: Sequence[Trajectory], certificate: Certificate,
                                      _channel_bounds(ch, traj, cert)):
                 fits[key] = max(fits[key], _max_ratio(num, den))
 
-    fits = {key: val * inflation for key, val in fits.items()}
+    fits = {key: val * FIT_INFLATION for key, val in fits.items()}
     cert.u_constants = {key: fits[key] for key in ("Cbar4", "Cbar5", "Cbar6")}
     cert.y_constants = {key: fits[key] for key in ("C1", "C2", "C3")}
     cert.z_constants = {key: fits[key] for key in ("gamma3", "gamma4", "gamma5")}
     cert.fit_info = {
         "ensemble_size": len(trajectories),
         "channels": {ch: len(runs) for ch, runs in buckets.items()},
-        "inflation": inflation,
+        "inflation": FIT_INFLATION,
     }
     finalize_tail_constants(cert)
     return cert
 
 
-def fit_decay_rate(trajectory: Trajectory, certificate: Certificate,
-                   floor: float = 1e-280):
+def fit_decay_rate(trajectory: Trajectory, certificate: Certificate):
     """Empirical decay rate of a disturbance-free run.
 
     Least-squares slope of log ||X||_upper over the post-transition window
@@ -323,9 +313,9 @@ def fit_decay_rate(trajectory: Trajectory, certificate: Certificate,
     mask = ts >= t_start
     vals = trajectory.norm_upper[mask]
     truncated = False
-    if np.any(vals <= floor):
+    if np.any(vals <= DECAY_FIT_FLOOR):
         truncated = True
-        last = int(np.argmax(vals <= floor))
+        last = int(np.argmax(vals <= DECAY_FIT_FLOOR))
         vals = vals[:last]
         mask_idx = np.nonzero(mask)[0][:last]
     else:

@@ -4,8 +4,11 @@ Two engines share one output schema:
 
 * ``simulate`` advances every mode with the exact variation-of-constants step
   (unconditionally stable for the stiff tail), with the boundary input
-  piecewise-linear on each step, and takes the control from
-  ``PredictorController`` (tapped predictor convolution, direct solve);
+  piecewise-linear on each step.  It steps S >= 1 scenarios that share a
+  descriptor, certificate, dt, horizon and mode count together; one scenario
+  is the case S = 1.  The delayed reads are fixed up front because D(t) is
+  exogenous, and the control solves the implicit law with the predictor taps
+  and one direct solve per step (see ``controller``);
 * ``oracle_simulate`` is an independent cross-check: classical RK4 at dt/20,
   with the substeps of each coarse step composed once into per-mode
   coefficients, its own fixed-point control solve (Simpson quadrature of the
@@ -25,7 +28,9 @@ from typing import Optional
 import numpy as np
 
 from .controller import (
-    PredictorController,
+    SOLVE_CONDITIONING_FLOOR,
+    SOLVE_RESIDUAL_TOL,
+    ControllerError,
     TransitionSignal,
     predictor_taps,
     transition_eval,
@@ -244,27 +249,58 @@ def _trajectory(scenario: Scenario, ts, c, u, v, engine: str,
 # ---------------------------------------------------------------------------
 # Primary engine: exact exponential per-mode stepping
 
-def simulate(scenario: Scenario) -> Trajectory:
-    """Integrate the closed loop with the exponential per-mode stepper."""
-    cert = scenario.certificate
-    desc = scenario.descriptor
-    dt = scenario.dt
-    J = int(round(scenario.T_final / dt))
+class Trajectories(list):
+    """Member trajectories of one batched run, which share the time grid ``t``."""
+
+    @property
+    def t(self) -> np.ndarray:
+        return self[0].t
+
+
+def simulate(scenario):
+    """Integrate the closed loop with the exponential per-mode stepper.
+
+    ``scenario`` is one Scenario or a sequence of them that share the same
+    descriptor and certificate objects, dt, T_final and N_modes; a sequence
+    of S members is stepped together (state (S, J+1, N_modes), control
+    history (S, n_pre+J+1, m)) and one scenario is the case S = 1.  Returns
+    a Trajectory, or ``Trajectories`` for a sequence.
+    """
+    single = isinstance(scenario, Scenario)
+    scens = [scenario] if single else list(scenario)
+    if not scens:
+        raise ScenarioError("simulate needs at least one scenario")
+    first = scens[0]
+    if any(s.descriptor is not first.descriptor
+           or s.certificate is not first.certificate
+           or (s.dt, s.T_final, s.N_modes)
+           != (first.dt, first.T_final, first.N_modes) for s in scens):
+        raise ScenarioError("batched scenarios must share descriptor, "
+                            "certificate, dt, T_final and N_modes")
+    cert, desc, dt = first.certificate, first.descriptor, first.dt
+    S = len(scens)
+    J = int(round(first.T_final / dt))
     ts = dt * np.arange(J + 1)
-    n_modes = scenario.N_modes
+    n_modes = first.N_modes
     m = desc.num_inputs
     lam_all = desc.eigenvalues(n_modes)
     B_all = desc.input_matrix(n_modes)
     cdtype = complex if desc.field == "complex" else float
+    K = np.atleast_2d(np.asarray(cert.K))
 
-    c = np.zeros((J + 1, n_modes), dtype=cdtype)
-    X0 = np.asarray(scenario.X0_coeffs, dtype=cdtype)
-    c[0, : len(X0)] = X0
-    u = np.zeros((J + 1, m), dtype=cdtype)
-    v = np.zeros((J + 1, m), dtype=cdtype)
-
-    controller = PredictorController(cert, dt, scenario.T_final)
-    history = controller.history
+    c = np.zeros((S, J + 1, n_modes), dtype=cdtype)
+    for s, scen in enumerate(scens):
+        X0 = np.asarray(scen.X0_coeffs, dtype=cdtype)
+        c[s, 0, : len(X0)] = X0
+    v = np.zeros((S, J + 1, m), dtype=cdtype)
+    # Control history on the grid (i - n_pre) dt, zero on the pre-buffer
+    # [-(D0 + delta_max) - dt, 0]; u_j is hist[:, n_pre + j] and u_0 = 0.
+    # The pre-buffer follows the certificate, so a delay reaching past
+    # D0 + delta_max + dt reads outside it.
+    n_pre = int(np.ceil((cert.D0 + cert.delta_max) / dt - 1e-12)) + 1
+    n_hist = n_pre + J + 1
+    hist = np.zeros((S, n_hist, m), dtype=cdtype)
+    flat = hist.reshape(S * n_hist, m)
 
     # Per-mode propagators and forcing weights for linear v on each step:
     # c_{j+1} = E c_j + W0 (B v_j) + W1 (B v_{j+1}).
@@ -273,29 +309,85 @@ def simulate(scenario: Scenario) -> Trajectory:
     W1 = E * (m1 / dt)
     W0 = E * m0 - W1
 
-    D_ts = np.asarray(scenario.delay(ts), dtype=float)
-    d1_ts = np.asarray(scenario.d1(ts))
-    d2_ts = np.asarray(scenario.d2(ts))
+    # D(t) is exogenous, so every linear read u(t_j - D(t_j)) is fixed up
+    # front: it may use u_0..u_{j-1} (u_0 alone at j = 0).
+    x = np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens],
+                 axis=1)
+    x = (x + n_pre * dt) / dt                          # (J+1, S) grid indices
+    filled = n_pre + np.maximum(np.arange(J + 1) - 1, 0)[:, np.newaxis]
+    if np.any(x < -1e-9) or np.any(x > filled + 1e-9):
+        raise ControllerError("history read outside covered span")
+    margin = np.min(x, axis=0)      # steps from the oldest history sample
+    x = np.clip(x, 0.0, filled)
+    i0 = np.minimum(x.astype(int), filled - 1)
+    w1 = (x - i0)[..., np.newaxis]
+    w0 = 1.0 - w1
+    i0 = i0 + n_hist * np.arange(S)                             # rows of flat
+    d1 = np.stack([np.asarray(sc.d1(ts)) for sc in scens], axis=1)  # (J+1,S,m)
+    d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens], axis=1)
 
-    def delayed_u(j):
-        s = ts[j] - D_ts[j]
-        return history.interp(np.asarray(s))
+    # Predictor taps; past taps G_L..G_1 flattened to match each member's
+    # contiguous block u_{j-L}..u_{j-1}.  The convolution is evaluated in
+    # full every step: a sliding-window update amplifies rounding like
+    # exp(lambda_1 t).
+    taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
+    L = len(taps) - 1
+    past_taps = taps[:0:-1].transpose(0, 2, 1).reshape(L * m, -1)
+    # I - phi K G_0 for every distinct phi of the run, conditioning-checked.
+    phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
+    phis, which = np.unique(phi_all, return_inverse=True)
+    systems = np.eye(m) - phis[:, np.newaxis, np.newaxis] * (K @ taps[0])
+    sigma = np.linalg.svd(systems, compute_uv=False)[:, -1]
+    used = phis != 0.0
+    for phi, smin in zip(phis[used], sigma[used]):
+        if smin < SOLVE_CONDITIONING_FLOOR:
+            raise ControllerError(
+                f"implicit control solve ill-conditioned: "
+                f"sigma_min(I - phi K G_0) = {smin:.3g} at phi={phi:.6g}")
+    max_residual = np.zeros(S)
 
-    v[0] = delayed_u(0) + d1_ts[0]
-    # u(0) = 0 (phi(0) = 0); history already holds the zero sample at t=0.
+    BT, KT = B_all.T.copy(), K.T.copy()
+    v[:, 0] = w0[0] * flat[i0[0]] + w1[0] * flat[i0[0] + 1] + d1[0]
+    f_prev = v[:, 0] @ BT
     for j in range(J):
-        tn = ts[j + 1]
-        # Delayed read at t_{j+1} only needs history up to t_j (dt <= D0-delta).
-        v[j + 1] = delayed_u(j + 1) + d1_ts[j + 1]
-        f0 = B_all @ v[j]
-        f1 = B_all @ v[j + 1]
-        c[j + 1] = E * c[j] + W0 * f0 + W1 * f1
-        if not np.all(np.isfinite(c[j + 1])):
-            raise ScenarioError(f"non-finite state at step {j + 1} (t={tn:.6g})")
-        u[j + 1] = controller.step(tn, c[j + 1, : cert.N0], d2_ts[j + 1])
+        v_next = w0[j + 1] * flat[i0[j + 1]] + w1[j + 1] * flat[i0[j + 1] + 1] \
+            + d1[j + 1]
+        v[:, j + 1] = v_next
+        f_next = v_next @ BT
+        c_next = E * c[:, j] + W0 * f_prev + W1 * f_next
+        if not np.isfinite(c_next).all():
+            raise ScenarioError(f"non-finite state at step {j + 1} "
+                                f"(t={ts[j + 1]:.6g})")
+        c[:, j + 1] = c_next
+        f_prev = f_next
+        phi = phi_all[j + 1]
+        if phi == 0.0:
+            continue                        # u stays 0 in the history
+        # einsum and the stacked solve treat each member alone, so the batch
+        # size does not change a member's rounding in either.
+        block = hist[:, n_pre + j - L + 1: n_pre + j + 1].reshape(S, L * m)
+        I_past = np.einsum("sk,kn->sn", block, past_taps)
+        rhs = phi * ((c_next[:, : cert.N0] + I_past) @ KT + d2[j + 1])
+        M = systems[which[j + 1]]
+        u = np.linalg.solve(M, rhs[..., np.newaxis])[..., 0]
+        if not np.isfinite(u).all():
+            raise ControllerError(f"non-finite control value at t={ts[j + 1]}")
+        residual = np.linalg.norm(u @ M.T - rhs, axis=1) \
+            / np.maximum(1.0, np.linalg.norm(u, axis=1))
+        if (residual > SOLVE_RESIDUAL_TOL).any():
+            raise ControllerError(f"implicit equation residual "
+                                  f"{residual.max():.3g} at t={ts[j + 1]}")
+        np.maximum(max_residual, residual, out=max_residual)
+        hist[:, n_pre + j + 1] = u
 
-    return _trajectory(scenario, ts, c, u, v, "exp",
-                       {"dt": dt, "N_modes": n_modes})
+    meta = {"dt": dt, "N_modes": n_modes, "steps": J,
+            "min_solve_sigma": float(np.min(sigma[used], initial=np.inf))}
+    trajs = Trajectories(
+        _trajectory(sc, ts, c[s], hist[s, n_pre:], v[s], "exp",
+                    {**meta, "max_solve_residual": float(max_residual[s]),
+                     "min_read_margin": float(margin[s])})
+        for s, sc in enumerate(scens))
+    return trajs[0] if single else trajs
 
 
 def artstein_transform(trajectory: Trajectory, certificate: Certificate) -> np.ndarray:

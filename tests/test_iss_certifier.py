@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import fading_memory_sup_brute
 from specpred import cli
 from specpred.iss_certifier import (
     CertifierError,
@@ -10,7 +11,6 @@ from specpred.iss_certifier import (
     causal_lag_steps,
     check_envelopes,
     fading_memory_sup,
-    fading_memory_sup_brute,
     fit_decay_rate,
     lemma2_validate,
     simulate_delay_difference,

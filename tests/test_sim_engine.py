@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from reference import control_step, predictor_integral
 from specpred import cli
-from specpred.controller import (
-    ControlHistory,
-    TransitionSignal,
-    control_step,
-    predictor_integral,
-)
+from specpred.controller import ControlHistory, TransitionSignal
 from specpred.numerics import exp_moments
 from specpred.sim_engine import (
     DelaySignal,
@@ -189,7 +185,7 @@ def test_engines_agree_on_short_run(descriptor, exact_cert):
     assert np.max(np.abs(a.coeffs - b.coeffs)) / scale < 1e-4
 
 
-def reference_simulate(scen):
+def per_segment_simulate(scen):
     """Per-step closed loop: exponential plant step, Picard ``control_step``
     and a per-point ``predictor_integral`` for Z."""
     cert, desc, dt = scen.certificate, scen.descriptor, scen.dt
@@ -224,7 +220,7 @@ def reference_simulate(scen):
 def test_simulate_matches_per_step_reference(descriptor, exact_cert):
     scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[4]
     traj = simulate(scen)
-    for got, want in zip((traj.coeffs, traj.u, traj.Z), reference_simulate(scen)):
+    for got, want in zip((traj.coeffs, traj.u, traj.Z), per_segment_simulate(scen)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
