@@ -13,12 +13,16 @@ samples, I(t_j) = sum_{k=0..L} G_k u_{j-k} with L = ceil(D0/dt); the taps are
 exact exponential moments, built once per run (``predictor_taps``).  The
 convolution is evaluated explicitly at every step: the recursive sliding-window
 update of the same integral amplifies rounding like exp(lambda_1 t) on the
-unstable head modes.  Because the law is linear in u_j, it is solved as
+unstable head modes.  Because the law is linear in u_j, it is solved
+directly as
 (I - phi K G_0) u_j = phi (K Y_j + d2_j + K sum_{k>=1} G_k u_{j-k}), checked
 against ``SOLVE_CONDITIONING_FLOOR`` and ``SOLVE_RESIDUAL_TOL``.
-``sim_engine.simulate`` applies this law to a batch of scenarios at once;
-``ControlHistory`` and ``PredictorController`` are the one-scenario,
-one-step form of the same computation.
+``sim_engine.simulate`` stacks the laws of B consecutive steps into one
+lower block-triangular system: the diagonal blocks are I - phi_j K G_0, the
+block below the diagonal at lag k is -phi_j K G_k, and the taps on samples
+before the block move to the right-hand side.  The residual bound holds for
+every row of that system.  ``ControlHistory`` and ``PredictorController``
+are the one-scenario, one-step form of the same computation.
 """
 
 from __future__ import annotations

@@ -7,8 +7,14 @@ Two engines share one output schema:
   piecewise-linear on each step.  It steps S >= 1 scenarios that share a
   descriptor, certificate, dt, horizon and mode count together; one scenario
   is the case S = 1.  The delayed reads are fixed up front because D(t) is
-  exogenous, and the control solves the implicit law with the predictor taps
-  and one direct solve per step (see ``controller``);
+  exogenous.  Since D(t) >= D0 - delta_max > 0, the state at t_j depends
+  only on controls many steps old, and the only same-time coupling is the
+  predictor law, which is linear in u (see ``controller``).  So the run
+  advances one causal block of B <= ``BLOCK_STEPS`` steps at a time: it
+  gathers the block's delayed reads, all from earlier blocks, in one indexed
+  expression, advances the modes over the block with a doubling scan, and
+  solves the block's B controls as one lower block-triangular system.  The
+  state, control and residual checks run on every row of the block;
 * ``oracle_simulate`` is an independent cross-check: classical RK4 at dt/20,
   with the substeps of each coarse step composed once into per-mode
   coefficients, its own fixed-point control solve (Simpson quadrature of the
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .controller import (
     SOLVE_CONDITIONING_FLOOR,
@@ -42,6 +49,8 @@ from .synthesis import Certificate, _array_from_list, _array_to_list
 
 DEFAULT_MODE_DECAY_FACTOR = 50.0
 MAX_MODES = 400
+# Longest block of steps ``simulate`` solves at once; the delay may shorten it.
+BLOCK_STEPS = 128
 
 
 class ScenarioError(SpecpredError, ValueError):
@@ -235,14 +244,15 @@ def state_norm(coeffs, m_R: float, M_R: float):
 
 
 def _trajectory(scenario: Scenario, ts, c, u, v, engine: str,
-                meta: dict) -> Trajectory:
-    """Common epilogue of both engines: state norms, the record and Z."""
+                meta: dict, taps=None) -> Trajectory:
+    """Common epilogue of both engines: state norms, the record and Z
+    (with the run's predictor taps when the engine has built them)."""
     desc = scenario.descriptor
     lower, upper = state_norm(c, desc.riesz_lower, desc.riesz_upper)
     traj = Trajectory(t=ts, coeffs=c, u=u, v=v, Z=None,
                       norm_lower=lower, norm_upper=upper,
                       scenario=scenario, engine=engine, meta=meta)
-    traj.Z = artstein_transform(traj, scenario.certificate)
+    traj.Z = artstein_transform(traj, scenario.certificate, taps=taps)
     return traj
 
 
@@ -263,8 +273,9 @@ def simulate(scenario):
     ``scenario`` is one Scenario or a sequence of them that share the same
     descriptor and certificate objects, dt, T_final and N_modes; a sequence
     of S members is stepped together (state (S, J+1, N_modes), control
-    history (S, n_pre+J+1, m)) and one scenario is the case S = 1.  Returns
-    a Trajectory, or ``Trajectories`` for a sequence.
+    history (S, n_pre+J+1, m)) and one scenario is the case S = 1.  The run
+    advances one causal block of B steps at a time (see the module
+    docstring).  Returns a Trajectory, or ``Trajectories`` for a sequence.
     """
     single = isinstance(scenario, Scenario)
     scens = [scenario] if single else list(scenario)
@@ -283,6 +294,7 @@ def simulate(scenario):
     ts = dt * np.arange(J + 1)
     n_modes = first.N_modes
     m = desc.num_inputs
+    N0 = cert.N0
     lam_all = desc.eigenvalues(n_modes)
     B_all = desc.input_matrix(n_modes)
     cdtype = complex if desc.field == "complex" else float
@@ -311,29 +323,44 @@ def simulate(scenario):
 
     # D(t) is exogenous, so every linear read u(t_j - D(t_j)) is fixed up
     # front: it may use u_0..u_{j-1} (u_0 alone at j = 0).
-    x = np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens],
-                 axis=1)
-    x = (x + n_pre * dt) / dt                          # (J+1, S) grid indices
-    filled = n_pre + np.maximum(np.arange(J + 1) - 1, 0)[:, np.newaxis]
+    x = np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens])
+    x = (x + n_pre * dt) / dt                          # (S, J+1) grid indices
+    filled = n_pre + np.maximum(np.arange(J + 1) - 1, 0)
     if np.any(x < -1e-9) or np.any(x > filled + 1e-9):
         raise ControllerError("history read outside covered span")
-    margin = np.min(x, axis=0)      # steps from the oldest history sample
+    margin = np.min(x, axis=1)      # steps from the oldest history sample
     x = np.clip(x, 0.0, filled)
     i0 = np.minimum(x.astype(int), filled - 1)
     w1 = (x - i0)[..., np.newaxis]
     w0 = 1.0 - w1
-    i0 = i0 + n_hist * np.arange(S)                             # rows of flat
-    d1 = np.stack([np.asarray(sc.d1(ts)) for sc in scens], axis=1)  # (J+1,S,m)
-    d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens], axis=1)
+    # Block length: no read of a block may touch a sample of the same block.
+    # Reads of step j reach u_{i0+1-n_pre}; an in-band delay keeps that at
+    # least floor((D0 - delta_max)/dt) - 1 steps back, so that bound fixes
+    # the length for in-band members whatever their batch-mates.
+    lag = np.arange(J + 1) + n_pre - 1 - i0
+    block = max(1, min(BLOCK_STEPS, int((cert.D0 - cert.delta_max) / dt) - 1,
+                       int(np.min(lag[:, 1:], initial=BLOCK_STEPS))))
+    i0 = i0 + n_hist * np.arange(S)[:, np.newaxis]              # rows of flat
+    d1 = np.stack([np.asarray(sc.d1(ts)) for sc in scens])      # (S, J+1, m)
+    d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens])
 
-    # Predictor taps; past taps G_L..G_1 flattened to match each member's
-    # contiguous block u_{j-L}..u_{j-1}.  The convolution is evaluated in
-    # full every step: a sliding-window update amplifies rounding like
+    # Predictor taps, split for the block of steps j0+1..j0+block: taps on
+    # samples up to u_{j0} form the pre-block product H over the last L
+    # samples u_{j0-L+1}..u_{j0}; taps on the block's own samples form the
+    # strictly lower block-Toeplitz T, with K folded in.  Every sum is
+    # evaluated in full: a sliding-window update amplifies rounding like
     # exp(lambda_1 t).
     taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
     L = len(taps) - 1
-    past_taps = taps[:0:-1].transpose(0, 2, 1).reshape(L * m, -1)
-    # I - phi K G_0 for every distinct phi of the run, conditioning-checked.
+    tap_of = np.arange(1, block + 1)[:, np.newaxis] + np.arange(L - 1, -1, -1)
+    H = np.where((tap_of <= L)[..., np.newaxis, np.newaxis],
+                 taps[np.minimum(tap_of, L)], 0.0)         # (block, L, N0, m)
+    H = H.transpose(0, 2, 1, 3).reshape(block * N0, L * m)
+    tap_of = np.arange(block)[:, np.newaxis] - np.arange(block)
+    T = np.where((tap_of > 0)[..., np.newaxis, np.newaxis],
+                 K @ taps[np.maximum(tap_of, 0)], 0.0).transpose(0, 2, 1, 3)
+    # I - phi K G_0 for every distinct phi of the run, conditioning-checked;
+    # these are the diagonal blocks of the block systems.
     phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
     phis, which = np.unique(phi_all, return_inverse=True)
     systems = np.eye(m) - phis[:, np.newaxis, np.newaxis] * (K @ taps[0])
@@ -344,63 +371,89 @@ def simulate(scenario):
             raise ControllerError(
                 f"implicit control solve ill-conditioned: "
                 f"sigma_min(I - phi K G_0) = {smin:.3g} at phi={phi:.6g}")
+    inverses = np.linalg.inv(systems)
     max_residual = np.zeros(S)
 
-    BT, KT = B_all.T.copy(), K.T.copy()
-    v[:, 0] = w0[0] * flat[i0[0]] + w1[0] * flat[i0[0] + 1] + d1[0]
-    f_prev = v[:, 0] @ BT
-    for j in range(J):
-        v_next = w0[j + 1] * flat[i0[j + 1]] + w1[j + 1] * flat[i0[j + 1] + 1] \
-            + d1[j + 1]
-        v[:, j + 1] = v_next
-        f_next = v_next @ BT
-        c_next = E * c[:, j] + W0 * f_prev + W1 * f_next
-        if not np.isfinite(c_next).all():
-            raise ScenarioError(f"non-finite state at step {j + 1} "
-                                f"(t={ts[j + 1]:.6g})")
-        c[:, j + 1] = c_next
-        f_prev = f_next
-        phi = phi_all[j + 1]
-        if phi == 0.0:
-            continue                        # u stays 0 in the history
-        # einsum and the stacked solve treat each member alone, so the batch
-        # size does not change a member's rounding in either.
-        block = hist[:, n_pre + j - L + 1: n_pre + j + 1].reshape(S, L * m)
-        I_past = np.einsum("sk,kn->sn", block, past_taps)
-        rhs = phi * ((c_next[:, : cert.N0] + I_past) @ KT + d2[j + 1])
-        M = systems[which[j + 1]]
-        u = np.linalg.solve(M, rhs[..., np.newaxis])[..., 0]
-        if not np.isfinite(u).all():
-            raise ControllerError(f"non-finite control value at t={ts[j + 1]}")
-        residual = np.linalg.norm(u @ M.T - rhs, axis=1) \
-            / np.maximum(1.0, np.linalg.norm(u, axis=1))
-        if (residual > SOLVE_RESIDUAL_TOL).any():
+    v[:, 0] = w0[:, 0] * flat[i0[:, 0]] + w1[:, 0] * flat[i0[:, 0] + 1] \
+        + d1[:, 0]
+    for j0 in range(0, J, block):
+        n = min(block, J - j0)
+        rows = slice(j0 + 1, j0 + n + 1)
+        ia = i0[:, rows]
+        v[:, rows] = w0[:, rows] * flat[ia] + w1[:, rows] * flat[ia + 1] \
+            + d1[:, rows]
+        # Plant: c_{j+1} = E c_j + g_j over the block as a doubling scan.
+        f = np.einsum("sjk,nk->sjn", v[:, j0: j0 + n + 1], B_all)
+        cb = W0 * f[:, :-1] + W1 * f[:, 1:]
+        cb[:, 0] += E * c[:, j0]
+        Ed, d = E, 1
+        while d < n:
+            cb[:, d:] += Ed * cb[:, :-d]
+            Ed, d = Ed * Ed, 2 * d
+        c[:, rows] = cb
+        # Control: row i of the block system is M_i u_i - phi_i sum_{i'<i}
+        # T[i, i'] u_i' = phi_i (K Y_i + d2_i + K H-product_i), with
+        # M_i = I - phi_i K G_0.  Scaling row i by M_i^{-1} leaves a unit
+        # lower-triangular matrix, one for all members.
+        w = which[rows]
+        A = -phis[w][:, np.newaxis, np.newaxis, np.newaxis] * T[:n, :, :n]
+        A[np.arange(n), :, np.arange(n)] = systems[w]
+        unit = np.einsum("iab,ibkc->iakc", inverses[w], A).reshape(n * m, -1)
+        window = hist[:, n_pre + j0 - L + 1: n_pre + j0 + 1].reshape(S, L * m)
+        Q = cb[:, :, :N0] + np.einsum("sk,nk->sn", window,
+                                      H[: n * N0]).reshape(S, n, N0)
+        rhs = phis[w][:, np.newaxis] * (np.einsum("sin,an->sia", Q, K)
+                                        + d2[:, rows])
+        scaled = np.einsum("iab,sib->sia", inverses[w], rhs).reshape(S, -1)
+        # One solve per member keeps its rounding independent of S.
+        ub = np.stack([solve_triangular(unit, r, lower=True, unit_diagonal=True,
+                                        check_finite=False)
+                       for r in scaled]).reshape(S, n, m)
+        residual = np.linalg.norm(
+            np.einsum("iakc,skc->sia", A, ub) - rhs, axis=2) \
+            / np.maximum(1.0, np.linalg.norm(ub, axis=2))
+        faults = np.stack([~np.isfinite(cb).all(axis=(0, 2)),
+                           ~np.isfinite(ub).all(axis=(0, 2)),
+                           (residual > SOLVE_RESIDUAL_TOL).any(axis=0)], axis=1)
+        if faults.any():
+            # The first faulty row, checked in the per-step order: state,
+            # then control, then residual.
+            i, kind = np.argwhere(faults)[0]
+            j = j0 + 1 + i
+            if kind == 0:
+                raise ScenarioError(f"non-finite state at step {j} "
+                                    f"(t={ts[j]:.6g})")
+            if kind == 1:
+                raise ControllerError(f"non-finite control value at t={ts[j]}")
             raise ControllerError(f"implicit equation residual "
-                                  f"{residual.max():.3g} at t={ts[j + 1]}")
-        np.maximum(max_residual, residual, out=max_residual)
-        hist[:, n_pre + j + 1] = u
+                                  f"{residual[:, i].max():.3g} at t={ts[j]}")
+        np.maximum(max_residual, residual.max(axis=1), out=max_residual)
+        hist[:, n_pre + j0 + 1: n_pre + j0 + n + 1] = ub
 
-    meta = {"dt": dt, "N_modes": n_modes, "steps": J,
+    meta = {"dt": dt, "N_modes": n_modes, "steps": J, "block_steps": block,
             "min_solve_sigma": float(np.min(sigma[used], initial=np.inf))}
     trajs = Trajectories(
         _trajectory(sc, ts, c[s], hist[s, n_pre:], v[s], "exp",
                     {**meta, "max_solve_residual": float(max_residual[s]),
-                     "min_read_margin": float(margin[s])})
+                     "min_read_margin": float(margin[s])}, taps)
         for s, sc in enumerate(scens))
     return trajs[0] if single else trajs
 
 
-def artstein_transform(trajectory: Trajectory, certificate: Certificate) -> np.ndarray:
+def artstein_transform(trajectory: Trajectory, certificate: Certificate,
+                       *, taps=None) -> np.ndarray:
     """Z(t) = Y(t) + int_{t-D0}^t exp((t-D0-s)A) B u(s) ds on the trajectory grid.
 
     The integral is the controller's predictor convolution with the same
     exact taps, evaluated for all grid points at once; u vanishes before
-    t = 0, so the window clips at 0.
+    t = 0, so the window clips at 0.  ``taps`` are the certificate's
+    ``predictor_taps`` at the grid step, built here when not given.
     """
     cert = certificate
     ts = trajectory.t
     u = trajectory.u
-    taps = predictor_taps(cert.lambdas, cert.B, cert.D0, ts[1] - ts[0])
+    if taps is None:
+        taps = predictor_taps(cert.lambdas, cert.B, cert.D0, ts[1] - ts[0])
     Z = np.array(trajectory.coeffs[:, : cert.N0])
     for n in range(Z.shape[1]):
         for a in range(u.shape[1]):

@@ -6,10 +6,12 @@ loop through ``PredictorController``.
 """
 
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from reference import reference_simulate
 from specpred import cli, iss_certifier, synthesis
@@ -20,11 +22,16 @@ from specpred.controller import (
 )
 from specpred.errors import SpecpredError
 from specpred.sim_engine import (
+    BLOCK_STEPS,
     DelaySignal,
+    DisturbanceSignal,
+    Scenario,
     ScenarioError,
     Trajectories,
     simulate,
 )
+from specpred.spectral_model import SystemDescriptor, TruncatedModel
+from specpred.synthesis import synthesize_certificate
 from test_sim_engine import complex_plant_scenario
 
 FIELDS = ("coeffs", "u", "v", "Z")
@@ -165,3 +172,117 @@ def test_read_margin_on_certified_and_past_the_prebuffer(descriptor,
     with pytest.raises(ControllerError,
                        match="history read outside covered span"):
         simulate(replace(scen, delay=deep, certified=False))
+
+
+# ---------------------------------------------------------------------------
+# The causal block solve
+
+def two_input_scenarios():
+    """Two scenarios of an m = 2, N0 = 2 plant with a manual K that places
+    the predicted head at -2, with disturbances on both inputs."""
+    desc = SystemDescriptor(
+        eigenvalue_law=lambda n: 3.0 - n * n,
+        input_coeff_law=lambda n, k: 1.0 / (n + k) if k == 1 else (-1.0) ** n / n,
+        num_inputs=2, riesz_lower=1.0, riesz_upper=1.0,
+        params={"norm_Be_sq": [0.5, 0.5], "norm_ABe_sq": [0.5, 0.5]})
+    A, B, D0 = np.diag(desc.eigenvalues(2)), desc.input_matrix(2), 0.3
+    K = -np.linalg.solve(expm(-D0 * A) @ B, A + 2.0 * np.eye(2))
+    model = TruncatedModel(A=A, B=B, N0=2, alpha=1.0, xi=1.0)
+    cert = synthesize_certificate(desc, model, D0=D0, t0=0.5, K=K)
+
+    def sinusoid(amplitude, omega):
+        return DisturbanceSignal(kind="sinusoid", m=2, amplitude=amplitude,
+                                 omega=omega)
+
+    scen = Scenario(
+        descriptor=desc, certificate=cert,
+        delay=DelaySignal(kind="sinusoid", D0=D0,
+                          amplitude=0.5 * cert.delta_max, omega=3.0),
+        d1=sinusoid((0.3, -0.2), 2.0), d2=sinusoid((0.1, 0.4), 1.3),
+        X0_coeffs=np.array([1.0, -0.5, 0.2]), dt=1e-3, T_final=2.0,
+        N_modes=6)
+    return [scen, replace(scen, X0_coeffs=np.array([-0.3, 0.8]),
+                          d2=sinusoid((-0.5, 0.2), 0.7))]
+
+
+def test_two_input_plant_matches_reference():
+    scens = two_input_scenarios()
+    batch = simulate(scens)
+    assert batch[0].u.shape[1] == 2
+    assert batch[0].meta["block_steps"] == BLOCK_STEPS
+    for key, err in worst_relative(
+            batch, [reference_simulate(s) for s in scens]).items():
+        assert err <= 1e-12, key
+    for key, err in worst_relative(batch, [simulate(s) for s in scens]).items():
+        assert err <= 1e-14, key
+
+
+def near_delay(cert, min_delay):
+    """An uncertified delay from D0 - a down to ``min_delay`` at t = 0, rising
+    slowly enough that every read stays inside the pre-buffer."""
+    return DelaySignal(kind="sinusoid", D0=cert.D0,
+                       amplitude=cert.D0 - min_delay, omega=1.0,
+                       phase=-np.pi / 2)
+
+
+def test_short_delay_member_shrinks_the_block(descriptor, exact_cert):
+    certified = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3,
+                                      T=2.0)[1]
+    short = replace(certified, delay=near_delay(exact_cert, 0.05),
+                    certified=False)
+    batch = simulate([certified, short])
+    block = batch[0].meta["block_steps"]
+    assert 2 < block < BLOCK_STEPS and batch[1].meta["block_steps"] == block
+    alone = simulate(certified)
+    assert alone.meta["block_steps"] == BLOCK_STEPS
+    refs = [reference_simulate(s) for s in (certified, short)]
+    for key, err in worst_relative(batch, refs).items():
+        assert err <= 1e-12, key
+    for key, err in worst_relative([batch[0]], [alone]).items():
+        assert err <= 1e-12, key
+
+
+@pytest.mark.parametrize("steps", [1.5, 2.5])
+def test_minimum_delay_of_a_few_steps(descriptor, exact_cert, steps):
+    dt = 1e-3
+    base = cli.builtin_scenarios(descriptor, exact_cert, dt=dt, T=1.0)[3]
+    scen = replace(base, delay=near_delay(exact_cert, steps * dt),
+                   certified=False)
+    traj = simulate(scen)
+    assert traj.meta["block_steps"] == int(steps)
+    for key, err in worst_relative([traj], [reference_simulate(scen)]).items():
+        assert err <= 1e-12, key
+
+
+@pytest.mark.parametrize("channel", ["d1", "d2"])
+def test_non_finite_run_names_its_first_bad_step(descriptor, exact_cert,
+                                                 channel):
+    # exp(800 t) overflows near t = 0.88, inside the block of steps 769..896;
+    # through d1 the state goes non-finite first, through d2 the control.
+    base = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[0]
+    blowup = DisturbanceSignal(kind="exp_decay", m=1, amplitude=(1.0,),
+                               rate=-800.0)
+    scen = replace(base, **{channel: blowup})
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SpecpredError) as got:
+        simulate(scen)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SpecpredError) as want:
+        reference_simulate(scen)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    step = round(float(re.search(r"t=([0-9.]+)", str(got.value))[1]) / 1e-3)
+    assert 769 < step <= 896
+    expected = ScenarioError if channel == "d1" else ControllerError
+    assert type(got.value) is expected
+
+
+def test_out_of_span_member_fails_the_batch_before_the_first_step(
+        descriptor, exact_cert):
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[1]
+    deep = replace(scen, certified=False, delay=DelaySignal(
+        kind="sinusoid", D0=exact_cert.D0, amplitude=3 * exact_cert.delta_max,
+        omega=1.0, phase=np.pi / 2))
+    with pytest.raises(ControllerError) as info:
+        simulate([scen, deep])
+    assert str(info.value) == "history read outside covered span"
