@@ -17,8 +17,11 @@ Two engines share one output schema:
   state, control and residual checks run on every row of the block;
 * ``oracle_simulate`` is an independent cross-check: classical RK4 at dt/20,
   with the substeps of each coarse step composed once into per-mode
-  coefficients, its own fixed-point control solve (Simpson quadrature of the
-  predictor integral) and cubic history interpolation.
+  coefficients, cubic history interpolation and its own fixed-point control
+  solve (Simpson quadrature of the predictor integral).  Its loop-invariant
+  stencils are built once: the Simpson sum is one tap row over the newest
+  samples, and the delayed reads and forcing of a block of steps are built
+  together.
 
 Both evaluate the same implicit predictor feedback through the delayed
 channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
@@ -49,8 +52,13 @@ from .synthesis import Certificate, _array_from_list, _array_to_list
 
 DEFAULT_MODE_DECAY_FACTOR = 50.0
 MAX_MODES = 400
-# Longest block of steps ``simulate`` solves at once; the delay may shorten it.
+# Longest block of steps ``simulate`` solves at once, and the longest block
+# whose delayed reads ``oracle_simulate`` builds at once; the delay may
+# shorten it.
 BLOCK_STEPS = 128
+# The oracle's fixed-point control solve: iteration cap and step tolerance.
+ORACLE_MAX_ITERS = 100
+ORACLE_TOL = 1e-12
 
 
 class ScenarioError(SpecpredError, ValueError):
@@ -528,7 +536,6 @@ class _CubicHistory:
 
     def __init__(self, dt, n_pre, n_total, m):
         self.dt = dt
-        self.n_pre = n_pre
         self.samples = np.zeros((n_total, m))
         self.filled = n_pre
         self.start_time = -n_pre * dt
@@ -537,12 +544,48 @@ class _CubicHistory:
         self.filled += 1
         self.samples[self.filled] = value
 
+    def stencil(self, t, filled=None):
+        """Rows (..., 4) and Catmull-Rom weights of the reads at times ``t``,
+        clamped to the samples up to row ``filled`` (default: the newest)."""
+        filled = self.filled if filled is None else filled
+        x = np.clip((np.asarray(t) - self.start_time) / self.dt, 0.0, filled)
+        j = np.clip(x.astype(int), 1, filled - 2)
+        rows = j[..., np.newaxis] + np.arange(-1, 3)
+        return rows, catmull_rom(np.eye(4), (x - j)[..., np.newaxis])
+
     def eval(self, t):
-        x = np.asarray((np.asarray(t) - self.start_time) / self.dt)
-        x = np.clip(x, 0.0, self.filled)
-        j = np.clip(x.astype(int), 1, self.filled - 2)
-        w = (x - j)[..., np.newaxis]
-        return catmull_rom([self.samples[j + k] for k in (-1, 0, 1, 2)], w)
+        rows, weights = self.stencil(t)
+        return np.einsum("...k,...ka->...a", weights, self.samples[rows])
+
+
+def _predictor_tap(x, kw, B_head):
+    """The oracle's Simpson predictor sum as one tap over history samples.
+
+    ``x`` are the Simpson nodes in grid steps past the candidate sample (the
+    candidate at 0, the newest stored sample at -1) and ``kw`` (N0, nodes)
+    their Simpson weights times the kernel.  Nodes at or before x = -2 read
+    the Catmull-Rom cubic of the stored samples; later nodes read the cubic
+    through the three newest samples and the candidate.  Returns the tap
+    (N0, L, m): column L-1 weighs the candidate, column L-1-i the sample i
+    steps before it.
+    """
+    stored = x <= -2.0
+    p1 = np.where(stored, np.minimum(np.floor(x), -3.0), -2.0)
+    w = (x - p1)[:, np.newaxis]
+    # Both cubics on the stencil p1-1..p1+2; the newest one is Lagrange.
+    lagrange = np.hstack([-w * (w - 1) * (w - 2) / 6,
+                          (w + 1) * (w - 1) * (w - 2) / 2,
+                          -(w + 1) * w * (w - 2) / 2,
+                          (w + 1) * w * (w - 1) / 6])
+    weights = np.where(stored[:, np.newaxis], catmull_rom(np.eye(4), w),
+                       lagrange)
+    first = int(p1.min()) - 1
+    cols = (p1.astype(int) - first)[:, np.newaxis] + np.arange(-1, 3)
+    n_cols = 1 - first
+    row = np.stack([np.bincount(cols.ravel(),
+                                (k[:, np.newaxis] * weights).ravel(),
+                                minlength=n_cols) for k in kw])
+    return row[:, :, np.newaxis] * B_head[:, np.newaxis, :]
 
 
 def rk4_substep(lam, h, x, f0, fm, f1):
@@ -579,12 +622,18 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
     """Cross-check engine: classical RK4 at dt/refine on the modal ODE.
 
     The refine substeps of each coarse step are composed once into per-mode
-    coefficients (``compose_rk4_substeps``) applied to the half-substep
-    forcing table.  The control law is solved on the coarse grid by
-    fixed-point iteration with the predictor integral evaluated by composite
-    Simpson over cubically interpolated history nodes; the Simpson kernel
-    with its weights is fixed once the window is full (t >= D0).  Delayed
-    reads use cubic interpolation throughout.
+    coefficients (``compose_rk4_substeps``).  The delayed reads are cubic
+    (Catmull-Rom).  Since D(t) is exogenous, the read stencils of a block of
+    up to ``BLOCK_STEPS`` steps, each clamped as at its own step, and the
+    block's forcing are built at once; the block halves until no stencil
+    touches a sample the block has yet to compute.  The control law is
+    solved at each coarse step by fixed-point iteration, with the predictor
+    integral evaluated by composite Simpson over cubically interpolated
+    nodes.  That sum is linear in the history, so it is one tap row over the
+    newest samples (``_predictor_tap``): built per step while the window
+    is clipped at 0 (t < D0), and once for t >= D0.  Nodes inside the last
+    two steps read the cubic through the three newest samples and the
+    candidate, whose weights enter the fixed point.
     """
     cert = scenario.certificate
     desc = scenario.descriptor
@@ -598,13 +647,10 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
     lam_all = desc.eigenvalues(n_modes)
     B_all = desc.input_matrix(n_modes)
     K = np.atleast_2d(cert.K)
-    lam_head = cert.lambdas
-    B_head = cert.B
     D0 = cert.D0
-    transition = TransitionSignal(cert.t0)
 
     hf = dt / refine
-    c = np.zeros((J + 1, n_modes), dtype=float if desc.field == "real" else complex)
+    c = np.zeros((J + 1, n_modes))
     X0 = np.asarray(scenario.X0_coeffs)
     c[0, : len(X0)] = X0
     u = np.zeros((J + 1, m))
@@ -612,69 +658,86 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
     n_pre = int(np.ceil((D0 + cert.delta_max) / dt)) + 2
     hist = _CubicHistory(dt, n_pre, n_pre + J + 2, m)
     R, Wf = compose_rk4_substeps(lam_all, hf, refine)
-
-    D_ts = np.asarray(scenario.delay(ts), dtype=float)
-    d1 = scenario.d1
+    half = (hf / 2.0) * np.arange(2 * refine + 1)
+    phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
     d2_ts = np.asarray(scenario.d2(ts))
-    # Exogenous forcing tables on the half-substep grid of every coarse step.
-    tf_all = ts[:J, np.newaxis] + (hf / 2.0) * np.arange(2 * refine + 1)
-    sf_all = tf_all - np.asarray(scenario.delay(tf_all), dtype=float)
-    d1f_all = np.asarray(d1(tf_all))
 
     def simpson_panels(width):
         # Even panel count, about four panels per coarse step.
         return max(int(np.ceil(width / dt * 2)) * 2, 4)
 
-    def kernel_weights(tau, n_seg):
-        """w_i exp(-lam tau_i) for Simpson nodes at lags tau_i = t - s_i - D0."""
-        w = simpson_weights(n_seg + 1, (tau[0] - tau[-1]) / n_seg)
-        return w * np.exp(np.multiply.outer(lam_head, tau))      # (N0, S+1)
+    def k_tap(s, t):
+        """K times the tap of the Simpson nodes ``s`` at time t, split into
+        the stored samples' part (m, L*m) and the candidate's (m, m)."""
+        n_seg = len(s) - 1
+        tau = t - s - D0
+        kw = simpson_weights(n_seg + 1, (tau[0] - tau[-1]) / n_seg) \
+            * np.exp(np.multiply.outer(cert.lambdas, tau))
+        tap = np.einsum("an,nlb->alb", K,
+                        _predictor_tap((s - t) / dt, kw, cert.B))
+        return tap[:, :-1].reshape(m, -1), tap[:, -1]
 
     n_full = simpson_panels(D0)
-    kw_full = kernel_weights(-D0 * np.arange(n_full + 1) / n_full, n_full)
+    full = k_tap(np.linspace(-D0, 0.0, n_full + 1), 0.0)
 
-    def solve_u(j, Yj):
-        """Fixed-point solve of the implicit law at coarse time ts[j]."""
-        t = ts[j]
-        phi, _ = transition_eval(transition, t)
+    def solve_u(j, drive):
+        """Fixed-point solve of the implicit law at ts[j], with ``drive`` =
+        K Y + d2 there."""
+        phi = phi_all[j]
         if phi == 0.0:
             return np.zeros(m)
-        if t >= D0:
-            s = np.linspace(t - D0, t, n_full + 1)
-            kw = kw_full
-        else:
-            n_seg = simpson_panels(t)
-            s = np.linspace(0.0, t, n_seg + 1)
-            kw = kernel_weights(t - s - D0, n_seg)
-        # Every node but the last (the candidate u(t)) is fixed.
-        f_nodes = hist.eval(s[:-1]) @ B_head.T                   # (S, N0)
-        known = np.einsum("ns,sn->n", kw[:, :-1], f_nodes)
-        w_last = kw[:, -1][:, np.newaxis] * B_head               # (N0, m)
-        u_c = hist.samples[hist.filled].copy()
-        drive = K @ Yj + d2_ts[j]
-        for _ in range(100):
-            u_new = phi * (drive + K @ (known + w_last @ u_c))
-            if np.linalg.norm(u_new - u_c) < 1e-12:
-                u_c = u_new
-                break
+        t = ts[j]
+        known, cand = full if t >= D0 else \
+            k_tap(np.linspace(0.0, t, simpson_panels(t) + 1), t)
+        top = hist.filled + 1
+        window = hist.samples[top - known.shape[1] // m: top].reshape(-1)
+        a = phi * (drive + known @ window)
+        M = phi * cand
+        u_c = hist.samples[hist.filled]
+        for _ in range(ORACLE_MAX_ITERS):
+            u_new = a + M @ u_c
+            d = u_new - u_c
+            if d @ d < ORACLE_TOL ** 2:
+                return u_new
             u_c = u_new
-        return u_c
+        raise ScenarioError(
+            f"oracle: control fixed point did not converge at step {j}")
 
-    v[0] = hist.eval(ts[0] - D_ts[0]) + np.asarray(d1(ts[0]))
-    for j in range(J):
-        vf = hist.eval(sf_all[j]) + d1f_all[j]
-        ff = vf @ B_all.T            # (2*refine+1, n_modes)
-        x = R * c[j] + np.einsum("qn,qn->n", Wf, ff)
-        c[j + 1] = x
-        if not np.all(np.isfinite(x)):
-            raise ScenarioError(f"oracle: non-finite state at step {j + 1}")
-        v[j + 1] = vf[-1]
-        uj1 = solve_u(j + 1, c[j + 1, : cert.N0])
-        u[j + 1] = uj1
-        hist.append(uj1)
+    v[0] = hist.eval(ts[0] - scenario.delay(ts[0])) \
+        + np.asarray(scenario.d1(ts[0]))
+    block = BLOCK_STEPS
+    j0 = 0
+    while j0 < J:
+        n = min(block, J - j0)
+        while True:
+            tf = ts[j0: j0 + n, np.newaxis] + half
+            sf = tf - np.asarray(scenario.delay(tf), dtype=float)
+            rows, wts = hist.stencil(sf, hist.filled
+                                     + np.arange(n)[:, np.newaxis])
+            if rows.max() <= hist.filled:
+                break
+            n = block = n // 2
+        vf = np.einsum("jqk,jqka->jqa", wts, hist.samples[rows]) \
+            + np.asarray(scenario.d1(tf))
+        g = np.einsum("qn,jqn->jn", Wf, vf @ B_all.T)
+        v[j0 + 1: j0 + n + 1] = vf[:, -1]
+        # The block's states need none of its controls.
+        for i in range(n):
+            c[j0 + i + 1] = R * c[j0 + i] + g[i]
+        steps = slice(j0 + 1, j0 + n + 1)
+        bad = np.flatnonzero(~np.isfinite(c[steps]).all(axis=1))
+        if bad.size:
+            raise ScenarioError(
+                f"oracle: non-finite state at step {j0 + 1 + bad[0]}")
+        drive = c[steps, : cert.N0] @ K.T + d2_ts[steps]
+        for i in range(n):
+            u[j0 + i + 1] = solve_u(j0 + i + 1, drive[i])
+            hist.append(u[j0 + i + 1])
+        j0 += n
 
     return _trajectory(scenario, ts, c, u, v, "rk4",
-                       {"dt": dt, "refine": refine, "N_modes": n_modes})
+                       {"dt": dt, "refine": refine, "N_modes": n_modes,
+                        "block_steps": block})
 
 
 # ---------------------------------------------------------------------------

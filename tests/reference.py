@@ -7,7 +7,9 @@ one scenario and one step at a time.  ``control_step`` solves the implicit
 law by per-segment quadrature (``windowed_exp_integral``) and Picard
 iteration instead of the predictor taps and a direct solve.
 ``fading_memory_sup_brute`` is the direct form of the fading-memory sup
-recursion.
+recursion.  ``reference_oracle_simulate`` is the RK4 oracle one Simpson node
+and one coarse step at a time, each node read through ``_CubicHistory.eval``
+or the newest-segment cubic, with no tap row and no block of delayed reads.
 """
 
 import math
@@ -21,8 +23,14 @@ from specpred.controller import (
     TransitionSignal,
     transition_eval,
 )
-from specpred.numerics import exp_moments, segment_exp_integral
-from specpred.sim_engine import ScenarioError, _trajectory
+from specpred.numerics import (exp_moments, segment_exp_integral,
+                               simpson_weights)
+from specpred.sim_engine import (
+    ScenarioError,
+    _CubicHistory,
+    _trajectory,
+    compose_rk4_substeps,
+)
 
 
 def reference_simulate(scenario):
@@ -70,6 +78,100 @@ def reference_simulate(scenario):
 
     return _trajectory(scenario, ts, c, u, v, "exp",
                        {"dt": dt, "N_modes": n_modes})
+
+
+def reference_oracle_simulate(scenario, refine: int = 20):
+    """Per-node RK4 oracle: the same method as ``oracle_simulate``.
+
+    Each Simpson node of the predictor integral is read on its own.  A node
+    after t_{k-2}, inside the last two steps before the candidate u_k, reads
+    the Lagrange cubic through u_{k-3}, u_{k-2}, u_{k-1} and the candidate;
+    every other node reads the Catmull-Rom cubic of the stored samples.
+    """
+    cert = scenario.certificate
+    desc = scenario.descriptor
+    dt = scenario.dt
+    J = int(round(scenario.T_final / dt))
+    ts = dt * np.arange(J + 1)
+    n_modes = scenario.N_modes
+    m = desc.num_inputs
+    lam_all = desc.eigenvalues(n_modes)
+    B_all = desc.input_matrix(n_modes)
+    K = np.atleast_2d(cert.K)
+    lam_head = cert.lambdas
+    B_head = cert.B
+    D0 = cert.D0
+    transition = TransitionSignal(cert.t0)
+
+    hf = dt / refine
+    c = np.zeros((J + 1, n_modes))
+    X0 = np.asarray(scenario.X0_coeffs)
+    c[0, : len(X0)] = X0
+    u = np.zeros((J + 1, m))
+    v = np.zeros((J + 1, m))
+    n_pre = int(np.ceil((D0 + cert.delta_max) / dt)) + 2
+    hist = _CubicHistory(dt, n_pre, n_pre + J + 2, m)
+    R, Wf = compose_rk4_substeps(lam_all, hf, refine)
+
+    D_ts = np.asarray(scenario.delay(ts), dtype=float)
+    d1 = scenario.d1
+    d2_ts = np.asarray(scenario.d2(ts))
+
+    def simpson_panels(width):
+        return max(int(np.ceil(width / dt * 2)) * 2, 4)
+
+    def kernel_weights(tau, n_seg):
+        w = simpson_weights(n_seg + 1, (tau[0] - tau[-1]) / n_seg)
+        return w * np.exp(np.multiply.outer(lam_head, tau))
+
+    def solve_u(j, Yj):
+        t = ts[j]
+        phi, _ = transition_eval(transition, t)
+        if phi == 0.0:
+            return np.zeros(m)
+        n_seg = simpson_panels(D0 if t >= D0 else t)
+        s = np.linspace(t - D0, t, n_seg + 1) if t >= D0 \
+            else np.linspace(0.0, t, n_seg + 1)
+        kw = kernel_weights(t - s - D0, n_seg)
+        # Every node but the last (the candidate itself) is read on its own.
+        x = (s[:-1] - t) / dt + 2.0             # steps past t_{k-2}
+        old = x <= 0.0
+        f_nodes = np.zeros((n_seg, m))
+        f_nodes[old] = hist.eval(s[:-1][old])
+        x = x[~old, np.newaxis]
+        newest = hist.samples[hist.filled - 2: hist.filled + 1]  # u_{k-3..k-1}
+        f_nodes[~old] = (-x * (x - 1) * (x - 2) / 6 * newest[0]
+                         + (x + 1) * (x - 1) * (x - 2) / 2 * newest[1]
+                         - (x + 1) * x * (x - 2) / 2 * newest[2])
+        known = np.einsum("ns,sn->n", kw[:, :-1], f_nodes @ B_head.T)
+        l3 = np.zeros(n_seg)
+        l3[~old] = ((x + 1) * x * (x - 1) / 6)[:, 0]
+        w_last = (kw[:, -1] + kw[:, :-1] @ l3)[:, np.newaxis] * B_head
+        u_c = hist.samples[hist.filled].copy()
+        drive = K @ Yj + d2_ts[j]
+        for _ in range(100):
+            u_new = phi * (drive + K @ (known + w_last @ u_c))
+            if np.linalg.norm(u_new - u_c) < 1e-12:
+                return u_new
+            u_c = u_new
+        raise ScenarioError(
+            f"oracle: control fixed point did not converge at step {j}")
+
+    v[0] = hist.eval(ts[0] - D_ts[0]) + np.asarray(d1(ts[0]))
+    for j in range(J):
+        tf = ts[j] + (hf / 2.0) * np.arange(2 * refine + 1)
+        vf = hist.eval(tf - np.asarray(scenario.delay(tf), dtype=float)) \
+            + np.asarray(d1(tf))
+        x = R * c[j] + np.einsum("qn,qn->n", Wf, vf @ B_all.T)
+        c[j + 1] = x
+        if not np.all(np.isfinite(x)):
+            raise ScenarioError(f"oracle: non-finite state at step {j + 1}")
+        v[j + 1] = vf[-1]
+        u[j + 1] = solve_u(j + 1, c[j + 1, : cert.N0])
+        hist.append(u[j + 1])
+
+    return _trajectory(scenario, ts, c, u, v, "rk4",
+                       {"dt": dt, "refine": refine, "N_modes": n_modes})
 
 
 def windowed_exp_integral(history: ControlHistory, lo: float, hi: float,

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import control_step, predictor_integral
+from reference import (control_step, predictor_integral,
+                       reference_oracle_simulate)
 from specpred import cli
 from specpred.controller import ControlHistory, TransitionSignal
 from specpred.numerics import exp_moments
 from specpred.sim_engine import (
+    BLOCK_STEPS,
     DelaySignal,
     DisturbanceSignal,
     Scenario,
@@ -259,6 +261,77 @@ def test_oracle_matches_sequential_rk4_substeps(descriptor, exact_cert):
             x = rk4_substep(lam, hf, x, ff[2 * i], ff[2 * i + 1], ff[2 * i + 2])
         worst = max(worst, float(np.max(np.abs(x - traj.coeffs[j + 1]))))
     assert worst <= 1e-10 * np.max(np.abs(traj.coeffs))
+
+
+def _table_dip_scenario(descriptor, cert):
+    """Scenario 4 at dt = 1e-2 under a delay that dips briefly to 2.5 dt at
+    t = 1, so a block of two steps would read its own first control."""
+    scen = cli.builtin_scenarios(descriptor, cert, dt=1e-2, T=2.0)[4]
+    dip = DelaySignal(kind="table", D0=cert.D0,
+                      table=((0.0, 0.9, 1.0, 1.1, 2.0),
+                             (cert.D0, cert.D0, 0.025, cert.D0, cert.D0)))
+    return replace(scen, delay=dip, certified=False)
+
+
+@pytest.mark.parametrize("case", ["dt=1e-3", "dt=1e-2", "one-step blocks"])
+def test_oracle_matches_per_node_reference(descriptor, exact_cert, case):
+    # Scenario 4 at T = 2 covers the clipped window t < D0, the phi ramp and
+    # the full window; the coarser dt and the dipping delay shrink the block.
+    if case == "one-step blocks":
+        scen = _table_dip_scenario(descriptor, exact_cert)
+    else:
+        dt = 1e-3 if case == "dt=1e-3" else 1e-2
+        scen = cli.builtin_scenarios(descriptor, exact_cert, dt=dt, T=2.0)[4]
+    traj = oracle_simulate(scen)
+    ref = reference_oracle_simulate(scen)
+    for key in ("coeffs", "u", "v", "Z"):
+        got, want = getattr(traj, key), getattr(ref, key)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+    block = traj.meta["block_steps"]
+    if case == "dt=1e-3":
+        assert block == BLOCK_STEPS
+    elif case == "dt=1e-2":
+        assert 1 < block < BLOCK_STEPS
+    else:
+        assert block == 1
+
+
+def test_engine_gap_to_oracle_converges_at_second_order(descriptor,
+                                                        exact_cert):
+    # The oracle's own error sits far below the engine's, so the gap is the
+    # engine's O(dt^2) error: halving dt divides it by about four.
+    for i in (0, 4):
+        gaps = []
+        for dt in (2e-3, 1e-3):
+            scen = cli.builtin_scenarios(descriptor, exact_cert, dt=dt,
+                                         T=4.0)[i]
+            a, b = simulate(scen), oracle_simulate(scen)
+            gaps.append(np.max(np.abs(a.coeffs - b.coeffs))
+                        / np.max(a.norm_upper))
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5, (i, gaps)
+
+
+def test_oracle_raises_when_control_fixed_point_diverges():
+    # A stable lambda = -1 plant whose hand-set gain makes phi K w_last pass
+    # 1 once phi has ramped up, before the first control reaches the plant.
+    desc = SystemDescriptor(
+        eigenvalue_law=lambda n: -1.0, input_coeff_law=lambda n, k: 1.0,
+        num_inputs=1, riesz_lower=1.0, riesz_upper=1.0, field="real",
+        monotone_dominated=False,
+        params={"norm_Be_sq": [0.5], "norm_ABe_sq": [0.5]})
+    model = TruncatedModel(A=np.diag([-1.0]), B=np.array([[1.0]]), N0=1,
+                           alpha=5.0, xi=3.0)
+    cert = synthesize_certificate(desc, model, D0=0.4, t0=1.0,
+                                  K=np.array([[-1.0]]))
+    zero = DisturbanceSignal(kind="zero", m=1)
+    scen = Scenario(descriptor=desc,
+                    certificate=replace(cert, K=np.array([[-1e5]])),
+                    delay=DelaySignal(kind="constant", D0=0.4),
+                    d1=zero, d2=zero,
+                    X0_coeffs=np.array([1.0]), dt=1e-3, T_final=0.5, N_modes=1)
+    with pytest.raises(ScenarioError, match=r"control fixed point did not "
+                                            r"converge at step \d+"):
+        oracle_simulate(scen)
 
 
 def complex_plant_scenario():
