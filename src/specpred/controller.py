@@ -22,7 +22,10 @@ lower block-triangular system: the diagonal blocks are I - phi_j K G_0, the
 block below the diagonal at lag k is -phi_j K G_k, and the taps on samples
 before the block move to the right-hand side.  The residual bound holds for
 every row of that system.  ``ControlHistory`` and ``PredictorController``
-are the one-scenario, one-step form of the same computation.
+are the one-scenario, one-step form of the same computation.  Every linear
+history read (``ControlHistory.interp``, the engine's delayed reads and the
+Artstein residual's reads of Z) goes through ``linear_stencil``, which also
+owns the covered-span check.
 """
 
 from __future__ import annotations
@@ -104,16 +107,23 @@ class ControlHistory:
 
     def interp(self, t):
         """Linear interpolation of the recorded control at time(s) t."""
-        t = np.asarray(t, dtype=float)
-        x = (t - self.start_time) / self.dt
-        if np.any(x < -1e-9) or np.any(x > self.filled + 1e-9):
-            raise ControllerError("history read outside covered span")
-        x = np.clip(x, 0.0, self.filled)
-        j0 = np.minimum(x.astype(int), self.filled - 1)
-        w = x - j0
-        vals = (1.0 - w)[..., np.newaxis] * self.samples[j0] \
-            + w[..., np.newaxis] * self.samples[j0 + 1]
-        return vals
+        x = (np.asarray(t, dtype=float) - self.start_time) / self.dt
+        j0, w0, w1 = linear_stencil(x, self.filled)
+        return w0[..., np.newaxis] * self.samples[j0] \
+            + w1[..., np.newaxis] * self.samples[j0 + 1]
+
+
+def linear_stencil(x, hi):
+    """Row j0 and weights (w0, w1) of the linear reads at grid positions
+    ``x`` from samples 0..hi: the read is w0 s[j0] + w1 s[j0 + 1].  A read
+    more than 1e-9 steps outside [0, hi] raises ControllerError."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -1e-9) or np.any(x > hi + 1e-9):
+        raise ControllerError("history read outside covered span")
+    x = np.clip(x, 0.0, hi)
+    j0 = np.minimum(x.astype(int), hi - 1)
+    w = x - j0
+    return j0, 1.0 - w, w
 
 
 def predictor_taps(lambdas, B, D0: float, dt: float):

@@ -6,6 +6,11 @@ are fitted here from simulation ensembles (max ratio per isolated channel,
 inflated 10%) and every reported constant carries ``exact`` or ``fitted``
 provenance.  An ensemble can falsify an envelope but never prove it; reports
 state worst observed ratios, not theorems.
+
+``ENVELOPES`` says once which envelope shape each constant scales.  The
+check, the fit and the sweep rows all read it: the check sums every term of
+every estimate, and the fit takes the ratio of each fitted term on its own
+channel.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpecpredError
-from .numerics import catmull_rom
+from .numerics import catmull_rom, cubic_stencil
 from .sim_engine import Scenario, Trajectory
 from .synthesis import Certificate, finalize_tail_constants
 
@@ -146,57 +151,76 @@ def _ratio_check(name, observed, bound, ts, constants,
     )
 
 
+# The four ISS estimates: the certificate bank of each and the (constant,
+# shape) terms of its right-hand side.  Shapes X0 and Y0 are the decayed
+# initial norms |X(0)| and |Y(0)|, d1 and d2 the fading-memory sups of |d1|
+# and |d2|, and d2w the sup of |d2| over the causal window; the suffix _k
+# decays at kappa and _s at sigma.  Terms 0, 1 and 2 are the x0, d1 and d2
+# channels of the fit.
+ENVELOPES = {
+    "state": ("x_constants", (("Cbar1", "X0_k"), ("Cbar2", "d1_k"),
+                              ("Cbar3", "d2w_k"))),
+    "control": ("u_constants", (("Cbar4", "X0_k"), ("Cbar5", "d1_k"),
+                                ("Cbar6", "d2_k"))),
+    "head_state": ("y_constants", (("C1", "X0_s"), ("C2", "d1_s"),
+                                   ("C3", "d2w_s"))),
+    "transformed_state": ("z_constants", (("gamma3", "Y0_s"), ("gamma4", "d1_s"),
+                                          ("gamma5", "d2_s"))),
+}
+CHANNELS = ("x0", "d1", "d2")
+
+
+def _shapes(traj: Trajectory, cert: Certificate, names) -> dict:
+    """The envelope shapes ``names`` (see ``ENVELOPES``) on the trajectory's
+    grid; only the shapes asked for are built."""
+    ts = traj.t
+    dt = ts[1] - ts[0]
+    rates = {"k": cert.kappa, "s": cert.sigma}
+    lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
+    signals = {"X0": traj.norm_upper[0], "Y0": np.linalg.norm(traj.Y[0])}
+    if any(name.startswith("d") for name in names):
+        signals["d1"], signals["d2"] = _signal_norms(traj.scenario, ts)
+    out = {}
+    for name in names:
+        signal, suffix = name.split("_")
+        rate = rates[suffix]
+        if signal in ("X0", "Y0"):
+            out[name] = np.exp(-rate * ts) * signals[signal]
+        elif signal == "d2w":
+            out[name] = windowed_fading_sup(signals["d2"], rate, dt, lag)
+        else:
+            out[name] = fading_memory_sup(signals[signal], rate, dt)
+    return out
+
+
+def _observed(traj: Trajectory, estimate: str) -> np.ndarray:
+    """The trajectory norm that the estimate bounds."""
+    if estimate == "state":
+        return traj.norm_upper
+    series = {"control": traj.u, "head_state": traj.Y,
+              "transformed_state": traj.Z}[estimate]
+    return np.linalg.norm(series, axis=1)
+
+
 def check_envelopes(trajectory: Trajectory, certificate: Certificate) -> EnvelopeReport:
     """Evaluate the X, u, Y and Z fading-memory envelopes on one trajectory."""
     cert = certificate
-    scen = trajectory.scenario
-    if scen is None:
+    if trajectory.scenario is None:
         raise CertifierError("trajectory must carry its scenario")
-    if cert.u_constants is None or cert.x_constants is None \
-            or cert.y_constants is None or cert.z_constants is None:
+    if any(getattr(cert, bank) is None for bank, _ in ENVELOPES.values()):
         raise CertifierError("missing fitted constants; run fit_constants first")
-    ts = trajectory.t
-    dt = ts[1] - ts[0]
-    k, s = cert.kappa, cert.sigma
-    n1, n2 = _signal_norms(scen, ts)
-    X0 = trajectory.norm_upper[0]
-    lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
-    s1_k = fading_memory_sup(n1, k, dt)
-    s2_k = fading_memory_sup(n2, k, dt)
-    s1_s = fading_memory_sup(n1, s, dt)
-    s2_s = fading_memory_sup(n2, s, dt)
-    w2_k = windowed_fading_sup(n2, k, dt, lag)
-    w2_s = windowed_fading_sup(n2, s, dt, lag)
-
-    prov_fitted = {"scale": "fitted"}
+    shapes = _shapes(trajectory, cert, {shape for _, terms in ENVELOPES.values()
+                                        for _, shape in terms})
     report = EnvelopeReport()
-    xb, ub, yb, zb = (cert.x_constants, cert.u_constants,
-                      cert.y_constants, cert.z_constants)
-
-    rhs_x = xb["Cbar1"] * np.exp(-k * ts) * X0 + xb["Cbar2"] * s1_k \
-        + xb["Cbar3"] * w2_k
-    report.checks["state"] = _ratio_check(
-        "state", trajectory.norm_upper, rhs_x, ts, xb,
-        {"Cbar1": "fitted+exact-tail", "Cbar2": "fitted+exact-tail",
-         "Cbar3": "fitted+exact-tail"})
-
-    u_norm = np.linalg.norm(trajectory.u, axis=1)
-    rhs_u = ub["Cbar4"] * np.exp(-k * ts) * X0 + ub["Cbar5"] * s1_k \
-        + ub["Cbar6"] * s2_k
-    report.checks["control"] = _ratio_check(
-        "control", u_norm, rhs_u, ts, ub, prov_fitted)
-
-    y_norm = np.linalg.norm(trajectory.Y, axis=1)
-    rhs_y = yb["C1"] * np.exp(-s * ts) * X0 + yb["C2"] * s1_s + yb["C3"] * w2_s
-    report.checks["head_state"] = _ratio_check(
-        "head_state", y_norm, rhs_y, ts, yb, prov_fitted)
-
-    z_norm = np.linalg.norm(trajectory.Z, axis=1)
-    y0 = np.linalg.norm(trajectory.Y[0])
-    rhs_z = zb["gamma3"] * np.exp(-s * ts) * y0 + zb["gamma4"] * s1_s \
-        + zb["gamma5"] * s2_s
-    report.checks["transformed_state"] = _ratio_check(
-        "transformed_state", z_norm, rhs_z, ts, zb, prov_fitted)
+    for name, (bank, terms) in ENVELOPES.items():
+        constants = getattr(cert, bank)
+        rhs = sum(constants[key] * shapes[shape] for key, shape in terms)
+        # The state constants add the exact tail to their fitted part.
+        provenance = {key: "fitted+exact-tail" for key, _ in terms} \
+            if name == "state" else {"scale": "fitted"}
+        report.checks[name] = _ratio_check(
+            name, _observed(trajectory, name), rhs, trajectory.t, constants,
+            provenance)
     return report
 
 
@@ -208,13 +232,9 @@ def _channel_of(scen: Scenario) -> str:
     has_d1 = scen.d1.kind != "zero" and np.linalg.norm(scen.d1._amp()) > 0
     has_d2 = scen.d2.kind != "zero" and np.linalg.norm(scen.d2._amp()) > 0
     flags = (has_x0, has_d1, has_d2)
-    if flags == (True, False, False):
-        return "x0"
-    if flags == (False, True, False):
-        return "d1"
-    if flags == (False, False, True):
-        return "d2"
-    return "mixed"
+    if sum(flags) != 1:
+        return "mixed"
+    return CHANNELS[flags.index(True)]
 
 
 def _max_ratio(num, den):
@@ -226,27 +246,9 @@ def _max_ratio(num, den):
     return float(np.max(num[ok] / den[ok]))
 
 
-# Fitted constants of the |u|, |Y| and |Z| envelopes on each channel.
-_CHANNEL_CONSTANTS = {"x0": ("Cbar4", "C1", "gamma3"),
-                      "d1": ("Cbar5", "C2", "gamma4"),
-                      "d2": ("Cbar6", "C3", "gamma5")}
-
-
-def _channel_bounds(channel: str, traj: Trajectory, cert: Certificate):
-    """Envelope shapes that the channel's |u|, |Y| and |Z| constants scale."""
-    ts = traj.t
-    dt = ts[1] - ts[0]
-    k, s = cert.kappa, cert.sigma
-    if channel == "x0":
-        X0, y0 = traj.norm_upper[0], np.linalg.norm(traj.Y[0])
-        return np.exp(-k * ts) * X0, np.exp(-s * ts) * X0, np.exp(-s * ts) * y0
-    n1, n2 = _signal_norms(traj.scenario, ts)
-    if channel == "d1":
-        n1_s = fading_memory_sup(n1, s, dt)
-        return fading_memory_sup(n1, k, dt), n1_s, n1_s
-    lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
-    return (fading_memory_sup(n2, k, dt), windowed_fading_sup(n2, s, dt, lag),
-            fading_memory_sup(n2, s, dt))
+# The estimates whose constants the ensemble fits; the state constants
+# follow from them (``finalize_tail_constants``).
+_FITTED = ("control", "head_state", "transformed_state")
 
 
 def fit_constants(trajectories: Sequence[Trajectory],
@@ -254,13 +256,14 @@ def fit_constants(trajectories: Sequence[Trajectory],
     """Fit the existential channel gains from an isolated-channel ensemble.
 
     The ensemble must contain disturbance-free (x0), d1-only and d2-only
-    runs; by linearity each channel isolates its constants.  Each constant is
-    the worst observed ratio over its channel times ``FIT_INFLATION``.
+    runs; by linearity each channel isolates its constants: term i of each
+    fitted estimate in ``ENVELOPES`` on channel i.  Each constant is the
+    worst observed ratio over its channel times ``FIT_INFLATION``.
     Fills the u/y/z constants on the certificate, then the tail constants
     and the assembled state bounds (``finalize_tail_constants``).
     """
     cert = certificate
-    buckets = {"x0": [], "d1": [], "d2": []}
+    buckets = {ch: [] for ch in CHANNELS}
     for traj in trajectories:
         scen = traj.scenario
         if scen is None:
@@ -273,20 +276,18 @@ def fit_constants(trajectories: Sequence[Trajectory],
         if not runs:
             raise CertifierError(f"fit ensemble is missing the {ch} channel")
 
-    fits = {key: 0.0 for keys in _CHANNEL_CONSTANTS.values() for key in keys}
-    for ch, runs in buckets.items():
-        for traj in runs:
-            norms = (np.linalg.norm(traj.u, axis=1),
-                     np.linalg.norm(traj.Y, axis=1),
-                     np.linalg.norm(traj.Z, axis=1))
-            for key, num, den in zip(_CHANNEL_CONSTANTS[ch], norms,
-                                     _channel_bounds(ch, traj, cert)):
-                fits[key] = max(fits[key], _max_ratio(num, den))
+    fits = {}
+    for i, ch in enumerate(CHANNELS):
+        terms = [(name, ENVELOPES[name][1][i]) for name in _FITTED]
+        for traj in buckets[ch]:
+            shapes = _shapes(traj, cert, {shape for _, (_, shape) in terms})
+            for name, (key, shape) in terms:
+                fits[key] = max(fits.get(key, 0.0),
+                                _max_ratio(_observed(traj, name), shapes[shape]))
 
-    fits = {key: val * FIT_INFLATION for key, val in fits.items()}
-    cert.u_constants = {key: fits[key] for key in ("Cbar4", "Cbar5", "Cbar6")}
-    cert.y_constants = {key: fits[key] for key in ("C1", "C2", "C3")}
-    cert.z_constants = {key: fits[key] for key in ("gamma3", "gamma4", "gamma5")}
+    for name in _FITTED:
+        bank, terms = ENVELOPES[name]
+        setattr(cert, bank, {key: fits[key] * FIT_INFLATION for key, _ in terms})
     cert.fit_info = {
         "ensemble_size": len(trajectories),
         "channels": {ch: len(runs) for ch, runs in buckets.items()},
@@ -353,8 +354,8 @@ class Lemma2Problem:
                                 - math.exp(-lam * self.eps)) < lam
 
 
-# Catmull-Rom stencil: offsets of the four samples around a history read.
-_STENCIL = np.arange(-1, 3)[:, np.newaxis, np.newaxis]
+# Catmull-Rom stencil: offsets of the four samples of a history read.
+_STENCIL = np.arange(4)[:, np.newaxis, np.newaxis]
 
 
 def _matvec(M, v):
@@ -412,10 +413,8 @@ def simulate_delay_difference(problem, dt: float, T: float,
         d = np.fromiter((f(t) for f in ds), float, S)
         q = np.fromiter((f(t) for f in qs), float, S)
         x = (np.stack([t - r - eps * d, t - r]) - t_hist0) / dt
-        x = np.clip(x, 0.0, n_pre + J)
-        j = np.clip(x.astype(int), 1, len(xs) - 3)
-        w = (x - j)[..., np.newaxis]
-        lag, nom = catmull_rom(xs[j + _STENCIL, rows], w)
+        start, w = cubic_stencil(x, n_pre + J)
+        lag, nom = catmull_rom(xs[start + _STENCIL, rows], w[..., np.newaxis])
         for i, (f, k) in enumerate(p_rows):
             p_out[i, :k] = f(t)
         return q[:, np.newaxis] * _matvec(C, lag - nom), p_out

@@ -1,5 +1,6 @@
 """Shared low-level numerics: exponential quadrature moments, Simpson rule,
-the Catmull-Rom cubic and the smoothstep polynomial.
+the Catmull-Rom cubic and its clamped read stencil, and the smoothstep
+polynomial.
 
 The exponential moments are the workhorse of both the predictor integral and
 the per-mode exponential integrator: every integral of the form
@@ -100,6 +101,15 @@ def catmull_rom(p, w):
         + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
         + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0))
     )
+
+
+def cubic_stencil(x, hi):
+    """Clamped Catmull-Rom stencil of the reads at grid positions ``x`` from
+    samples 0..hi: returns (start, w), the stencil rows start..start+3 and w
+    past row start+1.  Reads outside [0, hi] are clamped to its ends."""
+    x = np.clip(x, 0.0, hi)
+    j = np.clip(x.astype(int), 1, hi - 2)
+    return j - 1, x - j
 
 
 def smoothstep(s):

@@ -25,7 +25,10 @@ Two engines share one output schema:
 
 Both evaluate the same implicit predictor feedback through the delayed
 channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
-transformed state Z with the controller's predictor taps as one convolution.
+transformed state Z with the controller's predictor taps as one convolution,
+and ``artstein_residual`` checks its dynamics on the whole grid at once.
+The engine's linear reads use ``controller.linear_stencil`` and the oracle's
+cubic reads ``numerics.cubic_stencil``.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ from .controller import (
     SOLVE_RESIDUAL_TOL,
     ControllerError,
     TransitionSignal,
+    linear_stencil,
     predictor_taps,
     transition_eval,
 )
 from .errors import SpecpredError
-from .numerics import catmull_rom, exp_moments, simpson_weights, smoothstep
+from .numerics import (catmull_rom, cubic_stencil, exp_moments,
+                       simpson_weights, smoothstep)
 from .spectral_model import SystemDescriptor
 from .synthesis import Certificate, _array_from_list, _array_to_list
 
@@ -333,14 +338,9 @@ def simulate(scenario):
     # front: it may use u_0..u_{j-1} (u_0 alone at j = 0).
     x = np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens])
     x = (x + n_pre * dt) / dt                          # (S, J+1) grid indices
-    filled = n_pre + np.maximum(np.arange(J + 1) - 1, 0)
-    if np.any(x < -1e-9) or np.any(x > filled + 1e-9):
-        raise ControllerError("history read outside covered span")
+    i0, w0, w1 = linear_stencil(x, n_pre + np.maximum(np.arange(J + 1) - 1, 0))
     margin = np.min(x, axis=1)      # steps from the oldest history sample
-    x = np.clip(x, 0.0, filled)
-    i0 = np.minimum(x.astype(int), filled - 1)
-    w1 = (x - i0)[..., np.newaxis]
-    w0 = 1.0 - w1
+    w0, w1 = w0[..., np.newaxis], w1[..., np.newaxis]
     # Block length: no read of a block may touch a sample of the same block.
     # Reads of step j reach u_{i0+1-n_pre}; an in-band delay keeps that at
     # least floor((D0 - delta_max)/dt) - 1 steps back, so that bound fixes
@@ -475,7 +475,9 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
     Returns (t_interior, residual_norms).  The residual compares dZ/dt with
     the delay-difference dynamics that the transformation satisfies in
     continuous time; both sides are O(dt^2) accurate, so halving dt should
-    shrink the residual about fourfold.
+    shrink the residual about fourfold.  Z is read linearly between grid
+    points, and phi vanishes for t <= 0, so the delayed terms
+    [phi Z](t - D) and [phi d2](t - D) read 0 before the run starts.
     """
     from scipy.linalg import expm
 
@@ -486,46 +488,26 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
     ts = trajectory.t
     dt = ts[1] - ts[0]
     Z = trajectory.Z
-    A = np.diag(cert.lambdas)
+    t = ts[1:-1]
     B = cert.B
-    K = np.atleast_2d(cert.K)
-    E = expm(-cert.D0 * A)
-    BK = B @ K
-    EB = E @ B
+    BK = B @ np.atleast_2d(cert.K)
+    E = expm(-cert.D0 * np.diag(cert.lambdas))
     transition = TransitionSignal(cert.t0)
-
-    def phiZ(x):
-        """[phi Z](x) with Z linearly interpolated; zero for x < 0."""
-        if x < 0.0:
-            return np.zeros(Z.shape[1], dtype=Z.dtype)
-        idx = min(x / dt, len(ts) - 1.001)
-        j0 = int(idx)
-        w = idx - j0
-        zx = (1.0 - w) * Z[j0] + w * Z[j0 + 1]
-        phi, _ = transition_eval(transition, x)
-        return phi * zx
-
-    def phid2(x):
-        if x < 0.0:
-            return np.zeros(B.shape[1])
-        phi, _ = transition_eval(transition, x)
-        return phi * np.asarray(scen.d2(np.asarray(x)))
-
-    res = []
-    interior = range(1, len(ts) - 1)
-    d1_ts = np.asarray(scen.d1(ts))
-    d2_ts = np.asarray(scen.d2(ts))
-    D_ts = np.asarray(scen.delay(ts), dtype=float)
-    for j in interior:
-        t = ts[j]
-        dZ = (Z[j + 1] - Z[j - 1]) / (2.0 * dt)
-        phi, _ = transition_eval(transition, t)
-        rhs = (A + phi * (E @ BK)) @ Z[j]
-        rhs = rhs + BK @ (phiZ(t - D_ts[j]) - phiZ(t - cert.D0))
-        rhs = rhs + B @ d1_ts[j] + phi * (EB @ d2_ts[j])
-        rhs = rhs + B @ (phid2(t - D_ts[j]) - phid2(t - cert.D0))
-        res.append(np.linalg.norm(dZ - rhs))
-    return ts[1:-1], np.asarray(res)
+    phi, _ = transition_eval(transition, t)
+    # The delayed (row 0) and nominal (row 1) arguments, clipped at 0.
+    x = np.maximum(np.stack([t - np.asarray(scen.delay(t), dtype=float),
+                             t - cert.D0]), 0.0)
+    phi_x, _ = transition_eval(transition, x)
+    j0, w0, w1 = linear_stencil(x / dt, len(ts) - 1)
+    phi_z = phi_x[..., np.newaxis] * (w0[..., np.newaxis] * Z[j0]
+                                      + w1[..., np.newaxis] * Z[j0 + 1])
+    phi_d2 = phi_x[..., np.newaxis] * np.asarray(scen.d2(x))
+    dZ = (Z[2:] - Z[:-2]) / (2.0 * dt)
+    rhs = Z[1:-1] * cert.lambdas + phi[:, np.newaxis] * (Z[1:-1] @ (E @ BK).T) \
+        + (phi_z[0] - phi_z[1]) @ BK.T + np.asarray(scen.d1(t)) @ B.T \
+        + phi[:, np.newaxis] * (np.asarray(scen.d2(t)) @ (E @ B).T) \
+        + (phi_d2[0] - phi_d2[1]) @ B.T
+    return t, np.linalg.norm(dZ - rhs, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +530,10 @@ class _CubicHistory:
         """Rows (..., 4) and Catmull-Rom weights of the reads at times ``t``,
         clamped to the samples up to row ``filled`` (default: the newest)."""
         filled = self.filled if filled is None else filled
-        x = np.clip((np.asarray(t) - self.start_time) / self.dt, 0.0, filled)
-        j = np.clip(x.astype(int), 1, filled - 2)
-        rows = j[..., np.newaxis] + np.arange(-1, 3)
-        return rows, catmull_rom(np.eye(4), (x - j)[..., np.newaxis])
+        start, w = cubic_stencil((np.asarray(t) - self.start_time) / self.dt,
+                                 filled)
+        rows = start[..., np.newaxis] + np.arange(4)
+        return rows, catmull_rom(np.eye(4), w[..., np.newaxis])
 
     def eval(self, t):
         rows, weights = self.stencil(t)
@@ -774,7 +756,7 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 def trajectory_from_csv(path) -> Trajectory:
     with open(path) as fh:
         header = [h.strip() for h in fh.readline().split(",")]
-        data = np.array([[float(x) for x in line.split(",")] for line in fh])
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     n = sum(1 for h in header if h.startswith("c_"))
     n0 = sum(1 for h in header if h.startswith("Y_"))
     m = sum(1 for h in header if h.startswith("u_"))

@@ -7,7 +7,10 @@ one scenario and one step at a time.  ``control_step`` solves the implicit
 law by per-segment quadrature (``windowed_exp_integral``) and Picard
 iteration instead of the predictor taps and a direct solve.
 ``fading_memory_sup_brute`` is the direct form of the fading-memory sup
-recursion.  ``reference_oracle_simulate`` is the RK4 oracle one Simpson node
+recursion.  ``reference_check_ratios`` and ``reference_fit`` are the former
+envelope check and constant fit, with each envelope's right-hand side and
+each channel's shapes written out by hand, and ``reference_artstein_residual``
+is the former per-point Artstein residual.  ``reference_oracle_simulate`` is the RK4 oracle one Simpson node
 and one coarse step at a time, each node read through ``_CubicHistory.eval``
 or the newest-segment cubic, with no tap row and no block of delayed reads.
 """
@@ -15,6 +18,7 @@ or the newest-segment cubic, with no tap row and no block of delayed reads.
 import math
 
 import numpy as np
+from scipy.linalg import expm
 
 from specpred.controller import (
     ControlHistory,
@@ -22,6 +26,16 @@ from specpred.controller import (
     PredictorController,
     TransitionSignal,
     transition_eval,
+)
+from specpred.iss_certifier import (
+    FIT_INFLATION,
+    _channel_of,
+    _max_ratio,
+    _ratio_check,
+    _signal_norms,
+    causal_lag_steps,
+    fading_memory_sup,
+    windowed_fading_sup,
 )
 from specpred.numerics import (exp_moments, segment_exp_integral,
                                simpson_weights)
@@ -294,3 +308,126 @@ def fading_memory_sup_brute(norms, kappa: float, dt: float) -> np.ndarray:
         cand[j] = norms[j]
         out[j] = cand[: j + 1].max()
     return out
+
+
+def reference_check_ratios(traj, cert):
+    """Worst ratio of each envelope, with the right-hand sides written out."""
+    ts = traj.t
+    dt = ts[1] - ts[0]
+    k, s = cert.kappa, cert.sigma
+    n1, n2 = _signal_norms(traj.scenario, ts)
+    X0 = traj.norm_upper[0]
+    lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
+    s1_k = fading_memory_sup(n1, k, dt)
+    s2_k = fading_memory_sup(n2, k, dt)
+    s1_s = fading_memory_sup(n1, s, dt)
+    s2_s = fading_memory_sup(n2, s, dt)
+    w2_k = windowed_fading_sup(n2, k, dt, lag)
+    w2_s = windowed_fading_sup(n2, s, dt, lag)
+    xb, ub, yb, zb = (cert.x_constants, cert.u_constants,
+                      cert.y_constants, cert.z_constants)
+    y0 = np.linalg.norm(traj.Y[0])
+    rhs = {
+        "state": xb["Cbar1"] * np.exp(-k * ts) * X0 + xb["Cbar2"] * s1_k
+        + xb["Cbar3"] * w2_k,
+        "control": ub["Cbar4"] * np.exp(-k * ts) * X0 + ub["Cbar5"] * s1_k
+        + ub["Cbar6"] * s2_k,
+        "head_state": yb["C1"] * np.exp(-s * ts) * X0 + yb["C2"] * s1_s
+        + yb["C3"] * w2_s,
+        "transformed_state": zb["gamma3"] * np.exp(-s * ts) * y0
+        + zb["gamma4"] * s1_s + zb["gamma5"] * s2_s,
+    }
+    observed = {"state": traj.norm_upper,
+                "control": np.linalg.norm(traj.u, axis=1),
+                "head_state": np.linalg.norm(traj.Y, axis=1),
+                "transformed_state": np.linalg.norm(traj.Z, axis=1)}
+    return {name: _ratio_check(name, observed[name], rhs[name], ts, {},
+                               {}).worst_ratio for name in rhs}
+
+
+# Fitted constants of the |u|, |Y| and |Z| envelopes on each channel.
+_CHANNEL_CONSTANTS = {"x0": ("Cbar4", "C1", "gamma3"),
+                      "d1": ("Cbar5", "C2", "gamma4"),
+                      "d2": ("Cbar6", "C3", "gamma5")}
+
+
+def reference_channel_bounds(channel, traj, cert):
+    """Envelope shapes that the channel's |u|, |Y| and |Z| constants scale."""
+    ts = traj.t
+    dt = ts[1] - ts[0]
+    k, s = cert.kappa, cert.sigma
+    if channel == "x0":
+        X0, y0 = traj.norm_upper[0], np.linalg.norm(traj.Y[0])
+        return np.exp(-k * ts) * X0, np.exp(-s * ts) * X0, np.exp(-s * ts) * y0
+    n1, n2 = _signal_norms(traj.scenario, ts)
+    if channel == "d1":
+        n1_s = fading_memory_sup(n1, s, dt)
+        return fading_memory_sup(n1, k, dt), n1_s, n1_s
+    lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
+    return (fading_memory_sup(n2, k, dt), windowed_fading_sup(n2, s, dt, lag),
+            fading_memory_sup(n2, s, dt))
+
+
+def reference_fit(trajectories, cert):
+    """The u, Y and Z constant banks fitted channel by channel."""
+    fits = {key: 0.0 for keys in _CHANNEL_CONSTANTS.values() for key in keys}
+    for traj in trajectories:
+        ch = _channel_of(traj.scenario)
+        norms = (np.linalg.norm(traj.u, axis=1),
+                 np.linalg.norm(traj.Y, axis=1),
+                 np.linalg.norm(traj.Z, axis=1))
+        for key, num, den in zip(_CHANNEL_CONSTANTS[ch], norms,
+                                 reference_channel_bounds(ch, traj, cert)):
+            fits[key] = max(fits[key], _max_ratio(num, den))
+    fits = {key: val * FIT_INFLATION for key, val in fits.items()}
+    return {bank: {key: fits[key] for key in keys} for bank, keys in (
+        ("u_constants", ("Cbar4", "Cbar5", "Cbar6")),
+        ("y_constants", ("C1", "C2", "C3")),
+        ("z_constants", ("gamma3", "gamma4", "gamma5")))}
+
+
+def reference_artstein_residual(trajectory, cert):
+    """Artstein residual one interior grid point at a time."""
+    scen = trajectory.scenario
+    ts = trajectory.t
+    dt = ts[1] - ts[0]
+    Z = trajectory.Z
+    A = np.diag(cert.lambdas)
+    B = cert.B
+    K = np.atleast_2d(cert.K)
+    E = expm(-cert.D0 * A)
+    BK = B @ K
+    EB = E @ B
+    transition = TransitionSignal(cert.t0)
+
+    def phiZ(x):
+        """[phi Z](x) with Z linearly interpolated; zero for x < 0."""
+        if x < 0.0:
+            return np.zeros(Z.shape[1], dtype=Z.dtype)
+        idx = min(x / dt, len(ts) - 1.001)
+        j0 = int(idx)
+        w = idx - j0
+        zx = (1.0 - w) * Z[j0] + w * Z[j0 + 1]
+        phi, _ = transition_eval(transition, x)
+        return phi * zx
+
+    def phid2(x):
+        if x < 0.0:
+            return np.zeros(B.shape[1])
+        phi, _ = transition_eval(transition, x)
+        return phi * np.asarray(scen.d2(np.asarray(x)))
+
+    res = []
+    d1_ts = np.asarray(scen.d1(ts))
+    d2_ts = np.asarray(scen.d2(ts))
+    D_ts = np.asarray(scen.delay(ts), dtype=float)
+    for j in range(1, len(ts) - 1):
+        t = ts[j]
+        dZ = (Z[j + 1] - Z[j - 1]) / (2.0 * dt)
+        phi, _ = transition_eval(transition, t)
+        rhs = (A + phi * (E @ BK)) @ Z[j]
+        rhs = rhs + BK @ (phiZ(t - D_ts[j]) - phiZ(t - cert.D0))
+        rhs = rhs + B @ d1_ts[j] + phi * (EB @ d2_ts[j])
+        rhs = rhs + B @ (phid2(t - D_ts[j]) - phid2(t - cert.D0))
+        res.append(np.linalg.norm(dZ - rhs))
+    return ts[1:-1], np.asarray(res)

@@ -25,16 +25,6 @@ def test_empty_sweep_is_rejected(capsys):
     assert "n must be >= 1" in capsys.readouterr().err
 
 
-def test_runconfig_roundtrip(tmp_path):
-    p = tmp_path / "cert.json"
-    p.write_text("{}")
-    cfg = cli.RunConfig("sweep", certificate=str(p), scenario=None,
-                        out="o.csv", seed=3, jobs=4,
-                        sweep=("delay_amplitude", 0.0, 0.1, 5))
-    back = cli.RunConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert back.to_dict() == cfg.to_dict()
-
-
 def test_runconfig_validation(tmp_path):
     with pytest.raises(ValueError):
         cli.RunConfig("frobnicate")

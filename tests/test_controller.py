@@ -10,6 +10,7 @@ from specpred.controller import (
     ControllerError,
     PredictorController,
     TransitionSignal,
+    linear_stencil,
     predictor_taps,
     transition_eval,
 )
@@ -57,6 +58,24 @@ def test_history_preload_and_append():
 def test_history_interp_preload_zone():
     h = make_history()
     assert np.all(h.interp(np.array([-0.3, -0.55, 0.0])) == 0.0)
+
+
+def test_linear_stencil_span_and_interp(rng):
+    hi = 7
+    for x in (-2e-9, hi + 2e-9):
+        with pytest.raises(ControllerError, match="outside covered span"):
+            linear_stencil(np.array([1.0, x]), hi)
+    j0, w0, w1 = linear_stencil(np.array([-1e-10, hi + 1e-10]), hi)
+    assert list(j0) == [0, hi - 1] and list(w1) == [0.0, 1.0]
+    h = make_history(dt=0.01, D0=0.05, delta=0.0, T=0.2)
+    fill_history_with(h, np.sin, 0.1)
+    t = rng.uniform(-0.06, 0.1, size=50)
+    j0, w0, w1 = linear_stencil((t - h.start_time) / h.dt, h.filled)
+    read = w0 * h.samples[j0, 0] + w1 * h.samples[j0 + 1, 0]
+    assert np.array_equal(h.interp(t)[:, 0], read)
+    grid = h.start_time + h.dt * np.arange(h.filled + 1)
+    assert np.allclose(read, np.interp(t, grid, h.samples[: h.filled + 1, 0]),
+                       rtol=0, atol=1e-15)
 
 
 def fill_history_with(h, fn, T):

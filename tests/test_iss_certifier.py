@@ -1,16 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reference import fading_memory_sup_brute
+from reference import (fading_memory_sup_brute, reference_check_ratios,
+                       reference_fit)
 from specpred import cli
 from specpred.iss_certifier import (
+    ENVELOPES,
     CertifierError,
     Lemma2Problem,
     causal_lag_steps,
     check_envelopes,
     fading_memory_sup,
+    fit_constants,
     fit_decay_rate,
     lemma2_validate,
     simulate_delay_difference,
@@ -113,6 +117,33 @@ def test_fit_info_recorded(fitted_cert):
     for bank in (fitted_cert.u_constants, fitted_cert.y_constants,
                  fitted_cert.z_constants, fitted_cert.x_constants):
         assert all(v > 0 for v in bank.values())
+
+
+def test_check_ratios_match_explicit_bounds(descriptor, fitted_cert):
+    # The table's right-hand sides multiply each constant by a prebuilt
+    # shape, so the worst ratios may move by rounding only.
+    for traj in simulate(cli.builtin_scenarios(descriptor, fitted_cert)):
+        want = reference_check_ratios(traj, fitted_cert)
+        got = check_envelopes(traj, fitted_cert).checks
+        for name, ratio in want.items():
+            assert got[name].worst_ratio == pytest.approx(ratio, rel=1e-15,
+                                                          abs=0.0)
+
+
+def test_fit_constants_equals_reference_fit(descriptor, exact_cert):
+    cert = replace(exact_cert)
+    trajs = simulate(cli.fitting_ensemble(descriptor, cert, seed=3,
+                                          n_members=6, dt=4e-3, T=4.0))
+    fit_constants(trajs, cert)
+    for bank, want in reference_fit(trajs, cert).items():
+        assert getattr(cert, bank) == want
+
+
+def test_envelope_table_matches_certificate_provenance(exact_cert):
+    prov = exact_cert.provenance
+    table = {key for _, terms in ENVELOPES.values() for key, _ in terms}
+    assert table <= set(prov)
+    assert {key for key, kind in prov.items() if kind == "fitted"} <= table
 
 
 def synthetic_decay_trajectory(cert, rate, T=10.0, dt=1e-2):

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 
 from specpred.numerics import (
     catmull_rom,
+    cubic_stencil,
     exp_moments,
     matrix_exp_norm,
     segment_exp_integral,
@@ -116,3 +117,17 @@ def test_catmull_rom_reproduces_quadratics():
     p = f(x1 + np.arange(-1.0, 3.0))
     w = np.linspace(0.0, 1.0, 11)
     assert np.allclose(catmull_rom(p, w), f(x1 + w), rtol=0, atol=1e-13)
+
+
+def test_cubic_stencil_clamps_at_both_ends():
+    hi = 9
+    x = np.array([-3.0, 0.0, 5.25, hi, hi + 4.0])
+    start, w = cubic_stencil(x, hi)
+    assert list(start) == [0, 0, 4, hi - 3, hi - 3]
+    assert list(w) == [-1.0, -1.0, 0.25, 2.0, 2.0]
+    # Catmull-Rom is exact for quadratics, so a read past an end returns
+    # the end sample.
+    f = 1.0 + 0.5 * np.arange(hi + 1.0) ** 2
+    vals = catmull_rom(f[start + np.arange(4)[:, np.newaxis]], w)
+    assert np.allclose(vals, 1.0 + 0.5 * np.clip(x, 0, hi) ** 2, rtol=0,
+                       atol=1e-12)

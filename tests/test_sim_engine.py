@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from reference import (control_step, predictor_integral,
-                       reference_oracle_simulate)
+                       reference_artstein_residual, reference_oracle_simulate)
 from specpred import cli
 from specpred.controller import ControlHistory, TransitionSignal
 from specpred.numerics import exp_moments
@@ -432,6 +432,17 @@ def test_artstein_residual_small(descriptor, exact_cert):
     traj = simulate(scen)
     ts, res = artstein_residual(traj, exact_cert)
     assert np.max(res) < 5e-3 * max(np.max(np.abs(traj.Z)), 1.0)
+
+
+def test_artstein_residual_matches_pointwise_reference(descriptor, exact_cert):
+    # The residual cancels O(1) terms, so the whole-grid evaluation moves it
+    # by rounding relative to those terms, not to the residual itself.
+    for scen in cli.builtin_scenarios(descriptor, exact_cert, dt=2e-3, T=2.5):
+        traj = simulate(scen)
+        ts, res = artstein_residual(traj, exact_cert)
+        ts_ref, ref = reference_artstein_residual(traj, exact_cert)
+        assert np.array_equal(ts, ts_ref)
+        assert np.max(np.abs(res - ref)) <= 1e-8 * np.max(ref)
 
 
 # ---------------------------------------------------------------------------
