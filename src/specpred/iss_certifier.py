@@ -15,6 +15,7 @@ channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -69,22 +70,23 @@ def causal_lag_steps(D0: float, delta: float, dt: float) -> int:
     return int(math.ceil((D0 - delta) / dt - 1e-9))
 
 
+def _causal_window(sup, kappa: float, dt: float, lag_steps: int) -> np.ndarray:
+    """The causal-window sup from the fading-memory sup ``sup`` of the same
+    rate: e^{-kappa lag dt} sup[j - lag] past the lag, and the initial
+    sample decayed to t_j, e^{-kappa j dt} sup[0], before it."""
+    j = np.arange(len(sup))
+    lagged = math.exp(-kappa * dt * lag_steps) * sup[np.maximum(j - lag_steps, 0)]
+    return np.where(j > lag_steps, lagged, np.exp(-kappa * dt * j) * sup[0])
+
+
 def windowed_fading_sup(norms, kappa: float, dt: float, lag_steps: int) -> np.ndarray:
     """Fading-memory sup restricted to samples at least lag_steps behind.
 
     For t_j <= lag the window collapses to {0}, so only the initial sample
     contributes (decayed to t_j).
     """
-    norms = np.asarray(norms, dtype=float)
-    s = fading_memory_sup(norms, kappa, dt)
-    out = np.empty_like(s)
-    for j in range(len(s)):
-        i = j - lag_steps
-        if i <= 0:
-            out[j] = math.exp(-kappa * dt * j) * norms[0]
-        else:
-            out[j] = math.exp(-kappa * dt * lag_steps) * s[i]
-    return out
+    return _causal_window(fading_memory_sup(norms, kappa, dt), kappa, dt,
+                          lag_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +174,8 @@ CHANNELS = ("x0", "d1", "d2")
 
 def _shapes(traj: Trajectory, cert: Certificate, names) -> dict:
     """The envelope shapes ``names`` (see ``ENVELOPES``) on the trajectory's
-    grid; only the shapes asked for are built."""
+    grid; only the shapes asked for are built, and the fading-memory sup of
+    each (signal, rate) pair at most once."""
     ts = traj.t
     dt = ts[1] - ts[0]
     rates = {"k": cert.kappa, "s": cert.sigma}
@@ -180,6 +183,11 @@ def _shapes(traj: Trajectory, cert: Certificate, names) -> dict:
     signals = {"X0": traj.norm_upper[0], "Y0": np.linalg.norm(traj.Y[0])}
     if any(name.startswith("d") for name in names):
         signals["d1"], signals["d2"] = _signal_norms(traj.scenario, ts)
+
+    @functools.cache
+    def sup(signal, rate):
+        return fading_memory_sup(signals[signal], rate, dt)
+
     out = {}
     for name in names:
         signal, suffix = name.split("_")
@@ -187,9 +195,9 @@ def _shapes(traj: Trajectory, cert: Certificate, names) -> dict:
         if signal in ("X0", "Y0"):
             out[name] = np.exp(-rate * ts) * signals[signal]
         elif signal == "d2w":
-            out[name] = windowed_fading_sup(signals["d2"], rate, dt, lag)
+            out[name] = _causal_window(sup("d2", rate), rate, dt, lag)
         else:
-            out[name] = fading_memory_sup(signals[signal], rate, dt)
+            out[name] = sup(signal, rate)
     return out
 
 
@@ -445,7 +453,7 @@ def simulate_delay_difference(problem, dt: float, T: float,
 
 def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
                     M_lambda: float, lam: float, dt: float = 5e-3,
-                    T: float = 12.0, enforce_smallgain: bool = True) -> dict:
+                    T: float = 12.0) -> dict:
     """Fit worst-case (M, N) for the claimed delay-difference decay estimate.
 
     Simulates every problem and extracts the smallest constants such that
@@ -456,8 +464,7 @@ def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
     norms of p.  The report can only falsify the estimate (M or N unbounded
     / growing), never prove it.
     """
-    if enforce_smallgain and not all(prob.smallgain_ok(M_lambda, lam)
-                                     for prob in problems):
+    if not all(prob.smallgain_ok(M_lambda, lam) for prob in problems):
         raise CertifierError("small-gain precondition violated for a member")
     ts, xs, ps = simulate_delay_difference(problems, dt, T, with_forcing=True)
     M_fit = 1.0

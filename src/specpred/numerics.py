@@ -1,6 +1,6 @@
 """Shared low-level numerics: exponential quadrature moments, Simpson rule,
-the Catmull-Rom cubic and its clamped read stencil, and the smoothstep
-polynomial.
+the Catmull-Rom cubic and its clamped read stencil, the smoothstep
+polynomial and the norm of a matrix exponential over a time grid.
 
 The exponential moments are the workhorse of both the predictor integral and
 the per-mode exponential integrator: every integral of the form
@@ -15,6 +15,7 @@ used when |lam * h| is tiny to avoid catastrophic cancellation in the
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 # Below this threshold on |lam*h| the closed forms lose digits to cancellation
 # (relative error ~eps/|lam h|) while the truncated Taylor series is accurate
@@ -53,19 +54,6 @@ def exp_moments(lam, h):
     if m0.ndim == 0:
         return m0[()], m1[()]
     return m0, m1
-
-
-def segment_exp_integral(lam, t_ref, s0, s1, u0, u1):
-    """Exact integral of e^{lam (t_ref - s)} * u(s) over [s0, s1] for linear u.
-
-    u is the linear interpolant with u(s0) = u0, u(s1) = u1.  ``lam`` may be
-    an array of modes; u0/u1 scalars or arrays matching lam's shape.
-    """
-    h = np.asarray(s1 - s0)
-    m0, m1 = exp_moments(lam, h)
-    pre = np.exp(lam * (np.asarray(t_ref) - s0))
-    slope_w = np.where(h != 0, m1 / np.where(h != 0, h, 1.0), 0.0)
-    return pre * (u0 * m0 + (u1 - u0) * slope_w)
 
 
 def simpson_weights(n_points, h):
@@ -118,23 +106,7 @@ def smoothstep(s):
 
 
 def matrix_exp_norm(A, ts):
-    """2-norm of exp(A t) for each t in ``ts`` via eigendecomposition.
-
-    Falls back to scipy.linalg.expm when the eigenvector matrix is close to
-    singular (defective A).
-    """
-    from scipy.linalg import expm
-
-    A = np.asarray(A, dtype=complex)
+    """2-norm of exp(A t) for each t in ``ts``, from one batched ``expm``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.empty(ts.shape)
-    mu, V = np.linalg.eig(A)
-    use_eig = np.linalg.cond(V) < 1e12
-    if use_eig:
-        Vinv = np.linalg.inv(V)
-        for i, t in enumerate(ts):
-            out[i] = np.linalg.norm(V @ np.diag(np.exp(mu * t)) @ Vinv, 2)
-    else:
-        for i, t in enumerate(ts):
-            out[i] = np.linalg.norm(expm(A * t), 2)
-    return out
+    return np.linalg.norm(expm(np.multiply.outer(ts, np.asarray(A))), 2,
+                          axis=(1, 2))

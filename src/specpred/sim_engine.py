@@ -17,7 +17,7 @@ Two engines share one output schema:
   state, control and residual checks run on every row of the block;
 * ``oracle_simulate`` is an independent cross-check: classical RK4 at dt/20,
   with the substeps of each coarse step composed once into per-mode
-  coefficients, cubic history interpolation and its own fixed-point control
+  coefficients, cubic history interpolation and its own direct control
   solve (Simpson quadrature of the predictor integral).  Its loop-invariant
   stencils are built once: the Simpson sum is one tap row over the newest
   samples, and the delayed reads and forcing of a block of steps are built
@@ -61,9 +61,8 @@ MAX_MODES = 400
 # whose delayed reads ``oracle_simulate`` builds at once; the delay may
 # shorten it.
 BLOCK_STEPS = 128
-# The oracle's fixed-point control solve: iteration cap and step tolerance.
-ORACLE_MAX_ITERS = 100
-ORACLE_TOL = 1e-12
+# RK4 substeps per coarse step of ``oracle_simulate``.
+ORACLE_REFINE = 20
 
 
 class ScenarioError(SpecpredError, ValueError):
@@ -600,22 +599,23 @@ def compose_rk4_substeps(lam, h, refine: int):
     return coef[0], coef[1:]
 
 
-def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
-    """Cross-check engine: classical RK4 at dt/refine on the modal ODE.
+def oracle_simulate(scenario: Scenario) -> Trajectory:
+    """Cross-check engine: classical RK4 at dt/``ORACLE_REFINE`` on the modal
+    ODE.
 
-    The refine substeps of each coarse step are composed once into per-mode
+    The substeps of each coarse step are composed once into per-mode
     coefficients (``compose_rk4_substeps``).  The delayed reads are cubic
     (Catmull-Rom).  Since D(t) is exogenous, the read stencils of a block of
     up to ``BLOCK_STEPS`` steps, each clamped as at its own step, and the
     block's forcing are built at once; the block halves until no stencil
-    touches a sample the block has yet to compute.  The control law is
-    solved at each coarse step by fixed-point iteration, with the predictor
-    integral evaluated by composite Simpson over cubically interpolated
-    nodes.  That sum is linear in the history, so it is one tap row over the
-    newest samples (``_predictor_tap``): built per step while the window
-    is clipped at 0 (t < D0), and once for t >= D0.  Nodes inside the last
-    two steps read the cubic through the three newest samples and the
-    candidate, whose weights enter the fixed point.
+    touches a sample the block has yet to compute.  The predictor integral
+    is composite Simpson over cubically interpolated nodes.  That sum is
+    linear in the history, so it is one tap row over the newest samples
+    (``_predictor_tap``): built per step while the window is clipped at 0
+    (t < D0), and once for t >= D0.  Nodes inside the last two steps read
+    the cubic through the three newest samples and the candidate, so the
+    control law at each coarse step is linear in the candidate, and it is
+    solved directly as one m x m system.
     """
     cert = scenario.certificate
     desc = scenario.descriptor
@@ -631,7 +631,7 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
     K = np.atleast_2d(cert.K)
     D0 = cert.D0
 
-    hf = dt / refine
+    hf = dt / ORACLE_REFINE
     c = np.zeros((J + 1, n_modes))
     X0 = np.asarray(scenario.X0_coeffs)
     c[0, : len(X0)] = X0
@@ -639,8 +639,8 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
     v = np.zeros((J + 1, m))
     n_pre = int(np.ceil((D0 + cert.delta_max) / dt)) + 2
     hist = _CubicHistory(dt, n_pre, n_pre + J + 2, m)
-    R, Wf = compose_rk4_substeps(lam_all, hf, refine)
-    half = (hf / 2.0) * np.arange(2 * refine + 1)
+    R, Wf = compose_rk4_substeps(lam_all, hf, ORACLE_REFINE)
+    half = (hf / 2.0) * np.arange(2 * ORACLE_REFINE + 1)
     phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
     d2_ts = np.asarray(scenario.d2(ts))
 
@@ -663,8 +663,8 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
     full = k_tap(np.linspace(-D0, 0.0, n_full + 1), 0.0)
 
     def solve_u(j, drive):
-        """Fixed-point solve of the implicit law at ts[j], with ``drive`` =
-        K Y + d2 there."""
+        """The implicit law at ts[j], (I - phi cand) u = phi (drive + known
+        window) with ``drive`` = K Y + d2 there, solved directly."""
         phi = phi_all[j]
         if phi == 0.0:
             return np.zeros(m)
@@ -673,17 +673,8 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
             k_tap(np.linspace(0.0, t, simpson_panels(t) + 1), t)
         top = hist.filled + 1
         window = hist.samples[top - known.shape[1] // m: top].reshape(-1)
-        a = phi * (drive + known @ window)
-        M = phi * cand
-        u_c = hist.samples[hist.filled]
-        for _ in range(ORACLE_MAX_ITERS):
-            u_new = a + M @ u_c
-            d = u_new - u_c
-            if d @ d < ORACLE_TOL ** 2:
-                return u_new
-            u_c = u_new
-        raise ScenarioError(
-            f"oracle: control fixed point did not converge at step {j}")
+        return np.linalg.solve(np.eye(m) - phi * cand,
+                               phi * (drive + known @ window))
 
     v[0] = hist.eval(ts[0] - scenario.delay(ts[0])) \
         + np.asarray(scenario.d1(ts[0]))
@@ -718,7 +709,7 @@ def oracle_simulate(scenario: Scenario, refine: int = 20) -> Trajectory:
         j0 += n
 
     return _trajectory(scenario, ts, c, u, v, "rk4",
-                       {"dt": dt, "refine": refine, "N_modes": n_modes,
+                       {"dt": dt, "refine": ORACLE_REFINE, "N_modes": n_modes,
                         "block_steps": block})
 
 

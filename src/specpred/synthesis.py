@@ -7,6 +7,8 @@ the small-gain inequality, the truncated-model decay rate sigma, and the
 explicit tail constants.  Constants that the theory only proves to exist
 (the u/Y/Z channel gains) are fitted from simulation ensembles by the
 certifier and carry ``fitted`` provenance; everything else is ``exact``.
+The caller gives the whole design (D0, t0 and either K or the target
+poles); the default design lives in ``cli.DEFAULT_DESIGN``.
 """
 
 from __future__ import annotations
@@ -137,18 +139,16 @@ def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
     return K
 
 
-def scalar_gain(a: float, b: float, D0: float, pole: float) -> float:
-    """Closed-form single-mode gain: A_cl = a + e^{-D0 a} b K = pole."""
-    return (pole - a) * np.exp(D0 * a) / b
-
-
 def decay_envelope(A_cl):
     """Certified envelope ||e^{A_cl t}|| <= M_lambda e^{-lam t}.
 
     lam is a fraction of the spectral abscissa; M_lambda is the dense-grid
-    supremum of ||e^{A_cl t}|| e^{lam t}, inflated by 5% and clamped >= 1.
-    The grid ends at T_check, the time beyond which the conditioning-based tail
-    bound kappa(V) e^{abscissa t} e^{lam t} has dropped below 1, so the grid
+    supremum of ||e^{(A_cl + lam I) t}|| = ||e^{A_cl t}|| e^{lam t}, inflated
+    by 5% and clamped >= 1.  The shifted form never multiplies an underflowed
+    norm by an overflowed e^{lam t}, so a long grid (a defective or nearly
+    defective A_cl) still gives a finite supremum.  The grid ends at
+    T_check, the time beyond which the conditioning-based tail bound
+    kappa(V) e^{abscissa t} e^{lam t} has dropped below 1, so the grid
     maximum has provably passed its peak.
     """
     A_cl = np.asarray(A_cl)
@@ -165,8 +165,9 @@ def decay_envelope(A_cl):
     gap = (1.0 - LAMBDA_FRACTION) * (-abscissa)
     T_check = max(1.0, np.log(max(condV, 1.0)) / gap * 1.1)
     ts = np.linspace(0.0, T_check, ENVELOPE_GRID)
-    norms = matrix_exp_norm(A_cl, ts)
-    M = float(np.max(norms * np.exp(lam * ts)))
+    M = float(np.max(matrix_exp_norm(A_cl + lam * np.eye(len(A_cl)), ts)))
+    if not np.isfinite(M):
+        raise SynthesisError("decay envelope supremum is not finite")
     M_lambda = max(1.0, M) * 1.05
     return M_lambda, float(lam), float(T_check)
 
@@ -279,8 +280,8 @@ def iss_constants(descriptor: SystemDescriptor, model: TruncatedModel,
 def synthesize_certificate(
     descriptor: SystemDescriptor,
     model: TruncatedModel,
-    D0: float = 0.5,
-    t0: float = 1.0,
+    D0: float,
+    t0: float,
     target_poles=None,
     K: Optional[np.ndarray] = None,
 ) -> Certificate:
@@ -288,11 +289,12 @@ def synthesize_certificate(
 
     DELTA_SAFETY shrinks the small-gain equality point before it is used as
     the certified delay radius; without it the contraction value at the
-    radius is exactly 1 and no positive sigma exists.
+    radius is exactly 1 and no positive sigma exists.  The gain is ``K`` if
+    given, else placed at ``target_poles``.
     """
     if K is None:
         if target_poles is None:
-            target_poles = [-2.0] * model.N0
+            raise SynthesisError("need a gain K or target poles")
         K = place_gain(model, D0, target_poles)
     K = np.atleast_2d(np.asarray(K))
     A = model.A

@@ -1,18 +1,25 @@
-"""Per-step references for the closed-loop engine.
+"""Per-step references for the closed-loop engine and the certifier.
 
 ``reference_simulate`` is the former one-scenario ``sim_engine.simulate``:
 the same exponential plant step, with every delayed read taken through
 ``ControlHistory.interp`` and the control from ``PredictorController.step``,
 one scenario and one step at a time.  ``control_step`` solves the implicit
-law by per-segment quadrature (``windowed_exp_integral``) and Picard
-iteration instead of the predictor taps and a direct solve.
+law by per-segment quadrature (``windowed_exp_integral`` over
+``segment_exp_integral``) and Picard iteration instead of the predictor
+taps and a direct solve.  ``reference_oracle_simulate`` is the RK4 oracle
+one Simpson node and one coarse step at a time, each node read through
+``_CubicHistory.eval`` or the newest-segment cubic, with no tap row and no
+block of delayed reads, and its control law solved by fixed-point
+iteration.
+
 ``fading_memory_sup_brute`` is the direct form of the fading-memory sup
-recursion.  ``reference_check_ratios`` and ``reference_fit`` are the former
-envelope check and constant fit, with each envelope's right-hand side and
-each channel's shapes written out by hand, and ``reference_artstein_residual``
-is the former per-point Artstein residual.  ``reference_oracle_simulate`` is the RK4 oracle one Simpson node
-and one coarse step at a time, each node read through ``_CubicHistory.eval``
-or the newest-segment cubic, with no tap row and no block of delayed reads.
+recursion, and ``reference_windowed_fading_sup`` the causal-window sup one
+grid point at a time.  ``reference_check_ratios`` and ``reference_fit`` are
+the former envelope check and constant fit, with each envelope's right-hand
+side and each channel's shapes written out by hand, and
+``reference_artstein_residual`` is the former per-point Artstein residual.
+``reference_matrix_exp_norm`` is the former per-time matrix-exponential norm
+through the eigendecomposition, with its ``expm`` fallback.
 """
 
 import math
@@ -37,8 +44,7 @@ from specpred.iss_certifier import (
     fading_memory_sup,
     windowed_fading_sup,
 )
-from specpred.numerics import (exp_moments, segment_exp_integral,
-                               simpson_weights)
+from specpred.numerics import exp_moments, simpson_weights
 from specpred.sim_engine import (
     ScenarioError,
     _CubicHistory,
@@ -188,6 +194,19 @@ def reference_oracle_simulate(scenario, refine: int = 20):
                        {"dt": dt, "refine": refine, "N_modes": n_modes})
 
 
+def segment_exp_integral(lam, t_ref, s0, s1, u0, u1):
+    """Exact integral of e^{lam (t_ref - s)} * u(s) over [s0, s1] for linear u.
+
+    u is the linear interpolant with u(s0) = u0, u(s1) = u1.  ``lam`` may be
+    an array of modes; u0/u1 scalars or arrays matching lam's shape.
+    """
+    h = np.asarray(s1 - s0)
+    m0, m1 = exp_moments(lam, h)
+    pre = np.exp(lam * (np.asarray(t_ref) - s0))
+    slope_w = np.where(h != 0, m1 / np.where(h != 0, h, 1.0), 0.0)
+    return pre * (u0 * m0 + (u1 - u0) * slope_w)
+
+
 def windowed_exp_integral(history: ControlHistory, lo: float, hi: float,
                           t_ref: float, lambdas, B, D0: float):
     """Exact integral of exp((t_ref-s-D0) A) B u(s) over [lo, hi].
@@ -307,6 +326,39 @@ def fading_memory_sup_brute(norms, kappa: float, dt: float) -> np.ndarray:
         cand[:j] *= decay
         cand[j] = norms[j]
         out[j] = cand[: j + 1].max()
+    return out
+
+
+def reference_windowed_fading_sup(norms, kappa: float, dt: float,
+                                  lag_steps: int) -> np.ndarray:
+    """The causal-window sup one grid point at a time, from its own
+    ``fading_memory_sup``."""
+    norms = np.asarray(norms, dtype=float)
+    s = fading_memory_sup(norms, kappa, dt)
+    out = np.empty_like(s)
+    for j in range(len(s)):
+        i = j - lag_steps
+        if i <= 0:
+            out[j] = math.exp(-kappa * dt * j) * norms[0]
+        else:
+            out[j] = math.exp(-kappa * dt * lag_steps) * s[i]
+    return out
+
+
+def reference_matrix_exp_norm(A, ts):
+    """2-norm of exp(A t) per time through the eigendecomposition, or per-time
+    ``expm`` when the eigenvector matrix is close to singular."""
+    A = np.asarray(A, dtype=complex)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = np.empty(ts.shape)
+    mu, V = np.linalg.eig(A)
+    if np.linalg.cond(V) < 1e12:
+        Vinv = np.linalg.inv(V)
+        for i, t in enumerate(ts):
+            out[i] = np.linalg.norm(V @ np.diag(np.exp(mu * t)) @ Vinv, 2)
+    else:
+        for i, t in enumerate(ts):
+            out[i] = np.linalg.norm(expm(A * t), 2)
     return out
 
 

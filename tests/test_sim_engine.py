@@ -13,6 +13,7 @@ from specpred.controller import ControlHistory, TransitionSignal
 from specpred.numerics import exp_moments
 from specpred.sim_engine import (
     BLOCK_STEPS,
+    ORACLE_REFINE,
     DelaySignal,
     DisturbanceSignal,
     Scenario,
@@ -243,7 +244,7 @@ def test_oracle_matches_sequential_rk4_substeps(descriptor, exact_cert):
     # substeps, driven by its control record through the same cubic delayed
     # reads.  (A free-running replay would be open loop and amplify rounding
     # by exp(lambda_1 t).)
-    dt, refine = scen.dt, 20
+    dt, refine = scen.dt, ORACLE_REFINE
     hf = dt / refine
     lam = descriptor.eigenvalues(scen.N_modes)
     B = descriptor.input_matrix(scen.N_modes)
@@ -309,29 +310,6 @@ def test_engine_gap_to_oracle_converges_at_second_order(descriptor,
             gaps.append(np.max(np.abs(a.coeffs - b.coeffs))
                         / np.max(a.norm_upper))
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5, (i, gaps)
-
-
-def test_oracle_raises_when_control_fixed_point_diverges():
-    # A stable lambda = -1 plant whose hand-set gain makes phi K w_last pass
-    # 1 once phi has ramped up, before the first control reaches the plant.
-    desc = SystemDescriptor(
-        eigenvalue_law=lambda n: -1.0, input_coeff_law=lambda n, k: 1.0,
-        num_inputs=1, riesz_lower=1.0, riesz_upper=1.0, field="real",
-        monotone_dominated=False,
-        params={"norm_Be_sq": [0.5], "norm_ABe_sq": [0.5]})
-    model = TruncatedModel(A=np.diag([-1.0]), B=np.array([[1.0]]), N0=1,
-                           alpha=5.0, xi=3.0)
-    cert = synthesize_certificate(desc, model, D0=0.4, t0=1.0,
-                                  K=np.array([[-1.0]]))
-    zero = DisturbanceSignal(kind="zero", m=1)
-    scen = Scenario(descriptor=desc,
-                    certificate=replace(cert, K=np.array([[-1e5]])),
-                    delay=DelaySignal(kind="constant", D0=0.4),
-                    d1=zero, d2=zero,
-                    X0_coeffs=np.array([1.0]), dt=1e-3, T_final=0.5, N_modes=1)
-    with pytest.raises(ScenarioError, match=r"control fixed point did not "
-                                            r"converge at step \d+"):
-        oracle_simulate(scen)
 
 
 def complex_plant_scenario():

@@ -2,8 +2,9 @@
 
 Every module of ``src/specpred`` except ``__init__.py`` is parsed with
 ``ast``.  An import whose bound name is never read in its module fails, and
-so does a top-level function or class whose name appears nowhere in
-``src/``, ``tests/`` or ``specbench/`` apart from its own definition.
+so does a top-level function or class, or a module-level UPPER_CASE
+constant, whose name appears nowhere in ``src/``, ``tests/`` or
+``specbench/`` apart from its own definition.
 """
 
 import ast
@@ -45,16 +46,34 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _orphans(names):
+    """The names that occur only once in the corpus: at their definition."""
+    corpus = _corpus()
+    orphans = []
+    for name in names:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if sum(len(word.findall(text)) for text in corpus.values()) <= 1:
+            orphans.append(name)
+    return orphans
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_top_level_def_is_referenced(path):
-    corpus = _corpus()
-    tree = ast.parse(corpus[path])
+    tree = ast.parse(_corpus()[path])
     defs = [node.name for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    orphans = []
-    for name in defs:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        uses = sum(len(word.findall(text)) for text in corpus.values())
-        if uses <= 1:       # the definition itself
-            orphans.append(name)
+    orphans = _orphans(defs)
     assert not orphans, f"{path.name}: defined but never referenced {orphans}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_constant_is_referenced(path):
+    tree = ast.parse(_corpus()[path])
+    targets = [target for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign)
+                              else [node.target])]
+    constants = [t.id for t in targets if isinstance(t, ast.Name)
+                 and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
+    orphans = _orphans(constants)
+    assert not orphans, f"{path.name}: constants never referenced {orphans}"

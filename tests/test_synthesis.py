@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from reference import reference_matrix_exp_norm
+from specpred import cli
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
 from specpred.synthesis import (
+    ENVELOPE_GRID,
     SynthesisError,
     certificate_from_dict,
     certificate_to_dict,
@@ -18,11 +21,15 @@ from specpred.synthesis import (
     load_certificate,
     place_gain,
     save_certificate,
-    scalar_gain,
     sigma_rate,
     smallgain_lhs,
     synthesize_certificate,
 )
+
+
+def scalar_gain(a: float, b: float, D0: float, pole: float) -> float:
+    """Closed-form single-mode gain: A_cl = a + e^{-D0 a} b K = pole."""
+    return (pole - a) * np.exp(D0 * a) / b
 
 
 def two_mode_model():
@@ -72,6 +79,47 @@ def test_decay_envelope_properties(rng):
     from specpred.numerics import matrix_exp_norm
 
     assert np.all(matrix_exp_norm(A, ts) <= M * np.exp(-lam * ts) + 1e-12)
+
+
+def test_decay_envelope_sound_on_jordan_block():
+    # A defective A_cl: ||e^{At}|| = e^{-t} (5t + sqrt(25 t^2 + 4)) / 2
+    # peaks near t = 19.8, long after t = 0.
+    A = np.array([[-1.0, 5.0], [0.0, -1.0]])
+    M, lam, T = decay_envelope(A)
+    ts = np.linspace(0.0, T, 100_003)
+    jordan = (5 * ts + np.sqrt(25 * ts**2 + 4)) / 2
+    assert np.all(np.exp(-ts) * jordan <= M * np.exp(-lam * ts))
+    assert M == pytest.approx(1.05 * np.max(np.exp((lam - 1) * ts) * jordan),
+                              rel=1e-6)
+
+
+def test_decay_envelope_sound_on_near_defective_design():
+    # c = 50 has two unstable head modes; the default poles [-2, -2] give
+    # A_cl a double eigenvalue with cond(V) ~ 1e15.
+    _, cert = cli.design_pipeline(cli.default_descriptor(50.0))
+    M, lam, T = decay_envelope(cert.A_cl)
+    assert cert.M_lambda == M
+    ts = np.linspace(0.0, T, 10_007)
+    norms = np.array([np.linalg.norm(expm(cert.A_cl * t), 2) for t in ts])
+    assert np.all(norms <= M * np.exp(-lam * ts))
+    assert M > 1e9
+
+
+def test_decay_envelope_matches_the_unshifted_supremum(rng):
+    # M_lambda from ||e^{(A + lam I) t}|| against the former
+    # max(||e^{At}|| e^{lam t}), on random Hurwitz matrices, real and complex.
+    for i in range(12):
+        n = 1 + i // 2
+        G = rng.normal(size=(n, n))
+        if i % 2:
+            G = G + 1j * rng.normal(size=(n, n))
+        A = G - (np.max(np.linalg.eigvals(G).real)
+                 + rng.uniform(0.1, 2.0)) * np.eye(n)
+        M, lam, T = decay_envelope(A)
+        ts = np.linspace(0.0, T, ENVELOPE_GRID)
+        want = max(1.0, np.max(reference_matrix_exp_norm(A, ts)
+                               * np.exp(lam * ts))) * 1.05
+        assert abs(M - want) <= 1e-12 * want
 
 
 def test_decay_envelope_rejects_non_hurwitz():
@@ -163,6 +211,11 @@ def test_synthesize_certificate_flagship(descriptor, model, exact_cert):
     assert np.linalg.eigvals(cert.A_cl)[0].real == pytest.approx(-2.0, abs=1e-9)
     assert cert.lam == pytest.approx(0.95 * 2.0)
     assert not cert.has_fitted_constants
+
+
+def test_synthesize_certificate_needs_a_gain_or_poles(descriptor, model):
+    with pytest.raises(SynthesisError, match="gain K or target poles"):
+        synthesize_certificate(descriptor, model, D0=0.5, t0=1.0)
 
 
 def test_certificate_roundtrip(tmp_path, fitted_cert):
