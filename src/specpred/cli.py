@@ -38,6 +38,7 @@ log = logging.getLogger("specpred")
 
 DEFAULT_SCAN_DEPTH = 200
 DEFAULT_DESIGN = {"D0": 0.5, "t0": 1.0, "target_pole": -2.0}
+VACUOUS_DELTA = 1e-9     # certify refuses delta_max below this fraction of D0
 
 
 def _configure_logging():
@@ -122,8 +123,19 @@ def fitting_ensemble(descriptor: SystemDescriptor, cert: Certificate,
 def certify_pipeline(descriptor: SystemDescriptor, design: dict = None,
                      seed: int = 0, n_fit: int = 20, dt: float = 2e-3,
                      T: float = 8.0) -> Certificate:
-    """Full certification: exact synthesis plus ensemble-fitted constants."""
+    """Full certification: exact synthesis plus ensemble-fitted constants.
+
+    Refuses a design whose delay radius is below VACUOUS_DELTA * D0: such a
+    certificate admits no delay uncertainty at all.
+    """
     _, cert = design_pipeline(descriptor, design)
+    if cert.delta_max < VACUOUS_DELTA * cert.D0:
+        lam1 = float(np.max(np.real(cert.lambdas)))
+        raise synthesis.SynthesisError(
+            f"vacuous certificate: delta_max = {cert.delta_max:.3g} is below "
+            f"{VACUOUS_DELTA:g} D0; the predictor factor e^(lambda_1 D0) = "
+            f"e^{lam1 * cert.D0:.4g} (lambda_1 = {lam1:.4g}, D0 = {cert.D0:g}) "
+            f"inflates the gain; try a smaller D0")
     log.info("synthesized: N0=%d delta_max=%.4g sigma=%.4g kappa=%.4g",
              cert.N0, cert.delta_max, cert.sigma, cert.kappa)
     scens = fitting_ensemble(descriptor, cert, seed=seed, n_members=n_fit,
@@ -371,6 +383,8 @@ def cmd_sweep(config: RunConfig) -> int:
     cert = synthesis.load_certificate(config.certificate)
     if not cert.has_fitted_constants:
         raise ValueError("certificate has no fitted constants; run certify first")
+    # Parse the scenario once up front, so a malformed file fails typed.
+    sim_engine.load_scenario(config.scenario, cert)
     with open(config.scenario) as fh:
         scen_dict = json.load(fh)
     param, lo, hi, n = config.sweep

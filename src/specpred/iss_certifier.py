@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SpecpredError
 from .numerics import catmull_rom, cubic_stencil
 from .sim_engine import Scenario, Trajectory
-from .synthesis import Certificate, finalize_tail_constants
+from .synthesis import Certificate, finalize_tail_constants, smallgain_lhs
 
 
 class CertifierError(SpecpredError, ValueError):
@@ -356,10 +356,9 @@ class Lemma2Problem:
     x0: callable          # history on [-r-eps, 0]
 
     def smallgain_ok(self, M_lambda: float, lam: float) -> bool:
-        Cn = float(np.linalg.norm(self.C, 2))
-        An = float(np.linalg.norm(self.A, 2))
-        return M_lambda * Cn * (math.exp(An * self.eps)
-                                - math.exp(-lam * self.eps)) < lam
+        return bool(smallgain_lhs(self.eps, float(np.linalg.norm(self.A, 2)),
+                                  float(np.linalg.norm(self.C, 2)),
+                                  M_lambda, lam) < lam)
 
 
 # Catmull-Rom stencil: offsets of the four samples of a history read.

@@ -327,11 +327,12 @@ def simulate(scenario):
     flat = hist.reshape(S * n_hist, m)
 
     # Per-mode propagators and forcing weights for linear v on each step:
-    # c_{j+1} = E c_j + W0 (B v_j) + W1 (B v_{j+1}).
+    # c_{j+1} = E c_j + W0 (B v_j) + W1 (B v_{j+1}), from the moments of the
+    # kernel e^{lam (dt - tau)}, which stay finite on stiff modes.
     E = np.exp(lam_all * dt)
-    m0, m1 = exp_moments(lam_all, dt)
-    W1 = E * (m1 / dt)
-    W0 = E * m0 - W1
+    n0, n1 = exp_moments(-lam_all, dt)
+    W0 = n1 / dt
+    W1 = n0 - W0
 
     # D(t) is exogenous, so every linear read u(t_j - D(t_j)) is fixed up
     # front: it may use u_0..u_{j-1} (u_0 alone at j = 0).
@@ -821,4 +822,8 @@ def save_scenario(scen: Scenario, path) -> None:
 
 def load_scenario(path, certificate: Certificate) -> Scenario:
     with open(path) as fh:
-        return scenario_from_dict(json.load(fh), certificate)
+        d = json.load(fh)
+    try:
+        return scenario_from_dict(d, certificate)
+    except (TypeError, AttributeError) as exc:
+        raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc

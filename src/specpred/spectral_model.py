@@ -101,8 +101,6 @@ class ModeSplit:
     N0: int
     alpha: float
     xi: float
-    scan_depth: int
-    xi_exact: bool  # True for declared real-spectrum plants (xi = 1 exactly)
 
 
 def build_reaction_diffusion(c: float, m: int = 1) -> SystemDescriptor:
@@ -194,17 +192,13 @@ def lifting_norms(descriptor: SystemDescriptor, panels: int = 4096):
     )
 
 
-def classify_modes(
-    descriptor: SystemDescriptor,
-    scan_depth: int,
-    alpha_request: Optional[float] = None,
-) -> ModeSplit:
+def classify_modes(descriptor: SystemDescriptor, scan_depth: int) -> ModeSplit:
     """Split the scanned spectrum into head (N0 modes) and decaying tail.
 
-    Returns the smallest admissible N0 >= 1 such that Re(lambda_n) <= -alpha
-    for every scanned n > N0, with alpha either requested or taken as the
-    spectral gap of the scan.  xi is the scan maximum of |lambda_n / Re lambda_n|
-    over the tail (exactly 1 for declared real-spectrum plants).
+    Returns the smallest N0 >= 1 such that Re(lambda_n) < 0 for every scanned
+    n > N0, with alpha the spectral gap of the scan.  xi is the scan maximum
+    of |lambda_n / Re lambda_n| over the tail (exactly 1 for declared
+    real-spectrum plants).
     """
     if scan_depth < 2:
         raise ValueError("scan_depth must be >= 2")
@@ -215,31 +209,18 @@ def classify_modes(
         )
     lam = descriptor.eigenvalues(scan_depth)
     re = lam.real if np.iscomplexobj(lam) else lam
-    if alpha_request is not None:
-        if alpha_request <= 0:
-            raise ValueError("alpha_request must be positive")
-        bad = np.nonzero(re > -alpha_request)[0]  # 0-based
-        n0 = int(bad[-1]) + 1 if bad.size else 1
-    else:
-        bad = np.nonzero(re >= 0.0)[0]
-        n0 = int(bad[-1]) + 1 if bad.size else 1
-    n0 = max(n0, 1)
+    bad = np.nonzero(re >= 0.0)[0]
+    n0 = int(bad[-1]) + 1 if bad.size else 1
     if n0 >= scan_depth:
-        raise SpectrumError(
-            f"no admissible N0 within scan_depth={scan_depth} "
-            f"(alpha_request={alpha_request})"
-        )
+        raise SpectrumError(f"no admissible N0 within scan_depth={scan_depth}")
     tail = lam[n0:]
     tail_re = re[n0:]
-    if np.any(tail_re >= 0.0):
-        raise SpectrumError("tail mode with nonnegative real part in scan")
-    alpha = float(alpha_request) if alpha_request is not None else float(-tail_re.max())
+    alpha = float(-tail_re.max())
     if descriptor.real_spectrum:
         xi = 1.0
     else:
         xi = float(np.max(np.abs(tail) / np.abs(tail_re)))
-    return ModeSplit(N0=n0, alpha=alpha, xi=xi, scan_depth=scan_depth,
-                     xi_exact=descriptor.real_spectrum)
+    return ModeSplit(N0=n0, alpha=alpha, xi=xi)
 
 
 def truncated_model(
@@ -311,4 +292,8 @@ def save_descriptor(descriptor: SystemDescriptor, path) -> None:
 
 def load_descriptor(path) -> SystemDescriptor:
     with open(path) as fh:
-        return descriptor_from_dict(json.load(fh))
+        d = json.load(fh)
+    try:
+        return descriptor_from_dict(d)
+    except (TypeError, AttributeError) as exc:
+        raise SpectrumError(f"malformed descriptor file {path}: {exc}") from exc

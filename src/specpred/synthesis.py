@@ -14,6 +14,7 @@ poles); the default design lives in ``cli.DEFAULT_DESIGN``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -172,48 +173,44 @@ def decay_envelope(A_cl):
     return M_lambda, float(lam), float(T_check)
 
 
-def smallgain_lhs(delta, A_cl_norm: float, BK_norm: float, M_lambda: float, lam: float):
-    """Left-hand side of the small-gain inequality at delay mismatch delta."""
-    return M_lambda * BK_norm * (np.exp(A_cl_norm * delta) - np.exp(-lam * delta))
+def _last_feasible(ok, lo: float, hi: float) -> float:
+    """Last float in [lo, hi) at which the monotone predicate ``ok`` holds.
 
-
-def delta_margin(A_cl, BK_norm: float, M_lambda: float, lam: float, D0: float):
-    """Largest delay mismatch allowed by the small-gain inequality.
-
-    Returns (delta_max, delta_star, degenerate): delta_star solves equality of
-    the small-gain condition by bisection to 1e-10 relative accuracy;
-    delta_max additionally respects delta < D0.
+    Needs ok(lo) true and ok(hi) false.  Bisects until lo and hi are
+    adjacent floats, so the result is on the feasible side.
     """
-    if BK_norm < 0:
-        raise ValueError("BK_norm must be nonnegative")
-    cap = D0 * (1.0 - 1e-6)
-    if BK_norm == 0.0:
-        return cap, np.inf, True
-    A_norm = float(np.linalg.norm(np.asarray(A_cl), 2))
-
-    def f(d):
-        return smallgain_lhs(d, A_norm, BK_norm, M_lambda, lam) - lam
-
-    lo, hi = 0.0, 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise SynthesisError("small-gain equality bracket not found")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if ok(mid):
             lo = mid
         else:
             hi = mid
-    delta_star = 0.5 * (lo + hi)
-    # Polish with Newton steps; the LHS is smooth and strictly increasing.
-    for _ in range(5):
-        g = smallgain_lhs(delta_star, A_norm, BK_norm, M_lambda, lam)
-        dg = M_lambda * BK_norm * (
-            A_norm * np.exp(A_norm * delta_star) + lam * np.exp(-lam * delta_star)
-        )
-        delta_star -= (g - lam) / dg
-    return min(delta_star, cap), float(delta_star), False
+    return lo
+
+
+def smallgain_lhs(delta, A_cl_norm: float, BK_norm: float, M_lambda: float, lam: float):
+    """Left-hand side M ||BK|| (e^{||A_cl|| delta} - e^{-lam delta}) of the
+    small-gain inequality, in expm1 form so that it neither cancels for
+    tiny delta nor overflows near the root."""
+    return M_lambda * BK_norm * (np.expm1(A_cl_norm * delta)
+                                 - np.expm1(-lam * delta))
+
+
+def delta_margin(A_cl, BK_norm: float, M_lambda: float, lam: float) -> float:
+    """Equality point delta_star of the small-gain inequality (inf if BK = 0).
+
+    delta_star is the last float with LHS(delta) <= lam.  The LHS is at least
+    M ||BK|| expm1(||A_cl|| delta), so log1p(lam / (M ||BK||)) / ||A_cl||
+    brackets the root from above in closed form.
+    """
+    if BK_norm < 0:
+        raise ValueError("BK_norm must be nonnegative")
+    if BK_norm == 0.0:
+        return np.inf
+    A_norm = float(np.linalg.norm(np.asarray(A_cl), 2))
+    hi = math.log1p(lam / (M_lambda * BK_norm)) / A_norm
+    return _last_feasible(
+        lambda d: smallgain_lhs(d, A_norm, BK_norm, M_lambda, lam) <= lam,
+        0.0, hi)
 
 
 def delta_tilde(sigma, M_lambda: float, C_norm: float, A_norm: float,
@@ -223,8 +220,8 @@ def delta_tilde(sigma, M_lambda: float, C_norm: float, A_norm: float,
     return (
         M_lambda * C_norm / (lam - sigma)
         * np.exp(sigma * r)
-        * (np.exp(sigma * eps) * (np.exp(A_norm * eps) - 1.0)
-           + 1.0 - np.exp(-(lam - sigma) * eps))
+        * (np.exp(sigma * eps) * np.expm1(A_norm * eps)
+           - np.expm1(-(lam - sigma) * eps))
     )
 
 
@@ -233,34 +230,27 @@ def sigma_rate(M_lambda: float, lam: float, A_norm: float, C_norm: float,
     """Largest decay rate sigma in (0, lambda) with delta~(sigma) <= 1 - 1e-6.
 
     Returns (sigma, delta_tilde_at_sigma).  delta~ is continuous, increasing
-    in sigma and blows up at sigma -> lambda, so bisection on the threshold is
-    well posed.  A 0.99 safety factor keeps the certified inequality strict.
+    in sigma and blows up at sigma -> lambda, so the last feasible sigma
+    below lam (1 - 1e-9) is found by bisection.  A 0.99 safety factor keeps
+    the certified inequality strict.
     """
-    threshold = 1.0 - 1e-6
-    slack = 1e-9
-    hi_cap = lam * (1.0 - slack)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    if eps == 0.0 or C_norm == 0.0:
-        sigma = 0.99 * hi_cap
-        return sigma, float(delta_tilde(sigma, M_lambda, C_norm, A_norm, lam, r, eps))
-    d0 = float(delta_tilde(lam * 1e-12, M_lambda, C_norm, A_norm, lam, r, eps))
+
+    def dtil(s):
+        return float(delta_tilde(s, M_lambda, C_norm, A_norm, lam, r, eps))
+
+    threshold = 1.0 - 1e-6
+    lo, hi = lam * 1e-12, lam * (1.0 - 1e-9)
+    d0 = dtil(lo)
     if d0 >= threshold:
         raise SynthesisError(
             f"small-gain violated at sigma -> 0+: delta~ = {d0:.6g} >= {threshold}"
         )
-    if float(delta_tilde(hi_cap, M_lambda, C_norm, A_norm, lam, r, eps)) <= threshold:
-        sigma = 0.99 * hi_cap
-    else:
-        lo, hi = lam * 1e-12, hi_cap
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(delta_tilde(mid, M_lambda, C_norm, A_norm, lam, r, eps)) <= threshold:
-                lo = mid
-            else:
-                hi = mid
-        sigma = 0.99 * lo
-    return sigma, float(delta_tilde(sigma, M_lambda, C_norm, A_norm, lam, r, eps))
+    if dtil(hi) > threshold:
+        hi = _last_feasible(lambda s: dtil(s) <= threshold, lo, hi)
+    sigma = 0.99 * hi
+    return sigma, dtil(sigma)
 
 
 def iss_constants(descriptor: SystemDescriptor, model: TruncatedModel,
@@ -304,11 +294,8 @@ def synthesize_certificate(
         A_cl = A_cl.real
     M_lambda, lam, _ = decay_envelope(A_cl)
     BK_norm = float(np.linalg.norm(B @ K, 2))
-    d_cap, delta_star, degenerate = delta_margin(A_cl, BK_norm, M_lambda, lam, D0)
-    if degenerate:
-        delta_max = d_cap
-    else:
-        delta_max = min(delta_star * DELTA_SAFETY, D0 * (1.0 - 1e-6))
+    delta_star = delta_margin(A_cl, BK_norm, M_lambda, lam)
+    delta_max = min(delta_star * DELTA_SAFETY, D0 * (1.0 - 1e-6))
     A_cl_norm = float(np.linalg.norm(A_cl, 2))
     sigma, dtil = sigma_rate(M_lambda, lam, A_cl_norm, BK_norm, r=D0, eps=delta_max)
     tail = iss_constants(descriptor, model, sigma)
@@ -321,7 +308,7 @@ def synthesize_certificate(
         sigma=float(sigma), delta_tilde=dtil,
         kappa=tail["kappa"], epsilon=tail["epsilon"],
         tail_constants={"C0": tail["C0"], "C1": None, "C2": None, "C3": None},
-        degenerate_delta=degenerate,
+        degenerate_delta=BK_norm == 0.0,
         provenance={
             "K": "exact", "M_lambda": "exact", "lambda": "exact",
             "delta_max": "exact", "sigma": "exact", "kappa": "exact",
@@ -429,4 +416,8 @@ def save_certificate(cert: Certificate, path) -> None:
 
 def load_certificate(path) -> Certificate:
     with open(path) as fh:
-        return certificate_from_dict(json.load(fh))
+        d = json.load(fh)
+    try:
+        return certificate_from_dict(d)
+    except (TypeError, AttributeError) as exc:
+        raise SynthesisError(f"malformed certificate file {path}: {exc}") from exc

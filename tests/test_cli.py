@@ -161,6 +161,52 @@ def test_sweep_deterministic_across_jobs(artifacts):
     assert outs[0] == outs[1]
 
 
+def _set(*path_and_value):
+    """Mutator that sets the nested key ``path`` of a loaded JSON dict."""
+    *path, value = path_and_value
+
+    def mutate(d):
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return d
+    return mutate
+
+
+@pytest.mark.parametrize("subcommand, kind, mutate", [
+    ("simulate", "scenario", _set("integration", "dt", None)),
+    ("simulate", "scenario", _set("delay", 5)),
+    ("simulate", "scenario", _set("delay", None)),
+    ("sweep", "scenario", _set("delay", 5)),
+    ("sweep", "scenario", _set("delay", None)),
+    ("simulate", "certificate", _set("D0", None)),
+    ("certify", "descriptor", lambda d: [1, 2]),
+    ("certify", "descriptor",
+     lambda d: {"kind": "reaction_diffusion", "c": None}),
+], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
+        "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
+        "descriptor-list", "descriptor-c-null"])
+def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
+                                      subcommand, kind, mutate):
+    root, cert_path, scen_path = artifacts
+    paths = {"certificate": cert_path, "scenario": scen_path}
+    base = {} if kind == "descriptor" else json.loads(open(paths[kind]).read())
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(mutate(base)))
+    paths[kind] = str(bad)
+    argv = [subcommand, "--out", str(tmp_path / "out")]
+    if subcommand == "certify":
+        argv += ["--descriptor", paths["descriptor"]]
+    else:
+        argv += ["--certificate", paths["certificate"],
+                 "--scenario", paths["scenario"]]
+    if subcommand == "sweep":
+        argv += ["--sweep", "delay_amplitude=0:0.001:2"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cmd_validate_lemma2(tmp_path, capsys):
     out_path = tmp_path / "lemma2.json"
     rc = cli.main(["validate-lemma2", "--seed", "4", "--out", str(out_path)])
@@ -178,3 +224,18 @@ def test_cmd_certify_builtin(tmp_path, capsys):
     assert cert.delta_max > 0
     assert cert.sigma > 0
     assert cert.has_fitted_constants
+
+
+def test_cmd_certify_refuses_a_vacuous_certificate(tmp_path, capsys):
+    # c = 50 has lambda_1 ~ 40, so e^(lambda_1 D0) ~ 5e8 at D0 = 0.5 and
+    # delta_max ~ 6e-29: no delay uncertainty is admitted.
+    desc = tmp_path / "c50.json"
+    desc.write_text(json.dumps({"kind": "reaction_diffusion", "c": 50.0}))
+    out_path = tmp_path / "cert.json"
+    rc = cli.main(["certify", "--descriptor", str(desc),
+                   "--out", str(out_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vacuous certificate")
+    assert "e^(lambda_1 D0)" in err and "smaller D0" in err
+    assert not out_path.exists()

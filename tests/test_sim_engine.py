@@ -227,6 +227,22 @@ def test_simulate_matches_per_step_reference(descriptor, exact_cert):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_simulate_stays_finite_on_stiff_modes(descriptor, exact_cert):
+    # Mode 269 has lambda dt = 15e-3 - (269 pi)^2 1e-3 < -709, where
+    # e^{-lambda dt} overflows; the step weights must not form it.
+    base = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=1.0)[4]
+
+    def run(n_modes):
+        X0 = np.zeros(n_modes)
+        X0[:3] = base.X0_coeffs[:3]
+        return simulate(replace(base, N_modes=n_modes, X0_coeffs=X0))
+
+    small, big = run(268), run(300)
+    assert np.all(np.isfinite(big.coeffs))
+    np.testing.assert_array_equal(big.coeffs[:, :268], small.coeffs)
+    np.testing.assert_array_equal(big.u, small.u)
+
+
 def test_rk4_composition_is_stability_polynomial_power(descriptor, exact_cert):
     lam = descriptor.eigenvalues(default_mode_count(descriptor, exact_cert.alpha))
     h = 1e-3 / 20

@@ -71,23 +71,13 @@ def test_classify_modes_flagship_split():
     assert split.N0 == 1
     # alpha = -lambda_2 = 4 pi^2 - 15
     assert split.alpha == pytest.approx(4 * PI2 - 15.0)
-    assert split.xi == 1.0 and split.xi_exact
-
-
-def test_classify_modes_alpha_request_grows_head():
-    d = build_reaction_diffusion(15.0)
-    split = classify_modes(d, 200, alpha_request=100.0)
-    # need lambda_n <= -100: n^2 pi^2 >= 115 -> n >= 4, so head is 1..3
-    assert split.N0 == 3
-    assert split.alpha == 100.0
+    assert split.xi == 1.0
 
 
 def test_classify_modes_errors():
     d = build_reaction_diffusion(1e6)
     with pytest.raises(SpectrumError):
         classify_modes(d, 5)
-    with pytest.raises(ValueError):
-        classify_modes(build_reaction_diffusion(1.0), 10, alpha_request=-1.0)
 
 
 def test_truncated_model_shapes():

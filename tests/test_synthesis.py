@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from specpred.spectral_model import SystemDescriptor, TruncatedModel
 from specpred.synthesis import (
     ENVELOPE_GRID,
     SynthesisError,
+    _last_feasible,
     certificate_from_dict,
     certificate_to_dict,
     decay_envelope,
@@ -127,19 +129,56 @@ def test_decay_envelope_rejects_non_hurwitz():
         decay_envelope(np.diag([0.5, -1.0]))
 
 
-def test_delta_margin_equality_and_cap():
+def test_delta_margin_equality_and_cap(descriptor, model):
     M, lam, BK, D0 = 1.2, 1.5, 40.0, 0.5
     A_cl = np.diag([-2.0, -3.0])
     A_norm = 3.0
-    dmax, dstar, degen = delta_margin(A_cl, BK, M, lam, D0)
-    assert not degen
+    dstar = delta_margin(A_cl, BK, M, lam)
     lhs = smallgain_lhs(dstar, A_norm, BK, M, lam)
     assert abs(lhs - lam) / lam <= 1e-10
-    assert dmax <= D0
+    cert = synthesize_certificate(descriptor, model, D0=D0, t0=1.0,
+                                  target_poles=[-2.0])
+    assert not cert.degenerate_delta
+    assert cert.delta_max <= D0
     # Degenerate BK = 0: only the delay cap binds.
-    dmax0, dstar0, degen0 = delta_margin(A_cl, 0.0, M, lam, D0)
-    assert degen0 and np.isinf(dstar0)
-    assert dmax0 == pytest.approx(D0, rel=1e-5)
+    assert np.isinf(delta_margin(A_cl, 0.0, M, lam))
+    stable = TruncatedModel(A=np.diag([-1.0]), B=np.array([[1.0]]), N0=1,
+                            alpha=30.0, xi=1.0)
+    cert0 = synthesize_certificate(descriptor, stable, D0=D0, t0=1.0,
+                                   K=np.zeros((1, 1)))
+    assert cert0.degenerate_delta and np.isinf(cert0.delta_star)
+    assert cert0.delta_max == pytest.approx(D0, rel=1e-5)
+
+
+@pytest.mark.parametrize("c", [15.0, 30.0, 50.0, 80.0])
+def test_delta_star_is_the_last_float_inside_the_small_gain_inequality(c):
+    # c = 50 and 80 give delta_star ~ 1e-28 and 1e-36, where e^x - e^y
+    # forms cancel: delta_star must still be the last feasible float.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, cert = cli.design_pipeline(cli.default_descriptor(c))
+        A_norm = float(np.linalg.norm(cert.A_cl, 2))
+
+        def lhs(d):
+            return smallgain_lhs(d, A_norm, cert.BK_norm, cert.M_lambda,
+                                 cert.lam)
+
+        dstar = cert.delta_star
+        assert lhs(dstar) <= cert.lam < lhs(np.nextafter(dstar, np.inf))
+        assert abs(lhs(dstar) / cert.lam - 1.0) <= 1e-12
+
+
+def test_last_feasible_returns_the_adjacent_float_edge():
+    edge = 0.1
+    for lo, hi in ((0.0, 1.0), (0.0, 0.2), (0.05, 1e3)):
+        got = _last_feasible(lambda x: x <= edge, lo, hi)
+        assert got == edge
+    # Strict predicate: the edge itself is infeasible, so the float below.
+    got = _last_feasible(lambda x: x < edge, 0.0, 1.0)
+    assert got == np.nextafter(edge, 0.0)
+    # Tiny roots resolve to the float, not to an absolute tolerance.
+    got = _last_feasible(lambda x: x <= 3e-300, 0.0, 1.0)
+    assert got == 3e-300
 
 
 def test_smallgain_lhs_monotone():
