@@ -1,4 +1,4 @@
-"""The implicit predictor feedback law and its per-step implementation.
+"""The implicit predictor feedback law and its block solve.
 
 The control value at time t solves
 
@@ -11,20 +11,21 @@ sampled control history, so the final segment depends on u(t) itself.
 On a uniform grid t_j = j dt the integral is a fixed-tap convolution of the
 samples, I(t_j) = sum_{k=0..L} G_k u_{j-k} with L = ceil(D0/dt); the taps are
 exact exponential moments, built once per run (``predictor_taps``).  The
-convolution is evaluated explicitly at every step: the recursive sliding-window
+convolution is evaluated in full at every step: the recursive sliding-window
 update of the same integral amplifies rounding like exp(lambda_1 t) on the
-unstable head modes.  Because the law is linear in u_j, it is solved
-directly as
-(I - phi K G_0) u_j = phi (K Y_j + d2_j + K sum_{k>=1} G_k u_{j-k}), checked
-against ``SOLVE_CONDITIONING_FLOOR`` and ``SOLVE_RESIDUAL_TOL``.
-``sim_engine.simulate`` stacks the laws of B consecutive steps into one
-lower block-triangular system: the diagonal blocks are I - phi_j K G_0, the
-block below the diagonal at lag k is -phi_j K G_k, and the taps on samples
-before the block move to the right-hand side.  The residual bound holds for
-every row of that system.  ``ControlHistory`` and ``PredictorController``
-are the one-scenario, one-step form of the same computation.  Every linear
-history read (``ControlHistory.interp``, the engine's delayed reads and the
-Artstein residual's reads of Z) goes through ``linear_stencil``, which also
+unstable head modes.  The law is linear in u_j, so it is solved directly.
+
+This module owns the law and the control record, ``sim_engine.simulate``
+the plant, the block schedule and the fault report.  ``ControlHistory``
+holds the samples of every member of a batched run and the delayed reads
+u(t_j - D(t_j)), fixed up front because D(t) is exogenous; ``interp``
+returns one block's reads.  ``PredictorController.step`` solves the laws of
+B consecutive steps as one lower block-triangular system: diagonal blocks
+I - phi_j K G_0, checked against ``SOLVE_CONDITIONING_FLOOR``, the block at
+lag k below the diagonal -phi_j K G_k, and the taps on samples before the
+block in the right-hand side; the engine holds each row's residual to
+``SOLVE_RESIDUAL_TOL``.  Every linear history read (the delayed reads and
+the Artstein residual's reads of Z) goes through ``linear_stencil``, which
 owns the covered-span check.
 """
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import SpecpredError
 from .numerics import exp_moments, smoothstep
@@ -64,62 +66,50 @@ def transition_eval(signal: TransitionSignal, t: float):
 
 
 class ControlHistory:
-    """Uniformly sampled control history with linear interpolation.
+    """Control samples of S members and the table of their delayed reads.
 
-    Samples live on the grid start_time + j*dt.  The history is pre-loaded
-    with zeros on [-(D0 + delta) - dt, 0], matching the zero initial control.
-    Storage is a flat array sized for the whole run (trajectories keep the
-    full control record anyway); reads are clamped to the filled prefix.
+    Sample i holds u((i - n_pre) dt): the pre-buffer [-(D0 + delta) - dt, 0]
+    holds the zero initial control and u_j is ``samples[:, n_pre + j]``.
+    ``read_times`` (S, J+1) are the times t_j - D(t_j) of the delayed reads.
+    The read of step j may use u_0..u_{j-1} (u_0 alone at j = 0), and a read
+    outside that span raises ControllerError here, before the first step.
     """
 
-    def __init__(self, dt: float, D0: float, delta: float, T_final: float,
-                 m: int = 1, dtype=float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        self.dt = float(dt)
-        self.m = int(m)
-        # Grid reaches back one sample beyond -(D0+delta) so any delayed read
-        # falls inside the covered span.
+    def __init__(self, read_times, dt: float, D0: float, delta: float,
+                 m: int, dtype=float):
+        S, n = read_times.shape
         self.n_pre = int(np.ceil((D0 + delta) / dt - 1e-12)) + 1
-        n_total = self.n_pre + int(np.ceil(T_final / dt - 1e-12)) + 2
-        self.samples = np.zeros((n_total, self.m), dtype=dtype)
-        self.start_time = -self.n_pre * self.dt
-        self.filled = self.n_pre  # index of the latest valid sample (t = 0)
+        self.samples = np.zeros((S, self.n_pre + n, m), dtype=dtype)
+        self._flat = self.samples.reshape(-1, m)
+        x = (read_times + self.n_pre * dt) / dt               # grid indices
+        i0, w0, w1 = linear_stencil(
+            x, self.n_pre + np.maximum(np.arange(n) - 1, 0))
+        self.margin = np.min(x, axis=1)    # steps from the oldest sample
+        # Steps from each read's step back to the newest sample it uses.
+        self.lag = np.arange(n) + self.n_pre - 1 - i0
+        self._rows = i0 + (self.n_pre + n) * np.arange(S)[:, np.newaxis]
+        self._w0, self._w1 = w0[..., np.newaxis], w1[..., np.newaxis]
 
-    @property
-    def latest_time(self) -> float:
-        return self.start_time + self.filled * self.dt
-
-    def index_of(self, t: float) -> float:
-        return (t - self.start_time) / self.dt
-
-    def append(self, t: float, u) -> None:
-        j = self.filled + 1
-        expected = self.start_time + j * self.dt
-        if abs(t - expected) > 1e-9 * max(1.0, abs(t)):
-            raise ControllerError(
-                f"history append off-grid: got t={t}, expected {expected}"
-            )
-        if j >= len(self.samples):
-            raise ControllerError("history capacity exceeded")
-        self.samples[j] = u
-        self.filled = j
-
-    def interp(self, t):
-        """Linear interpolation of the recorded control at time(s) t."""
-        x = (np.asarray(t, dtype=float) - self.start_time) / self.dt
-        j0, w0, w1 = linear_stencil(x, self.filled)
-        return w0[..., np.newaxis] * self.samples[j0] \
-            + w1[..., np.newaxis] * self.samples[j0 + 1]
+    def interp(self, steps):
+        """The delayed reads of ``steps`` (an index or a slice), every member."""
+        rows = self._rows[:, steps]
+        return self._w0[:, steps] * self._flat[rows] \
+            + self._w1[:, steps] * self._flat[rows + 1]
 
 
 def linear_stencil(x, hi):
     """Row j0 and weights (w0, w1) of the linear reads at grid positions
     ``x`` from samples 0..hi: the read is w0 s[j0] + w1 s[j0 + 1].  A read
-    more than 1e-9 steps outside [0, hi] raises ControllerError."""
+    more than 1e-9 steps outside [0, hi] raises ControllerError, which names
+    the first such position."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-9) or np.any(x > hi + 1e-9):
-        raise ControllerError("history read outside covered span")
+    bad = (x < -1e-9) | (x > hi + 1e-9)
+    if bad.any():
+        i = tuple(np.argwhere(bad)[0])
+        top = np.broadcast_to(hi, x.shape)[i]
+        raise ControllerError(
+            f"history read outside covered span: grid position {x[i]:.6g} "
+            f"lies {max(-x[i], x[i] - top):.3g} steps outside [0, {top:g}]")
     x = np.clip(x, 0.0, hi)
     j0 = np.minimum(x.astype(int), hi - 1)
     w = x - j0
@@ -162,63 +152,68 @@ SOLVE_RESIDUAL_TOL = 1e-12
 
 
 class PredictorController:
-    """Stateful wrapper advancing the implicit law on a uniform grid.
+    """The implicit law of a run on the grid ``ts``, ``block`` steps at a time.
 
-    The predictor taps are built once; each step evaluates the convolution
-    over the recorded samples and solves the m x m linear system for u(t).
+    Built once per run: the taps, the pre-block product H, the in-block
+    Toeplitz T and, for every distinct phi of the run, I - phi K G_0 and its
+    inverse, checked against the conditioning floor.
     """
 
-    def __init__(self, certificate, dt: float, T_final: float):
-        self.cert = certificate
-        self.dt = float(dt)
-        self.transition = TransitionSignal(certificate.t0)
-        self.K = np.atleast_2d(np.asarray(certificate.K))
-        m = self.K.shape[0]
-        self.history = ControlHistory(
-            dt, certificate.D0, certificate.delta_max, T_final, m=m,
-            dtype=complex if np.iscomplexobj(certificate.K) else float,
-        )
-        if dt > certificate.D0:
-            raise ControllerError("controller dt must not exceed the nominal delay")
-        taps = predictor_taps(certificate.lambdas, certificate.B,
-                              certificate.D0, dt)
-        self.L = len(taps) - 1
-        self.KG0 = self.K @ taps[0]
-        # Past taps G_L..G_1 flattened to match the contiguous sample block
-        # u_{j-L}..u_{j-1}: I_past = block.ravel() @ past_taps.
-        self.past_taps = taps[:0:-1].transpose(0, 2, 1).reshape(self.L * m, -1)
-        self._phi = None
-
-    def _system(self, phi: float):
-        """I - phi K G_0, checked against the conditioning floor."""
-        if phi != self._phi:
-            M = np.eye(self.K.shape[0]) - phi * self.KG0
-            smin = np.linalg.svd(M, compute_uv=False)[-1]
+    def __init__(self, cert, dt: float, ts, block: int):
+        self.K = K = np.atleast_2d(np.asarray(cert.K))
+        m, N0 = K.shape
+        # For the block of steps j0+1..j0+block, taps on samples up to u_{j0}
+        # form the pre-block product H over the last L samples
+        # u_{j0-L+1}..u_{j0}; taps on the block's own samples form the
+        # strictly lower block-Toeplitz T, with K folded in.
+        self.taps = taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
+        self.L = L = len(taps) - 1
+        tap_of = np.arange(1, block + 1)[:, np.newaxis] + np.arange(L - 1, -1, -1)
+        H = np.where((tap_of <= L)[..., np.newaxis, np.newaxis],
+                     taps[np.minimum(tap_of, L)], 0.0)         # (block, L, N0, m)
+        self.H = H.transpose(0, 2, 1, 3).reshape(block * N0, L * m)
+        tap_of = np.arange(block)[:, np.newaxis] - np.arange(block)
+        self.T = np.where((tap_of > 0)[..., np.newaxis, np.newaxis],
+                          K @ taps[np.maximum(tap_of, 0)], 0.0).transpose(0, 2, 1, 3)
+        phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
+        self.phis, self.which = np.unique(phi_all, return_inverse=True)
+        self.systems = np.eye(m) - self.phis[:, np.newaxis, np.newaxis] * (K @ taps[0])
+        sigma = np.linalg.svd(self.systems, compute_uv=False)[:, -1]
+        used = self.phis != 0.0
+        for phi, smin in zip(self.phis[used], sigma[used]):
             if smin < SOLVE_CONDITIONING_FLOOR:
                 raise ControllerError(
                     f"implicit control solve ill-conditioned: "
-                    f"sigma_min(I - phi K G_0) = {smin:.3g} at phi={phi:.6g}"
-                )
-            self._phi, self._M = phi, M
-        return self._M
+                    f"sigma_min(I - phi K G_0) = {smin:.3g} at phi={phi:.6g}")
+        self.inverses = np.linalg.inv(self.systems)
+        self.min_sigma = float(np.min(sigma[used], initial=np.inf))
 
-    def step(self, t: float, Y_t, d2_t):
-        """Compute, record and return u(t); t must be the next grid time."""
-        hist = self.history
-        phi, _ = transition_eval(self.transition, t)
-        if phi == 0.0:
-            u = np.zeros(self.K.shape[0], dtype=hist.samples.dtype)
-        else:
-            f = hist.filled
-            I_past = hist.samples[f - self.L + 1: f + 1].ravel() @ self.past_taps
-            rhs = phi * (self.K @ (Y_t + I_past) + d2_t)
-            M = self._system(phi)
-            u = np.linalg.solve(M, rhs)
-            if not np.all(np.isfinite(u)):
-                raise ControllerError(f"non-finite control value at t={t}")
-            residual = np.linalg.norm(M @ u - rhs)
-            if residual > SOLVE_RESIDUAL_TOL * max(1.0, np.linalg.norm(u)):
-                raise ControllerError(
-                    f"implicit equation residual {residual:.3g} at t={t}")
-        hist.append(t, u)
-        return u
+    def step(self, history: ControlHistory, j0: int, Y, d2):
+        """Solve, record in ``history`` and return the controls (S, n, m) of
+        steps j0+1..j0+n, given their head states ``Y`` (S, n, N0) and
+        matched disturbances ``d2`` (S, n, m), with each row's relative
+        residual (S, n).  Row i of the block system is M_i u_i - phi_i
+        sum_{i'<i} T[i, i'] u_i' = phi_i (K Y_i + d2_i + K H-product_i), with
+        M_i = I - phi_i K G_0; scaling row i by M_i^{-1} leaves a unit
+        lower-triangular matrix, one for all members.
+        """
+        S, n, N0 = Y.shape
+        m = len(self.K)
+        w = self.which[j0 + 1: j0 + n + 1]
+        phis = self.phis[w]
+        A = -phis[:, np.newaxis, np.newaxis, np.newaxis] * self.T[:n, :, :n]
+        A[np.arange(n), :, np.arange(n)] = self.systems[w]
+        unit = np.einsum("iab,ibkc->iakc", self.inverses[w], A).reshape(n * m, -1)
+        top = history.n_pre + j0 + 1
+        window = history.samples[:, top - self.L: top].reshape(S, -1)
+        Q = Y + np.einsum("sk,nk->sn", window, self.H[: n * N0]).reshape(S, n, N0)
+        rhs = phis[:, np.newaxis] * (np.einsum("sin,an->sia", Q, self.K) + d2)
+        scaled = np.einsum("iab,sib->sia", self.inverses[w], rhs).reshape(S, -1)
+        # One solve per member keeps its rounding independent of S.
+        u = np.stack([solve_triangular(unit, r, lower=True, unit_diagonal=True,
+                                       check_finite=False)
+                      for r in scaled]).reshape(S, n, m)
+        residual = np.linalg.norm(np.einsum("iakc,skc->sia", A, u) - rhs,
+                                  axis=2) / np.maximum(1.0, np.linalg.norm(u, axis=2))
+        history.samples[:, top: top + n] = u
+        return u, residual

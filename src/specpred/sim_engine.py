@@ -6,15 +6,17 @@ Two engines share one output schema:
   (unconditionally stable for the stiff tail), with the boundary input
   piecewise-linear on each step.  It steps S >= 1 scenarios that share a
   descriptor, certificate, dt, horizon and mode count together; one scenario
-  is the case S = 1.  The delayed reads are fixed up front because D(t) is
-  exogenous.  Since D(t) >= D0 - delta_max > 0, the state at t_j depends
-  only on controls many steps old, and the only same-time coupling is the
-  predictor law, which is linear in u (see ``controller``).  So the run
-  advances one causal block of B <= ``BLOCK_STEPS`` steps at a time: it
-  gathers the block's delayed reads, all from earlier blocks, in one indexed
-  expression, advances the modes over the block with a doubling scan, and
-  solves the block's B controls as one lower block-triangular system.  The
-  state, control and residual checks run on every row of the block;
+  is the case S = 1.  Since D(t) >= D0 - delta_max > 0, the state at t_j
+  depends only on controls many steps old, and the only same-time coupling
+  is the predictor law, which is linear in u.  So the run advances one
+  causal block of B <= ``BLOCK_STEPS`` steps at a time: it takes the
+  block's delayed reads, all from earlier blocks, from
+  ``controller.ControlHistory.interp``, advances the modes over the block
+  with a doubling scan, and has ``controller.PredictorController.step``
+  solve the block's B controls.  ``simulate`` owns the batch checks, the
+  plant step, the block length and the fault report (state, control and
+  residual checks on every row of the block); ``controller`` owns the
+  control law, the control record and its reads;
 * ``oracle_simulate`` is an independent cross-check: classical RK4 at dt/20,
   with the substeps of each coarse step composed once into per-mode
   coefficients, cubic history interpolation and its own direct control
@@ -27,8 +29,8 @@ Both evaluate the same implicit predictor feedback through the delayed
 channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
 transformed state Z with the controller's predictor taps as one convolution,
 and ``artstein_residual`` checks its dynamics on the whole grid at once.
-The engine's linear reads use ``controller.linear_stencil`` and the oracle's
-cubic reads ``numerics.cubic_stencil``.
+The Artstein residual's linear reads use ``controller.linear_stencil`` and
+the oracle's cubic reads ``numerics.cubic_stencil``.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .controller import (
-    SOLVE_CONDITIONING_FLOOR,
     SOLVE_RESIDUAL_TOL,
+    ControlHistory,
     ControllerError,
+    PredictorController,
     TransitionSignal,
     linear_stencil,
     predictor_taps,
@@ -114,7 +116,7 @@ class DisturbanceSignal:
     """C^1 boundary disturbance with values in K^m.
 
     kinds: zero | sinusoid | smoothed_step | exp_decay.  ``amplitude`` is a
-    length-m vector (scalars are broadcast).
+    length-m vector (a scalar or one entry is broadcast).
     """
 
     kind: str
@@ -128,8 +130,8 @@ class DisturbanceSignal:
 
     def _amp(self):
         a = np.asarray(self.amplitude, dtype=float)
-        if a.ndim == 0:
-            a = np.full(self.m, float(a))
+        if a.size == 1:
+            a = np.full(self.m, a.item())
         return a
 
     def __call__(self, t):
@@ -185,6 +187,13 @@ def make_disturbance(spec: dict, m: int = 1) -> DisturbanceSignal:
 # ---------------------------------------------------------------------------
 # Scenario / trajectory containers
 
+def _check_step(name: str, value: float) -> float:
+    """``value`` if it is positive and finite, else a ScenarioError naming it."""
+    if not 0 < value < np.inf:
+        raise ScenarioError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     descriptor: SystemDescriptor
@@ -203,15 +212,21 @@ class Scenario:
         cert = self.certificate
         if self.N_modes < cert.N0:
             raise ScenarioError("N_modes must be at least N0")
-        if self.dt <= 0 or self.T_final <= 0:
-            raise ScenarioError("dt and T_final must be positive")
-        if self.certified and self.delay.max_amplitude() > cert.delta_max * (1 + 1e-12):
-            raise ScenarioError(
-                f"delay amplitude {self.delay.max_amplitude():.4g} exceeds "
-                f"certified delta_max {cert.delta_max:.4g}; "
-                "set certified=False for an uncertified run"
-            )
+        _check_step("dt", self.dt)
+        _check_step("T_final", self.T_final)
+        if len(self.X0_coeffs) > self.N_modes:
+            raise ScenarioError(f"X0_coeffs has {len(self.X0_coeffs)} entries, "
+                                f"more than N_modes = {self.N_modes}")
+        m = self.descriptor.num_inputs
+        for name, sig in (("d1", self.d1), ("d2", self.d2)):
+            if sig._amp().shape != (m,):
+                raise ScenarioError(f"disturbance_{name} amplitude needs one "
+                                    f"entry per input ({m})")
         amp = self.delay.max_amplitude()
+        if self.certified and amp > cert.delta_max * (1 + 1e-12):
+            raise ScenarioError(
+                f"delay amplitude {amp:.4g} exceeds certified delta_max "
+                f"{cert.delta_max:.4g}; set certified=False for an uncertified run")
         if self.dt > cert.D0 - amp:
             raise ScenarioError("dt must be smaller than the minimum delay D0 - delta")
 
@@ -285,8 +300,8 @@ def simulate(scenario):
     ``scenario`` is one Scenario or a sequence of them that share the same
     descriptor and certificate objects, dt, T_final and N_modes; a sequence
     of S members is stepped together (state (S, J+1, N_modes), control
-    history (S, n_pre+J+1, m)) and one scenario is the case S = 1.  The run
-    advances one causal block of B steps at a time (see the module
+    history ``ControlHistory.samples``) and one scenario is the case S = 1.
+    The run advances one causal block of B steps at a time (see the module
     docstring).  Returns a Trajectory, or ``Trajectories`` for a sequence.
     """
     single = isinstance(scenario, Scenario)
@@ -306,25 +321,20 @@ def simulate(scenario):
     ts = dt * np.arange(J + 1)
     n_modes = first.N_modes
     m = desc.num_inputs
-    N0 = cert.N0
     lam_all = desc.eigenvalues(n_modes)
     B_all = desc.input_matrix(n_modes)
     cdtype = complex if desc.field == "complex" else float
-    K = np.atleast_2d(np.asarray(cert.K))
 
     c = np.zeros((S, J + 1, n_modes), dtype=cdtype)
     for s, scen in enumerate(scens):
         X0 = np.asarray(scen.X0_coeffs, dtype=cdtype)
         c[s, 0, : len(X0)] = X0
     v = np.zeros((S, J + 1, m), dtype=cdtype)
-    # Control history on the grid (i - n_pre) dt, zero on the pre-buffer
-    # [-(D0 + delta_max) - dt, 0]; u_j is hist[:, n_pre + j] and u_0 = 0.
     # The pre-buffer follows the certificate, so a delay reaching past
     # D0 + delta_max + dt reads outside it.
-    n_pre = int(np.ceil((cert.D0 + cert.delta_max) / dt - 1e-12)) + 1
-    n_hist = n_pre + J + 1
-    hist = np.zeros((S, n_hist, m), dtype=cdtype)
-    flat = hist.reshape(S * n_hist, m)
+    hist = ControlHistory(
+        np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens]),
+        dt, cert.D0, cert.delta_max, m, cdtype)
 
     # Per-mode propagators and forcing weights for linear v on each step:
     # c_{j+1} = E c_j + W0 (B v_j) + W1 (B v_{j+1}), from the moments of the
@@ -334,62 +344,22 @@ def simulate(scenario):
     W0 = n1 / dt
     W1 = n0 - W0
 
-    # D(t) is exogenous, so every linear read u(t_j - D(t_j)) is fixed up
-    # front: it may use u_0..u_{j-1} (u_0 alone at j = 0).
-    x = np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens])
-    x = (x + n_pre * dt) / dt                          # (S, J+1) grid indices
-    i0, w0, w1 = linear_stencil(x, n_pre + np.maximum(np.arange(J + 1) - 1, 0))
-    margin = np.min(x, axis=1)      # steps from the oldest history sample
-    w0, w1 = w0[..., np.newaxis], w1[..., np.newaxis]
     # Block length: no read of a block may touch a sample of the same block.
-    # Reads of step j reach u_{i0+1-n_pre}; an in-band delay keeps that at
-    # least floor((D0 - delta_max)/dt) - 1 steps back, so that bound fixes
-    # the length for in-band members whatever their batch-mates.
-    lag = np.arange(J + 1) + n_pre - 1 - i0
+    # An in-band delay keeps every read at least floor((D0 - delta_max)/dt)
+    # - 1 steps back, so that bound fixes the length for in-band members
+    # whatever their batch-mates.
     block = max(1, min(BLOCK_STEPS, int((cert.D0 - cert.delta_max) / dt) - 1,
-                       int(np.min(lag[:, 1:], initial=BLOCK_STEPS))))
-    i0 = i0 + n_hist * np.arange(S)[:, np.newaxis]              # rows of flat
+                       int(np.min(hist.lag[:, 1:], initial=BLOCK_STEPS))))
     d1 = np.stack([np.asarray(sc.d1(ts)) for sc in scens])      # (S, J+1, m)
     d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens])
-
-    # Predictor taps, split for the block of steps j0+1..j0+block: taps on
-    # samples up to u_{j0} form the pre-block product H over the last L
-    # samples u_{j0-L+1}..u_{j0}; taps on the block's own samples form the
-    # strictly lower block-Toeplitz T, with K folded in.  Every sum is
-    # evaluated in full: a sliding-window update amplifies rounding like
-    # exp(lambda_1 t).
-    taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
-    L = len(taps) - 1
-    tap_of = np.arange(1, block + 1)[:, np.newaxis] + np.arange(L - 1, -1, -1)
-    H = np.where((tap_of <= L)[..., np.newaxis, np.newaxis],
-                 taps[np.minimum(tap_of, L)], 0.0)         # (block, L, N0, m)
-    H = H.transpose(0, 2, 1, 3).reshape(block * N0, L * m)
-    tap_of = np.arange(block)[:, np.newaxis] - np.arange(block)
-    T = np.where((tap_of > 0)[..., np.newaxis, np.newaxis],
-                 K @ taps[np.maximum(tap_of, 0)], 0.0).transpose(0, 2, 1, 3)
-    # I - phi K G_0 for every distinct phi of the run, conditioning-checked;
-    # these are the diagonal blocks of the block systems.
-    phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
-    phis, which = np.unique(phi_all, return_inverse=True)
-    systems = np.eye(m) - phis[:, np.newaxis, np.newaxis] * (K @ taps[0])
-    sigma = np.linalg.svd(systems, compute_uv=False)[:, -1]
-    used = phis != 0.0
-    for phi, smin in zip(phis[used], sigma[used]):
-        if smin < SOLVE_CONDITIONING_FLOOR:
-            raise ControllerError(
-                f"implicit control solve ill-conditioned: "
-                f"sigma_min(I - phi K G_0) = {smin:.3g} at phi={phi:.6g}")
-    inverses = np.linalg.inv(systems)
+    ctrl = PredictorController(cert, dt, ts, block)
     max_residual = np.zeros(S)
 
-    v[:, 0] = w0[:, 0] * flat[i0[:, 0]] + w1[:, 0] * flat[i0[:, 0] + 1] \
-        + d1[:, 0]
+    v[:, 0] = hist.interp(0) + d1[:, 0]
     for j0 in range(0, J, block):
         n = min(block, J - j0)
         rows = slice(j0 + 1, j0 + n + 1)
-        ia = i0[:, rows]
-        v[:, rows] = w0[:, rows] * flat[ia] + w1[:, rows] * flat[ia + 1] \
-            + d1[:, rows]
+        v[:, rows] = hist.interp(rows) + d1[:, rows]
         # Plant: c_{j+1} = E c_j + g_j over the block as a doubling scan.
         f = np.einsum("sjk,nk->sjn", v[:, j0: j0 + n + 1], B_all)
         cb = W0 * f[:, :-1] + W1 * f[:, 1:]
@@ -399,27 +369,7 @@ def simulate(scenario):
             cb[:, d:] += Ed * cb[:, :-d]
             Ed, d = Ed * Ed, 2 * d
         c[:, rows] = cb
-        # Control: row i of the block system is M_i u_i - phi_i sum_{i'<i}
-        # T[i, i'] u_i' = phi_i (K Y_i + d2_i + K H-product_i), with
-        # M_i = I - phi_i K G_0.  Scaling row i by M_i^{-1} leaves a unit
-        # lower-triangular matrix, one for all members.
-        w = which[rows]
-        A = -phis[w][:, np.newaxis, np.newaxis, np.newaxis] * T[:n, :, :n]
-        A[np.arange(n), :, np.arange(n)] = systems[w]
-        unit = np.einsum("iab,ibkc->iakc", inverses[w], A).reshape(n * m, -1)
-        window = hist[:, n_pre + j0 - L + 1: n_pre + j0 + 1].reshape(S, L * m)
-        Q = cb[:, :, :N0] + np.einsum("sk,nk->sn", window,
-                                      H[: n * N0]).reshape(S, n, N0)
-        rhs = phis[w][:, np.newaxis] * (np.einsum("sin,an->sia", Q, K)
-                                        + d2[:, rows])
-        scaled = np.einsum("iab,sib->sia", inverses[w], rhs).reshape(S, -1)
-        # One solve per member keeps its rounding independent of S.
-        ub = np.stack([solve_triangular(unit, r, lower=True, unit_diagonal=True,
-                                        check_finite=False)
-                       for r in scaled]).reshape(S, n, m)
-        residual = np.linalg.norm(
-            np.einsum("iakc,skc->sia", A, ub) - rhs, axis=2) \
-            / np.maximum(1.0, np.linalg.norm(ub, axis=2))
+        ub, residual = ctrl.step(hist, j0, cb[:, :, :cert.N0], d2[:, rows])
         faults = np.stack([~np.isfinite(cb).all(axis=(0, 2)),
                            ~np.isfinite(ub).all(axis=(0, 2)),
                            (residual > SOLVE_RESIDUAL_TOL).any(axis=0)], axis=1)
@@ -436,14 +386,13 @@ def simulate(scenario):
             raise ControllerError(f"implicit equation residual "
                                   f"{residual[:, i].max():.3g} at t={ts[j]}")
         np.maximum(max_residual, residual.max(axis=1), out=max_residual)
-        hist[:, n_pre + j0 + 1: n_pre + j0 + n + 1] = ub
 
     meta = {"dt": dt, "N_modes": n_modes, "steps": J, "block_steps": block,
-            "min_solve_sigma": float(np.min(sigma[used], initial=np.inf))}
+            "min_solve_sigma": ctrl.min_sigma}
     trajs = Trajectories(
-        _trajectory(sc, ts, c[s], hist[s, n_pre:], v[s], "exp",
+        _trajectory(sc, ts, c[s], hist.samples[s, hist.n_pre:], v[s], "exp",
                     {**meta, "max_solve_residual": float(max_residual[s]),
-                     "min_read_margin": float(margin[s])}, taps)
+                     "min_read_margin": float(hist.margin[s])}, ctrl.taps)
         for s, sc in enumerate(scens))
     return trajs[0] if single else trajs
 
@@ -726,23 +675,16 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     n = traj.coeffs.shape[1]
     n0 = traj.Z.shape[1]
     m = traj.u.shape[1]
-    cols = (
-        ["t"]
-        + [f"c_{i}" for i in range(1, n + 1)]
-        + [f"Y_{i}" for i in range(1, n0 + 1)]
-        + [f"Z_{i}" for i in range(1, n0 + 1)]
-        + [f"u_{i}" for i in range(1, m + 1)]
-        + [f"v_{i}" for i in range(1, m + 1)]
-        + ["norm_lower", "norm_upper"]
-    )
+    cols = ["t"] + [f"{name}_{i}" for name, k in (("c", n), ("Y", n0), ("Z", n0),
+                                                  ("u", m), ("v", m))
+                    for i in range(1, k + 1)] + ["norm_lower", "norm_upper"]
     data = np.column_stack([
         traj.t, traj.coeffs, traj.Y, traj.Z,
         traj.u, traj.v, traj.norm_lower, traj.norm_upper,
     ])
-    with open(path, "w") as fh:
-        fh.write(", ".join(cols) + "\n")
-        for row in data:
-            fh.write(", ".join(repr(float(x)) for x in row) + "\n")
+    # %.17g round-trips every double.
+    np.savetxt(path, data, fmt="%.17g", delimiter=", ",
+               header=", ".join(cols), comments="")
 
 
 def trajectory_from_csv(path) -> Trajectory:
@@ -801,15 +743,17 @@ def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
 
     desc = descriptor_from_dict(d["system"])
     integ = d["integration"]
+    dt = _check_step("dt", float(integ["dt"]))
+    T_final = _check_step("T_final", float(integ["T_final"]))
     return Scenario(
         descriptor=desc,
         certificate=certificate,
-        delay=make_delay(d["delay"], float(integ["T_final"])),
+        delay=make_delay(d["delay"], T_final),
         d1=make_disturbance(d["disturbance_d1"], m=desc.num_inputs),
         d2=make_disturbance(d["disturbance_d2"], m=desc.num_inputs),
         X0_coeffs=_array_from_list(d["initial"]["X0_coeffs"]),
-        dt=float(integ["dt"]),
-        T_final=float(integ["T_final"]),
+        dt=dt,
+        T_final=T_final,
         N_modes=int(integ["N_modes"]),
         certified=bool(integ.get("certified", True)),
     )

@@ -1,9 +1,12 @@
 """Per-step references for the closed-loop engine and the certifier.
 
-``reference_simulate`` is the former one-scenario ``sim_engine.simulate``:
-the same exponential plant step, with every delayed read taken through
-``ControlHistory.interp`` and the control from ``PredictorController.step``,
-one scenario and one step at a time.  ``control_step`` solves the implicit
+``StepHistory`` and ``StepController`` are the former per-step
+``controller.ControlHistory`` and ``controller.PredictorController``: one
+scenario's samples, appended one step at a time, and the implicit law
+solved as one m x m system per step.  ``reference_simulate`` is the former
+one-scenario ``sim_engine.simulate``: the same exponential plant step, with
+every delayed read taken through ``StepHistory.interp`` and the control
+from ``StepController.step``, one step at a time.  ``control_step`` solves the implicit
 law by per-segment quadrature (``windowed_exp_integral`` over
 ``segment_exp_integral``) and Picard iteration instead of the predictor
 taps and a direct solve.  ``reference_oracle_simulate`` is the RK4 oracle
@@ -28,10 +31,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from specpred.controller import (
-    ControlHistory,
+    SOLVE_CONDITIONING_FLOOR,
+    SOLVE_RESIDUAL_TOL,
     ControllerError,
-    PredictorController,
     TransitionSignal,
+    linear_stencil,
+    predictor_taps,
     transition_eval,
 )
 from specpred.iss_certifier import (
@@ -53,8 +58,121 @@ from specpred.sim_engine import (
 )
 
 
+class StepHistory:
+    """Uniformly sampled control history with linear interpolation.
+
+    Samples live on the grid start_time + j*dt.  The history is pre-loaded
+    with zeros on [-(D0 + delta) - dt, 0], matching the zero initial control.
+    Storage is a flat array sized for the whole run (trajectories keep the
+    full control record anyway); reads are clamped to the filled prefix.
+    """
+
+    def __init__(self, dt: float, D0: float, delta: float, T_final: float,
+                 m: int = 1, dtype=float):
+        if dt <= 0:
+            raise ValueError("dt must be positive")
+        self.dt = float(dt)
+        self.m = int(m)
+        # Grid reaches back one sample beyond -(D0+delta) so any delayed read
+        # falls inside the covered span.
+        self.n_pre = int(np.ceil((D0 + delta) / dt - 1e-12)) + 1
+        n_total = self.n_pre + int(np.ceil(T_final / dt - 1e-12)) + 2
+        self.samples = np.zeros((n_total, self.m), dtype=dtype)
+        self.start_time = -self.n_pre * self.dt
+        self.filled = self.n_pre  # index of the latest valid sample (t = 0)
+
+    @property
+    def latest_time(self) -> float:
+        return self.start_time + self.filled * self.dt
+
+    def index_of(self, t: float) -> float:
+        return (t - self.start_time) / self.dt
+
+    def append(self, t: float, u) -> None:
+        j = self.filled + 1
+        expected = self.start_time + j * self.dt
+        if abs(t - expected) > 1e-9 * max(1.0, abs(t)):
+            raise ControllerError(
+                f"history append off-grid: got t={t}, expected {expected}"
+            )
+        if j >= len(self.samples):
+            raise ControllerError("history capacity exceeded")
+        self.samples[j] = u
+        self.filled = j
+
+    def interp(self, t):
+        """Linear interpolation of the recorded control at time(s) t."""
+        x = (np.asarray(t, dtype=float) - self.start_time) / self.dt
+        j0, w0, w1 = linear_stencil(x, self.filled)
+        return w0[..., np.newaxis] * self.samples[j0] \
+            + w1[..., np.newaxis] * self.samples[j0 + 1]
+
+
+class StepController:
+    """Stateful wrapper advancing the implicit law on a uniform grid.
+
+    The predictor taps are built once; each step evaluates the convolution
+    over the recorded samples and solves the m x m linear system for u(t).
+    """
+
+    def __init__(self, certificate, dt: float, T_final: float):
+        self.cert = certificate
+        self.dt = float(dt)
+        self.transition = TransitionSignal(certificate.t0)
+        self.K = np.atleast_2d(np.asarray(certificate.K))
+        m = self.K.shape[0]
+        self.history = StepHistory(
+            dt, certificate.D0, certificate.delta_max, T_final, m=m,
+            dtype=complex if np.iscomplexobj(certificate.K) else float,
+        )
+        if dt > certificate.D0:
+            raise ControllerError("controller dt must not exceed the nominal delay")
+        taps = predictor_taps(certificate.lambdas, certificate.B,
+                              certificate.D0, dt)
+        self.L = len(taps) - 1
+        self.KG0 = self.K @ taps[0]
+        # Past taps G_L..G_1 flattened to match the contiguous sample block
+        # u_{j-L}..u_{j-1}: I_past = block.ravel() @ past_taps.
+        self.past_taps = taps[:0:-1].transpose(0, 2, 1).reshape(self.L * m, -1)
+        self._phi = None
+
+    def _system(self, phi: float):
+        """I - phi K G_0, checked against the conditioning floor."""
+        if phi != self._phi:
+            M = np.eye(self.K.shape[0]) - phi * self.KG0
+            smin = np.linalg.svd(M, compute_uv=False)[-1]
+            if smin < SOLVE_CONDITIONING_FLOOR:
+                raise ControllerError(
+                    f"implicit control solve ill-conditioned: "
+                    f"sigma_min(I - phi K G_0) = {smin:.3g} at phi={phi:.6g}"
+                )
+            self._phi, self._M = phi, M
+        return self._M
+
+    def step(self, t: float, Y_t, d2_t):
+        """Compute, record and return u(t); t must be the next grid time."""
+        hist = self.history
+        phi, _ = transition_eval(self.transition, t)
+        if phi == 0.0:
+            u = np.zeros(self.K.shape[0], dtype=hist.samples.dtype)
+        else:
+            f = hist.filled
+            I_past = hist.samples[f - self.L + 1: f + 1].ravel() @ self.past_taps
+            rhs = phi * (self.K @ (Y_t + I_past) + d2_t)
+            M = self._system(phi)
+            u = np.linalg.solve(M, rhs)
+            if not np.all(np.isfinite(u)):
+                raise ControllerError(f"non-finite control value at t={t}")
+            residual = np.linalg.norm(M @ u - rhs)
+            if residual > SOLVE_RESIDUAL_TOL * max(1.0, np.linalg.norm(u)):
+                raise ControllerError(
+                    f"implicit equation residual {residual:.3g} at t={t}")
+        hist.append(t, u)
+        return u
+
+
 def reference_simulate(scenario):
-    """Closed loop of one scenario through ``PredictorController``."""
+    """Closed loop of one scenario through ``StepController``."""
     cert = scenario.certificate
     desc = scenario.descriptor
     dt = scenario.dt
@@ -72,7 +190,7 @@ def reference_simulate(scenario):
     u = np.zeros((J + 1, m), dtype=cdtype)
     v = np.zeros((J + 1, m), dtype=cdtype)
 
-    controller = PredictorController(cert, dt, scenario.T_final)
+    controller = StepController(cert, dt, scenario.T_final)
     history = controller.history
 
     E = np.exp(lam_all * dt)
@@ -207,7 +325,7 @@ def segment_exp_integral(lam, t_ref, s0, s1, u0, u1):
     return pre * (u0 * m0 + (u1 - u0) * slope_w)
 
 
-def windowed_exp_integral(history: ControlHistory, lo: float, hi: float,
+def windowed_exp_integral(history: StepHistory, lo: float, hi: float,
                           t_ref: float, lambdas, B, D0: float):
     """Exact integral of exp((t_ref-s-D0) A) B u(s) over [lo, hi].
 
@@ -236,7 +354,7 @@ def windowed_exp_integral(history: ControlHistory, lo: float, hi: float,
     return seg.sum(axis=0)
 
 
-def predictor_integral(history: ControlHistory, t: float, lambdas, B, D0: float):
+def predictor_integral(history: StepHistory, t: float, lambdas, B, D0: float):
     """Exact integral of exp((t-s-D0) A) B u(s) over [max(t-D0,0), t]."""
     return windowed_exp_integral(history, max(t - D0, 0.0), t, t, lambdas, B, D0)
 
@@ -246,11 +364,11 @@ PICARD_MAX_ITERS = 50
 PICARD_TOL = 1e-12
 
 
-def control_step(Y_t, d2_t, t: float, certificate, history: ControlHistory,
+def control_step(Y_t, d2_t, t: float, certificate, history: StepHistory,
                  transition: TransitionSignal):
     """Solve the implicit control law at time t and return u(t).
 
-    Per-segment reference for ``PredictorController.step``, which evaluates
+    Per-segment reference for ``StepController.step``, which evaluates
     the same integral through the predictor taps.  The history must be valid
     up to t - dt; the candidate u(t) enters the predictor integral only
     through the final interpolation segment, so the integral splits as

@@ -1,12 +1,15 @@
 """The batched closed-loop engine against the per-step reference loop.
 
 ``simulate`` steps a sequence of scenarios together and runs one scenario as
-a batch of one; ``reference.reference_simulate`` is the former one-scenario
-loop through ``PredictorController``.
+a batch of one; it reads each block's delayed controls through
+``controller.ControlHistory.interp`` and solves each block through
+``controller.PredictorController.step``.  ``reference.reference_simulate``
+is the former one-scenario loop through ``reference.StepController``.
 """
 
 import copy
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +20,9 @@ from reference import reference_simulate
 from specpred import cli, iss_certifier, synthesis
 from specpred.controller import (
     SOLVE_CONDITIONING_FLOOR,
+    ControlHistory,
     ControllerError,
+    PredictorController,
     predictor_taps,
 )
 from specpred.errors import SpecpredError
@@ -170,8 +175,34 @@ def test_read_margin_on_certified_and_past_the_prebuffer(descriptor,
                        amplitude=3 * exact_cert.delta_max, omega=1.0,
                        phase=np.pi / 2)
     with pytest.raises(ControllerError,
-                       match="history read outside covered span"):
+                       match="history read outside covered span") as info:
         simulate(replace(scen, delay=deep, certified=False))
+    # The first bad read is at t = 0, at -(D0 + 3 delta_max); the buffer
+    # reaches back between D0 + delta_max + dt and one step further.
+    position, out = map(float, re.search(
+        r"grid position (\S+) lies (\S+) steps outside \[0, \d+\]$",
+        str(info.value)).groups())
+    gap = 2 * exact_cert.delta_max / 1e-3
+    assert 1 - gap <= position < 2 - gap
+    assert out == pytest.approx(-position, rel=1e-3)
+
+
+def test_each_block_is_one_controller_step_and_one_read(descriptor,
+                                                        exact_cert,
+                                                        monkeypatch):
+    calls = Counter()
+    for owner, name in ((PredictorController, "step"),
+                        (ControlHistory, "interp")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=1.0)[4]
+    meta = simulate(scen).meta
+    J, B = meta["steps"], meta["block_steps"]
+    assert J % B and J > B
+    # One read of step 0, then one read and one solve per block.
+    assert calls == {"step": -(-J // B), "interp": -(-J // B) + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -285,4 +316,7 @@ def test_out_of_span_member_fails_the_batch_before_the_first_step(
         omega=1.0, phase=np.pi / 2))
     with pytest.raises(ControllerError) as info:
         simulate([scen, deep])
-    assert str(info.value) == "history read outside covered span"
+    with pytest.raises(ControllerError) as alone:
+        simulate(deep)
+    assert str(info.value).startswith("history read outside covered span: ")
+    assert str(info.value) == str(alone.value)

@@ -207,6 +207,26 @@ def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("field, mutate", [
+    ("X0_coeffs", _set("initial", "X0_coeffs", [0.1] * 500)),
+    ("X0_coeffs", _set("integration", "N_modes", 1)),
+    ("dt", _set("integration", "dt", float("nan"))),
+    ("dt", _set("integration", "dt", -1e-3)),
+    ("T_final", _set("integration", "T_final", float("inf"))),
+    ("disturbance_d1", _set("disturbance_d1", "amplitude", [0.1, 0.2, 0.3])),
+    ("disturbance_d2", _set("disturbance_d2", "amplitude", [0.1, 0.2, 0.3])),
+], ids=["X0-500", "N_modes-1", "dt-nan", "dt-negative", "T_final-inf",
+        "d1-three-entries", "d2-three-entries"])
+def test_malformed_scenario_fields_are_named(artifacts, tmp_path, capsys,
+                                             field, mutate):
+    _, cert_path, scen_path = artifacts
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(mutate(json.loads(open(scen_path).read()))))
+    assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
+                     str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} ")
+
+
 def test_cmd_validate_lemma2(tmp_path, capsys):
     out_path = tmp_path / "lemma2.json"
     rc = cli.main(["validate-lemma2", "--seed", "4", "--out", str(out_path)])

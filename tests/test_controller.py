@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import control_step, predictor_integral, windowed_exp_integral
+from reference import (
+    StepController,
+    StepHistory,
+    control_step,
+    predictor_integral,
+    windowed_exp_integral,
+)
 from specpred.controller import (
-    ControlHistory,
     ControllerError,
-    PredictorController,
     TransitionSignal,
     linear_stencil,
     predictor_taps,
@@ -39,7 +43,7 @@ def test_transition_c1_at_endpoints():
 
 
 def make_history(dt=0.01, D0=0.5, delta=0.05, T=3.0, m=1):
-    return ControlHistory(dt, D0, delta, T, m=m)
+    return StepHistory(dt, D0, delta, T, m=m)
 
 
 def test_history_preload_and_append():
@@ -102,7 +106,7 @@ def test_predictor_integral_against_quadrature():
     want = np.array([continuous(lam[i], B[i, 0]) for i in range(2)])
     errs = []
     for dt in (2e-3, 1e-3):
-        h = ControlHistory(dt, D0, 0.05, 2.0, m=1)
+        h = StepHistory(dt, D0, 0.05, 2.0, m=1)
         fill_history_with(h, lambda s: np.sin(3 * s), 1.5)
         got = predictor_integral(h, t, lam, B, D0)
         errs.append(np.max(np.abs(got - want)))
@@ -113,7 +117,7 @@ def test_predictor_integral_against_quadrature():
 def test_predictor_integral_clips_at_zero():
     lam = np.array([0.5])
     B = np.array([[1.0]])
-    h = ControlHistory(0.01, 0.5, 0.05, 2.0, m=1)
+    h = StepHistory(0.01, 0.5, 0.05, 2.0, m=1)
     fill_history_with(h, lambda s: 1.0, 0.3)
     # t < D0: the window is [0, t]; u = 1 on (0, 0.3] with a step at 0.
     t = 0.3
@@ -126,7 +130,7 @@ def test_predictor_integral_clips_at_zero():
 def test_windowed_integral_splits_additively():
     lam = np.array([1.0, -2.0])
     B = np.array([[1.0], [0.3]])
-    h = ControlHistory(0.01, 0.5, 0.05, 2.0, m=1)
+    h = StepHistory(0.01, 0.5, 0.05, 2.0, m=1)
     fill_history_with(h, lambda s: np.cos(2 * s), 1.0)
     t = 0.9
     whole = windowed_exp_integral(h, 0.4, t, t, lam, B, 0.5)
@@ -145,7 +149,7 @@ def test_predictor_taps_match_windowed_integral(dt, t):
     lam = np.array([5.13, -4.0])
     B = np.array([[2.0, -0.5], [-1.0, 0.7]])
     D0 = 0.5
-    h = ControlHistory(dt, D0, 0.05, 2.0, m=2)
+    h = StepHistory(dt, D0, 0.05, 2.0, m=2)
     for j in range(1, int(round(t / dt)) + 1):
         s = j * dt
         h.append(s, [np.sin(3 * s) + 0.2, np.cos(7 * s) * s])
@@ -160,7 +164,7 @@ def test_predictor_taps_match_windowed_integral(dt, t):
 def test_control_step_residual_direct(exact_cert):
     cert = exact_cert
     dt = 1e-3
-    hist = ControlHistory(dt, cert.D0, cert.delta_max, 3.0, m=1)
+    hist = StepHistory(dt, cert.D0, cert.delta_max, 3.0, m=1)
     trans = TransitionSignal(cert.t0)
     K = np.atleast_2d(cert.K)
     t = 0.0
@@ -177,7 +181,7 @@ def test_control_step_residual_direct(exact_cert):
 
 
 def test_control_step_zero_before_ramp(exact_cert):
-    hist = ControlHistory(1e-3, exact_cert.D0, exact_cert.delta_max, 1.0, m=1)
+    hist = StepHistory(1e-3, exact_cert.D0, exact_cert.delta_max, 1.0, m=1)
     u = control_step(np.array([5.0]), np.array([1.0]), 0.0, exact_cert, hist,
                      TransitionSignal(exact_cert.t0))
     assert u[0] == 0.0
@@ -185,14 +189,14 @@ def test_control_step_zero_before_ramp(exact_cert):
 
 def test_predictor_controller_guards(exact_cert):
     with pytest.raises(ControllerError):
-        PredictorController(exact_cert, dt=exact_cert.D0 * 1.5, T_final=1.0)
+        StepController(exact_cert, dt=exact_cert.D0 * 1.5, T_final=1.0)
 
 
 def test_predictor_controller_rejects_singular_solve(exact_cert):
     dt = 1e-3
     G0 = predictor_taps(exact_cert.lambdas, exact_cert.B, exact_cert.D0, dt)[0]
     # N0 = m = 1 here: K G_0 = I makes I - phi K G_0 singular at phi = 1.
-    ctrl = PredictorController(replace(exact_cert, K=np.linalg.inv(G0)), dt,
+    ctrl = StepController(replace(exact_cert, K=np.linalg.inv(G0)), dt,
                                T_final=2.0)
     with pytest.raises(ControllerError, match="ill-conditioned"):
         for j in range(1, 2001):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import (control_step, predictor_integral,
+from reference import (StepHistory, control_step, predictor_integral,
                        reference_artstein_residual, reference_oracle_simulate)
 from specpred import cli
-from specpred.controller import ControlHistory, TransitionSignal
+from specpred.controller import TransitionSignal
 from specpred.numerics import exp_moments
 from specpred.sim_engine import (
     BLOCK_STEPS,
@@ -200,8 +200,8 @@ def per_segment_simulate(scen):
     m0, m1 = exp_moments(lam, dt)
     W1 = E * (m1 / dt)
     W0 = E * m0 - W1
-    hist = ControlHistory(dt, cert.D0, cert.delta_max, scen.T_final,
-                          m=desc.num_inputs)
+    hist = StepHistory(dt, cert.D0, cert.delta_max, scen.T_final,
+                       m=desc.num_inputs)
     trans = TransitionSignal(cert.t0)
     D, d1, d2 = scen.delay(ts), scen.d1(ts), scen.d2(ts)
     c = np.zeros((J + 1, scen.N_modes))
@@ -448,7 +448,7 @@ def test_trajectory_csv_roundtrip(tmp_path, descriptor, exact_cert):
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)
     back = trajectory_from_csv(path)
-    # repr-based formatting round-trips every float bit-exactly
+    # %.17g formatting round-trips every float bit-exactly
     assert np.array_equal(back.t, traj.t)
     assert np.array_equal(back.coeffs, traj.coeffs)
     assert np.array_equal(back.u, traj.u)
