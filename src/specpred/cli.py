@@ -28,10 +28,10 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import iss_certifier, sim_engine, spectral_model, synthesis
-from .errors import SpecpredError
-from .iss_certifier import Lemma2Problem
-from .sim_engine import DelaySignal, DisturbanceSignal, Scenario
-from .spectral_model import SystemDescriptor
+from .errors import SpecpredError, is_number, load_json
+from .iss_certifier import CertifierError, Lemma2Problem
+from .sim_engine import DelaySignal, DisturbanceSignal, Scenario, ScenarioError
+from .spectral_model import SpectrumError, SystemDescriptor
 from .synthesis import Certificate
 
 log = logging.getLogger("specpred")
@@ -39,6 +39,7 @@ log = logging.getLogger("specpred")
 DEFAULT_SCAN_DEPTH = 200
 DEFAULT_DESIGN = {"D0": 0.5, "t0": 1.0, "target_pole": -2.0}
 VACUOUS_DELTA = 1e-9     # certify refuses delta_max below this fraction of D0
+FIT_MEMBERS, FIT_DT, FIT_T = 20, 2e-3, 8.0   # certify's fitting ensemble
 
 
 def _configure_logging():
@@ -71,8 +72,8 @@ def design_pipeline(descriptor: SystemDescriptor, design: dict = None):
 
 
 def fitting_ensemble(descriptor: SystemDescriptor, cert: Certificate,
-                     seed: int = 0, n_members: int = 20, dt: float = 2e-3,
-                     T: float = 8.0):
+                     seed: int = 0, n_members: int = FIT_MEMBERS,
+                     dt: float = FIT_DT, T: float = FIT_T):
     """Channel-isolated random scenarios for fitting the envelope constants.
 
     Members cycle through the x0 / d1 / d2 channels; delays alternate between
@@ -82,6 +83,7 @@ def fitting_ensemble(descriptor: SystemDescriptor, cert: Certificate,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_modes = sim_engine.default_mode_count(descriptor, cert.alpha)
     m = descriptor.num_inputs
+    zero = DisturbanceSignal(kind="zero", m=m)
     scens = []
     for i in range(n_members):
         if i % 2 == 0:
@@ -95,8 +97,7 @@ def fitting_ensemble(descriptor: SystemDescriptor, cert: Certificate,
             )
         channel = ("x0", "d1", "d2")[i % 3]
         X0 = np.zeros(n_modes)
-        d1 = DisturbanceSignal(kind="zero", m=m)
-        d2 = DisturbanceSignal(kind="zero", m=m)
+        d1 = d2 = zero
         if channel == "x0":
             k = int(rng.integers(cert.N0, min(cert.N0 + 4, n_modes) + 1))
             X0[:k] = rng.normal(size=k)
@@ -108,10 +109,7 @@ def fitting_ensemble(descriptor: SystemDescriptor, cert: Certificate,
                 omega=float(rng.uniform(0.3, 5.0)),
                 phase=float(rng.uniform(0.0, 2 * np.pi)),
             )
-            if channel == "d1":
-                d1 = sig
-            else:
-                d2 = sig
+            d1, d2 = (sig, zero) if channel == "d1" else (zero, sig)
         scens.append(Scenario(
             descriptor=descriptor, certificate=cert, delay=delay,
             d1=d1, d2=d2, X0_coeffs=X0, dt=dt, T_final=T, N_modes=n_modes,
@@ -121,8 +119,8 @@ def fitting_ensemble(descriptor: SystemDescriptor, cert: Certificate,
 
 
 def certify_pipeline(descriptor: SystemDescriptor, design: dict = None,
-                     seed: int = 0, n_fit: int = 20, dt: float = 2e-3,
-                     T: float = 8.0) -> Certificate:
+                     seed: int = 0, n_fit: int = FIT_MEMBERS,
+                     dt: float = FIT_DT, T: float = FIT_T) -> Certificate:
     """Full certification: exact synthesis plus ensemble-fitted constants.
 
     Refuses a design whose delay radius is below VACUOUS_DELTA * D0: such a
@@ -146,14 +144,9 @@ def certify_pipeline(descriptor: SystemDescriptor, design: dict = None,
     return cert
 
 
-def builtin_scenarios(descriptor: SystemDescriptor = None,
-                      cert: Certificate = None, dt: float = 1e-3,
-                      T: float = 10.0):
+def builtin_scenarios(descriptor: SystemDescriptor, cert: Certificate,
+                      dt: float = 1e-3, T: float = 10.0):
     """Five reference scenarios spanning the delay and disturbance channels."""
-    if descriptor is None:
-        descriptor = default_descriptor()
-    if cert is None:
-        _, cert = design_pipeline(descriptor)
     n_modes = sim_engine.default_mode_count(descriptor, cert.alpha)
     m = descriptor.num_inputs
     const = DelaySignal(kind="constant", D0=cert.D0)
@@ -184,33 +177,17 @@ def builtin_scenarios(descriptor: SystemDescriptor = None,
 
 
 # ---------------------------------------------------------------------------
-# Run configuration
+# The invocation
 
-SUBCOMMANDS = ("certify", "simulate", "check", "sweep", "validate-lemma2")
-
-
-class RunConfig:
-    """Parsed invocation: subcommand, file paths, sweep axis and parallelism."""
-
-    def __init__(self, subcommand, descriptor=None, certificate=None,
-                 scenario=None, out=None, seed=0, jobs=1, sweep=None):
-        if subcommand not in SUBCOMMANDS:
-            raise ValueError(f"unknown subcommand {subcommand!r}")
-        self.subcommand = subcommand
-        self.descriptor = descriptor
-        self.certificate = certificate
-        self.scenario = scenario
-        self.out = out
-        self.seed = int(seed)
-        self.jobs = int(jobs)
-        self.sweep = sweep          # (param, lo, hi, n) or None
-        if subcommand == "sweep" and sweep is None:
-            raise ValueError("sweep requires --sweep param=lo:hi:n")
-        for label, path in (("descriptor", descriptor),
-                            ("certificate", certificate),
-                            ("scenario", scenario)):
-            if path is not None and not os.path.exists(path):
-                raise FileNotFoundError(f"--{label} file not found: {path}")
+# The inputs each subcommand needs; every other flag is optional.  check reads
+# its trajectory from --out and the disturbance signals from the scenario.
+REQUIRES = {
+    "certify": (),
+    "simulate": ("certificate", "scenario"),
+    "check": ("certificate", "scenario", "out"),
+    "sweep": ("certificate", "scenario", "sweep"),
+    "validate-lemma2": (),
+}
 
 
 def parse_sweep_axis(text: str):
@@ -233,44 +210,53 @@ def build_parser():
                     "for diagonal boundary control systems with uncertain "
                     "input delay.",
     )
-    p.add_argument("subcommand", choices=SUBCOMMANDS)
+    p.add_argument("subcommand", choices=tuple(REQUIRES))
     p.add_argument("--descriptor", help="plant descriptor JSON")
     p.add_argument("--certificate", help="certificate JSON")
     p.add_argument("--scenario", help="scenario JSON")
-    p.add_argument("--out", help="output path (CSV or JSON per subcommand)")
+    p.add_argument("--out", help="output path (CSV or JSON per subcommand); "
+                                 "check reads its trajectory CSV from it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sweep", help="sweep axis param=lo:hi:n")
     return p
 
 
-def config_from_args(argv) -> RunConfig:
+def config_from_args(argv) -> argparse.Namespace:
+    """Parse an invocation; refuses a subcommand without its ``REQUIRES``
+    inputs, a named input file that does not exist, and ``--jobs`` below 1."""
     args = build_parser().parse_args(argv)
-    sweep = parse_sweep_axis(args.sweep) if args.sweep else None
-    return RunConfig(args.subcommand, args.descriptor, args.certificate,
-                     args.scenario, args.out, args.seed, args.jobs, sweep)
+    if args.sweep is not None:
+        args.sweep = parse_sweep_axis(args.sweep)
+    missing = [f"--{name}" for name in REQUIRES[args.subcommand]
+               if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"{args.subcommand} requires {' and '.join(missing)}")
+    for name in ("descriptor", "certificate", "scenario"):
+        path = getattr(args, name)
+        if path is not None and not os.path.exists(path):
+            raise FileNotFoundError(f"--{name} file not found: {path}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    return args
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
-def _load_descriptor(config) -> SystemDescriptor:
-    if config.descriptor is None:
+def _load_plant(path):
+    """(descriptor, design) from a descriptor file and its optional
+    ``design`` section; with no file, the built-in c=15 plant."""
+    if path is None:
         log.info("no descriptor given; using the built-in c=15 plant")
-        return default_descriptor()
-    return spectral_model.load_descriptor(config.descriptor)
+        return default_descriptor(), {}
+    return load_json(path, "descriptor",
+                     lambda d: (spectral_model.descriptor_from_dict(d),
+                                d.get("design", {})), SpectrumError)
 
 
-def _load_design(config) -> dict:
-    if config.descriptor is None:
-        return {}
-    with open(config.descriptor) as fh:
-        return json.load(fh).get("design", {})
-
-
-def cmd_certify(config: RunConfig) -> int:
-    descriptor = _load_descriptor(config)
-    cert = certify_pipeline(descriptor, _load_design(config), seed=config.seed)
+def cmd_certify(config) -> int:
+    cert = certify_pipeline(*_load_plant(config.descriptor), seed=config.seed)
     out = config.out or "certificate.json"
     synthesis.save_certificate(cert, out)
     print(f"certificate written to {out}: "
@@ -280,9 +266,7 @@ def cmd_certify(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    if config.certificate is None or config.scenario is None:
-        raise ValueError("simulate requires --certificate and --scenario")
+def cmd_simulate(config) -> int:
     cert = synthesis.load_certificate(config.certificate)
     scen = sim_engine.load_scenario(config.scenario, cert)
     traj = sim_engine.simulate(scen)
@@ -293,14 +277,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_check(config: RunConfig) -> int:
-    # The envelope RHS needs the disturbance signals, so the scenario file is
-    # required alongside the trajectory CSV.
-    if config.certificate is None or config.scenario is None:
-        raise ValueError("check requires --certificate and --scenario")
-    if config.out is None:
-        raise ValueError("check requires --out pointing at the trajectory CSV "
-                         "to check (report goes to stdout)")
+def cmd_check(config) -> int:
     cert = synthesis.load_certificate(config.certificate)
     scen = sim_engine.load_scenario(config.scenario, cert)
     traj = sim_engine.trajectory_from_csv(config.out)
@@ -354,9 +331,7 @@ def _sweep_point(args):
     idx, cert_dict, scen_dict, param, value, seed = args
     cert = synthesis.certificate_from_dict(cert_dict)
     d = apply_sweep_param(scen_dict, param, value)
-    certified = True
-    if param == "delay_amplitude" and value > cert.delta_max * (1 + 1e-12):
-        certified = False
+    if param == "delay_amplitude" and not cert.admits(value):
         d["integration"]["certified"] = False
     scen = sim_engine.scenario_from_dict(d, cert)
     traj = sim_engine.simulate(scen)
@@ -364,40 +339,38 @@ def _sweep_point(args):
     # Disturbed runs and X0 = 0 have no decay rate to fit.
     try:
         kappa_hat, _ = iss_certifier.fit_decay_rate(traj, cert)
-    except iss_certifier.CertifierError:
+    except CertifierError:
         kappa_hat = math.nan
     # Only certified points assert the envelopes; uncertified rows report.
     return {
         "index": idx, "param": param, "value": value,
-        "certified": certified, "delta_max": cert.delta_max,
+        "certified": scen.certified, "delta_max": cert.delta_max,
         "kappa_hat": kappa_hat,
         **{f"ratio_{name}": chk.worst_ratio
            for name, chk in report.checks.items()},
-        "pass": report.all_pass or not certified,
+        "pass": report.all_pass or not scen.certified,
     }
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if config.certificate is None or config.scenario is None:
-        raise ValueError("sweep requires --certificate and --scenario")
+def cmd_sweep(config) -> int:
     cert = synthesis.load_certificate(config.certificate)
     if not cert.has_fitted_constants:
         raise ValueError("certificate has no fitted constants; run certify first")
-    # Parse the scenario once up front, so a malformed file fails typed.
-    sim_engine.load_scenario(config.scenario, cert)
-    with open(config.scenario) as fh:
-        scen_dict = json.load(fh)
+    # Build the scenario once up front, so a malformed file fails typed.
+    _, scen_dict = load_json(
+        config.scenario, "scenario",
+        lambda d: (sim_engine.scenario_from_dict(d, cert), d), ScenarioError)
     param, lo, hi, n = config.sweep
     values = np.linspace(lo, hi, n)
     cert_dict = synthesis.certificate_to_dict(cert)
     tasks = [(i, cert_dict, scen_dict, param, float(v), config.seed)
              for i, v in enumerate(values)]
-    if config.jobs > 1:
-        with Pool(config.jobs) as pool:
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(_sweep_point, tasks)
     else:
         rows = [_sweep_point(t) for t in tasks]
-    rows.sort(key=lambda r: r["index"])
 
     out = config.out or "sweep.csv"
     with open(out, "w") as fh:
@@ -418,8 +391,11 @@ def cmd_sweep(config: RunConfig) -> int:
 LEMMA2_DEFAULTS = {"a": -1.0, "c_norm": 2.0, "r": 0.5, "eps": 0.05}
 
 
-def lemma2_suite(seed: int = 0, n_members: int = 50, a: float = -1.0,
-                 c_norm: float = 2.0, r: float = 0.5, eps: float = 0.05):
+def lemma2_suite(seed: int = 0, n_members: int = 50,
+                 a: float = LEMMA2_DEFAULTS["a"],
+                 c_norm: float = LEMMA2_DEFAULTS["c_norm"],
+                 r: float = LEMMA2_DEFAULTS["r"],
+                 eps: float = LEMMA2_DEFAULTS["eps"]):
     """Random admissible ensemble for the scalar delay-difference system.
 
     Members alternate between nonzero-history / zero-forcing (pinning M) and
@@ -452,17 +428,24 @@ def lemma2_suite(seed: int = 0, n_members: int = 50, a: float = -1.0,
     return problems
 
 
-def cmd_validate_lemma2(config: RunConfig) -> int:
-    params = dict(LEMMA2_DEFAULTS)
-    if config.scenario is not None:
-        with open(config.scenario) as fh:
-            params.update(json.load(fh).get("lemma2", {}))
-    a, c_norm, r, eps = (params["a"], params["c_norm"], params["r"],
-                         params["eps"])
+def cmd_validate_lemma2(config) -> int:
+    # The scenario file's optional lemma2 mapping overrides LEMMA2_DEFAULTS.
+    section = {} if config.scenario is None else load_json(
+        config.scenario, "scenario",
+        lambda d: dict(d.get("lemma2", {}).items()), CertifierError)
+    for key, value in section.items():
+        if key not in LEMMA2_DEFAULTS:
+            raise CertifierError(f"unknown lemma2 key {key!r}; expected one "
+                                 f"of {', '.join(LEMMA2_DEFAULTS)}")
+        if not is_number(value):
+            raise CertifierError(f"lemma2 key {key!r} must be a number, "
+                                 f"got {value!r}")
+    p = {**LEMMA2_DEFAULTS, **section}
     # Decay data of e^{At} for the scalar nominal part: exact envelope.
-    M_lambda, lam = 1.0, -a
-    sigma, _ = synthesis.sigma_rate(M_lambda, lam, abs(a), c_norm, r, eps)
-    problems = lemma2_suite(seed=config.seed, a=a, c_norm=c_norm, r=r, eps=eps)
+    M_lambda, lam = 1.0, -p["a"]
+    sigma, _ = synthesis.sigma_rate(M_lambda, lam, abs(p["a"]), p["c_norm"],
+                                    p["r"], p["eps"])
+    problems = lemma2_suite(seed=config.seed, **p)
     report = iss_certifier.lemma2_validate(problems, sigma, M_lambda, lam)
     if config.out:
         with open(config.out, "w") as fh:
@@ -474,23 +457,21 @@ def cmd_validate_lemma2(config: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
-def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
-    handlers = {
-        "certify": cmd_certify,
-        "simulate": cmd_simulate,
-        "check": cmd_check,
-        "sweep": cmd_sweep,
-        "validate-lemma2": cmd_validate_lemma2,
-    }
-    return handlers[config.subcommand](config)
+HANDLERS = {
+    "certify": cmd_certify,
+    "simulate": cmd_simulate,
+    "check": cmd_check,
+    "sweep": cmd_sweep,
+    "validate-lemma2": cmd_validate_lemma2,
+}
 
 
 def main(argv=None) -> int:
+    """Run one invocation; returns the process exit status."""
     _configure_logging()
     try:
-        config = config_from_args(sys.argv[1:] if argv is None else argv)
-        return run(config)
+        config = config_from_args(argv)   # argv None: argparse reads sys.argv
+        return HANDLERS[config.subcommand](config)
     except (SpecpredError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

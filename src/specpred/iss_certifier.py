@@ -215,7 +215,7 @@ def check_envelopes(trajectory: Trajectory, certificate: Certificate) -> Envelop
     cert = certificate
     if trajectory.scenario is None:
         raise CertifierError("trajectory must carry its scenario")
-    if any(getattr(cert, bank) is None for bank, _ in ENVELOPES.values()):
+    if not cert.has_fitted_constants:
         raise CertifierError("missing fitted constants; run fit_constants first")
     shapes = _shapes(trajectory, cert, {shape for _, terms in ENVELOPES.values()
                                         for _, shape in terms})

@@ -51,10 +51,11 @@ from .controller import (
     predictor_taps,
     transition_eval,
 )
-from .errors import SpecpredError
+from .errors import SpecpredError, load_json
 from .numerics import (catmull_rom, cubic_stencil, exp_moments,
                        simpson_weights, smoothstep)
-from .spectral_model import SystemDescriptor
+from .spectral_model import (SystemDescriptor, descriptor_from_dict,
+                             descriptor_to_dict)
 from .synthesis import Certificate, _array_from_list, _array_to_list
 
 DEFAULT_MODE_DECAY_FACTOR = 50.0
@@ -151,18 +152,19 @@ class DisturbanceSignal:
         return np.asarray(base)[..., np.newaxis] * a
 
 
+def _given_floats(spec: dict, names) -> dict:
+    """The ``names`` fields of ``spec`` as floats; absent ones keep their default."""
+    return {k: float(spec[k]) for k in names if k in spec}
+
+
 def make_delay(spec: dict, T_final: float = 100.0) -> DelaySignal:
     """Build a delay signal from its config mapping; it must stay positive
     on the horizon [0, T_final]."""
     kind = spec.get("kind", "constant")
     sig = DelaySignal(
-        kind=kind,
-        D0=float(spec["D0"]),
-        amplitude=float(spec.get("amplitude", 0.0)),
-        omega=float(spec.get("omega", 0.0)),
-        phase=float(spec.get("phase", 0.0)),
+        kind=kind, D0=float(spec["D0"]),
         table=(tuple(spec["times"]), tuple(spec["values"])) if kind == "table" else None,
-    )
+        **_given_floats(spec, ("amplitude", "omega", "phase")))
     if np.any(np.asarray(sig(np.linspace(0.0, T_final, 1001))) <= 0):
         raise ScenarioError("delay signal must stay positive")
     return sig
@@ -171,17 +173,10 @@ def make_delay(spec: dict, T_final: float = 100.0) -> DelaySignal:
 def make_disturbance(spec: dict, m: int = 1) -> DisturbanceSignal:
     """Build a disturbance signal from its config mapping."""
     amp = spec.get("amplitude", 0.0)
-    amp = tuple(np.atleast_1d(np.asarray(amp, dtype=float)).tolist())
     return DisturbanceSignal(
-        kind=spec.get("kind", "zero"),
-        m=m,
-        amplitude=amp,
-        omega=float(spec.get("omega", 0.0)),
-        phase=float(spec.get("phase", 0.0)),
-        t_on=float(spec.get("t_on", 0.0)),
-        ramp=float(spec.get("ramp", 1.0)),
-        rate=float(spec.get("rate", 1.0)),
-    )
+        kind=spec.get("kind", "zero"), m=m,
+        amplitude=tuple(np.atleast_1d(np.asarray(amp, dtype=float)).tolist()),
+        **_given_floats(spec, ("omega", "phase", "t_on", "ramp", "rate")))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +218,7 @@ class Scenario:
                 raise ScenarioError(f"disturbance_{name} amplitude needs one "
                                     f"entry per input ({m})")
         amp = self.delay.max_amplitude()
-        if self.certified and amp > cert.delta_max * (1 + 1e-12):
+        if self.certified and not cert.admits(amp):
             raise ScenarioError(
                 f"delay amplitude {amp:.4g} exceeds certified delta_max "
                 f"{cert.delta_max:.4g}; set certified=False for an uncertified run")
@@ -711,8 +706,6 @@ def trajectory_from_csv(path) -> Trajectory:
 # Scenario config files
 
 def scenario_to_dict(scen: Scenario) -> dict:
-    from .spectral_model import descriptor_to_dict
-
     def sig_dict(s):
         d = {"kind": s.kind}
         if isinstance(s, DelaySignal):
@@ -728,7 +721,7 @@ def scenario_to_dict(scen: Scenario) -> dict:
 
     return {
         "system": descriptor_to_dict(scen.descriptor),
-        "certificate": None,   # stored separately; path patched in by the CLI
+        "certificate": None,   # stored separately, in the --certificate file
         "delay": sig_dict(scen.delay),
         "disturbance_d1": sig_dict(scen.d1),
         "disturbance_d2": sig_dict(scen.d2),
@@ -739,11 +732,9 @@ def scenario_to_dict(scen: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
-    from .spectral_model import descriptor_from_dict
-
     desc = descriptor_from_dict(d["system"])
     integ = d["integration"]
-    dt = _check_step("dt", float(integ["dt"]))
+    # T_final bounds the delay's positivity check, so it is checked first.
     T_final = _check_step("T_final", float(integ["T_final"]))
     return Scenario(
         descriptor=desc,
@@ -752,7 +743,7 @@ def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
         d1=make_disturbance(d["disturbance_d1"], m=desc.num_inputs),
         d2=make_disturbance(d["disturbance_d2"], m=desc.num_inputs),
         X0_coeffs=_array_from_list(d["initial"]["X0_coeffs"]),
-        dt=dt,
+        dt=float(integ["dt"]),
         T_final=T_final,
         N_modes=int(integ["N_modes"]),
         certified=bool(integ.get("certified", True)),
@@ -765,9 +756,5 @@ def save_scenario(scen: Scenario, path) -> None:
 
 
 def load_scenario(path, certificate: Certificate) -> Scenario:
-    with open(path) as fh:
-        d = json.load(fh)
-    try:
-        return scenario_from_dict(d, certificate)
-    except (TypeError, AttributeError) as exc:
-        raise ScenarioError(f"malformed scenario file {path}: {exc}") from exc
+    return load_json(path, "scenario",
+                     lambda d: scenario_from_dict(d, certificate), ScenarioError)

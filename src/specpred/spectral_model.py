@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SpecpredError
+from .errors import SpecpredError, load_json
 from .numerics import simpson_integrate
 
 class SpectrumError(SpecpredError, ValueError):
@@ -234,7 +234,7 @@ def truncated_model(
 
 
 def descriptor_to_dict(descriptor: SystemDescriptor) -> dict:
-    d = {
+    return {
         "kind": descriptor.kind,
         "c": descriptor.params.get("c"),
         "m": descriptor.num_inputs,
@@ -243,7 +243,6 @@ def descriptor_to_dict(descriptor: SystemDescriptor) -> dict:
         "explicit_eigenvalues": descriptor.params.get("explicit_eigenvalues"),
         "explicit_b": descriptor.params.get("explicit_b"),
     }
-    return d
 
 
 def descriptor_from_dict(d: dict) -> SystemDescriptor:
@@ -251,16 +250,13 @@ def descriptor_from_dict(d: dict) -> SystemDescriptor:
     if kind == "reaction_diffusion":
         return build_reaction_diffusion(float(d["c"]), int(d.get("m", 1)))
     if kind == "explicit":
-        eigs = [complex(v) if isinstance(v, str) else float(v)
-                for v in d["explicit_eigenvalues"]]
-        b_rows = [
-            [complex(v) if isinstance(v, str) else float(v) for v in row]
-            for row in d["explicit_b"]
-        ]
+        def num(v):   # a complex entry is stored as its string
+            return complex(v) if isinstance(v, str) else float(v)
+
+        eigs = [num(v) for v in d["explicit_eigenvalues"]]
+        b_rows = [[num(v) for v in row] for row in d["explicit_b"]]
         m = int(d.get("m", len(b_rows[0])))
-        is_real = all(isinstance(v, float) for v in eigs) and all(
-            isinstance(v, float) for row in b_rows for v in row
-        )
+        is_real = all(isinstance(v, float) for v in eigs + sum(b_rows, []))
 
         def lam(n, _eigs=eigs):
             if n > len(_eigs):
@@ -291,9 +287,4 @@ def save_descriptor(descriptor: SystemDescriptor, path) -> None:
 
 
 def load_descriptor(path) -> SystemDescriptor:
-    with open(path) as fh:
-        d = json.load(fh)
-    try:
-        return descriptor_from_dict(d)
-    except (TypeError, AttributeError) as exc:
-        raise SpectrumError(f"malformed descriptor file {path}: {exc}") from exc
+    return load_json(path, "descriptor", descriptor_from_dict, SpectrumError)

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import SpecpredError
+from .errors import SpecpredError, is_number, load_json
 from .numerics import matrix_exp_norm
 from .spectral_model import SystemDescriptor, TruncatedModel, lifting_norms
 
@@ -34,6 +34,7 @@ LAMBDA_FRACTION = 0.95   # envelope rate lam / spectral abscissa of A_cl
 ENVELOPE_GRID = 8192     # grid points of the envelope supremum
 DELTA_SAFETY = 0.9       # delta_max / small-gain equality point
 KAPPA_FRACTION = 0.5     # kappa / min(alpha, sigma)
+FITTED_BANKS = ("u_constants", "y_constants", "z_constants", "x_constants")
 
 
 @dataclass
@@ -75,16 +76,16 @@ class Certificate:
     degenerate_delta: bool = False        # BK = 0: unconstrained by small gain
 
     @property
-    def A(self) -> np.ndarray:
-        return np.diag(self.lambdas)
-
-    @property
     def BK_norm(self) -> float:
         return float(np.linalg.norm(self.B @ self.K, 2))
 
     @property
     def has_fitted_constants(self) -> bool:
-        return self.u_constants is not None and self.x_constants is not None
+        return all(getattr(self, bank) is not None for bank in FITTED_BANKS)
+
+    def admits(self, amplitude: float) -> bool:
+        """True when a delay amplitude lies in the certified band (up to rounding)."""
+        return amplitude <= self.delta_max * (1 + 1e-12)
 
 
 def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
@@ -361,7 +362,7 @@ def _array_from_list(v):
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    d = {
+    return {
         "lambdas": _array_to_list(cert.lambdas),
         "B": _array_to_list(cert.B),
         "K": _array_to_list(cert.K),
@@ -374,15 +375,20 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "sigma": cert.sigma, "delta_tilde": cert.delta_tilde,
         "kappa": cert.kappa, "epsilon": cert.epsilon,
         "tail_constants": cert.tail_constants,
-        "u_constants": cert.u_constants,
-        "y_constants": cert.y_constants,
-        "z_constants": cert.z_constants,
-        "x_constants": cert.x_constants,
+        **{bank: getattr(cert, bank) for bank in FITTED_BANKS},
         "provenance": cert.provenance,
         "fit_info": cert.fit_info,
         "degenerate_delta": cert.degenerate_delta,
     }
-    return d
+
+
+def _fitted_bank(d: dict, bank: str):
+    v = d.get(bank)
+    if v is not None and not (isinstance(v, dict)
+                              and all(map(is_number, v.values()))):
+        raise SynthesisError(f"{bank} must be null or a mapping from names "
+                             f"to numbers, got {v!r}")
+    return v
 
 
 def certificate_from_dict(d: dict) -> Certificate:
@@ -399,10 +405,7 @@ def certificate_from_dict(d: dict) -> Certificate:
         sigma=float(d["sigma"]), delta_tilde=float(d["delta_tilde"]),
         kappa=float(d["kappa"]), epsilon=float(d["epsilon"]),
         tail_constants=d["tail_constants"],
-        u_constants=d.get("u_constants"),
-        y_constants=d.get("y_constants"),
-        z_constants=d.get("z_constants"),
-        x_constants=d.get("x_constants"),
+        **{bank: _fitted_bank(d, bank) for bank in FITTED_BANKS},
         provenance=d.get("provenance", {}),
         fit_info=d.get("fit_info"),
         degenerate_delta=bool(d.get("degenerate_delta", False)),
@@ -415,9 +418,4 @@ def save_certificate(cert: Certificate, path) -> None:
 
 
 def load_certificate(path) -> Certificate:
-    with open(path) as fh:
-        d = json.load(fh)
-    try:
-        return certificate_from_dict(d)
-    except (TypeError, AttributeError) as exc:
-        raise SynthesisError(f"malformed certificate file {path}: {exc}") from exc
+    return load_json(path, "certificate", certificate_from_dict, SynthesisError)

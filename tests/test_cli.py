@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specpred import cli, controller, sim_engine, synthesis
+from specpred import cli, controller, iss_certifier, sim_engine, synthesis
 
 
 # ---------------------------------------------------------------------------
@@ -25,20 +25,43 @@ def test_empty_sweep_is_rejected(capsys):
     assert "n must be >= 1" in capsys.readouterr().err
 
 
-def test_runconfig_validation(tmp_path):
+def test_config_validation(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.config_from_args(["frobnicate"])
+    assert exc.value.code == 2
     with pytest.raises(ValueError):
-        cli.RunConfig("frobnicate")
-    with pytest.raises(ValueError):
-        cli.RunConfig("sweep")  # missing sweep axis
-    with pytest.raises(FileNotFoundError):
-        cli.RunConfig("simulate", certificate=str(tmp_path / "missing.json"))
+        cli.config_from_args(["sweep"])  # no inputs, no sweep axis
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(FileNotFoundError, match="--certificate"):
+        cli.config_from_args(["simulate", "--certificate", missing,
+                              "--scenario", missing])
+
+
+@pytest.mark.parametrize("subcommand", list(cli.REQUIRES))
+def test_requires_names_each_missing_input(tmp_path, subcommand):
+    f = tmp_path / "f.json"
+    f.write_text("{}")
+    given = {"certificate": str(f), "scenario": str(f),
+             "out": str(tmp_path / "out"), "sweep": "X0_scale=1:2:3"}
+    needs = cli.REQUIRES[subcommand]
+    for flag in needs:
+        argv = [subcommand]
+        for other in needs:
+            if other != flag:
+                argv += [f"--{other}", given[other]]
+        with pytest.raises(ValueError, match=f"^{subcommand} requires --{flag}$"):
+            cli.config_from_args(argv)
+    assert cli.config_from_args(
+        [subcommand] + [a for n in needs for a in (f"--{n}", given[n])]
+    ).subcommand == subcommand
 
 
 def test_config_from_args(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{}")
     cfg = cli.config_from_args([
-        "simulate", "--certificate", str(p), "--seed", "9", "--jobs", "2"])
+        "simulate", "--certificate", str(p), "--scenario", str(p),
+        "--seed", "9", "--jobs", "2"])
     assert cfg.subcommand == "simulate"
     assert cfg.seed == 9 and cfg.jobs == 2
 
@@ -49,10 +72,10 @@ def test_main_reports_errors(capsys):
 
 
 def test_main_maps_package_errors_to_status_2(monkeypatch, capsys):
-    def fail(config):
+    def fail(*args):
         raise controller.ControllerError("history read outside covered span")
 
-    monkeypatch.setattr(cli, "cmd_validate_lemma2", fail)
+    monkeypatch.setattr(iss_certifier, "lemma2_validate", fail)
     assert cli.main(["validate-lemma2"]) == 2
     assert "error: history read outside covered span" in capsys.readouterr().err
 
@@ -161,6 +184,61 @@ def test_sweep_deterministic_across_jobs(artifacts):
     assert outs[0] == outs[1]
 
 
+def _sweep_column(path, name):
+    with open(path) as fh:
+        cols = [h.strip() for h in fh.readline().split(",")]
+        return [line.split(", ")[cols.index(name)].strip() for line in fh]
+
+
+def test_sweep_rows_report_their_runs_certified_mark(artifacts, tmp_path):
+    # A scenario marked uncertified, with a delay past the radius, swept
+    # along another axis: every row is an uncertified run and only reports.
+    _, cert_path, scen_path = artifacts
+    cert = synthesis.load_certificate(cert_path)
+    d = json.loads(open(scen_path).read())
+    d["delay"].update(kind="sinusoid", amplitude=3 * cert.delta_max,
+                      omega=2.0, phase=0.0)
+    d["integration"]["certified"] = False
+    bad = tmp_path / "uncertified.json"
+    bad.write_text(json.dumps(d))
+    out_path = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--certificate", cert_path, "--scenario",
+                     str(bad), "--out", str(out_path),
+                     "--sweep", "X0_scale=0.5:1:2"]) == 0
+    assert _sweep_column(out_path, "certified") == ["False", "False"]
+    assert _sweep_column(out_path, "pass") == ["True", "True"]
+
+
+def test_sweep_starts_at_most_one_worker_per_point(artifacts, tmp_path,
+                                                   monkeypatch, capsys):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli, "Pool", SerialPool)
+    _, cert_path, scen_path = artifacts
+    argv = ["sweep", "--certificate", cert_path, "--scenario", scen_path,
+            "--out", str(tmp_path / "sweep.csv"), "--sweep", "X0_scale=0.5:1:2"]
+    assert cli.main(argv + ["--jobs", "8"]) == 0
+    assert cli.main(argv + ["--jobs", "1"]) == 0
+    assert sizes == [2]
+    for jobs in ("0", "-1"):
+        assert cli.main(argv + ["--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert sizes == [2]
+
+
 def _set(*path_and_value):
     """Mutator that sets the nested key ``path`` of a loaded JSON dict."""
     *path, value = path_and_value
@@ -174,21 +252,28 @@ def _set(*path_and_value):
     return mutate
 
 
-@pytest.mark.parametrize("subcommand, kind, mutate", [
-    ("simulate", "scenario", _set("integration", "dt", None)),
-    ("simulate", "scenario", _set("delay", 5)),
-    ("simulate", "scenario", _set("delay", None)),
-    ("sweep", "scenario", _set("delay", 5)),
-    ("sweep", "scenario", _set("delay", None)),
-    ("simulate", "certificate", _set("D0", None)),
-    ("certify", "descriptor", lambda d: [1, 2]),
+@pytest.mark.parametrize("subcommand, kind, mutate, names", [
+    ("simulate", "scenario", _set("integration", "dt", None), ""),
+    ("simulate", "scenario", _set("delay", 5), ""),
+    ("simulate", "scenario", _set("delay", None), ""),
+    ("sweep", "scenario", _set("delay", 5), ""),
+    ("sweep", "scenario", _set("delay", None), ""),
+    ("simulate", "certificate", _set("D0", None), ""),
+    ("certify", "descriptor", lambda d: [1, 2], ""),
     ("certify", "descriptor",
-     lambda d: {"kind": "reaction_diffusion", "c": None}),
+     lambda d: {"kind": "reaction_diffusion", "c": None}, ""),
+    ("validate-lemma2", "scenario", _set("lemma2", {"a": "x"}), "'a'"),
+    ("validate-lemma2", "scenario", _set("lemma2", {"epsilon": 0.6}),
+     "'epsilon'"),
+    ("validate-lemma2", "scenario", _set("lemma2", [["a", 1.0]]),
+     "malformed scenario file"),
+    ("sweep", "certificate", _set("u_constants", [1, 2]), "u_constants"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
-        "descriptor-list", "descriptor-c-null"])
+        "descriptor-list", "descriptor-c-null", "lemma2-a-string",
+        "lemma2-unknown-key", "lemma2-pairs", "certificate-bank-list"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
-                                      subcommand, kind, mutate):
+                                      subcommand, kind, mutate, names):
     root, cert_path, scen_path = artifacts
     paths = {"certificate": cert_path, "scenario": scen_path}
     base = {} if kind == "descriptor" else json.loads(open(paths[kind]).read())
@@ -204,7 +289,8 @@ def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
     if subcommand == "sweep":
         argv += ["--sweep", "delay_amplitude=0:0.001:2"]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
 
 
 @pytest.mark.parametrize("field, mutate", [
