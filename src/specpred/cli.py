@@ -244,6 +244,26 @@ def config_from_args(argv) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
+def _section(d, name, keys, lists=()):
+    """The optional ``name`` mapping of a loaded file: ``keys`` to numbers
+    and ``lists`` to lists of numbers.  Anything else raises TypeError, which
+    ``load_json`` reports naming the file."""
+    section = d.get(name, {})
+    if not isinstance(section, dict):
+        raise TypeError(f"the {name} section must be a mapping, "
+                        f"got {section!r}")
+    for key, value in section.items():
+        if key not in (*keys, *lists):
+            raise TypeError(f"unknown {name} key {key!r}; expected one of "
+                            f"{', '.join((*keys, *lists))}")
+        number = is_number(value) if key in keys else (
+            isinstance(value, list) and all(map(is_number, value)))
+        if not number:
+            raise TypeError(f"{name} key {key!r} must be a number"
+                            f"{'' if key in keys else ' list'}, got {value!r}")
+    return section
+
+
 def _load_plant(path):
     """(descriptor, design) from a descriptor file and its optional
     ``design`` section; with no file, the built-in c=15 plant."""
@@ -252,7 +272,8 @@ def _load_plant(path):
         return default_descriptor(), {}
     return load_json(path, "descriptor",
                      lambda d: (spectral_model.descriptor_from_dict(d),
-                                d.get("design", {})), SpectrumError)
+                                _section(d, "design", DEFAULT_DESIGN,
+                                         ("target_poles",))), SpectrumError)
 
 
 def cmd_certify(config) -> int:
@@ -430,17 +451,16 @@ def lemma2_suite(seed: int = 0, n_members: int = 50,
 
 def cmd_validate_lemma2(config) -> int:
     # The scenario file's optional lemma2 mapping overrides LEMMA2_DEFAULTS.
-    section = {} if config.scenario is None else load_json(
+    p = {**LEMMA2_DEFAULTS, **({} if config.scenario is None else load_json(
         config.scenario, "scenario",
-        lambda d: dict(d.get("lemma2", {}).items()), CertifierError)
-    for key, value in section.items():
-        if key not in LEMMA2_DEFAULTS:
-            raise CertifierError(f"unknown lemma2 key {key!r}; expected one "
-                                 f"of {', '.join(LEMMA2_DEFAULTS)}")
-        if not is_number(value):
-            raise CertifierError(f"lemma2 key {key!r} must be a number, "
-                                 f"got {value!r}")
-    p = {**LEMMA2_DEFAULTS, **section}
+        lambda d: _section(d, "lemma2", LEMMA2_DEFAULTS), CertifierError))}
+    for key, ok in (("a", p["a"] < 0), ("c_norm", p["c_norm"] >= 0),
+                    ("eps", 0 <= p["eps"] < p["r"]),
+                    *((key, math.isfinite(v)) for key, v in p.items())):
+        if not ok:
+            raise CertifierError(f"lemma2 key {key!r} = {p[key]!r} is out of "
+                                 "range; lemma 2 needs finite a < 0, "
+                                 "c_norm >= 0 and 0 <= eps < r")
     # Decay data of e^{At} for the scalar nominal part: exact envelope.
     M_lambda, lam = 1.0, -p["a"]
     sigma, _ = synthesis.sigma_rate(M_lambda, lam, abs(p["a"]), p["c_norm"],

@@ -19,11 +19,12 @@ Two engines share one output schema:
   control law, the control record and its reads;
 * ``oracle_simulate`` is an independent cross-check: classical RK4 at dt/20,
   with the substeps of each coarse step composed once into per-mode
-  coefficients, cubic history interpolation and its own direct control
-  solve (Simpson quadrature of the predictor integral).  Its loop-invariant
-  stencils are built once: the Simpson sum is one tap row over the newest
-  samples, and the delayed reads and forcing of a block of steps are built
-  together.
+  coefficients, cubic history interpolation and its own control law
+  (Simpson quadrature of the predictor integral).  It is one pass: the
+  Simpson sum over [t - D0, t] is one tap row over the newest samples for
+  every step, each step's gain is built up front, and the delayed reads and
+  forcing of a block of steps, as long as the shortest delay allows, are
+  built together.
 
 Both evaluate the same implicit predictor feedback through the delayed
 channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
@@ -546,21 +547,19 @@ def compose_rk4_substeps(lam, h, refine: int):
 
 def oracle_simulate(scenario: Scenario) -> Trajectory:
     """Cross-check engine: classical RK4 at dt/``ORACLE_REFINE`` on the modal
-    ODE.
+    ODE, one pass with no search and no iteration.
 
     The substeps of each coarse step are composed once into per-mode
     coefficients (``compose_rk4_substeps``).  The delayed reads are cubic
-    (Catmull-Rom).  Since D(t) is exogenous, the read stencils of a block of
-    up to ``BLOCK_STEPS`` steps, each clamped as at its own step, and the
-    block's forcing are built at once; the block halves until no stencil
-    touches a sample the block has yet to compute.  The predictor integral
-    is composite Simpson over cubically interpolated nodes.  That sum is
-    linear in the history, so it is one tap row over the newest samples
-    (``_predictor_tap``): built per step while the window is clipped at 0
-    (t < D0), and once for t >= D0.  Nodes inside the last two steps read
-    the cubic through the three newest samples and the candidate, so the
-    control law at each coarse step is linear in the candidate, and it is
-    solved directly as one m x m system.
+    (Catmull-Rom); since D(t) is exogenous, the reads and forcing of a block
+    of steps are built at once, the block as long as the shortest delay
+    allows (at most ``BLOCK_STEPS``).  The predictor integral is composite
+    Simpson over cubic nodes on [t - D0, t], with u = 0 before t = 0 read
+    from the zero pre-buffer: one tap row over the newest samples
+    (``_predictor_tap``), built once.  Nodes in the last two steps read the
+    cubic through the candidate, so the law (I - phi cand) u = phi (K Y + d2
+    + known window) is linear in it; its gain phi (I - phi cand)^{-1} is
+    built for every step at once.
     """
     cert = scenario.certificate
     desc = scenario.descriptor
@@ -586,55 +585,35 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
     hist = _CubicHistory(dt, n_pre, n_pre + J + 2, m)
     R, Wf = compose_rk4_substeps(lam_all, hf, ORACLE_REFINE)
     half = (hf / 2.0) * np.arange(2 * ORACLE_REFINE + 1)
-    phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
     d2_ts = np.asarray(scenario.d2(ts))
 
-    def simpson_panels(width):
-        # Even panel count, about four panels per coarse step.
-        return max(int(np.ceil(width / dt * 2)) * 2, 4)
+    # K times the Simpson tap of [t - D0, t] (an even panel count, about four
+    # per step): the stored samples' part and the candidate's.
+    n_seg = max(int(np.ceil(D0 / dt * 2)) * 2, 4)
+    s = np.linspace(-D0, 0.0, n_seg + 1)
+    kw = simpson_weights(n_seg + 1, D0 / n_seg) \
+        * np.exp(np.multiply.outer(cert.lambdas, -s - D0))
+    tap = np.einsum("an,nlb->alb", K, _predictor_tap(s / dt, kw, cert.B))
+    known, n_known = tap[:, :-1].reshape(m, -1), tap.shape[1] - 1
+    phi = transition_eval(TransitionSignal(cert.t0), ts)[0].reshape(-1, 1, 1)
+    gain = phi * np.linalg.inv(np.eye(m) - phi * tap[:, -1])
 
-    def k_tap(s, t):
-        """K times the tap of the Simpson nodes ``s`` at time t, split into
-        the stored samples' part (m, L*m) and the candidate's (m, m)."""
-        n_seg = len(s) - 1
-        tau = t - s - D0
-        kw = simpson_weights(n_seg + 1, (tau[0] - tau[-1]) / n_seg) \
-            * np.exp(np.multiply.outer(cert.lambdas, tau))
-        tap = np.einsum("an,nlb->alb", K,
-                        _predictor_tap((s - t) / dt, kw, cert.B))
-        return tap[:, :-1].reshape(m, -1), tap[:, -1]
-
-    n_full = simpson_panels(D0)
-    full = k_tap(np.linspace(-D0, 0.0, n_full + 1), 0.0)
-
-    def solve_u(j, drive):
-        """The implicit law at ts[j], (I - phi cand) u = phi (drive + known
-        window) with ``drive`` = K Y + d2 there, solved directly."""
-        phi = phi_all[j]
-        if phi == 0.0:
-            return np.zeros(m)
-        t = ts[j]
-        known, cand = full if t >= D0 else \
-            k_tap(np.linspace(0.0, t, simpson_panels(t) + 1), t)
-        top = hist.filled + 1
-        window = hist.samples[top - known.shape[1] // m: top].reshape(-1)
-        return np.linalg.solve(np.eye(m) - phi * cand,
-                               phi * (drive + known @ window))
-
-    v[0] = hist.eval(ts[0] - scenario.delay(ts[0])) \
-        + np.asarray(scenario.d1(ts[0]))
-    block = BLOCK_STEPS
-    j0 = 0
-    while j0 < J:
+    # A read one step past t_j - D_min touches rows up to floor(x) + 2, so
+    # the block reads only earlier blocks; each read is clamped as at its own
+    # step, so one that does not shows in ``rows``.
+    delay = scenario.delay
+    block = max(1, min(BLOCK_STEPS,
+                       int((delay.D0 - delay.max_amplitude()) / dt) - 3))
+    v[0] = hist.eval(ts[0] - delay(ts[0])) + np.asarray(scenario.d1(ts[0]))
+    for j0 in range(0, J, block):
         n = min(block, J - j0)
-        while True:
-            tf = ts[j0: j0 + n, np.newaxis] + half
-            sf = tf - np.asarray(scenario.delay(tf), dtype=float)
-            rows, wts = hist.stencil(sf, hist.filled
-                                     + np.arange(n)[:, np.newaxis])
-            if rows.max() <= hist.filled:
-                break
-            n = block = n // 2
+        tf = ts[j0: j0 + n, np.newaxis] + half
+        sf = tf - np.asarray(delay(tf), dtype=float)
+        rows, wts = hist.stencil(sf, hist.filled + np.arange(n)[:, np.newaxis])
+        if rows.max() > hist.filled:
+            raise ScenarioError(
+                f"oracle: a delayed read after t = {ts[j0]:.6g} needs a "
+                f"control of its own {block}-step block")
         vf = np.einsum("jqk,jqka->jqa", wts, hist.samples[rows]) \
             + np.asarray(scenario.d1(tf))
         g = np.einsum("qn,jqn->jn", Wf, vf @ B_all.T)
@@ -648,10 +627,11 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
             raise ScenarioError(
                 f"oracle: non-finite state at step {j0 + 1 + bad[0]}")
         drive = c[steps, : cert.N0] @ K.T + d2_ts[steps]
-        for i in range(n):
-            u[j0 + i + 1] = solve_u(j0 + i + 1, drive[i])
-            hist.append(u[j0 + i + 1])
-        j0 += n
+        for i, j in enumerate(range(j0 + 1, j0 + n + 1)):
+            top = hist.filled + 1
+            u[j] = gain[j] @ (drive[i] + known
+                              @ hist.samples[top - n_known: top].reshape(-1))
+            hist.append(u[j])
 
     return _trajectory(scenario, ts, c, u, v, "rk4",
                        {"dt": dt, "refine": ORACLE_REFINE, "N_modes": n_modes,
@@ -661,18 +641,20 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
 # ---------------------------------------------------------------------------
 # CSV export / import
 
+def _csv_columns(n, n0, m):
+    """The trajectory CSV header for n modes, N0 = n0 and m inputs."""
+    return ["t"] + [f"{name}_{i}" for name, k in (
+        ("c", n), ("Y", n0), ("Z", n0), ("u", m), ("v", m))
+        for i in range(1, k + 1)] + ["norm_lower", "norm_upper"]
+
+
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write the trajectory with the fixed header schema (round-trip floats);
     the schema is real, so complex data raises ScenarioError."""
     if any(np.iscomplexobj(a) for a in (traj.coeffs, traj.Z, traj.u, traj.v)):
         raise ScenarioError("trajectory CSV holds real data only; "
                             "complex-field trajectories cannot be written")
-    n = traj.coeffs.shape[1]
-    n0 = traj.Z.shape[1]
-    m = traj.u.shape[1]
-    cols = ["t"] + [f"{name}_{i}" for name, k in (("c", n), ("Y", n0), ("Z", n0),
-                                                  ("u", m), ("v", m))
-                    for i in range(1, k + 1)] + ["norm_lower", "norm_upper"]
+    cols = _csv_columns(traj.coeffs.shape[1], traj.Z.shape[1], traj.u.shape[1])
     data = np.column_stack([
         traj.t, traj.coeffs, traj.Y, traj.Z,
         traj.u, traj.v, traj.norm_lower, traj.norm_upper,
@@ -686,20 +668,18 @@ def trajectory_from_csv(path) -> Trajectory:
     with open(path) as fh:
         header = [h.strip() for h in fh.readline().split(",")]
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    n = sum(1 for h in header if h.startswith("c_"))
-    n0 = sum(1 for h in header if h.startswith("Y_"))
-    m = sum(1 for h in header if h.startswith("u_"))
-    i = 1
-    coeffs = data[:, i:i + n]; i += n
-    i += n0  # Y is a view of coeffs
-    Z = data[:, i:i + n0]; i += n0
-    u = data[:, i:i + m]; i += m
-    v = data[:, i:i + m]; i += m
-    return Trajectory(
-        t=data[:, 0], coeffs=coeffs, u=u, v=v, Z=Z,
-        norm_lower=data[:, i], norm_upper=data[:, i + 1],
-        engine="csv",
-    )
+    n, n0, m = (sum(h.startswith(p) for h in header)
+                for p in ("c_", "Y_", "u_"))
+    if header != _csv_columns(n, n0, m) or data.shape[1] != len(header):
+        raise ScenarioError(f"trajectory file {path} is not in the layout "
+                            "simulate writes: t, c_*, Y_*, Z_*, u_*, v_*, "
+                            "norm_lower, norm_upper, one value per column")
+    # Y is a view of coeffs, so its columns are skipped.
+    _, coeffs, _, Z, u, v, norms = np.split(
+        data, np.cumsum([1, n, n0, n0, m, m]), axis=1)
+    return Trajectory(t=data[:, 0], coeffs=coeffs, u=u, v=v, Z=Z,
+                      norm_lower=norms[:, 0], norm_upper=norms[:, 1],
+                      engine="csv")
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,7 @@ def reference_oracle_simulate(scenario, refine: int = 20):
     d1 = scenario.d1
     d2_ts = np.asarray(scenario.d2(ts))
 
-    def simpson_panels(width):
-        return max(int(np.ceil(width / dt * 2)) * 2, 4)
+    n_seg = max(int(np.ceil(D0 / dt * 2)) * 2, 4)   # Simpson panels
 
     def kernel_weights(tau, n_seg):
         w = simpson_weights(n_seg + 1, (tau[0] - tau[-1]) / n_seg)
@@ -267,9 +266,8 @@ def reference_oracle_simulate(scenario, refine: int = 20):
         phi, _ = transition_eval(transition, t)
         if phi == 0.0:
             return np.zeros(m)
-        n_seg = simpson_panels(D0 if t >= D0 else t)
-        s = np.linspace(t - D0, t, n_seg + 1) if t >= D0 \
-            else np.linspace(0.0, t, n_seg + 1)
+        # The window [t - D0, t] reads u = 0 before t = 0 from the pre-buffer.
+        s = np.linspace(t - D0, t, n_seg + 1)
         kw = kernel_weights(t - s - D0, n_seg)
         # Every node but the last (the candidate itself) is read on its own.
         x = (s[:-1] - t) / dt + 2.0             # steps past t_{k-2}

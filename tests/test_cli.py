@@ -252,6 +252,9 @@ def _set(*path_and_value):
     return mutate
 
 
+PLANT = {"kind": "reaction_diffusion", "c": 15.0}
+
+
 @pytest.mark.parametrize("subcommand, kind, mutate, names", [
     ("simulate", "scenario", _set("integration", "dt", None), ""),
     ("simulate", "scenario", _set("delay", 5), ""),
@@ -268,10 +271,19 @@ def _set(*path_and_value):
     ("validate-lemma2", "scenario", _set("lemma2", [["a", 1.0]]),
      "malformed scenario file"),
     ("sweep", "certificate", _set("u_constants", [1, 2]), "u_constants"),
+    ("certify", "descriptor", lambda d: {**PLANT, "design": {"D0": None}},
+     "'D0'"),
+    ("certify", "descriptor", lambda d: {**PLANT, "design": 5}, "design"),
+    ("certify", "descriptor", lambda d: {**PLANT, "design": {"bogus": 1}},
+     "'bogus'"),
+    ("validate-lemma2", "scenario", _set("lemma2", {"a": 0}), "'a'"),
+    ("validate-lemma2", "scenario", _set("lemma2", {"eps": 1e308}), "'eps'"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
-        "lemma2-unknown-key", "lemma2-pairs", "certificate-bank-list"])
+        "lemma2-unknown-key", "lemma2-pairs", "certificate-bank-list",
+        "design-D0-null", "design-not-a-mapping", "design-unknown-key",
+        "lemma2-a-zero", "lemma2-eps-overflow"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     root, cert_path, scen_path = artifacts
@@ -291,6 +303,23 @@ def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err
+
+
+@pytest.mark.parametrize("text", [
+    "t, c_1\n0.0, 1.0\n",
+    "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n0, 1, 1, 1, 0, 0, 1\n",
+    "t, c_1, Z_1, Y_1, u_1, v_1, norm_lower, norm_upper\n"
+    "0, 1, 1, 1, 0, 0, 1, 1\n",
+], ids=["two-columns", "short-row", "swapped-columns"])
+def test_check_refuses_a_trajectory_csv_of_another_layout(artifacts, tmp_path,
+                                                          capsys, text):
+    root, cert_path, scen_path = artifacts
+    bad = tmp_path / "traj.csv"
+    bad.write_text(text)
+    assert cli.main(["check", "--certificate", cert_path,
+                     "--scenario", scen_path, "--out", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
 
 
 @pytest.mark.parametrize("field, mutate", [

@@ -313,6 +313,18 @@ def test_oracle_matches_per_node_reference(descriptor, exact_cert, case):
         assert block == 1
 
 
+def test_oracle_agrees_with_itself_at_a_quarter_of_the_step(descriptor,
+                                                            exact_cert):
+    # The per-node reference shares the oracle's method, so this pins the
+    # oracle's own accuracy: dt = 1e-3 against dt = 2.5e-4 on the coarse grid.
+    for i in (0, 4):
+        coarse, fine = (oracle_simulate(cli.builtin_scenarios(
+            descriptor, exact_cert, dt=dt, T=4.0)[i]) for dt in (1e-3, 2.5e-4))
+        gap = np.max(np.abs(coarse.coeffs - fine.coeffs[::4])) \
+            / np.max(np.abs(fine.coeffs))
+        assert gap <= 1e-8, (i, gap)
+
+
 def test_engine_gap_to_oracle_converges_at_second_order(descriptor,
                                                         exact_cert):
     # The oracle's own error sits far below the engine's, so the gap is the
