@@ -131,9 +131,12 @@ def certify_pipeline(descriptor: SystemDescriptor, design: dict = None,
         lam1 = float(np.max(np.real(cert.lambdas)))
         raise synthesis.SynthesisError(
             f"vacuous certificate: delta_max = {cert.delta_max:.3g} is below "
-            f"{VACUOUS_DELTA:g} D0; the predictor factor e^(lambda_1 D0) = "
-            f"e^{lam1 * cert.D0:.4g} (lambda_1 = {lam1:.4g}, D0 = {cert.D0:g}) "
-            f"inflates the gain; try a smaller D0")
+            f"{VACUOUS_DELTA:g} D0; its small-gain factors are M_lambda = "
+            f"{cert.M_lambda:.3g}, ||BK|| = {cert.BK_norm:.3g}, ||A_cl|| = "
+            f"{np.linalg.norm(cert.A_cl, 2):.3g} and e^(lambda_1 D0) = "
+            f"e^{lam1 * cert.D0:.4g} (lambda_1 = {lam1:.4g}, D0 = {cert.D0:g}); "
+            f"try a smaller D0, or distinct, faster target poles "
+            f"(design keys D0, target_poles)")
     log.info("synthesized: N0=%d delta_max=%.4g sigma=%.4g kappa=%.4g",
              cert.N0, cert.delta_max, cert.sigma, cert.kappa)
     scens = fitting_ensemble(descriptor, cert, seed=seed, n_members=n_fit,

@@ -23,10 +23,10 @@ returns one block's reads.  ``PredictorController.step`` solves the laws of
 B consecutive steps as one lower block-triangular system: diagonal blocks
 I - phi_j K G_0, checked against ``SOLVE_CONDITIONING_FLOOR``, the block at
 lag k below the diagonal -phi_j K G_k, and the taps on samples before the
-block in the right-hand side; the engine holds each row's residual to
-``SOLVE_RESIDUAL_TOL``.  Every linear history read (the delayed reads and
-the Artstein residual's reads of Z) goes through ``linear_stencil``, which
-owns the covered-span check.
+block in the right-hand side; the engine holds each row's componentwise
+backward error to ``SOLVE_RESIDUAL_TOL``.  Every linear history read (the
+delayed reads and the Artstein residual's reads of Z) goes through
+``linear_stencil``, which owns the covered-span check.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ def predictor_taps(lambdas, B, D0: float, dt: float):
 # Smallest admissible sigma_min(I - phi K G_0); below it the direct solve
 # would amplify rounding by more than ~1e6.
 SOLVE_CONDITIONING_FLOOR = 1e-6
-# Relative residual bound on the implicit equation after the direct solve.
+# Bound on the componentwise backward error max |A u - rhs| / (|A||u| + |rhs|)
+# of each row of the block system after the direct solve.
 SOLVE_RESIDUAL_TOL = 1e-12
 
 
@@ -191,8 +192,8 @@ class PredictorController:
     def step(self, history: ControlHistory, j0: int, Y, d2):
         """Solve, record in ``history`` and return the controls (S, n, m) of
         steps j0+1..j0+n, given their head states ``Y`` (S, n, N0) and
-        matched disturbances ``d2`` (S, n, m), with each row's relative
-        residual (S, n).  Row i of the block system is M_i u_i - phi_i
+        matched disturbances ``d2`` (S, n, m), with each row's componentwise
+        backward error (S, n).  Row i of the block system is M_i u_i - phi_i
         sum_{i'<i} T[i, i'] u_i' = phi_i (K Y_i + d2_i + K H-product_i), with
         M_i = I - phi_i K G_0; scaling row i by M_i^{-1} leaves a unit
         lower-triangular matrix, one for all members.
@@ -212,8 +213,10 @@ class PredictorController:
         # One solve per member keeps its rounding independent of S.
         u = np.stack([solve_triangular(unit, r, lower=True, unit_diagonal=True,
                                        check_finite=False)
-                      for r in scaled]).reshape(S, n, m)
-        residual = np.linalg.norm(np.einsum("iakc,skc->sia", A, u) - rhs,
-                                  axis=2) / np.maximum(1.0, np.linalg.norm(u, axis=2))
+                      for r in scaled])                        # (S, n m)
+        A, rhs = A.reshape(n * m, -1), rhs.reshape(S, -1)
+        scale = np.abs(u) @ np.abs(A).T + np.abs(rhs)
+        residual = np.abs(u @ A.T - rhs) / np.maximum(scale, np.finfo(float).tiny)
+        u = u.reshape(S, n, m)
         history.samples[:, top: top + n] = u
-        return u, residual
+        return u, residual.reshape(S, n, m).max(axis=2)

@@ -379,7 +379,7 @@ def simulate(scenario):
                                     f"(t={ts[j]:.6g})")
             if kind == 1:
                 raise ControllerError(f"non-finite control value at t={ts[j]}")
-            raise ControllerError(f"implicit equation residual "
+            raise ControllerError(f"implicit equation backward error "
                                   f"{residual[:, i].max():.3g} at t={ts[j]}")
         np.maximum(max_residual, residual.max(axis=1), out=max_residual)
 
@@ -424,8 +424,6 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
     points, and phi vanishes for t <= 0, so the delayed terms
     [phi Z](t - D) and [phi d2](t - D) read 0 before the run starts.
     """
-    from scipy.linalg import expm
-
     cert = certificate
     scen = trajectory.scenario
     if scen is None:
@@ -436,7 +434,7 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
     t = ts[1:-1]
     B = cert.B
     BK = B @ np.atleast_2d(cert.K)
-    E = expm(-cert.D0 * np.diag(cert.lambdas))
+    E = np.exp(-cert.D0 * cert.lambdas)[:, np.newaxis]
     transition = TransitionSignal(cert.t0)
     phi, _ = transition_eval(transition, t)
     # The delayed (row 0) and nominal (row 1) arguments, clipped at 0.
@@ -448,9 +446,9 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
                                       + w1[..., np.newaxis] * Z[j0 + 1])
     phi_d2 = phi_x[..., np.newaxis] * np.asarray(scen.d2(x))
     dZ = (Z[2:] - Z[:-2]) / (2.0 * dt)
-    rhs = Z[1:-1] * cert.lambdas + phi[:, np.newaxis] * (Z[1:-1] @ (E @ BK).T) \
+    rhs = Z[1:-1] * cert.lambdas + phi[:, np.newaxis] * (Z[1:-1] @ (E * BK).T) \
         + (phi_z[0] - phi_z[1]) @ BK.T + np.asarray(scen.d1(t)) @ B.T \
-        + phi[:, np.newaxis] * (np.asarray(scen.d2(t)) @ (E @ B).T) \
+        + phi[:, np.newaxis] * (np.asarray(scen.d2(t)) @ (E * B).T) \
         + (phi_d2[0] - phi_d2[1]) @ B.T
     return t, np.linalg.norm(dZ - rhs, axis=1)
 

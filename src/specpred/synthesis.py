@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import SpecpredError, is_number, load_json
 from .numerics import matrix_exp_norm
@@ -88,13 +87,23 @@ class Certificate:
         return amplitude <= self.delta_max * (1 + 1e-12)
 
 
-def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
-    """Single-input pole placement for A_cl = A + e^{-D0 A} B K.
+def closed_loop(lambdas, B, K, D0: float) -> np.ndarray:
+    """A_cl = diag(lambda) + (e^{-D0 lambda} o B) K, real when its imaginary
+    part vanishes."""
+    A_cl = np.diag(lambdas) + (np.exp(-D0 * lambdas)[:, np.newaxis] * B) @ K
+    if np.iscomplexobj(A_cl) and np.allclose(A_cl.imag, 0.0):
+        A_cl = A_cl.real
+    return A_cl
 
-    Placement runs on the pair (A, e^{-D0 A} B) via Ackermann's formula, which
-    handles the diagonal-with-distinct-eigenvalues structure directly.
+
+def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
+    """Single-input pole placement for A_cl = A + e^{-D0 A} B K, in closed form.
+
+    With bt = e^{-D0 lambda} b, det(sI - A_cl) = prod_i (s - lambda_i)
+    (1 - sum_i K_i bt_i / (s - lambda_i)), so at s = lambda_n
+    K_n = -prod_k (lambda_n - p_k) / (bt_n prod_{i != n} (lambda_n - lambda_i)).
     """
-    A = model.A
+    lam = model.lambdas
     B = model.B
     n = model.N0
     if B.shape[1] != 1:
@@ -107,37 +116,33 @@ def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
         raise SynthesisError(f"need exactly N0={n} target poles")
     if np.any(target.real >= 0):
         raise SynthesisError("target poles must have negative real parts")
-    is_real = not (np.iscomplexobj(A) or np.iscomplexobj(B))
+    is_real = not (np.iscomplexobj(lam) or np.iscomplexobj(B))
     if is_real and not np.allclose(np.sort_complex(target),
                                    np.sort_complex(np.conj(target))):
         raise SynthesisError("target poles must be closed under conjugation "
                              "for a real-field model")
-    Bt = expm(-D0 * A) @ B
-    # Hautus test for the diagonal pair: every head mode needs b_{n,1} != 0.
+    # Hautus test for the diagonal pair: every head mode needs b_{n,1} != 0
+    # and an eigenvalue of its own.
     if np.any(np.abs(B[:, 0]) == 0.0):
         dead = int(np.nonzero(np.abs(B[:, 0]) == 0.0)[0][0]) + 1
         raise SynthesisError(f"uncontrollable: b_{{{dead},1}} = 0")
-    # Controllability matrix of (A, Bt).
-    ctrb = np.column_stack([np.linalg.matrix_power(A, i) @ Bt for i in range(n)])
-    if np.linalg.cond(ctrb) > 1e14:
-        raise SynthesisError("uncontrollable pair (A, e^{-D0 A} B)")
-    # Desired characteristic polynomial evaluated at A.
+    gaps = lam[:, np.newaxis] - lam
+    np.fill_diagonal(gaps, 1.0)
+    if np.any(gaps == 0.0):
+        raise SynthesisError(f"uncontrollable: repeated head eigenvalue in {lam}")
+    bt = np.exp(-D0 * lam) * B[:, 0]
+    with np.errstate(all="ignore"):     # a gain past the float range: below
+        K = -np.prod(lam[:, np.newaxis] - target, axis=1) / (bt * np.prod(gaps, axis=1))
+    if not np.all(np.isfinite(K)):
+        raise SynthesisError(f"placing gain overflows: min |e^(-D0 lambda_n) b_n| "
+                             f"= {np.abs(bt).min():.3g}")
+    K = (K.real if is_real else K)[np.newaxis, :]
+    # Polynomials, not roots: the roots of a repeated pole move by eps^(1/N0).
     coeffs = np.poly(target)
-    pA = np.zeros_like(A)
-    for c in coeffs:
-        pA = pA @ A + c * np.eye(n, dtype=A.dtype)
-    en = np.zeros((1, n), dtype=A.dtype)
-    en[0, -1] = 1.0
-    # A_cl = A + Bt K with K = -e_n^T ctrb^{-1} p(A)
-    K = -en @ np.linalg.solve(ctrb, pA)
-    if is_real:
-        K = K.real
-    A_cl = A + Bt @ K
-    placed = np.sort_complex(np.linalg.eigvals(A_cl))
-    if not np.allclose(placed, np.sort_complex(target.astype(complex)), atol=1e-8):
-        raise SynthesisError(
-            f"pole placement failed: got {placed}, wanted {target}"
-        )
+    error = np.abs(np.poly(closed_loop(lam, B, K, D0)) - coeffs).max()
+    if not error <= 1e-9 * np.abs(coeffs).max():
+        raise SynthesisError(f"pole placement failed: characteristic polynomial "
+                             f"off by {error:.3g} for target poles {target}")
     return K
 
 
@@ -216,14 +221,16 @@ def delta_margin(A_cl, BK_norm: float, M_lambda: float, lam: float) -> float:
 
 def delta_tilde(sigma, M_lambda: float, C_norm: float, A_norm: float,
                 lam: float, r: float, eps: float):
-    """Small-gain contraction value delta~ from the truncated-model analysis."""
+    """Small-gain contraction value delta~ from the truncated-model analysis;
+    inf, a failed small-gain test, where a factor leaves the float range."""
     sigma = np.asarray(sigma, dtype=float)
-    return (
-        M_lambda * C_norm / (lam - sigma)
-        * np.exp(sigma * r)
-        * (np.exp(sigma * eps) * np.expm1(A_norm * eps)
-           - np.expm1(-(lam - sigma) * eps))
-    )
+    with np.errstate(over="ignore"):
+        return (
+            M_lambda * C_norm / (lam - sigma)
+            * np.exp(sigma * r)
+            * (np.exp(sigma * eps) * np.expm1(A_norm * eps)
+               - np.expm1(-(lam - sigma) * eps))
+        )
 
 
 def sigma_rate(M_lambda: float, lam: float, A_norm: float, C_norm: float,
@@ -288,11 +295,8 @@ def synthesize_certificate(
             raise SynthesisError("need a gain K or target poles")
         K = place_gain(model, D0, target_poles)
     K = np.atleast_2d(np.asarray(K))
-    A = model.A
     B = model.B
-    A_cl = A + expm(-D0 * A) @ B @ K
-    if np.iscomplexobj(A_cl) and np.allclose(A_cl.imag, 0.0):
-        A_cl = A_cl.real
+    A_cl = closed_loop(model.lambdas, B, K, D0)
     M_lambda, lam, _ = decay_envelope(A_cl)
     BK_norm = float(np.linalg.norm(B @ K, 2))
     delta_star = delta_margin(A_cl, BK_norm, M_lambda, lam)
@@ -301,7 +305,7 @@ def synthesize_certificate(
     sigma, dtil = sigma_rate(M_lambda, lam, A_cl_norm, BK_norm, r=D0, eps=delta_max)
     tail = iss_constants(descriptor, model, sigma)
     cert = Certificate(
-        lambdas=np.diag(A), B=B, K=K, N0=model.N0, D0=float(D0), t0=float(t0),
+        lambdas=model.lambdas, B=B, K=K, N0=model.N0, D0=float(D0), t0=float(t0),
         alpha=model.alpha, xi=model.xi,
         m_R=descriptor.riesz_lower, M_R=descriptor.riesz_upper,
         A_cl=A_cl, M_lambda=M_lambda, lam=lam,

@@ -17,9 +17,10 @@ import pytest
 from scipy.linalg import expm
 
 from reference import reference_simulate
-from specpred import cli, iss_certifier, synthesis
+from specpred import cli, controller, iss_certifier, synthesis
 from specpred.controller import (
     SOLVE_CONDITIONING_FLOOR,
+    SOLVE_RESIDUAL_TOL,
     ControlHistory,
     ControllerError,
     PredictorController,
@@ -162,6 +163,29 @@ def test_engine_counters_in_meta(fitting_run):
         assert meta["steps"] == len(traj.t) - 1
         assert meta["max_solve_residual"] <= 1e-12
         assert meta["min_solve_sigma"] >= SOLVE_CONDITIONING_FLOOR
+
+
+@pytest.mark.parametrize("c", [20.0, 25.0, 30.0])
+def test_solve_gate_passes_the_fitting_ensemble_of_stiffer_plants(c):
+    # The rows sum terms |K Q| about 15x larger than |u| here, so a residual
+    # scaled by max(1, |u|) read 1e-12 on sound solves; the componentwise
+    # backward error stays at a few eps.
+    cert = cli.certify_pipeline(cli.default_descriptor(c))
+    assert cert.has_fitted_constants
+
+
+@pytest.mark.parametrize("c", [15.0, 25.0])
+def test_solve_gate_refuses_a_perturbed_solve(monkeypatch, c):
+    _, cert = cli.design_pipeline(cli.default_descriptor(c))
+    scen = cli.builtin_scenarios(cli.default_descriptor(c), cert, dt=1e-3,
+                                 T=2.0)[4]
+    assert simulate(scen).meta["max_solve_residual"] <= SOLVE_RESIDUAL_TOL
+    solve = controller.solve_triangular
+    monkeypatch.setattr(controller, "solve_triangular",
+                        lambda *a, **k: solve(*a, **k) * (1.0 + 1e-9))
+    with pytest.raises(ControllerError,
+                       match="implicit equation backward error"):
+        simulate(scen)
 
 
 def test_read_margin_on_certified_and_past_the_prebuffer(descriptor,

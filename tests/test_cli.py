@@ -342,6 +342,26 @@ def test_malformed_scenario_fields_are_named(artifacts, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: {field} ")
 
 
+@pytest.mark.parametrize("section, rc", [
+    ({"a": -1e-300}, 0),
+    ({"r": 1e308}, 2),
+    ({"a": -1e6}, 2),
+], ids=["a-tiny", "r-huge", "a-huge"])
+def test_validate_lemma2_extreme_sections_run_without_warnings(tmp_path, capsys,
+                                                               section, rc):
+    # Under the RuntimeWarning-as-error setting, an overflow warning inside
+    # the contraction value would end the run instead of its result.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"lemma2": section}))
+    assert cli.main(["validate-lemma2", "--scenario", str(path)]) == rc
+    out, err = capsys.readouterr()
+    if rc == 0:
+        sigma = float(out.split("sigma=")[1].split()[0])
+        assert 0.0 < sigma < 1e-300
+    else:
+        assert err.startswith("error: small-gain violated at sigma -> 0+")
+
+
 def test_cmd_validate_lemma2(tmp_path, capsys):
     out_path = tmp_path / "lemma2.json"
     rc = cli.main(["validate-lemma2", "--seed", "4", "--out", str(out_path)])
@@ -349,6 +369,33 @@ def test_cmd_validate_lemma2(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["finite"]
     assert report["M"] >= 1.0
+
+
+@pytest.mark.parametrize("D0", [0.5, 0.05, 0.01])
+def test_cmd_certify_names_the_large_factors_of_a_vacuous_c100_design(
+        tmp_path, capsys, D0):
+    # lambda_1 ~ 90 and the triple pole at -2 give M_lambda ~ 4e6 and
+    # ||BK|| ~ 3e3 even at D0 = 0.01, where e^(lambda_1 D0) is only e^0.9.
+    desc = tmp_path / "c100.json"
+    desc.write_text(json.dumps({"kind": "reaction_diffusion", "c": 100.0,
+                                "design": {"D0": D0}}))
+    assert cli.main(["certify", "--descriptor", str(desc),
+                     "--out", str(tmp_path / "cert.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: vacuous certificate")
+    for name in ("M_lambda = ", "||BK|| = ", "||A_cl|| = ", "e^(lambda_1 D0)",
+                 "smaller D0", "faster target poles"):
+        assert name in err
+    if D0 == 0.01:
+        assert "M_lambda = 4.06e+06" in err and "e^0.9013" in err
+
+
+def test_distinct_faster_poles_clear_the_vacuous_floor_at_c100():
+    _, cert = cli.design_pipeline(
+        cli.default_descriptor(100.0),
+        {"D0": 0.01, "target_poles": [-5.0, -10.0, -20.0]})
+    assert cert.delta_max >= cli.VACUOUS_DELTA * cert.D0
+    assert cert.delta_max == pytest.approx(1.34e-10, rel=0.01)
 
 
 def test_cmd_certify_builtin(tmp_path, capsys):

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from reference import reference_matrix_exp_norm
-from specpred import cli
+from specpred import cli, spectral_model
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
 from specpred.synthesis import (
     ENVELOPE_GRID,
@@ -70,6 +71,66 @@ def test_place_gain_rejections():
                           B=np.array([[1.0], [0.0]]), N0=2, alpha=30.0, xi=1.0)
     with pytest.raises(SynthesisError):
         place_gain(dead, 0.3, [-2.0, -3.0])
+    # A repeated eigenvalue, and a compensation e^{-D0 lambda} that
+    # underflows, are refused typed, with no RuntimeWarning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam, match in (([2.0, 2.0], "repeated head eigenvalue"),
+                           ([-1.0, 2000.0], "placing gain overflows")):
+            head = replace(m, A=np.diag(lam))
+            with pytest.raises(SynthesisError, match=match):
+                place_gain(head, 0.5, [-2.0, -3.0])
+
+
+def char_poly_error(model, D0, K, target):
+    """Largest coefficient gap between det(sI - A - e^{-D0 A} B K) and the
+    target polynomial, relative to the target's largest coefficient."""
+    A_cl = model.A + expm(-D0 * model.A) @ model.B @ K
+    want = np.poly(target)
+    return np.abs(np.poly(A_cl) - want).max() / np.abs(want).max()
+
+
+@st.composite
+def diagonal_heads(draw):
+    """A real diagonal head with distinct eigenvalues and b_n != 0, a delay
+    and conjugate-closed target poles."""
+    n = draw(st.integers(1, 4))
+    # Sorted, then spread: eigenvalues at least 0.5 apart in [-3, 7.5].
+    lam = np.sort(draw(st.lists(st.floats(-3.0, 6.0), min_size=n,
+                                max_size=n))) + 0.5 * np.arange(n)
+    b = draw(st.lists(st.floats(0.3, 2.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    pairs = draw(st.integers(0, n // 2))
+    re = draw(st.lists(st.floats(-6.0, -0.5), min_size=n - pairs,
+                       max_size=n - pairs))
+    im = draw(st.lists(st.floats(0.1, 3.0), min_size=pairs, max_size=pairs))
+    target = np.array(re[pairs:] + [r + s * 1j * y for r, y in zip(re, im)
+                                    for s in (1, -1)])
+    model = TruncatedModel(A=np.diag(lam), B=(np.array(b) * signs)[:, None],
+                           N0=n, alpha=30.0, xi=1.0)
+    return model, draw(st.floats(0.0, 0.5)), target
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_heads())
+def test_place_gain_places_the_characteristic_polynomial(head):
+    model, D0, target = head
+    K = place_gain(model, D0, target)
+    assert K.shape == (1, model.N0) and not np.iscomplexobj(K)
+    assert char_poly_error(model, D0, K, target) <= 1e-9
+
+
+@pytest.mark.parametrize("D0", [0.5, 0.05, 0.01])
+def test_place_gain_places_the_triple_default_pole_at_c100(D0):
+    # lambda_1..3 = 100 - (n pi)^2; the triple pole's computed roots move by
+    # about eps^(1/3), so only the polynomial shows the placement is exact.
+    desc = cli.default_descriptor(100.0)
+    split = spectral_model.classify_modes(desc, cli.DEFAULT_SCAN_DEPTH)
+    model = spectral_model.truncated_model(desc, split.N0, split.alpha,
+                                           split.xi)
+    assert model.N0 == 3
+    K = place_gain(model, D0, [-2.0] * 3)
+    assert char_poly_error(model, D0, K, [-2.0] * 3) <= 1e-9
 
 
 def test_decay_envelope_properties(rng):
