@@ -423,30 +423,31 @@ def lemma2_suite(seed: int = 0, n_members: int = 50,
     """Random admissible ensemble for the scalar delay-difference system.
 
     Members alternate between nonzero-history / zero-forcing (pinning M) and
-    zero-history / nonzero-forcing (pinning N); d and q are bounded sinusoids.
+    zero-history / nonzero-forcing (pinning N); d, q, p are signal objects.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     A = np.array([[a]])
     C = np.array([[c_norm]])
+    zero = DisturbanceSignal("zero")
     problems = []
     for i in range(n_members):
         wd = float(rng.uniform(0.3, 6.0))
         wq = float(rng.uniform(0.3, 6.0))
         pd = float(rng.uniform(0, 2 * np.pi))
         pq = float(rng.uniform(0, 2 * np.pi))
-        d = (lambda t, w=wd, p=pd: math.sin(w * t + p))
-        q = (lambda t, w=wq, p=pq: math.sin(w * t + p))
+        d = DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=wd, phase=pd)
+        q = DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=wq, phase=pq)
         if i % 2 == 0:
             amp = float(rng.uniform(0.5, 2.0))
             wx = float(rng.uniform(0.0, 4.0))
             x0 = (lambda t, A0=amp, w=wx: np.array([A0 * math.cos(w * t)]))
-            p = (lambda t: np.zeros(1))
+            p = zero
         else:
-            x0 = (lambda t: np.zeros(1))
+            x0 = zero
             ap = float(rng.uniform(0.2, 1.5))
             wp = float(rng.uniform(0.3, 5.0))
             pp = float(rng.uniform(0, 2 * np.pi))
-            p = (lambda t, A0=ap, w=wp, ph=pp: np.array([A0 * math.sin(w * t + ph)]))
+            p = DisturbanceSignal("sinusoid", amplitude=(ap,), omega=wp, phase=pp)
         problems.append(Lemma2Problem(A=A, C=C, r=r, eps=eps, d=d, q=q, p=p,
                                       x0=x0))
     return problems

@@ -18,13 +18,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import SpecpredError
 from .numerics import catmull_rom, cubic_stencil
-from .sim_engine import Scenario, Trajectory
+from .sim_engine import DelaySignal, DisturbanceSignal, Scenario, Trajectory
 from .synthesis import Certificate, finalize_tail_constants, smallgain_lhs
 
 
@@ -350,10 +350,10 @@ class Lemma2Problem:
     C: np.ndarray
     r: float
     eps: float
-    d: callable
-    q: callable
-    p: callable
-    x0: callable          # history on [-r-eps, 0]
+    d: Callable
+    q: Callable
+    p: Callable
+    x0: Callable          # history on [-r-eps, 0]
 
     def smallgain_ok(self, M_lambda: float, lam: float) -> bool:
         return bool(smallgain_lhs(self.eps, float(np.linalg.norm(self.A, 2)),
@@ -362,12 +362,20 @@ class Lemma2Problem:
 
 
 # Catmull-Rom stencil: offsets of the four samples of a history read.
-_STENCIL = np.arange(4)[:, np.newaxis, np.newaxis]
+_STENCIL = np.arange(4).reshape(4, 1, 1, 1)
 
 
 def _matvec(M, v):
-    """Per-member product M[s] @ v[s] for M (S, n, n) and v (S, n)."""
+    """Per-member product M[s] @ v[s] for M (S, n, n) and v (..., S, n)."""
     return np.matmul(M, v[..., np.newaxis])[..., 0]
+
+
+def _sample(f, ts):
+    """Member function ``f`` on the times ``ts``, one row per time: one call
+    for a signal object, one call per time for any other callable."""
+    signal = isinstance(f, (DelaySignal, DisturbanceSignal))
+    vals = f(ts) if signal else [f(t) for t in ts]
+    return np.asarray(vals, dtype=float).reshape(len(ts), -1)
 
 
 def simulate_delay_difference(problem, dt: float, T: float,
@@ -378,10 +386,10 @@ def simulate_delay_difference(problem, dt: float, T: float,
     is stepped together in one pass: the state is shaped (S, n), the history
     (n_pre + J + 1, S, n), and every history read is one gather over the
     members, whose A, C, r and eps may differ; members of a lower state
-    dimension are zero-padded to the largest n.  The delayed reads touch
-    only final samples, so stages 2 and 3 share one read and the end of a
-    step is the start of the next: each member's d, q and p are evaluated
-    once per half-step.
+    dimension are zero-padded to the largest n.  The delayed reads lag at
+    least r - eps behind t, so a block of L steps reads only samples known
+    when it starts: each block samples d, q and p on its step and half-step
+    times once, and its forcing is one gather and one Catmull-Rom call.
 
     Returns (ts, xs) with xs shaped (J+1, n) for one problem and (J+1, S, n)
     for a sequence; ``with_forcing`` appends p sampled on ts, shaped as xs.
@@ -405,45 +413,41 @@ def simulate_delay_difference(problem, dt: float, T: float,
     n_pre = max(int(math.ceil((pr.r + pr.eps) / dt)) for pr in members) + 2
     J = int(round(T / dt))
     xs = np.zeros((n_pre + J + 1, S, n))
-    t_hist0 = -n_pre * dt
+    t_hist = -n_pre * dt + dt * np.arange(n_pre + 1)
     for i, (pr, k) in enumerate(zip(members, dims)):
-        for j in range(n_pre + 1):
-            xs[j, i, :k] = pr.x0(max(t_hist0 + j * dt, -(pr.r + pr.eps)))
-    ds = [pr.d for pr in members]
-    qs = [pr.q for pr in members]
-    p_rows = [(pr.p, k) for pr, k in zip(members, dims)]
+        xs[:n_pre + 1, i, :k] = _sample(pr.x0, np.maximum(t_hist, -(pr.r + pr.eps)))
     rows = np.arange(S)
 
-    def forcing(t, p_out):
-        """(q C [x(t - r - eps d) - x(t - r)], p) at time t for every member;
-        p is written into ``p_out``."""
-        d = np.fromiter((f(t) for f in ds), float, S)
-        q = np.fromiter((f(t) for f in qs), float, S)
-        x = (np.stack([t - r - eps * d, t - r]) - t_hist0) / dt
-        start, w = cubic_stencil(x, n_pre + J)
-        lag, nom = catmull_rom(xs[start + _STENCIL, rows], w[..., np.newaxis])
-        for i, (f, k) in enumerate(p_rows):
-            p_out[i, :k] = f(t)
-        return q[:, np.newaxis] * _matvec(C, lag - nom), p_out
-
-    def rhs(x, g):
-        return _matvec(A, x) + g[0] + g[1]
+    def rhs(x, g, p):
+        return _matvec(A, x) + g + p
 
     ts = dt * np.arange(J + 1)
     ps = np.zeros((J + 1, S, n))
-    p_half = np.zeros((S, n))
-    g0 = forcing(ts[0], ps[0])
-    for j in range(J):
-        t = ts[j]
-        x = xs[n_pre + j]
-        gh = forcing(t + dt / 2, p_half)
-        g1 = forcing(ts[j + 1], ps[j + 1])
-        k1 = rhs(x, g0)
-        k2 = rhs(x + dt / 2 * k1, gh)
-        k3 = rhs(x + dt / 2 * k2, gh)
-        k4 = rhs(x + dt * k3, g1)
-        xs[n_pre + j + 1] = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        g0 = g1
+    # A read at a block's last time lags r - eps and its stencil reaches 2
+    # rows past it, so a block of L steps reads only rows known at its start.
+    L = max(1, int(np.min(r - eps) / dt) - 3)
+    for j0 in range(0, J, L):
+        tb = ts[j0:j0 + L + 1]
+        tf = np.empty(2 * len(tb) - 1)
+        tf[0::2], tf[1::2] = tb, tb[:-1] + dt / 2
+        d = np.hstack([_sample(pr.d, tf) for pr in members])
+        q = np.hstack([_sample(pr.q, tf) for pr in members])
+        pf = np.zeros((len(tf), S, n))
+        for i, (pr, k) in enumerate(zip(members, dims)):
+            pf[:, i, :k] = _sample(pr.p, tf)
+        tr = tf[:, np.newaxis] - r
+        x = (np.stack([tr - eps * d, tr]) - t_hist[0]) / dt
+        start, w = cubic_stencil(x, n_pre + J)
+        lag, nom = catmull_rom(xs[start + _STENCIL, rows], w[..., np.newaxis])
+        g = q[..., np.newaxis] * _matvec(C, lag - nom)
+        ps[j0:j0 + len(tb)] = pf[0::2]
+        for i, j in enumerate(range(j0, j0 + len(tb) - 1)):
+            x = xs[n_pre + j]
+            k1 = rhs(x, g[2 * i], pf[2 * i])
+            k2 = rhs(x + dt / 2 * k1, g[2 * i + 1], pf[2 * i + 1])
+            k3 = rhs(x + dt / 2 * k2, g[2 * i + 1], pf[2 * i + 1])
+            k4 = rhs(x + dt * k3, g[2 * i + 2], pf[2 * i + 2])
+            xs[n_pre + j + 1] = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     xs = xs[n_pre:]
     if single:
         xs, ps = xs[:, 0], ps[:, 0]
@@ -461,18 +465,24 @@ def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
     history pin down N.  All members are integrated together in one batched
     ``simulate_delay_difference`` call, whose forcing samples give the grid
     norms of p.  The report can only falsify the estimate (M or N unbounded
-    / growing), never prove it.
+    / growing), never prove it.  Steps are dt split into the fewest equal
+    parts with h max|eig A| <= 2.5 (RK4 is stable to 2.78); more than 16 refuse.
     """
     if not all(prob.smallgain_ok(M_lambda, lam) for prob in problems):
         raise CertifierError("small-gain precondition violated for a member")
-    ts, xs, ps = simulate_delay_difference(problems, dt, T, with_forcing=True)
+    eig = max(float(np.max(np.abs(np.linalg.eigvals(pr.A)))) for pr in problems)
+    if (parts := max(1, math.ceil(dt * eig / 2.5))) > 16:
+        raise CertifierError(f"stiff lemma-2 member: |a| = max|eig A| = "
+                             f"{eig:.6g} needs an RK4 step below dt/16")
+    h = dt / parts
+    ts, xs, ps = simulate_delay_difference(problems, h, T, with_forcing=True)
     M_fit = 1.0
     N_fit = 0.0
     per_member = []
     for i, prob in enumerate(problems):
         xn = np.linalg.norm(xs[:, i], axis=1)
         hist_ts = np.linspace(-(prob.r + prob.eps), 0.0, 201)
-        sup_x0 = max(np.linalg.norm(np.atleast_1d(prob.x0(t))) for t in hist_ts)
+        sup_x0 = np.max(np.linalg.norm(_sample(prob.x0, hist_ts), axis=1))
         p_norms = np.linalg.norm(ps[:, i], axis=1)
         has_p = np.max(p_norms) > 0
         if sup_x0 > 0 and not has_p:
@@ -480,7 +490,7 @@ def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
             M_fit = max(M_fit, ratio)
             per_member.append({"channel": "x0", "ratio": ratio})
         elif has_p and sup_x0 == 0:
-            fad = fading_memory_sup(p_norms, sigma, dt)
+            fad = fading_memory_sup(p_norms, sigma, h)
             ratio = _max_ratio(xn, fad)
             N_fit = max(N_fit, ratio)
             per_member.append({"channel": "p", "ratio": ratio})

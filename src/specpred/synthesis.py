@@ -196,7 +196,9 @@ def _last_feasible(ok, lo: float, hi: float) -> float:
 def smallgain_lhs(delta, A_cl_norm: float, BK_norm: float, M_lambda: float, lam: float):
     """Left-hand side M ||BK|| (e^{||A_cl|| delta} - e^{-lam delta}) of the
     small-gain inequality, in expm1 form so that it neither cancels for
-    tiny delta nor overflows near the root."""
+    tiny delta nor overflows near the root; 0 if ||BK|| or a scalar delta is 0."""
+    if BK_norm == 0 or np.isscalar(delta) and delta == 0:
+        return np.zeros_like(delta, dtype=float)
     return M_lambda * BK_norm * (np.expm1(A_cl_norm * delta)
                                  - np.expm1(-lam * delta))
 
@@ -221,9 +223,11 @@ def delta_margin(A_cl, BK_norm: float, M_lambda: float, lam: float) -> float:
 
 def delta_tilde(sigma, M_lambda: float, C_norm: float, A_norm: float,
                 lam: float, r: float, eps: float):
-    """Small-gain contraction value delta~ from the truncated-model analysis;
-    inf, a failed small-gain test, where a factor leaves the float range."""
+    """Small-gain contraction value delta~ from the truncated-model analysis
+    (0 if C or eps is 0); inf, a failed test, where a factor leaves float range."""
     sigma = np.asarray(sigma, dtype=float)
+    if C_norm == 0 or eps == 0:
+        return np.zeros_like(sigma)
     with np.errstate(over="ignore"):
         return (
             M_lambda * C_norm / (lam - sigma)

@@ -342,24 +342,34 @@ def test_malformed_scenario_fields_are_named(artifacts, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: {field} ")
 
 
-@pytest.mark.parametrize("section, rc", [
-    ({"a": -1e-300}, 0),
-    ({"r": 1e308}, 2),
-    ({"a": -1e6}, 2),
-], ids=["a-tiny", "r-huge", "a-huge"])
+SMALL_GAIN_REFUSAL = "error: small-gain violated at sigma -> 0+"
+
+
+@pytest.mark.parametrize("section, rc, expect", [
+    ({"a": -1e-300}, 0, 1e-300),
+    ({"r": 1e308}, 2, SMALL_GAIN_REFUSAL),
+    ({"a": -1e6}, 2, SMALL_GAIN_REFUSAL),
+    ({"a": -2000, "eps": 1e-5}, 0, 2000.0),
+    ({"a": -1e-300, "eps": 0}, 0, 1e-300),
+    ({"c_norm": 0, "a": -1e6}, 2, "error: stiff lemma-2 member: |a| = "),
+], ids=["a-tiny", "r-huge", "a-huge", "a-stiff", "a-tiny-eps-0",
+        "c-zero-a-huge"])
 def test_validate_lemma2_extreme_sections_run_without_warnings(tmp_path, capsys,
-                                                               section, rc):
+                                                               section, rc,
+                                                               expect):
     # Under the RuntimeWarning-as-error setting, an overflow warning inside
-    # the contraction value would end the run instead of its result.
+    # the contraction value would end the run instead of its result.  A run
+    # ends with sigma below ``expect``; a refusal's message starts with it.
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"lemma2": section}))
     assert cli.main(["validate-lemma2", "--scenario", str(path)]) == rc
     out, err = capsys.readouterr()
     if rc == 0:
         sigma = float(out.split("sigma=")[1].split()[0])
-        assert 0.0 < sigma < 1e-300
+        assert 0.0 < sigma < expect
+        assert "finite=True" in out
     else:
-        assert err.startswith("error: small-gain violated at sigma -> 0+")
+        assert err.startswith(expect)
 
 
 def test_cmd_validate_lemma2(tmp_path, capsys):

@@ -13,12 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from specpred import cli, synthesis
 from specpred.iss_certifier import (
+    CertifierError,
     Lemma2Problem,
     _max_ratio,
     fading_memory_sup,
     lemma2_validate,
     simulate_delay_difference,
 )
+from specpred.sim_engine import DelaySignal, DisturbanceSignal
 
 REL_TOL = 1e-12
 
@@ -172,3 +174,109 @@ def test_batched_pass_matches_reference_on_random_sinusoidal_members(params):
     for i, prob in enumerate(members):
         _, want = reference_simulate(prob, dt, T)
         assert_close(xs[:, i], want)
+
+
+def as_lambdas(prob):
+    """``prob`` with its signal objects rebuilt as ``math.sin`` lambdas from
+    the signals' fields, evaluated one sample per call."""
+    def unit(sig):
+        return lambda t: sig.D0 + sig.amplitude * math.sin(sig.omega * t
+                                                           + sig.phase)
+
+    def vector(sig):
+        if sig.kind == "zero":
+            return lambda t: np.zeros(sig.m)
+        return lambda t: np.array([sig.amplitude[0]
+                                   * math.sin(sig.omega * t + sig.phase)])
+
+    x0 = vector(prob.x0) if isinstance(prob.x0, DisturbanceSignal) else prob.x0
+    return Lemma2Problem(A=prob.A, C=prob.C, r=prob.r, eps=prob.eps,
+                         d=unit(prob.d), q=unit(prob.q), p=vector(prob.p),
+                         x0=x0)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 31])
+def test_suite_report_equals_the_report_of_its_members_as_lambdas(seed):
+    p = cli.LEMMA2_DEFAULTS
+    sigma, _ = synthesis.sigma_rate(1.0, -p["a"], abs(p["a"]), p["c_norm"],
+                                    p["r"], p["eps"])
+    problems = cli.lemma2_suite(seed=seed, **p)
+    assert all(isinstance(pr.d, DelaySignal) for pr in problems)
+    got = lemma2_validate(problems, sigma, 1.0, -p["a"], T=4.0)
+    want = lemma2_validate([as_lambdas(pr) for pr in problems], sigma, 1.0,
+                           -p["a"], T=4.0)
+    assert got == want
+
+
+def test_mixed_signal_and_callable_members_match_per_member_runs():
+    # dt = 2^-8 makes r - eps = 3 dt exact for the tight member, whose
+    # blocks are one step long; the other members have other r.
+    dt, T = 2.0 ** -8, 1.5
+    suite = cli.lemma2_suite(seed=7, n_members=2)
+    tight = Lemma2Problem(
+        A=np.array([[-1.0]]), C=np.array([[1.5]]), r=0.25, eps=0.25 - 3 * dt,
+        d=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=4.0),
+        q=lambda t: math.cos(3.0 * t),
+        p=DisturbanceSignal("sinusoid", amplitude=(0.7,), omega=2.0),
+        x0=DisturbanceSignal("zero"))
+    pair = Lemma2Problem(
+        A=np.array([[-1.0, 0.3], [0.0, -2.0]]), C=0.5 * np.eye(2), r=0.6,
+        eps=0.1, d=lambda t: math.sin(5.0 * t),
+        q=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=1.3, phase=0.2),
+        p=DisturbanceSignal("sinusoid", m=2, amplitude=(0.4, -0.9), omega=1.7),
+        x0=lambda t: np.array([math.cos(t), 0.5]))
+    members = [*suite, tight, pair,
+               sinusoid_member(-0.5, 0.7, 0.3, 0.10, 5.0, 2.0, 0.8, 1.0, 1.1,
+                               True)]
+    _, xs = simulate_delay_difference(members, dt, T)
+    for i, prob in enumerate(members):
+        k = prob.A.shape[0]
+        _, want = reference_simulate(prob, dt, T)
+        assert_close(xs[:, i, :k], want)
+
+
+def test_signal_members_are_sampled_once_per_block():
+    sizes = {}      # omega -> the number of times sampled by each call
+
+    def counting(cls):
+        class Counting(cls):
+            def __call__(self, t):
+                sizes.setdefault(self.omega, []).append(np.size(t))
+                return super().__call__(t)
+        return Counting
+
+    r, eps, dt, T = 0.5, 0.05, 5e-3, 2.0
+    unit = counting(DelaySignal)
+    prob = Lemma2Problem(
+        A=np.array([[-1.0]]), C=np.array([[2.0]]), r=r, eps=eps,
+        d=unit("sinusoid", D0=0.0, amplitude=1.0, omega=3.0),
+        q=unit("sinusoid", D0=0.0, amplitude=1.0, omega=2.0),
+        p=counting(DisturbanceSignal)("sinusoid", amplitude=(1.0,), omega=1.0),
+        x0=lambda t: np.array([1.0]))
+    ts, _ = simulate_delay_difference(prob, dt, T)
+    J = len(ts) - 1
+    assert sorted(sizes) == [1.0, 2.0, 3.0]
+    # Each call samples one block's 2 L + 1 step and half-step times, so
+    # there is one call per block, not one per half-step.
+    for omega, got in sizes.items():
+        steps = [(size - 1) // 2 for size in got]
+        assert all(size % 2 == 1 for size in got), omega
+        assert sum(steps) == J and steps[0] >= int((r - eps) / dt) - 4
+        assert len(got) == math.ceil(J / steps[0]) < J / 50
+
+
+def test_stiff_members_step_on_dt_split_into_equal_parts():
+    # h max|eig A| <= 2.5 splits dt = 5e-3 into 4 parts at a = -2000; the
+    # ratios are taken on that grid.  Past 16 parts the batch is refused.
+    a, eps = -2000.0, 1e-5
+    sigma, _ = synthesis.sigma_rate(1.0, -a, -a, 2.0, 0.5, eps)
+    problems = cli.lemma2_suite(seed=2, n_members=4, a=a, eps=eps)
+    got = lemma2_validate(problems, sigma, 1.0, -a, T=0.5)
+    want = reference_validate(problems, sigma, 1.0, -a, dt=5e-3 / 4, T=0.5)
+    assert got["M"] == pytest.approx(want["M"], rel=REL_TOL)
+    assert got["N"] == pytest.approx(want["N"], rel=REL_TOL)
+    for g, w in zip(got["members"], want["members"]):
+        assert g["ratio"] == pytest.approx(w["ratio"], rel=REL_TOL)
+    stiff = cli.lemma2_suite(n_members=2, a=-8001.0, c_norm=0.0)
+    with pytest.raises(CertifierError, match=r"\|a\| = max\|eig A\| = 8001"):
+        lemma2_validate(stiff, 1.0, 1.0, 8001.0, T=0.5)
