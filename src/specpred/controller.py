@@ -15,16 +15,19 @@ convolution is evaluated in full at every step: the recursive sliding-window
 update of the same integral amplifies rounding like exp(lambda_1 t) on the
 unstable head modes.  The law is linear in u_j, so it is solved directly.
 
-This module owns the law and the control record, ``sim_engine.simulate``
-the plant, the block schedule and the fault report.  ``ControlHistory``
-holds the samples of every member of a batched run and the delayed reads
+This module owns the law and the control record; ``sim_engine`` owns the
+plant, the block schedule and the fault report.  ``PredictorController``
+is the only solve of the law: ``simulate`` builds it from these taps and
+the RK4 oracle from its own Simpson taps.  ``ControlHistory`` holds the
+samples of every member of a batched run and the delayed reads
 u(t_j - D(t_j)), fixed up front because D(t) is exogenous; ``interp``
 returns one block's reads.  ``PredictorController.step`` solves the laws of
-B consecutive steps as one lower block-triangular system: diagonal blocks
-I - phi_j K G_0, checked against ``SOLVE_CONDITIONING_FLOOR``, the block at
-lag k below the diagonal -phi_j K G_k, and the taps on samples before the
-block in the right-hand side; the engine holds each row's componentwise
-backward error to ``SOLVE_RESIDUAL_TOL``.  Every linear history read (the
+B consecutive steps as one lower block-triangular system on a plain sample
+array: diagonal blocks I - phi_j K G_0, checked against
+``SOLVE_CONDITIONING_FLOOR``, the block at lag k below the diagonal
+-phi_j K G_k, and the taps on samples before the block in the right-hand
+side; the engine holds each row's componentwise backward error to
+``SOLVE_RESIDUAL_TOL``.  Every linear history read (the
 delayed reads and the Artstein residual's reads of Z) goes through
 ``linear_stencil``, which owns the covered-span check.
 """
@@ -155,27 +158,29 @@ SOLVE_RESIDUAL_TOL = 1e-12
 class PredictorController:
     """The implicit law of a run on the grid ``ts``, ``block`` steps at a time.
 
-    Built once per run: the taps, the pre-block product H, the in-block
+    Built once per run from the predictor taps G_k (G_0 weighs the newest
+    sample, the candidate u_j): the pre-block product H, the in-block
     Toeplitz T and, for every distinct phi of the run, I - phi K G_0 and its
     inverse, checked against the conditioning floor.
     """
 
-    def __init__(self, cert, dt: float, ts, block: int):
+    def __init__(self, cert, taps, ts, block: int):
         self.K = K = np.atleast_2d(np.asarray(cert.K))
         m, N0 = K.shape
         # For the block of steps j0+1..j0+block, taps on samples up to u_{j0}
         # form the pre-block product H over the last L samples
         # u_{j0-L+1}..u_{j0}; taps on the block's own samples form the
         # strictly lower block-Toeplitz T, with K folded in.
-        self.taps = taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
         self.L = L = len(taps) - 1
         tap_of = np.arange(1, block + 1)[:, np.newaxis] + np.arange(L - 1, -1, -1)
         H = np.where((tap_of <= L)[..., np.newaxis, np.newaxis],
                      taps[np.minimum(tap_of, L)], 0.0)         # (block, L, N0, m)
         self.H = H.transpose(0, 2, 1, 3).reshape(block * N0, L * m)
         tap_of = np.arange(block)[:, np.newaxis] - np.arange(block)
-        self.T = np.where((tap_of > 0)[..., np.newaxis, np.newaxis],
-                          K @ taps[np.maximum(tap_of, 0)], 0.0).transpose(0, 2, 1, 3)
+        # A block may outrun the taps (the oracle's, under a delay past D0).
+        lags = (tap_of > 0) & (tap_of <= L)
+        self.T = np.where(lags[..., np.newaxis, np.newaxis],
+                          K @ taps[np.clip(tap_of, 0, L)], 0.0).transpose(0, 2, 1, 3)
         phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
         self.phis, self.which = np.unique(phi_all, return_inverse=True)
         self.systems = np.eye(m) - self.phis[:, np.newaxis, np.newaxis] * (K @ taps[0])
@@ -189,11 +194,13 @@ class PredictorController:
         self.inverses = np.linalg.inv(self.systems)
         self.min_sigma = float(np.min(sigma[used], initial=np.inf))
 
-    def step(self, history: ControlHistory, j0: int, Y, d2):
-        """Solve, record in ``history`` and return the controls (S, n, m) of
-        steps j0+1..j0+n, given their head states ``Y`` (S, n, N0) and
-        matched disturbances ``d2`` (S, n, m), with each row's componentwise
-        backward error (S, n).  Row i of the block system is M_i u_i - phi_i
+    def step(self, samples, top: int, j0: int, Y, d2):
+        """Solve and return the controls (S, n, m) of steps j0+1..j0+n, given
+        their head states ``Y`` (S, n, N0) and matched disturbances ``d2``
+        (S, n, m), with each row's componentwise backward error (S, n).  The
+        controls are recorded in rows top..top+n-1 of the sample array
+        ``samples`` (S, rows, m), whose L rows before ``top`` hold the
+        samples up to u_{j0}.  Row i of the block system is M_i u_i - phi_i
         sum_{i'<i} T[i, i'] u_i' = phi_i (K Y_i + d2_i + K H-product_i), with
         M_i = I - phi_i K G_0; scaling row i by M_i^{-1} leaves a unit
         lower-triangular matrix, one for all members.
@@ -205,8 +212,7 @@ class PredictorController:
         A = -phis[:, np.newaxis, np.newaxis, np.newaxis] * self.T[:n, :, :n]
         A[np.arange(n), :, np.arange(n)] = self.systems[w]
         unit = np.einsum("iab,ibkc->iakc", self.inverses[w], A).reshape(n * m, -1)
-        top = history.n_pre + j0 + 1
-        window = history.samples[:, top - self.L: top].reshape(S, -1)
+        window = samples[:, top - self.L: top].reshape(S, -1)
         Q = Y + np.einsum("sk,nk->sn", window, self.H[: n * N0]).reshape(S, n, N0)
         rhs = phis[:, np.newaxis] * (np.einsum("sin,an->sia", Q, self.K) + d2)
         scaled = np.einsum("iab,sib->sia", self.inverses[w], rhs).reshape(S, -1)
@@ -218,5 +224,5 @@ class PredictorController:
         scale = np.abs(u) @ np.abs(A).T + np.abs(rhs)
         residual = np.abs(u @ A.T - rhs) / np.maximum(scale, np.finfo(float).tiny)
         u = u.reshape(S, n, m)
-        history.samples[:, top: top + n] = u
+        samples[:, top: top + n] = u
         return u, residual.reshape(S, n, m).max(axis=2)

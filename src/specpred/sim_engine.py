@@ -11,20 +11,24 @@ Two engines share one output schema:
   is the predictor law, which is linear in u.  So the run advances one
   causal block of B <= ``BLOCK_STEPS`` steps at a time: it takes the
   block's delayed reads, all from earlier blocks, from
-  ``controller.ControlHistory.interp``, advances the modes over the block
-  with a doubling scan, and has ``controller.PredictorController.step``
-  solve the block's B controls.  ``simulate`` owns the batch checks, the
-  plant step, the block length and the fault report (state, control and
-  residual checks on every row of the block); ``controller`` owns the
-  control law, the control record and its reads;
-* ``oracle_simulate`` is an independent cross-check: classical RK4 at dt/20,
-  with the substeps of each coarse step composed once into per-mode
-  coefficients, cubic history interpolation and its own control law
-  (Simpson quadrature of the predictor integral).  It is one pass: the
-  Simpson sum over [t - D0, t] is one tap row over the newest samples for
-  every step, each step's gain is built up front, and the delayed reads and
-  forcing of a block of steps, as long as the shortest delay allows, are
-  built together.
+  ``controller.ControlHistory.interp`` and has ``_advance_block`` advance
+  it.  ``simulate`` owns the batch checks, the plant step and the block
+  length; ``controller`` owns the control law, the control record and its
+  reads;
+* ``oracle_simulate`` is an independent cross-check with its own
+  discretization: classical RK4 at dt/20, with the substeps of each coarse
+  step composed once into per-mode coefficients, cubic (Catmull-Rom)
+  delayed reads, and Simpson quadrature of the predictor integral over the
+  cubic history as its own taps (``_predictor_tap``).  The delayed reads
+  and forcing of a block of steps, as long as the shortest delay allows,
+  are built together.
+
+``_advance_block`` is the one block step of both engines: the plant scan
+c_{j+1} = E c_j + g_j as a doubling scan (E is the exact propagator for
+``simulate``, the composed RK4 factor for the oracle), the block's controls
+from ``controller.PredictorController.step`` (built with the engine's taps)
+and the one fault report: state, control and residual checks on every row
+of the block.
 
 Both evaluate the same implicit predictor feedback through the delayed
 channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
@@ -37,6 +41,7 @@ the oracle's cubic reads ``numerics.cubic_stencil``.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,6 +72,8 @@ MAX_MODES = 400
 BLOCK_STEPS = 128
 # RK4 substeps per coarse step of ``oracle_simulate``.
 ORACLE_REFINE = 20
+# Row offsets of a Catmull-Rom stencil, on the leading axis of a gather.
+_STENCIL = np.arange(4).reshape(4, 1, 1)
 
 
 class ScenarioError(SpecpredError, ValueError):
@@ -218,13 +225,17 @@ class Scenario:
             if sig._amp().shape != (m,):
                 raise ScenarioError(f"disturbance_{name} amplitude needs one "
                                     f"entry per input ({m})")
+        # The delay's band [lo, hi] must lie in [D0 - delta_max, D0 + delta_max].
         amp = self.delay.max_amplitude()
-        if self.certified and not cert.admits(amp):
+        lo, hi = self.delay.D0 - amp, self.delay.D0 + amp
+        if self.certified and not cert.admits(max(cert.D0 - lo, hi - cert.D0)):
             raise ScenarioError(
-                f"delay amplitude {amp:.4g} exceeds certified delta_max "
-                f"{cert.delta_max:.4g}; set certified=False for an uncertified run")
-        if self.dt > cert.D0 - amp:
-            raise ScenarioError("dt must be smaller than the minimum delay D0 - delta")
+                f"delay band [{lo:.6g}, {hi:.6g}] leaves the certified band "
+                f"[{cert.D0 - cert.delta_max:.6g}, {cert.D0 + cert.delta_max:.6g}]"
+                "; set certified=False for an uncertified run")
+        if self.dt > lo:
+            raise ScenarioError(f"dt must be smaller than the minimum delay "
+                                f"{lo:.6g}")
 
 
 @dataclass
@@ -348,7 +359,8 @@ def simulate(scenario):
                        int(np.min(hist.lag[:, 1:], initial=BLOCK_STEPS))))
     d1 = np.stack([np.asarray(sc.d1(ts)) for sc in scens])      # (S, J+1, m)
     d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens])
-    ctrl = PredictorController(cert, dt, ts, block)
+    taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
+    ctrl = PredictorController(cert, taps, ts, block)
     max_residual = np.zeros(S)
 
     v[:, 0] = hist.interp(0) + d1[:, 0]
@@ -356,41 +368,57 @@ def simulate(scenario):
         n = min(block, J - j0)
         rows = slice(j0 + 1, j0 + n + 1)
         v[:, rows] = hist.interp(rows) + d1[:, rows]
-        # Plant: c_{j+1} = E c_j + g_j over the block as a doubling scan.
         f = np.einsum("sjk,nk->sjn", v[:, j0: j0 + n + 1], B_all)
-        cb = W0 * f[:, :-1] + W1 * f[:, 1:]
-        cb[:, 0] += E * c[:, j0]
-        Ed, d = E, 1
-        while d < n:
-            cb[:, d:] += Ed * cb[:, :-d]
-            Ed, d = Ed * Ed, 2 * d
-        c[:, rows] = cb
-        ub, residual = ctrl.step(hist, j0, cb[:, :, :cert.N0], d2[:, rows])
-        faults = np.stack([~np.isfinite(cb).all(axis=(0, 2)),
-                           ~np.isfinite(ub).all(axis=(0, 2)),
-                           (residual > SOLVE_RESIDUAL_TOL).any(axis=0)], axis=1)
-        if faults.any():
-            # The first faulty row, checked in the per-step order: state,
-            # then control, then residual.
-            i, kind = np.argwhere(faults)[0]
-            j = j0 + 1 + i
-            if kind == 0:
-                raise ScenarioError(f"non-finite state at step {j} "
-                                    f"(t={ts[j]:.6g})")
-            if kind == 1:
-                raise ControllerError(f"non-finite control value at t={ts[j]}")
-            raise ControllerError(f"implicit equation backward error "
-                                  f"{residual[:, i].max():.3g} at t={ts[j]}")
-        np.maximum(max_residual, residual.max(axis=1), out=max_residual)
+        np.maximum(max_residual, _advance_block(
+            c, j0, E, W0 * f[:, :-1] + W1 * f[:, 1:], ctrl, hist.samples,
+            hist.n_pre + j0 + 1, d2, ts), out=max_residual)
 
     meta = {"dt": dt, "N_modes": n_modes, "steps": J, "block_steps": block,
             "min_solve_sigma": ctrl.min_sigma}
     trajs = Trajectories(
         _trajectory(sc, ts, c[s], hist.samples[s, hist.n_pre:], v[s], "exp",
                     {**meta, "max_solve_residual": float(max_residual[s]),
-                     "min_read_margin": float(hist.margin[s])}, ctrl.taps)
+                     "min_read_margin": float(hist.margin[s])}, taps)
         for s, sc in enumerate(scens))
     return trajs[0] if single else trajs
+
+
+def _advance_block(c, j0, E, g, ctrl, samples, top, d2, ts):
+    """Advance a run over the block of steps j0+1..j0+n; both engines step
+    through here.
+
+    The states (S, J+1, modes) ``c`` follow c_{j+1} = E c_j + g_j, with the
+    block's forcing ``g`` (S, n, modes), as a doubling scan; then
+    ``ctrl.step`` solves the block's controls into rows top..top+n-1 of
+    ``samples``, with the matched disturbances ``d2`` (S, J+1, m).  The
+    first faulty row, checked in the per-step order (non-finite state,
+    non-finite control, backward error above ``SOLVE_RESIDUAL_TOL``), raises
+    an error naming its step on the grid ``ts``.  Returns each member's
+    largest backward error in the block.
+    """
+    n = g.shape[1]
+    g[:, 0] += E * c[:, j0]
+    Ed, d = E, 1
+    while d < n:
+        g[:, d:] += Ed * g[:, :-d]
+        Ed, d = Ed * Ed, 2 * d
+    rows = slice(j0 + 1, j0 + n + 1)
+    c[:, rows] = g
+    ub, residual = ctrl.step(samples, top, j0, g[:, :, :ctrl.K.shape[1]],
+                             d2[:, rows])
+    faults = np.stack([~np.isfinite(g).all(axis=(0, 2)),
+                       ~np.isfinite(ub).all(axis=(0, 2)),
+                       (residual > SOLVE_RESIDUAL_TOL).any(axis=0)], axis=1)
+    if faults.any():
+        i, kind = np.argwhere(faults)[0]
+        j = j0 + 1 + i
+        if kind == 0:
+            raise ScenarioError(f"non-finite state at step {j} (t={ts[j]:.6g})")
+        if kind == 1:
+            raise ControllerError(f"non-finite control value at t={ts[j]}")
+        raise ControllerError(f"implicit equation backward error "
+                              f"{residual[:, i].max():.3g} at t={ts[j]}")
+    return residual.max(axis=1)
 
 
 def artstein_transform(trajectory: Trajectory, certificate: Certificate,
@@ -456,44 +484,22 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
 # ---------------------------------------------------------------------------
 # Independent oracle engine: RK4 + Simpson predictor quadrature
 
-class _CubicHistory:
-    """Uniform-grid sample store with local cubic (Catmull-Rom) interpolation."""
+def _predictor_tap(lambdas, B, D0: float, dt: float):
+    """The oracle's predictor taps G_k, shape (L+1, N0, m), with
+    I(t_j) = sum_k G_k u_{j-k}: composite Simpson over [t - D0, t] (an even
+    panel count, about four per step) of the cubic history.
 
-    def __init__(self, dt, n_pre, n_total, m):
-        self.dt = dt
-        self.samples = np.zeros((n_total, m))
-        self.filled = n_pre
-        self.start_time = -n_pre * dt
-
-    def append(self, value):
-        self.filled += 1
-        self.samples[self.filled] = value
-
-    def stencil(self, t, filled=None):
-        """Rows (..., 4) and Catmull-Rom weights of the reads at times ``t``,
-        clamped to the samples up to row ``filled`` (default: the newest)."""
-        filled = self.filled if filled is None else filled
-        start, w = cubic_stencil((np.asarray(t) - self.start_time) / self.dt,
-                                 filled)
-        rows = start[..., np.newaxis] + np.arange(4)
-        return rows, catmull_rom(np.eye(4), w[..., np.newaxis])
-
-    def eval(self, t):
-        rows, weights = self.stencil(t)
-        return np.einsum("...k,...ka->...a", weights, self.samples[rows])
-
-
-def _predictor_tap(x, kw, B_head):
-    """The oracle's Simpson predictor sum as one tap over history samples.
-
-    ``x`` are the Simpson nodes in grid steps past the candidate sample (the
-    candidate at 0, the newest stored sample at -1) and ``kw`` (N0, nodes)
-    their Simpson weights times the kernel.  Nodes at or before x = -2 read
-    the Catmull-Rom cubic of the stored samples; later nodes read the cubic
-    through the three newest samples and the candidate.  Returns the tap
-    (N0, L, m): column L-1 weighs the candidate, column L-1-i the sample i
-    steps before it.
+    Nodes at or more than two steps before t_j read the Catmull-Rom cubic of
+    the stored samples; later nodes read the Lagrange cubic through the
+    three newest samples and the candidate u_j, which G_0 weighs.  Samples
+    before t = 0 are zero, so before t = D0 the same taps give the window
+    clipped at zero.
     """
+    n_seg = max(int(np.ceil(D0 / dt * 2)) * 2, 4)
+    s = np.linspace(-D0, 0.0, n_seg + 1)
+    kw = simpson_weights(n_seg + 1, D0 / n_seg) \
+        * np.exp(np.multiply.outer(lambdas, -s - D0))
+    x = s / dt                            # steps past the candidate
     stored = x <= -2.0
     p1 = np.where(stored, np.minimum(np.floor(x), -3.0), -2.0)
     w = (x - p1)[:, np.newaxis]
@@ -504,13 +510,10 @@ def _predictor_tap(x, kw, B_head):
                           (w + 1) * w * (w - 1) / 6])
     weights = np.where(stored[:, np.newaxis], catmull_rom(np.eye(4), w),
                        lagrange)
-    first = int(p1.min()) - 1
-    cols = (p1.astype(int) - first)[:, np.newaxis] + np.arange(-1, 3)
-    n_cols = 1 - first
-    row = np.stack([np.bincount(cols.ravel(),
-                                (k[:, np.newaxis] * weights).ravel(),
-                                minlength=n_cols) for k in kw])
-    return row[:, :, np.newaxis] * B_head[:, np.newaxis, :]
+    lags = -p1.astype(int)[:, np.newaxis] - np.arange(-1, 3)
+    G = np.stack([np.bincount(lags.ravel(), (k[:, np.newaxis] * weights).ravel())
+                  for k in kw], axis=1)
+    return G[:, :, np.newaxis] * np.atleast_2d(B)[np.newaxis, :, :]
 
 
 def rk4_substep(lam, h, x, f0, fm, f1):
@@ -548,16 +551,12 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
     ODE, one pass with no search and no iteration.
 
     The substeps of each coarse step are composed once into per-mode
-    coefficients (``compose_rk4_substeps``).  The delayed reads are cubic
-    (Catmull-Rom); since D(t) is exogenous, the reads and forcing of a block
-    of steps are built at once, the block as long as the shortest delay
-    allows (at most ``BLOCK_STEPS``).  The predictor integral is composite
-    Simpson over cubic nodes on [t - D0, t], with u = 0 before t = 0 read
-    from the zero pre-buffer: one tap row over the newest samples
-    (``_predictor_tap``), built once.  Nodes in the last two steps read the
-    cubic through the candidate, so the law (I - phi cand) u = phi (K Y + d2
-    + known window) is linear in it; its gain phi (I - phi cand)^{-1} is
-    built for every step at once.
+    coefficients (``compose_rk4_substeps``), so the plant is
+    c_{j+1} = R c_j + g_j.  The delayed reads are cubic (Catmull-Rom); since
+    D(t) is exogenous, the reads and forcing g of a block of steps are built
+    at once, the block as long as the shortest delay allows (at most
+    ``BLOCK_STEPS``).  With the Simpson taps of ``_predictor_tap`` the law is
+    the controller's, and each block advances through ``_advance_block``.
     """
     cert = scenario.certificate
     desc = scenario.descriptor
@@ -570,70 +569,50 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
     m = desc.num_inputs
     lam_all = desc.eigenvalues(n_modes)
     B_all = desc.input_matrix(n_modes)
-    K = np.atleast_2d(cert.K)
-    D0 = cert.D0
 
     hf = dt / ORACLE_REFINE
-    c = np.zeros((J + 1, n_modes))
+    c = np.zeros((1, J + 1, n_modes))
     X0 = np.asarray(scenario.X0_coeffs)
-    c[0, : len(X0)] = X0
-    u = np.zeros((J + 1, m))
+    c[0, 0, : len(X0)] = X0
     v = np.zeros((J + 1, m))
-    n_pre = int(np.ceil((D0 + cert.delta_max) / dt)) + 2
-    hist = _CubicHistory(dt, n_pre, n_pre + J + 2, m)
+    # u_j is row n_pre + j; the rows before it hold the zero initial control.
+    n_pre = int(np.ceil((cert.D0 + cert.delta_max) / dt)) + 2
+    samples = np.zeros((1, n_pre + J + 1, m))
     R, Wf = compose_rk4_substeps(lam_all, hf, ORACLE_REFINE)
     half = (hf / 2.0) * np.arange(2 * ORACLE_REFINE + 1)
-    d2_ts = np.asarray(scenario.d2(ts))
-
-    # K times the Simpson tap of [t - D0, t] (an even panel count, about four
-    # per step): the stored samples' part and the candidate's.
-    n_seg = max(int(np.ceil(D0 / dt * 2)) * 2, 4)
-    s = np.linspace(-D0, 0.0, n_seg + 1)
-    kw = simpson_weights(n_seg + 1, D0 / n_seg) \
-        * np.exp(np.multiply.outer(cert.lambdas, -s - D0))
-    tap = np.einsum("an,nlb->alb", K, _predictor_tap(s / dt, kw, cert.B))
-    known, n_known = tap[:, :-1].reshape(m, -1), tap.shape[1] - 1
-    phi = transition_eval(TransitionSignal(cert.t0), ts)[0].reshape(-1, 1, 1)
-    gain = phi * np.linalg.inv(np.eye(m) - phi * tap[:, -1])
+    d2 = np.asarray(scenario.d2(ts))[np.newaxis]
 
     # A read one step past t_j - D_min touches rows up to floor(x) + 2, so
     # the block reads only earlier blocks; each read is clamped as at its own
-    # step, so one that does not shows in ``rows``.
+    # step, so one that does not shows in its stencil.
     delay = scenario.delay
     block = max(1, min(BLOCK_STEPS,
                        int((delay.D0 - delay.max_amplitude()) / dt) - 3))
-    v[0] = hist.eval(ts[0] - delay(ts[0])) + np.asarray(scenario.d1(ts[0]))
+    ctrl = PredictorController(
+        cert, _predictor_tap(cert.lambdas, cert.B, cert.D0, dt), ts, block)
+    residual = 0.0
+    v[0] = np.asarray(scenario.d1(ts[0]))   # u is zero up to t = 0
     for j0 in range(0, J, block):
         n = min(block, J - j0)
         tf = ts[j0: j0 + n, np.newaxis] + half
-        sf = tf - np.asarray(delay(tf), dtype=float)
-        rows, wts = hist.stencil(sf, hist.filled + np.arange(n)[:, np.newaxis])
-        if rows.max() > hist.filled:
+        x = (tf - np.asarray(delay(tf), dtype=float) + n_pre * dt) / dt
+        start, w = cubic_stencil(x, n_pre + j0 + np.arange(n)[:, np.newaxis])
+        if start.max() + 3 > n_pre + j0:
             raise ScenarioError(
                 f"oracle: a delayed read after t = {ts[j0]:.6g} needs a "
                 f"control of its own {block}-step block")
-        vf = np.einsum("jqk,jqka->jqa", wts, hist.samples[rows]) \
+        vf = catmull_rom(samples[0, start + _STENCIL], w[..., np.newaxis]) \
             + np.asarray(scenario.d1(tf))
-        g = np.einsum("qn,jqn->jn", Wf, vf @ B_all.T)
         v[j0 + 1: j0 + n + 1] = vf[:, -1]
-        # The block's states need none of its controls.
-        for i in range(n):
-            c[j0 + i + 1] = R * c[j0 + i] + g[i]
-        steps = slice(j0 + 1, j0 + n + 1)
-        bad = np.flatnonzero(~np.isfinite(c[steps]).all(axis=1))
-        if bad.size:
-            raise ScenarioError(
-                f"oracle: non-finite state at step {j0 + 1 + bad[0]}")
-        drive = c[steps, : cert.N0] @ K.T + d2_ts[steps]
-        for i, j in enumerate(range(j0 + 1, j0 + n + 1)):
-            top = hist.filled + 1
-            u[j] = gain[j] @ (drive[i] + known
-                              @ hist.samples[top - n_known: top].reshape(-1))
-            hist.append(u[j])
+        g = np.einsum("qn,jqn->jn", Wf, vf @ B_all.T)
+        residual = max(residual, *_advance_block(
+            c, j0, R, g[np.newaxis], ctrl, samples, n_pre + j0 + 1, d2, ts))
 
-    return _trajectory(scenario, ts, c, u, v, "rk4",
+    return _trajectory(scenario, ts, c[0], samples[0, n_pre:], v, "rk4",
                        {"dt": dt, "refine": ORACLE_REFINE, "N_modes": n_modes,
-                        "block_steps": block})
+                        "block_steps": block,
+                        "max_solve_residual": float(residual),
+                        "min_solve_sigma": ctrl.min_sigma})
 
 
 # ---------------------------------------------------------------------------
@@ -663,15 +642,26 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    with open(path) as fh:
+    """Read a trajectory CSV; a file of another layout, of fewer than two
+    rows or whose t is not an increasing uniform grid raises ScenarioError."""
+    with open(path) as fh, warnings.catch_warnings():
+        # A file with no rows is refused below, not warned about.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         header = [h.strip() for h in fh.readline().split(",")]
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if len(data) < 2:
+        raise ScenarioError(f"trajectory file {path} has {len(data)} data "
+                            "rows; a trajectory needs at least two")
     n, n0, m = (sum(h.startswith(p) for h in header)
                 for p in ("c_", "Y_", "u_"))
     if header != _csv_columns(n, n0, m) or data.shape[1] != len(header):
         raise ScenarioError(f"trajectory file {path} is not in the layout "
                             "simulate writes: t, c_*, Y_*, Z_*, u_*, v_*, "
                             "norm_lower, norm_upper, one value per column")
+    steps = np.diff(data[:, 0])
+    if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
+        raise ScenarioError(f"trajectory file {path}: t is not an increasing "
+                            "uniform grid (steps equal to 1e-9 relative)")
     # Y is a view of coeffs, so its columns are skipped.
     _, coeffs, _, Z, u, v, norms = np.split(
         data, np.cumsum([1, n, n0, n0, m, m]), axis=1)

@@ -13,7 +13,9 @@ taps and a direct solve.  ``reference_oracle_simulate`` is the RK4 oracle
 one Simpson node and one coarse step at a time, each node read through
 ``_CubicHistory.eval`` or the newest-segment cubic, with no tap row and no
 block of delayed reads, and its control law solved by fixed-point
-iteration.
+iteration.  ``_CubicHistory`` is the former oracle history: one scenario's
+samples, appended one step at a time, and Catmull-Rom reads clamped to the
+filled rows.
 
 ``fading_memory_sup_brute`` is the direct form of the fading-memory sup
 recursion, and ``reference_windowed_fading_sup`` the causal-window sup one
@@ -49,13 +51,9 @@ from specpred.iss_certifier import (
     fading_memory_sup,
     windowed_fading_sup,
 )
-from specpred.numerics import exp_moments, simpson_weights
-from specpred.sim_engine import (
-    ScenarioError,
-    _CubicHistory,
-    _trajectory,
-    compose_rk4_substeps,
-)
+from specpred.numerics import (catmull_rom, cubic_stencil, exp_moments,
+                               simpson_weights)
+from specpred.sim_engine import ScenarioError, _trajectory, compose_rk4_substeps
 
 
 class StepHistory:
@@ -218,6 +216,28 @@ def reference_simulate(scenario):
 
     return _trajectory(scenario, ts, c, u, v, "exp",
                        {"dt": dt, "N_modes": n_modes})
+
+
+class _CubicHistory:
+    """Uniform-grid sample store with local cubic (Catmull-Rom) interpolation."""
+
+    def __init__(self, dt, n_pre, n_total, m):
+        self.dt = dt
+        self.samples = np.zeros((n_total, m))
+        self.filled = n_pre
+        self.start_time = -n_pre * dt
+
+    def append(self, value):
+        self.filled += 1
+        self.samples[self.filled] = value
+
+    def eval(self, t):
+        """Catmull-Rom reads at times ``t``, clamped to the filled rows."""
+        start, w = cubic_stencil((np.asarray(t) - self.start_time) / self.dt,
+                                 self.filled)
+        rows = start[..., np.newaxis] + np.arange(4)
+        weights = catmull_rom(np.eye(4), w[..., np.newaxis])
+        return np.einsum("...k,...ka->...a", weights, self.samples[rows])
 
 
 def reference_oracle_simulate(scenario, refine: int = 20):

@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import expm
 
 from reference import reference_simulate
-from specpred import cli, controller, iss_certifier, synthesis
+from specpred import cli, controller, iss_certifier, sim_engine, synthesis
 from specpred.controller import (
     SOLVE_CONDITIONING_FLOOR,
     SOLVE_RESIDUAL_TOL,
@@ -34,6 +34,7 @@ from specpred.sim_engine import (
     Scenario,
     ScenarioError,
     Trajectories,
+    oracle_simulate,
     simulate,
 )
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
@@ -128,6 +129,25 @@ def test_batch_rejects_ill_conditioned_solve(descriptor, exact_cert):
     scens = cli.builtin_scenarios(descriptor, cert, dt=dt, T=2.0)[:2]
     with pytest.raises(ControllerError, match="ill-conditioned"):
         simulate(scens)
+
+
+def test_oracle_rejects_ill_conditioned_solve(descriptor, exact_cert):
+    dt = 1e-3
+    G0 = sim_engine._predictor_tap(exact_cert.lambdas, exact_cert.B,
+                                   exact_cert.D0, dt)[0]
+    # The oracle's own G_0: I - phi K G_0 is singular at phi = 1.
+    cert = replace(exact_cert, K=np.linalg.inv(G0))
+    scen = cli.builtin_scenarios(descriptor, cert, dt=dt, T=2.0)[0]
+    with pytest.raises(ControllerError, match="ill-conditioned"):
+        oracle_simulate(scen)
+
+
+def test_oracle_meta_reports_the_solve(descriptor, exact_cert):
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[4]
+    meta = oracle_simulate(scen).meta
+    assert {"max_solve_residual", "min_solve_sigma"} <= meta.keys()
+    assert 0 < meta["max_solve_residual"] <= SOLVE_RESIDUAL_TOL
+    assert meta["min_solve_sigma"] >= SOLVE_CONDITIONING_FLOOR
 
 
 def test_complex_plant_batch_matches_reference():
@@ -227,6 +247,12 @@ def test_each_block_is_one_controller_step_and_one_read(descriptor,
     assert J % B and J > B
     # One read of step 0, then one read and one solve per block.
     assert calls == {"step": -(-J // B), "interp": -(-J // B) + 1}
+    # The oracle takes its cubic reads itself and solves through the
+    # controller, one step call per block.
+    calls.clear()
+    B = oracle_simulate(scen).meta["block_steps"]
+    assert J % B and J > B
+    assert calls == {"step": -(-J // B)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -310,16 +311,40 @@ def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
     "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n0, 1, 1, 1, 0, 0, 1\n",
     "t, c_1, Z_1, Y_1, u_1, v_1, norm_lower, norm_upper\n"
     "0, 1, 1, 1, 0, 0, 1, 1\n",
-], ids=["two-columns", "short-row", "swapped-columns"])
+    "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n"
+    "0, 1, 1, 1, 0, 0, 1, 1\n",
+    "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n",
+    "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n"
+    "0, 1, 1, 1, 0, 0, 1, 1\n0.1, 1, 1, 1, 0, 0, 1, 1\n"
+    "0.3, 1, 1, 1, 0, 0, 1, 1\n",
+], ids=["two-columns", "short-row", "swapped-columns", "one-row",
+        "header-only", "non-uniform-t"])
 def test_check_refuses_a_trajectory_csv_of_another_layout(artifacts, tmp_path,
                                                           capsys, text):
     root, cert_path, scen_path = artifacts
     bad = tmp_path / "traj.csv"
     bad.write_text(text)
-    assert cli.main(["check", "--certificate", cert_path,
-                     "--scenario", scen_path, "--out", str(bad)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a refusal, never a warning
+        assert cli.main(["check", "--certificate", cert_path,
+                         "--scenario", scen_path, "--out", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
+
+
+def test_simulate_refuses_a_certified_delay_off_the_band(artifacts, tmp_path,
+                                                        capsys):
+    _, cert_path, scen_path = artifacts
+    cert = synthesis.load_certificate(cert_path)
+    d = json.loads(open(scen_path).read())
+    d["delay"] = {"kind": "constant", "D0": cert.D0 - 3 * cert.delta_max}
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(d))
+    assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
+                     str(bad), "--out", str(tmp_path / "traj.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "delay band [" in err \
+        and "certified band [" in err
 
 
 @pytest.mark.parametrize("field, mutate", [

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from reference import (StepHistory, control_step, predictor_integral,
-                       reference_artstein_residual, reference_oracle_simulate)
+from reference import (StepHistory, _CubicHistory, control_step,
+                       predictor_integral, reference_artstein_residual,
+                       reference_oracle_simulate)
 from specpred import cli
 from specpred.controller import TransitionSignal
 from specpred.numerics import exp_moments
@@ -33,7 +34,6 @@ from specpred.sim_engine import (
     state_norm,
     trajectory_from_csv,
     trajectory_to_csv,
-    _CubicHistory,
 )
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
 from specpred.synthesis import save_certificate, synthesize_certificate
@@ -180,6 +180,26 @@ def test_open_loop_forced_mode_matches_quadrature():
     assert np.all(traj.u == 0.0)
 
 
+def test_certified_delay_band_must_lie_in_the_certificate(descriptor,
+                                                         exact_cert):
+    base = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=1.0)[0]
+    D0, delta = exact_cert.D0, exact_cert.delta_max
+    inside = DelaySignal(kind="sinusoid", D0=D0 + delta / 2,
+                         amplitude=delta / 4, omega=1.0)
+    assert replace(base, delay=inside).certified
+    low = DelaySignal(kind="constant", D0=D0 - 3 * delta)
+    with pytest.raises(ScenarioError, match=r"^delay band \[.*\] leaves the "
+                       r"certified band \["):
+        replace(base, delay=low)
+    traj = simulate(replace(base, delay=low, certified=False))
+    assert np.all(np.isfinite(traj.coeffs))
+    zero = DelaySignal(kind="constant", D0=0.0)
+    with pytest.raises(ScenarioError, match="^delay band"):
+        replace(base, delay=zero)
+    with pytest.raises(ScenarioError, match="minimum delay"):
+        replace(base, delay=zero, certified=False)
+
+
 def test_engines_agree_on_short_run(descriptor, exact_cert):
     scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[2]
     a = simulate(scen)
@@ -311,6 +331,20 @@ def test_oracle_matches_per_node_reference(descriptor, exact_cert, case):
         assert 1 < block < BLOCK_STEPS
     else:
         assert block == 1
+
+
+def test_oracle_block_may_outrun_its_taps(descriptor, exact_cert):
+    # A delay longer than D0 lets a block run past the last tap: at dt = 1e-2
+    # the taps span 51 steps and the block 57.
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-2, T=1.5)[4]
+    scen = replace(scen, delay=DelaySignal(kind="constant", D0=0.6),
+                   certified=False)
+    traj = oracle_simulate(scen)
+    assert traj.meta["block_steps"] == 57
+    ref = reference_oracle_simulate(scen)
+    for key in ("coeffs", "u", "v", "Z"):
+        got, want = getattr(traj, key), getattr(ref, key)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
 
 
 def test_oracle_agrees_with_itself_at_a_quarter_of_the_step(descriptor,
