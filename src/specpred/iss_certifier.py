@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import SpecpredError
-from .numerics import catmull_rom, cubic_stencil
-from .sim_engine import DelaySignal, DisturbanceSignal, Scenario, Trajectory
+from .numerics import affine_scan, catmull_rom, cubic_stencil
+from .sim_engine import (DelaySignal, DisturbanceSignal, Scenario, Trajectory,
+                         rk4_substep)
 from .synthesis import Certificate, finalize_tail_constants, smallgain_lhs
 
 
@@ -50,19 +52,21 @@ def fading_memory_sup(norms, kappa: float, dt: float) -> np.ndarray:
 
     Equals the brute-force grid maximum bit-exactly: the recursion
     s_j = max(e^{-kappa dt} s_{j-1}, ||d_j||) expands to exactly the same
-    products of per-step decay factors.
+    products of per-step decay factors (on Python floats), and a NaN stays
+    from its sample on, as in that maximum.
     """
-    norms = np.asarray(norms, dtype=float)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     decay = math.exp(-kappa * dt)
-    out = np.empty_like(norms)
-    s = norms[0]
-    out[0] = s
-    for j in range(1, len(norms)):
-        s = max(decay * s, norms[j])
+    # Unboxed doubles, read and written one Python float at a time.
+    out = array("d", np.asarray(norms, dtype=float).tobytes())
+    s = out[0]
+    for j, d in enumerate(out[1:], 1):
+        s = decay * s
+        if not d <= s and s == s:     # d is larger or NaN; a NaN s stays
+            s = d
         out[j] = s
-    return out
+    return np.array(out)
 
 
 def causal_lag_steps(D0: float, delta: float, dt: float) -> int:
@@ -378,6 +382,39 @@ def _sample(f, ts):
     return np.asarray(vals, dtype=float).reshape(len(ts), -1)
 
 
+def _sampler(fs, width):
+    """ts -> the member functions ``fs`` on ``ts``, (len(ts), len(fs), width)
+    zero-padded.  The sinusoid signals of each class are stacked into one
+    signal of that class whose parameters are rows, sampled by one call on a
+    column of times; the other members go through ``_sample``."""
+    rest, stacks = set(range(len(fs))), []
+    for cls in (DelaySignal, DisturbanceSignal):
+        idx = [i for i, f in enumerate(fs)
+               if type(f) is cls and f.kind == "sinusoid"]
+        if not idx:
+            continue
+        group = [fs[i] for i in idx]
+        names = ("omega", "phase") + (("D0", "amplitude")
+                                      if cls is DelaySignal else ())
+        rows = {k: np.array([getattr(f, k) for f in group]) for k in names}
+        if cls is DisturbanceSignal:    # amplitude rows, padded to width
+            rows.update(m=width, amplitude=np.array(
+                [np.pad(f._amp(), (0, width - f.m)) for f in group]))
+        stacks.append((idx, replace(group[0], **rows)))
+        rest.difference_update(idx)
+
+    def sample(ts):
+        out = np.zeros((len(ts), len(fs), width))
+        for idx, signal in stacks:
+            v = signal(ts[:, np.newaxis]).reshape(len(ts), len(idx), -1)
+            out[:, idx, :v.shape[2]] = v
+        for i in sorted(rest):
+            v = _sample(fs[i], ts)
+            out[:, i, :v.shape[1]] = v
+        return out
+    return sample
+
+
 def simulate_delay_difference(problem, dt: float, T: float,
                               with_forcing: bool = False):
     """RK4 integration of the delay-difference system with cubic history reads.
@@ -388,8 +425,10 @@ def simulate_delay_difference(problem, dt: float, T: float,
     members, whose A, C, r and eps may differ; members of a lower state
     dimension are zero-padded to the largest n.  The delayed reads lag at
     least r - eps behind t, so a block of L steps reads only samples known
-    when it starts: each block samples d, q and p on its step and half-step
-    times once, and its forcing is one gather and one Catmull-Rom call.
+    when it starts: it samples d, q and p on its step and half-step times
+    once (``_sampler``), its forcing is one gather and one Catmull-Rom call,
+    and each of its RK4 steps is x_{j+1} = R x_j + b_j (R the RK4 polynomial
+    of dt A, b_j the step from x = 0), advanced by one ``affine_scan``.
 
     Returns (ts, xs) with xs shaped (J+1, n) for one problem and (J+1, S, n)
     for a sequence; ``with_forcing`` appends p sampled on ts, shaped as xs.
@@ -417,9 +456,11 @@ def simulate_delay_difference(problem, dt: float, T: float,
     for i, (pr, k) in enumerate(zip(members, dims)):
         xs[:n_pre + 1, i, :k] = _sample(pr.x0, np.maximum(t_hist, -(pr.r + pr.eps)))
     rows = np.arange(S)
-
-    def rhs(x, g, p):
-        return _matvec(A, x) + g + p
+    # One sampler for d, q and p: d and q in one expression, p in another.
+    sample = _sampler([pr.d for pr in members] + [pr.q for pr in members]
+                      + [pr.p for pr in members], n)
+    R = rk4_substep(lambda X: A @ X, dt, np.broadcast_to(np.eye(n), A.shape),
+                    0.0, 0.0, 0.0)
 
     ts = dt * np.arange(J + 1)
     ps = np.zeros((J + 1, S, n))
@@ -430,24 +471,18 @@ def simulate_delay_difference(problem, dt: float, T: float,
         tb = ts[j0:j0 + L + 1]
         tf = np.empty(2 * len(tb) - 1)
         tf[0::2], tf[1::2] = tb, tb[:-1] + dt / 2
-        d = np.hstack([_sample(pr.d, tf) for pr in members])
-        q = np.hstack([_sample(pr.q, tf) for pr in members])
-        pf = np.zeros((len(tf), S, n))
-        for i, (pr, k) in enumerate(zip(members, dims)):
-            pf[:, i, :k] = _sample(pr.p, tf)
+        dqp = sample(tf)
+        d, q, pf = dqp[:, :S, 0], dqp[:, S:2 * S, 0], dqp[:, 2 * S:]
         tr = tf[:, np.newaxis] - r
         x = (np.stack([tr - eps * d, tr]) - t_hist[0]) / dt
         start, w = cubic_stencil(x, n_pre + J)
         lag, nom = catmull_rom(xs[start + _STENCIL, rows], w[..., np.newaxis])
-        g = q[..., np.newaxis] * _matvec(C, lag - nom)
+        f = q[..., np.newaxis] * _matvec(C, lag - nom) + pf
         ps[j0:j0 + len(tb)] = pf[0::2]
-        for i, j in enumerate(range(j0, j0 + len(tb) - 1)):
-            x = xs[n_pre + j]
-            k1 = rhs(x, g[2 * i], pf[2 * i])
-            k2 = rhs(x + dt / 2 * k1, g[2 * i + 1], pf[2 * i + 1])
-            k3 = rhs(x + dt / 2 * k2, g[2 * i + 1], pf[2 * i + 1])
-            k4 = rhs(x + dt * k3, g[2 * i + 2], pf[2 * i + 2])
-            xs[n_pre + j + 1] = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        b = rk4_substep(lambda v: _matvec(A, v), dt, np.zeros_like(f[1::2]),
+                        f[0:-1:2], f[1::2], f[2::2])
+        xs[n_pre + j0 + 1:n_pre + j0 + len(tb)] = affine_scan(
+            R, b.swapaxes(0, 1), xs[n_pre + j0]).swapaxes(0, 1)
     xs = xs[n_pre:]
     if single:
         xs, ps = xs[:, 0], ps[:, 0]

@@ -1,6 +1,7 @@
 """Shared low-level numerics: exponential quadrature moments, Simpson rule,
-the Catmull-Rom cubic and its clamped read stencil, the smoothstep
-polynomial and the norm of a matrix exponential over a time grid.
+the Catmull-Rom cubic and its clamped read stencil, the doubling scan of an
+affine recurrence, the smoothstep polynomial and the norm of a matrix
+exponential over a time grid.
 
 The exponential moments are the workhorse of both the predictor integral and
 the per-mode exponential integrator: every integral of the form
@@ -98,6 +99,21 @@ def cubic_stencil(x, hi):
     x = np.clip(x, 0.0, hi)
     j = np.clip(x.astype(int), 1, hi - 2)
     return j - 1, x - j
+
+
+def affine_scan(E, g, x0):
+    """x_{j+1} = E x_j + g_j from x_0 = ``x0`` (batch, dim), by a doubling
+    scan in place in the block ``g`` (batch, n, dim), which it returns; ``E``
+    is a diagonal (dim,) or one matrix per member (batch, dim, dim)."""
+    mat = E.ndim == 3
+    mul = (lambda M, v: np.einsum("sij,s...j->s...i", M, v)) if mat \
+        else np.multiply
+    g[:, 0] += mul(E, x0)
+    Ed, d = E, 1
+    while d < g.shape[1]:     # row k now sums its last d terms
+        g[:, d:] += mul(Ed, g[:, :-d])
+        Ed, d = (Ed @ Ed if mat else Ed * Ed), 2 * d
+    return g
 
 
 def smoothstep(s):

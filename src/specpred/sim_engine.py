@@ -24,7 +24,7 @@ Two engines share one output schema:
   are built together.
 
 ``_advance_block`` is the one block step of both engines: the plant scan
-c_{j+1} = E c_j + g_j as a doubling scan (E is the exact propagator for
+c_{j+1} = E c_j + g_j by ``numerics.affine_scan`` (E is the propagator for
 ``simulate``, the composed RK4 factor for the oracle), the block's controls
 from ``controller.PredictorController.step`` (built with the engine's taps)
 and the one fault report: state, control and residual checks on every row
@@ -40,6 +40,7 @@ the oracle's cubic reads ``numerics.cubic_stencil``.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ from .controller import (
     transition_eval,
 )
 from .errors import SpecpredError, load_json
-from .numerics import (catmull_rom, cubic_stencil, exp_moments,
+from .numerics import (affine_scan, catmull_rom, cubic_stencil, exp_moments,
                        simpson_weights, smoothstep)
 from .spectral_model import (SystemDescriptor, descriptor_from_dict,
                              descriptor_to_dict)
@@ -103,12 +104,13 @@ class DelaySignal:
         if self.kind == "sinusoid":
             return self.D0 + self.amplitude * np.sin(self.omega * t + self.phase)
         if self.kind == "table":
-            from scipy.interpolate import PchipInterpolator
-
-            knots_t, knots_v = self.table
-            f = PchipInterpolator(np.asarray(knots_t), np.asarray(knots_v))
-            return f(np.clip(t, knots_t[0], knots_t[-1]))
+            return self._pchip(np.clip(t, self.table[0][0], self.table[0][-1]))
         raise ScenarioError(f"unknown delay kind {self.kind!r}")
+
+    @functools.cached_property
+    def _pchip(self):         # the table's interpolator, built once
+        from scipy.interpolate import PchipInterpolator
+        return PchipInterpolator(*map(np.asarray, self.table))
 
     def max_amplitude(self) -> float:
         if self.kind == "constant":
@@ -388,7 +390,7 @@ def _advance_block(c, j0, E, g, ctrl, samples, top, d2, ts):
     through here.
 
     The states (S, J+1, modes) ``c`` follow c_{j+1} = E c_j + g_j, with the
-    block's forcing ``g`` (S, n, modes), as a doubling scan; then
+    block's forcing ``g`` (S, n, modes), by ``numerics.affine_scan``; then
     ``ctrl.step`` solves the block's controls into rows top..top+n-1 of
     ``samples``, with the matched disturbances ``d2`` (S, J+1, m).  The
     first faulty row, checked in the per-step order (non-finite state,
@@ -396,14 +398,8 @@ def _advance_block(c, j0, E, g, ctrl, samples, top, d2, ts):
     an error naming its step on the grid ``ts``.  Returns each member's
     largest backward error in the block.
     """
-    n = g.shape[1]
-    g[:, 0] += E * c[:, j0]
-    Ed, d = E, 1
-    while d < n:
-        g[:, d:] += Ed * g[:, :-d]
-        Ed, d = Ed * Ed, 2 * d
-    rows = slice(j0 + 1, j0 + n + 1)
-    c[:, rows] = g
+    rows = slice(j0 + 1, j0 + g.shape[1] + 1)
+    c[:, rows] = affine_scan(E, g, c[:, j0])
     ub, residual = ctrl.step(samples, top, j0, g[:, :, :ctrl.K.shape[1]],
                              d2[:, rows])
     faults = np.stack([~np.isfinite(g).all(axis=(0, 2)),
@@ -518,11 +514,13 @@ def _predictor_tap(lambdas, B, D0: float, dt: float):
 
 def rk4_substep(lam, h, x, f0, fm, f1):
     """One classical RK4 step of x' = lam x + f(t) with forcing f0, fm, f1
-    at the start, midpoint and end of the step (elementwise in the modes)."""
-    k1 = lam * x + f0
-    k2 = lam * (x + 0.5 * h * k1) + fm
-    k3 = lam * (x + 0.5 * h * k2) + fm
-    k4 = lam * (x + h * k3) + f1
+    at the start, midpoint and end of the step: elementwise in the modes for
+    rates ``lam``, or through ``lam(x)`` when it is a callable (a matvec)."""
+    lin = lam if callable(lam) else lambda y: lam * y
+    k1 = lin(x) + f0
+    k2 = lin(x + 0.5 * h * k1) + fm
+    k3 = lin(x + 0.5 * h * k2) + fm
+    k4 = lin(x + h * k3) + f1
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -309,7 +309,8 @@ def reference_oracle_simulate(scenario, refine: int = 20):
         drive = K @ Yj + d2_ts[j]
         for _ in range(100):
             u_new = phi * (drive + K @ (known + w_last @ u_c))
-            if np.linalg.norm(u_new - u_c) < 1e-12:
+            if np.linalg.norm(u_new - u_c) <= 1e-12 * max(
+                    1.0, np.linalg.norm(u_new)):
                 return u_new
             u_c = u_new
         raise ScenarioError(

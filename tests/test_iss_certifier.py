@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference import (fading_memory_sup_brute, reference_check_ratios,
                        reference_fit, reference_windowed_fading_sup)
@@ -34,6 +35,19 @@ def test_fading_memory_recursion_equals_brute(rng):
     fast = fading_memory_sup(norms, kappa=0.8, dt=0.01)
     slow = fading_memory_sup_brute(norms, kappa=0.8, dt=0.01)
     assert np.array_equal(fast, slow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf, math.nan])
+                | st.floats(0.0, 1e3), min_size=1, max_size=60),
+       st.floats(0.01, 5.0), st.sampled_from([1e-3, 0.05, 0.1]))
+def test_fading_memory_recursion_equals_brute_bit_for_bit(norms, kappa, dt):
+    # Zeros, ties, inf and NaN (which stays from its sample on, as in the
+    # brute-force maximum), down to one sample.
+    fast = fading_memory_sup(norms, kappa, dt)
+    slow = fading_memory_sup_brute(norms, kappa, dt)
+    assert fast.shape == slow.shape
+    assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
 def test_fading_memory_monotone_decay_between_events():

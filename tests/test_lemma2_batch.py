@@ -6,6 +6,8 @@ at-a-time implementations of ``simulate_delay_difference`` and
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from specpred.iss_certifier import (
     simulate_delay_difference,
 )
 from specpred.sim_engine import DelaySignal, DisturbanceSignal
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "specbench"))
+import checks  # noqa: E402
+from workloads import GROWTH_MEMBER  # noqa: E402
 
 REL_TOL = 1e-12
 
@@ -235,32 +241,38 @@ def test_mixed_signal_and_callable_members_match_per_member_runs():
         assert_close(xs[:, i, :k], want)
 
 
-def test_signal_members_are_sampled_once_per_block():
-    sizes = {}      # omega -> the number of times sampled by each call
+def test_signal_members_are_sampled_once_per_block(monkeypatch):
+    # The sinusoid members of each signal class are stacked into one signal
+    # of that class, called once per block on all members at once: no member
+    # is called on its own and no time is sampled twice.
+    calls = {DelaySignal: [], DisturbanceSignal: []}  # (times, members)
 
     def counting(cls):
-        class Counting(cls):
-            def __call__(self, t):
-                sizes.setdefault(self.omega, []).append(np.size(t))
-                return super().__call__(t)
-        return Counting
+        formula = cls.__call__
 
+        def call(self, t):
+            assert np.ndim(self.omega) == 1, "a member was called on its own"
+            calls[cls].append((len(t), len(self.omega)))
+            return formula(self, t)
+        return call
+
+    for cls in calls:
+        monkeypatch.setattr(cls, "__call__", counting(cls))
     r, eps, dt, T = 0.5, 0.05, 5e-3, 2.0
-    unit = counting(DelaySignal)
-    prob = Lemma2Problem(
+    members = [Lemma2Problem(
         A=np.array([[-1.0]]), C=np.array([[2.0]]), r=r, eps=eps,
-        d=unit("sinusoid", D0=0.0, amplitude=1.0, omega=3.0),
-        q=unit("sinusoid", D0=0.0, amplitude=1.0, omega=2.0),
-        p=counting(DisturbanceSignal)("sinusoid", amplitude=(1.0,), omega=1.0),
-        x0=lambda t: np.array([1.0]))
-    ts, _ = simulate_delay_difference(prob, dt, T)
+        d=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=3.0 + i),
+        q=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=2.0 - i / 2),
+        p=DisturbanceSignal("sinusoid", amplitude=(1.0,), omega=1.0 + i),
+        x0=lambda t: np.array([0.0])) for i in range(3)]
+    ts, _ = simulate_delay_difference(members, dt, T)
     J = len(ts) - 1
-    assert sorted(sizes) == [1.0, 2.0, 3.0]
-    # Each call samples one block's 2 L + 1 step and half-step times, so
-    # there is one call per block, not one per half-step.
-    for omega, got in sizes.items():
-        steps = [(size - 1) // 2 for size in got]
-        assert all(size % 2 == 1 for size in got), omega
+    # d and q of the 3 members in one call, p in another, on each block's
+    # 2 L + 1 step and half-step times.
+    for cls, width in ((DelaySignal, 6), (DisturbanceSignal, 3)):
+        got = calls[cls]
+        assert all(k == width and size % 2 == 1 for size, k in got), cls
+        steps = [(size - 1) // 2 for size, _ in got]
         assert sum(steps) == J and steps[0] >= int((r - eps) / dt) - 4
         assert len(got) == math.ceil(J / steps[0]) < J / 50
 
@@ -280,3 +292,62 @@ def test_stiff_members_step_on_dt_split_into_equal_parts():
     stiff = cli.lemma2_suite(n_members=2, a=-8001.0, c_norm=0.0)
     with pytest.raises(CertifierError, match=r"\|a\| = max\|eig A\| = 8001"):
         lemma2_validate(stiff, 1.0, 1.0, 8001.0, T=0.5)
+
+
+def test_stiff_member_matches_the_reference_over_a_long_horizon():
+    # h |a| = 2.5 at a = -2000: |R| < 1, so the block scan's doubled powers
+    # of R stay bounded over T = 4 (3200 steps).
+    members = [sinusoid_member(-2000.0, 2.0, 0.5, 0.05, 3.0, 1.0, 1.5, 2.0,
+                               0.3, forced) for forced in (False, True)]
+    dt, T = 5e-3 / 4, 4.0
+    _, xs = simulate_delay_difference(members, dt, T)
+    for i, prob in enumerate(members):
+        _, want = reference_simulate(prob, dt, T)
+        assert_close(xs[:, i], want)
+
+
+def test_resonant_growth_member_matches_the_reference():
+    g = GROWTH_MEMBER
+    prob = Lemma2Problem(
+        A=np.array([[g["a"]]]), C=np.array([[g["c"]]]), r=g["r"],
+        eps=g["eps"], d=lambda t: math.sin(6.0 * t),
+        q=lambda t: math.sin(6.0 * t + 0.5), p=lambda t: np.zeros(1),
+        x0=lambda t: np.array([1.0]))
+    ts, xs = simulate_delay_difference(prob, g["dt"], g["T"])
+    _, want = reference_simulate(prob, g["dt"], g["T"])
+    assert np.max(np.abs(want)) > 10 * np.max(np.abs(want[ts <= g["T"] / 2]))
+    assert_close(xs, want)
+
+
+def test_uncoupled_member_converges_at_fourth_order():
+    # With C = 0 the member is x' = a x + p with a constant history, whose
+    # closed form the RK4 steps approach at order 4.
+    a, x0, amp, w, ph, T = -1.0, 1.2, 0.8, 1.7, 0.4, 4.0
+    prob = Lemma2Problem(
+        A=np.array([[a]]), C=np.array([[0.0]]), r=0.5, eps=0.05,
+        d=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=2.0),
+        q=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=1.0),
+        p=DisturbanceSignal("sinusoid", amplitude=(amp,), omega=w, phase=ph),
+        x0=lambda t: np.array([x0]))
+    errors = []
+    for dt in (0.1, 0.05, 0.025):
+        ts, xs = simulate_delay_difference(prob, dt, T)
+        errors.append(np.max(np.abs(xs[:, 0] - checks.forced_decay(
+            ts, a, x0, amp, w, ph))))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 3.8), orders
+
+
+def test_non_normal_member_matches_the_reference():
+    prob = Lemma2Problem(
+        A=np.array([[-1.0, 0.3], [0.0, -2.0]]), C=np.array([[0.5, 0.2],
+                                                            [0.0, 0.5]]),
+        r=0.6, eps=0.1,
+        d=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=5.0),
+        q=DelaySignal("sinusoid", D0=0.0, amplitude=1.0, omega=1.3, phase=0.2),
+        p=DisturbanceSignal("sinusoid", m=2, amplitude=(0.4, -0.9), omega=1.7),
+        x0=lambda t: np.array([math.cos(t), 0.5]))
+    dt, T = 5e-3, 4.0
+    _, xs = simulate_delay_difference(prob, dt, T)
+    _, want = reference_simulate(prob, dt, T)
+    assert_close(xs, want)

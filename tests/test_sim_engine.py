@@ -65,6 +65,27 @@ def test_table_delay_holds_its_end_values():
     assert tab(10.0) == 0.502
 
 
+def test_table_delay_builds_one_interpolator(monkeypatch):
+    import scipy.interpolate
+
+    knots = ((0.0, 1.0, 2.0), (0.5, 0.52, 0.49))
+    ts = np.linspace(-1.0, 3.0, 41)
+    want = scipy.interpolate.PchipInterpolator(*map(np.asarray, knots))(
+        np.clip(ts, 0.0, 2.0))
+    built = []
+
+    class Counting(scipy.interpolate.PchipInterpolator):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", Counting)
+    tab = DelaySignal(kind="table", D0=0.5, table=knots)
+    got = [tab(t) for t in ts]
+    assert np.array_equal(tab(ts), want) and np.array_equal(got, want)
+    assert len(built) == 1
+
+
 def test_make_delay_rejects_nonpositive():
     with pytest.raises(ScenarioError):
         make_delay({"kind": "sinusoid", "D0": 0.1, "amplitude": 0.2, "omega": 1.0})
@@ -342,6 +363,20 @@ def test_oracle_block_may_outrun_its_taps(descriptor, exact_cert):
     traj = oracle_simulate(scen)
     assert traj.meta["block_steps"] == 57
     ref = reference_oracle_simulate(scen)
+    for key in ("coeffs", "u", "v", "Z"):
+        got, want = getattr(traj, key), getattr(ref, key)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+
+
+def test_oracle_matches_the_reference_on_a_growing_run(descriptor, exact_cert):
+    # Past the certified band the run grows: |u| reaches the thousands, so the
+    # reference's fixed point must stop at a step relative to |u|.
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-2, T=2.0)[4]
+    scen = replace(scen, delay=DelaySignal(kind="constant", D0=0.6),
+                   certified=False)
+    traj = oracle_simulate(scen)
+    ref = reference_oracle_simulate(scen)
+    assert np.max(np.abs(ref.u)) > 1e3
     for key in ("coeffs", "u", "v", "Z"):
         got, want = getattr(traj, key), getattr(ref, key)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
