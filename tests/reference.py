@@ -25,6 +25,8 @@ side and each channel's shapes written out by hand, and
 ``reference_artstein_residual`` is the former per-point Artstein residual.
 ``reference_matrix_exp_norm`` is the former per-time matrix-exponential norm
 through the eigendecomposition, with its ``expm`` fallback.
+``reference_trajectory_to_csv`` is the former one-process trajectory writer,
+one ``np.savetxt`` call.
 """
 
 import math
@@ -53,7 +55,8 @@ from specpred.iss_certifier import (
 )
 from specpred.numerics import (catmull_rom, cubic_stencil, exp_moments,
                                simpson_weights)
-from specpred.sim_engine import ScenarioError, _trajectory, compose_rk4_substeps
+from specpred.sim_engine import (ScenarioError, _csv_columns, _trajectory,
+                                  compose_rk4_substeps)
 
 
 class StepHistory:
@@ -622,3 +625,14 @@ def reference_artstein_residual(trajectory, cert):
         rhs = rhs + B @ (phid2(t - D_ts[j]) - phid2(t - cert.D0))
         res.append(np.linalg.norm(dZ - rhs))
     return ts[1:-1], np.asarray(res)
+
+
+def reference_trajectory_to_csv(traj, path):
+    """The trajectory CSV as one ``np.savetxt`` call writes it."""
+    cols = _csv_columns(traj.coeffs.shape[1], traj.Z.shape[1], traj.u.shape[1])
+    data = np.column_stack([
+        traj.t, traj.coeffs, traj.Y, traj.Z,
+        traj.u, traj.v, traj.norm_lower, traj.norm_upper,
+    ])
+    np.savetxt(path, data, fmt="%.17g", delimiter=", ",
+               header=", ".join(cols), comments="")

@@ -317,8 +317,14 @@ def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
     "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n"
     "0, 1, 1, 1, 0, 0, 1, 1\n0.1, 1, 1, 1, 0, 0, 1, 1\n"
     "0.3, 1, 1, 1, 0, 0, 1, 1\n",
+    "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n"
+    "0, 1, 1, 1, 0, 0, 1, 1\n0.1, 1, 1, 1, 0, 0, 1\n"
+    "0.2, 1, 1, 1, 0, 0, 1, 1\n",
+    "t, c_1, Y_1, Z_1, u_1, v_1, norm_lower, norm_upper\n"
+    "0, 1, 1, 1, 0, 0, 1, 1\n0.1, 1, 1, 1, 0, 0, 1, 1\n"
+    "0.2, 1, one, 1, 0, 0, 1, 1\n",
 ], ids=["two-columns", "short-row", "swapped-columns", "one-row",
-        "header-only", "non-uniform-t"])
+        "header-only", "non-uniform-t", "ragged-row", "non-numeric"])
 def test_check_refuses_a_trajectory_csv_of_another_layout(artifacts, tmp_path,
                                                           capsys, text):
     root, cert_path, scen_path = artifacts
