@@ -27,7 +27,10 @@ array: diagonal blocks I - phi_j K G_0, checked against
 ``SOLVE_CONDITIONING_FLOOR``, the block at lag k below the diagonal
 -phi_j K G_k, and the taps on samples before the block in the right-hand
 side; the engine holds each row's componentwise backward error to
-``SOLVE_RESIDUAL_TOL``.  Every linear history read (the
+``SOLVE_RESIDUAL_TOL``.  The system depends on the block only through its
+length and its steps' phis, so ``PredictorController.block_law`` builds it
+once per such phi pattern: once t >= t0 every full block shares one.  Every
+linear history read (the
 delayed reads and the Artstein residual's reads of Z) goes through
 ``linear_stencil``, which owns the covered-span check.
 """
@@ -85,19 +88,20 @@ class ControlHistory:
         self.samples = np.zeros((S, self.n_pre + n, m), dtype=dtype)
         self._flat = self.samples.reshape(-1, m)
         x = (read_times + self.n_pre * dt) / dt               # grid indices
-        i0, w0, w1 = linear_stencil(
+        i0, _, w1 = linear_stencil(
             x, self.n_pre + np.maximum(np.arange(n) - 1, 0))
         self.margin = np.min(x, axis=1)    # steps from the oldest sample
-        # Steps from each read's step back to the newest sample it uses.
-        self.lag = np.arange(n) + self.n_pre - 1 - i0
+        # Fewest steps from a read's step (j >= 1) back to the newest sample
+        # it uses.
+        self.min_lag = np.min((np.arange(n) + self.n_pre - 1 - i0)[:, 1:],
+                              initial=np.iinfo(int).max)
         self._rows = i0 + (self.n_pre + n) * np.arange(S)[:, np.newaxis]
-        self._w0, self._w1 = w0[..., np.newaxis], w1[..., np.newaxis]
+        self._w1 = w1[..., np.newaxis]      # the read's w0 is 1 - w1
 
     def interp(self, steps):
         """The delayed reads of ``steps`` (an index or a slice), every member."""
-        rows = self._rows[:, steps]
-        return self._w0[:, steps] * self._flat[rows] \
-            + self._w1[:, steps] * self._flat[rows + 1]
+        rows, w1 = self._rows[:, steps], self._w1[:, steps]
+        return (1.0 - w1) * self._flat[rows] + w1 * self._flat[rows + 1]
 
 
 def linear_stencil(x, hi):
@@ -160,8 +164,10 @@ class PredictorController:
 
     Built once per run from the predictor taps G_k (G_0 weighs the newest
     sample, the candidate u_j): the pre-block product H, the in-block
-    Toeplitz T and, for every distinct phi of the run, I - phi K G_0 and its
-    inverse, checked against the conditioning floor.
+    Toeplitz T (a view of the taps with K folded in) and, for every distinct
+    phi of the run, I - phi K G_0 and its inverse, checked against the
+    conditioning floor.  A block's system is built from these by
+    ``block_law``, once per phi pattern.
     """
 
     def __init__(self, cert, taps, ts, block: int):
@@ -176,11 +182,15 @@ class PredictorController:
         H = np.where((tap_of <= L)[..., np.newaxis, np.newaxis],
                      taps[np.minimum(tap_of, L)], 0.0)         # (block, L, N0, m)
         self.H = H.transpose(0, 2, 1, 3).reshape(block * N0, L * m)
-        tap_of = np.arange(block)[:, np.newaxis] - np.arange(block)
-        # A block may outrun the taps (the oracle's, under a delay past D0).
-        lags = (tap_of > 0) & (tap_of <= L)
-        self.T = np.where(lags[..., np.newaxis, np.newaxis],
-                          K @ taps[np.clip(tap_of, 0, L)], 0.0).transpose(0, 2, 1, 3)
+        # T[i, :, k, :] = K G_{i-k} for 0 < i - k <= L, a strided view of
+        # the taps at lags -(block - 1)..block - 1, zero at lags <= 0 and
+        # past L (a block may outrun the taps: the oracle's, under a delay
+        # past D0).
+        lags = min(block - 1, L)
+        KG = np.zeros((2 * block - 1, m, m), dtype=np.result_type(K, taps))
+        KG[block: block + lags] = (K @ taps)[1: lags + 1]
+        self.T = np.lib.stride_tricks.sliding_window_view(
+            KG, block, axis=0)[:, :, :, ::-1].transpose(0, 1, 3, 2)
         phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
         self.phis, self.which = np.unique(phi_all, return_inverse=True)
         self.systems = np.eye(m) - self.phis[:, np.newaxis, np.newaxis] * (K @ taps[0])
@@ -193,6 +203,29 @@ class PredictorController:
                     f"sigma_min(I - phi K G_0) = {smin:.3g} at phi={phi:.6g}")
         self.inverses = np.linalg.inv(self.systems)
         self.min_sigma = float(np.min(sigma[used], initial=np.inf))
+        self._law = (None, None)
+
+    def block_law(self, w):
+        """The operators of a block whose steps have the phis ``phis[w]``:
+        the phis, the inverses that scale its rows, the unit lower-triangular
+        scaled matrix, the unscaled matrix A and |A|.
+
+        phi is monotone in t, so the blocks of one pattern are consecutive
+        and one kept law builds each pattern once: once t >= t0 every full
+        block reuses the law of the first.  The law it replaces is released
+        before the new one is built.
+        """
+        if self._law[0] != (key := w.tobytes()):
+            self._law = (None, None)
+            n, m = len(w), len(self.K)
+            phis = self.phis[w]
+            A = -phis[:, np.newaxis, np.newaxis, np.newaxis] * self.T[:n, :, :n]
+            A[np.arange(n), :, np.arange(n)] = self.systems[w]
+            inverses = self.inverses[w]
+            unit = np.einsum("iab,ibkc->iakc", inverses, A).reshape(n * m, -1)
+            A = A.reshape(n * m, -1)
+            self._law = key, (phis, inverses, unit, A, np.abs(A))
+        return self._law[1]
 
     def step(self, samples, top: int, j0: int, Y, d2):
         """Solve and return the controls (S, n, m) of steps j0+1..j0+n, given
@@ -206,23 +239,20 @@ class PredictorController:
         lower-triangular matrix, one for all members.
         """
         S, n, N0 = Y.shape
-        m = len(self.K)
-        w = self.which[j0 + 1: j0 + n + 1]
-        phis = self.phis[w]
-        A = -phis[:, np.newaxis, np.newaxis, np.newaxis] * self.T[:n, :, :n]
-        A[np.arange(n), :, np.arange(n)] = self.systems[w]
-        unit = np.einsum("iab,ibkc->iakc", self.inverses[w], A).reshape(n * m, -1)
+        phis, inverses, unit, A, abs_A = self.block_law(
+            self.which[j0 + 1: j0 + n + 1])
         window = samples[:, top - self.L: top].reshape(S, -1)
-        Q = Y + np.einsum("sk,nk->sn", window, self.H[: n * N0]).reshape(S, n, N0)
+        # One product per member: the same BLAS call as its run alone.
+        Q = Y + (window[:, np.newaxis] @ self.H[: n * N0].T)[:, 0].reshape(S, n, N0)
         rhs = phis[:, np.newaxis] * (np.einsum("sin,an->sia", Q, self.K) + d2)
-        scaled = np.einsum("iab,sib->sia", self.inverses[w], rhs).reshape(S, -1)
+        scaled = np.einsum("iab,sib->sia", inverses, rhs).reshape(S, -1)
         # One solve per member keeps its rounding independent of S.
         u = np.stack([solve_triangular(unit, r, lower=True, unit_diagonal=True,
                                        check_finite=False)
                       for r in scaled])                        # (S, n m)
-        A, rhs = A.reshape(n * m, -1), rhs.reshape(S, -1)
-        scale = np.abs(u) @ np.abs(A).T + np.abs(rhs)
+        rhs = rhs.reshape(S, -1)
+        scale = np.abs(u) @ abs_A.T + np.abs(rhs)
         residual = np.abs(u @ A.T - rhs) / np.maximum(scale, np.finfo(float).tiny)
-        u = u.reshape(S, n, m)
+        u = u.reshape(S, n, -1)
         samples[:, top: top + n] = u
-        return u, residual.reshape(S, n, m).max(axis=2)
+        return u, residual.reshape(S, n, -1).max(axis=2)

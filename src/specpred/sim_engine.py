@@ -28,7 +28,9 @@ c_{j+1} = E c_j + g_j by ``numerics.affine_scan`` (E is the propagator for
 ``simulate``, the composed RK4 factor for the oracle), the block's controls
 from ``controller.PredictorController.step`` (built with the engine's taps)
 and the one fault report: state, control and residual checks on every row
-of the block.
+of the block.  The controller builds a block's system once per pattern of
+phis, so after the transition (t >= t0) every full block of a run reuses
+one set of operators and a block step costs its products and solves.
 
 Both evaluate the same implicit predictor feedback through the delayed
 channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
@@ -41,6 +43,7 @@ the oracle's cubic reads ``numerics.cubic_stencil``.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import shutil
@@ -72,7 +75,7 @@ MAX_MODES = 400
 # Longest block of steps ``simulate`` solves at once, and the longest block
 # whose delayed reads ``oracle_simulate`` builds at once; the delay may
 # shorten it.
-BLOCK_STEPS = 128
+BLOCK_STEPS = 240
 # RK4 substeps per coarse step of ``oracle_simulate``.
 ORACLE_REFINE = 20
 # Row offsets of a Catmull-Rom stencil, on the leading axis of a gather.
@@ -360,7 +363,7 @@ def simulate(scenario):
     # - 1 steps back, so that bound fixes the length for in-band members
     # whatever their batch-mates.
     block = max(1, min(BLOCK_STEPS, int((cert.D0 - cert.delta_max) / dt) - 1,
-                       int(np.min(hist.lag[:, 1:], initial=BLOCK_STEPS))))
+                       int(hist.min_lag)))
     d1 = np.stack([np.asarray(sc.d1(ts)) for sc in scens])      # (S, J+1, m)
     d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens])
     taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
@@ -372,13 +375,20 @@ def simulate(scenario):
         n = min(block, J - j0)
         rows = slice(j0 + 1, j0 + n + 1)
         v[:, rows] = hist.interp(rows) + d1[:, rows]
+        # The forcing goes into the block's rows of c, where the scan runs,
+        # and few block-sized arrays live at once: a higher heap high-water
+        # made the allocator return and re-fault memory on every run.
         f = np.einsum("sjk,nk->sjn", v[:, j0: j0 + n + 1], B_all)
+        g = np.multiply(W0, f[:, :-1], out=c[:, rows])
+        g += W1 * f[:, 1:]
+        del f
         np.maximum(max_residual, _advance_block(
-            c, j0, E, W0 * f[:, :-1] + W1 * f[:, 1:], ctrl, hist.samples,
-            hist.n_pre + j0 + 1, d2, ts), out=max_residual)
+            c, j0, E, g, ctrl, hist.samples, hist.n_pre + j0 + 1, d2, ts),
+            out=max_residual)
 
     meta = {"dt": dt, "N_modes": n_modes, "steps": J, "block_steps": block,
             "min_solve_sigma": ctrl.min_sigma}
+    del ctrl                  # its block law is freed before Z is built
     trajs = Trajectories(
         _trajectory(sc, ts, c[s], hist.samples[s, hist.n_pre:], v[s], "exp",
                     {**meta, "max_solve_residual": float(max_residual[s]),
@@ -392,7 +402,8 @@ def _advance_block(c, j0, E, g, ctrl, samples, top, d2, ts):
     through here.
 
     The states (S, J+1, modes) ``c`` follow c_{j+1} = E c_j + g_j, with the
-    block's forcing ``g`` (S, n, modes), by ``numerics.affine_scan``; then
+    block's forcing ``g`` (S, n, modes), which may be the block's own rows
+    of ``c``, by ``numerics.affine_scan``; then
     ``ctrl.step`` solves the block's controls into rows top..top+n-1 of
     ``samples``, with the matched disturbances ``d2`` (S, J+1, m).  The
     first faulty row, checked in the per-step order (non-finite state,
@@ -404,6 +415,10 @@ def _advance_block(c, j0, E, g, ctrl, samples, top, d2, ts):
     c[:, rows] = affine_scan(E, g, c[:, j0])
     ub, residual = ctrl.step(samples, top, j0, g[:, :, :ctrl.K.shape[1]],
                              d2[:, rows])
+    # Whole-block checks first; the rows are searched only on a fault.
+    if (np.isfinite(g).all() and np.isfinite(ub).all()
+            and residual.max() <= SOLVE_RESIDUAL_TOL):
+        return residual.max(axis=1)
     faults = np.stack([~np.isfinite(g).all(axis=(0, 2)),
                        ~np.isfinite(ub).all(axis=(0, 2)),
                        (residual > SOLVE_RESIDUAL_TOL).any(axis=0)], axis=1)
@@ -708,29 +723,37 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
             out.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
     def write_tail():
-        with open(part, "w") as out:
+        # Run in the process, the rows go straight to the file; a forked
+        # child writes them to the sibling part file, which the process
+        # appends.
+        if os.getpid() == pid:
             write_rows(out, data[half:])
-        return b""
+            return b""
+        with open(part, "w") as tail:
+            write_rows(tail, data[half:])
+        return b"part"
 
     half = (len(data) + 1) // 2
-    part = f"{path}.{os.getpid()}.part"
+    pid = os.getpid()
+    part = f"{path}.{pid}.part"
     try:
         with open(path, "w") as out:
             out.write(", ".join(cols) + "\n")
             # %.17g text runs to about 21 bytes a value.
-            _in_two(lambda: write_rows(out, data[:half]), write_tail,
-                    21 * data.size)
-            with open(part) as tail:
-                shutil.copyfileobj(tail, out)
+            _, in_part = _in_two(lambda: write_rows(out, data[:half]),
+                                 write_tail, 21 * data.size)
+            if in_part:
+                with open(part) as tail:
+                    shutil.copyfileobj(tail, out)
     finally:
         if os.path.exists(part):
             os.remove(part)
 
 
-def _lines_to(fh, hi):
-    """The lines of the binary file ``fh`` from where it stands to byte ``hi``."""
-    while fh.tell() < hi and (line := fh.readline()):
-        yield line
+def _lines(fh, hi):
+    """The lines of the binary file ``fh`` from where it stands to byte
+    ``hi``: one read, split at LF in memory as they are iterated."""
+    return io.BytesIO(fh.read(hi - fh.tell()))
 
 
 def _malformed(path, hi) -> ScenarioError:
@@ -741,7 +764,7 @@ def _malformed(path, hi) -> ScenarioError:
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         fh.readline()
         width = None
-        for lineno, line in enumerate(_lines_to(fh, hi), 2):
+        for lineno, line in enumerate(_lines(fh, hi), 2):
             try:
                 row = np.loadtxt([line], delimiter=",", ndmin=2)
             except ValueError as exc:
@@ -765,7 +788,7 @@ def _read_rows(path, lo, hi):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         fh.seek(lo)
         try:
-            return np.loadtxt(_lines_to(fh, hi), delimiter=",", ndmin=2)
+            return np.loadtxt(_lines(fh, hi), delimiter=",", ndmin=2)
         except ValueError:
             raise _malformed(path, hi) from None
 

@@ -231,6 +231,51 @@ def test_read_margin_on_certified_and_past_the_prebuffer(descriptor,
     assert out == pytest.approx(-position, rel=1e-3)
 
 
+def test_batch_members_equal_their_single_runs_bit_for_bit(fitting_run):
+    _, scens, batch, _ = fitting_run
+    for member, scen in zip(batch, scens, strict=True):
+        alone = simulate(scen)
+        for key in FIELDS:
+            assert np.array_equal(getattr(member, key), getattr(alone, key)), key
+
+
+def test_cached_block_law_equals_a_rebuilt_one(exact_cert):
+    # dt = 2e-3: phi ramps over steps 1..500, so the first three blocks are
+    # transition blocks, the next two are steady (phi = 1) and share one
+    # law, and the run ends in a short block.
+    cert, dt, block, S = exact_cert, 2e-3, BLOCK_STEPS, 3
+    J = 5 * block + 50
+    ts = dt * np.arange(J + 1)
+    taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
+    rng = np.random.default_rng(5)
+    n_pre = len(taps)
+    samples = rng.standard_normal((S, n_pre + J + 1, 1))
+    samples[:, n_pre:] = 0.0
+    rebuilt_samples = samples.copy()
+    Y = rng.standard_normal((S, J + 1, cert.N0))
+    d2 = rng.standard_normal((S, J + 1, 1))
+    cached = PredictorController(cert, taps, ts, block)
+    laws = []
+    for j0 in range(0, J, block):
+        n = min(block, J - j0)
+        rows, top = slice(j0 + 1, j0 + n + 1), n_pre + j0 + 1
+        u, residual = cached.step(samples, top, j0, Y[:, rows], d2[:, rows])
+        laws.append(cached.block_law(cached.which[rows]))
+        rebuilt = PredictorController(cert, taps, ts, block)
+        want_u, want_residual = rebuilt.step(rebuilt_samples, top, j0,
+                                             Y[:, rows], d2[:, rows])
+        assert np.array_equal(u, want_u) and np.array_equal(residual,
+                                                            want_residual)
+        assert residual.max() <= SOLVE_RESIDUAL_TOL
+    assert np.array_equal(samples, rebuilt_samples)
+    phis = [law[0] for law in laws]
+    assert all(len(np.unique(p)) > 1 for p in phis[:3])
+    assert np.all(phis[3] == 1.0) and len(phis[-1]) == 50
+    # The steady blocks share one set of operators.
+    assert all(a is b for a, b in zip(laws[3], laws[4]))
+    assert laws[2][2] is not laws[3][2]
+
+
 def test_each_block_is_one_controller_step_and_one_read(descriptor,
                                                         exact_cert,
                                                         monkeypatch):
@@ -338,7 +383,7 @@ def test_minimum_delay_of_a_few_steps(descriptor, exact_cert, steps):
 @pytest.mark.parametrize("channel", ["d1", "d2"])
 def test_non_finite_run_names_its_first_bad_step(descriptor, exact_cert,
                                                  channel):
-    # exp(800 t) overflows near t = 0.88, inside the block of steps 769..896;
+    # exp(800 t) overflows near t = 0.88, between steps 769 and 896;
     # through d1 the state goes non-finite first, through d2 the control.
     base = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[0]
     blowup = DisturbanceSignal(kind="exp_decay", m=1, amplitude=(1.0,),

@@ -198,3 +198,32 @@ def test_split_gates_keep_the_run_in_one_process(tmp_path, monkeypatch, gate):
                           traj.coeffs)
     assert not forks
     assert_clean(tmp_path, ["ref.csv", "traj.csv"])
+
+
+@pytest.mark.parametrize("gate", ["fork-fails", "small-file", "one-cpu",
+                                  "no-fork", "split"])
+def test_only_a_forked_writer_uses_a_part_file(tmp_path, monkeypatch, gate):
+    opened = []
+    monkeypatch.setattr(
+        sim_engine, "open",
+        lambda file, *args, **kwargs: opened.append(str(file))
+        or open(file, *args, **kwargs), raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if gate != "small-file":
+        monkeypatch.setattr(sim_engine, "_SPLIT_MIN_BYTES", 0)
+    if gate == "fork-fails":
+        def no_fork():
+            raise OSError("fork refused")
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif gate == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif gate == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    traj = make_trajectory(CHUNK + 1)
+    reference_trajectory_to_csv(traj, tmp_path / "ref.csv")
+    trajectory_to_csv(traj, tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # The process opens the part file only to append a child's half.
+    parts = [name for name in opened if name.endswith(".part")]
+    assert bool(parts) == (gate == "split"), parts
+    assert_clean(tmp_path, ["ref.csv", "traj.csv"])
