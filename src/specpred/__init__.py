@@ -7,9 +7,8 @@ from .controller import (
     ControlHistory,
     ControllerError,
     PredictorController,
-    TransitionSignal,
     predictor_taps,
-    transition_eval,
+    transition,
 )
 from .errors import SpecpredError
 from .iss_certifier import (
@@ -43,7 +42,6 @@ from .sim_engine import (
     trajectory_to_csv,
 )
 from .spectral_model import (
-    ModeSplit,
     SpectrumError,
     SystemDescriptor,
     TruncatedModel,

@@ -58,9 +58,7 @@ def default_descriptor(c: float = 15.0) -> SystemDescriptor:
 def design_pipeline(descriptor: SystemDescriptor, design: dict = None):
     """Descriptor -> (model, certificate) with the exactly-computable part."""
     design = {**DEFAULT_DESIGN, **(design or {})}
-    split = spectral_model.classify_modes(descriptor, DEFAULT_SCAN_DEPTH)
-    model = spectral_model.truncated_model(descriptor, split.N0, split.alpha,
-                                           split.xi)
+    model = spectral_model.classify_modes(descriptor, DEFAULT_SCAN_DEPTH)
     poles = design.get("target_poles")
     if poles is None:
         poles = [design["target_pole"]] * model.N0

@@ -37,8 +37,6 @@ delayed reads and the Artstein residual's reads of Z) goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -50,25 +48,9 @@ class ControllerError(SpecpredError, RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TransitionSignal:
-    """C^1 smoothstep ramp: 0 on (-inf, 0], 1 on [t0, inf)."""
-
-    t0: float
-
-    def __post_init__(self):
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
-
-
-def transition_eval(signal: TransitionSignal, t: float):
-    """Return (phi(t), phi'(t)) for the cubic smoothstep transition."""
-    s = np.clip(np.asarray(t, dtype=float) / signal.t0, 0.0, 1.0)
-    phi = smoothstep(s)
-    dphi = 6.0 * s * (1.0 - s) / signal.t0
-    if phi.ndim == 0:
-        return float(phi), float(dphi)
-    return phi, dphi
+def transition(t, t0: float):
+    """phi(t), the C^1 smoothstep ramp: 0 on (-inf, 0], 1 on [t0, inf)."""
+    return smoothstep(np.clip(np.asarray(t, dtype=float) / t0, 0.0, 1.0))
 
 
 class ControlHistory:
@@ -191,7 +173,7 @@ class PredictorController:
         KG[block: block + lags] = (K @ taps)[1: lags + 1]
         self.T = np.lib.stride_tricks.sliding_window_view(
             KG, block, axis=0)[:, :, :, ::-1].transpose(0, 1, 3, 2)
-        phi_all, _ = transition_eval(TransitionSignal(cert.t0), ts)
+        phi_all = transition(ts, cert.t0)
         self.phis, self.which = np.unique(phi_all, return_inverse=True)
         self.systems = np.eye(m) - self.phis[:, np.newaxis, np.newaxis] * (K @ taps[0])
         sigma = np.linalg.svd(self.systems, compute_uv=False)[:, -1]

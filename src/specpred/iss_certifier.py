@@ -7,10 +7,10 @@ inflated 10%) and every reported constant carries ``exact`` or ``fitted``
 provenance.  An ensemble can falsify an envelope but never prove it; reports
 state worst observed ratios, not theorems.
 
-``ENVELOPES`` says once which envelope shape each constant scales.  The
-check, the fit and the sweep rows all read it: the check sums every term of
-every estimate, and the fit takes the ratio of each fitted term on its own
-channel.
+``synthesis.ENVELOPES`` says once which envelope shape each constant
+scales.  The check, the fit and the sweep rows all read it: the check sums
+every term of every estimate, and the fit takes the ratio of each fitted
+term on its own channel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .errors import SpecpredError
 from .numerics import affine_scan, catmull_rom, cubic_stencil
 from .sim_engine import (DelaySignal, DisturbanceSignal, Scenario, Trajectory,
                          rk4_substep)
-from .synthesis import Certificate, finalize_tail_constants, smallgain_lhs
+from .synthesis import (ENVELOPES, Certificate, finalize_tail_constants,
+                        smallgain_lhs)
 
 
 class CertifierError(SpecpredError, ValueError):
@@ -157,22 +158,6 @@ def _ratio_check(name, observed, bound, ts, constants,
     )
 
 
-# The four ISS estimates: the certificate bank of each and the (constant,
-# shape) terms of its right-hand side.  Shapes X0 and Y0 are the decayed
-# initial norms |X(0)| and |Y(0)|, d1 and d2 the fading-memory sups of |d1|
-# and |d2|, and d2w the sup of |d2| over the causal window; the suffix _k
-# decays at kappa and _s at sigma.  Terms 0, 1 and 2 are the x0, d1 and d2
-# channels of the fit.
-ENVELOPES = {
-    "state": ("x_constants", (("Cbar1", "X0_k"), ("Cbar2", "d1_k"),
-                              ("Cbar3", "d2w_k"))),
-    "control": ("u_constants", (("Cbar4", "X0_k"), ("Cbar5", "d1_k"),
-                                ("Cbar6", "d2_k"))),
-    "head_state": ("y_constants", (("C1", "X0_s"), ("C2", "d1_s"),
-                                   ("C3", "d2w_s"))),
-    "transformed_state": ("z_constants", (("gamma3", "Y0_s"), ("gamma4", "d1_s"),
-                                          ("gamma5", "d2_s"))),
-}
 CHANNELS = ("x0", "d1", "d2")
 
 

@@ -58,10 +58,9 @@ from .controller import (
     ControlHistory,
     ControllerError,
     PredictorController,
-    TransitionSignal,
     linear_stencil,
     predictor_taps,
-    transition_eval,
+    transition,
 )
 from .errors import SpecpredError, load_json
 from .numerics import (affine_scan, catmull_rom, cubic_stencil, exp_moments,
@@ -476,12 +475,11 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
     B = cert.B
     BK = B @ np.atleast_2d(cert.K)
     E = np.exp(-cert.D0 * cert.lambdas)[:, np.newaxis]
-    transition = TransitionSignal(cert.t0)
-    phi, _ = transition_eval(transition, t)
+    phi = transition(t, cert.t0)
     # The delayed (row 0) and nominal (row 1) arguments, clipped at 0.
     x = np.maximum(np.stack([t - np.asarray(scen.delay(t), dtype=float),
                              t - cert.D0]), 0.0)
-    phi_x, _ = transition_eval(transition, x)
+    phi_x = transition(x, cert.t0)
     j0, w0, w1 = linear_stencil(x / dt, len(ts) - 1)
     phi_z = phi_x[..., np.newaxis] * (w0[..., np.newaxis] * Z[j0]
                                       + w1[..., np.newaxis] * Z[j0 + 1])

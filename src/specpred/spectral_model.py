@@ -96,13 +96,6 @@ class TruncatedModel:
         return np.diag(self.A)
 
 
-@dataclass(frozen=True)
-class ModeSplit:
-    N0: int
-    alpha: float
-    xi: float
-
-
 def build_reaction_diffusion(c: float, m: int = 1) -> SystemDescriptor:
     """Reaction-diffusion plant u_t = u_xx + c u on (0,1), Dirichlet ends.
 
@@ -192,20 +185,22 @@ def lifting_norms(descriptor: SystemDescriptor, panels: int = 4096):
     )
 
 
-def classify_modes(descriptor: SystemDescriptor, scan_depth: int) -> ModeSplit:
+def classify_modes(descriptor: SystemDescriptor,
+                   scan_depth: int) -> TruncatedModel:
     """Split the scanned spectrum into head (N0 modes) and decaying tail.
 
-    Returns the smallest N0 >= 1 such that Re(lambda_n) < 0 for every scanned
-    n > N0, with alpha the spectral gap of the scan.  xi is the scan maximum
-    of |lambda_n / Re lambda_n| over the tail (exactly 1 for declared
-    real-spectrum plants).
+    Returns the truncated model of the smallest N0 >= 1 such that
+    Re(lambda_n) < 0 for every scanned n > N0, with alpha the spectral gap
+    of the scan.  xi is the scan maximum of |lambda_n / Re lambda_n| over
+    the tail (exactly 1 for declared real-spectrum plants).
     """
     if scan_depth < 2:
         raise ValueError("scan_depth must be >= 2")
     if not descriptor.monotone_dominated:
         raise SpectrumError(
-            "classify_modes needs a monotone-dominated eigenvalue law; "
-            "declare it on the descriptor or supply N0/alpha/xi directly"
+            f"cannot split the spectrum of the {descriptor.kind!r} "
+            f"descriptor: head and tail modes are split only for an eigenvalue "
+            f"law declared monotone-dominated (the 'reaction_diffusion' kind)"
         )
     lam = descriptor.eigenvalues(scan_depth)
     re = lam.real if np.iscomplexobj(lam) else lam
@@ -220,13 +215,13 @@ def classify_modes(descriptor: SystemDescriptor, scan_depth: int) -> ModeSplit:
         xi = 1.0
     else:
         xi = float(np.max(np.abs(tail) / np.abs(tail_re)))
-    return ModeSplit(N0=n0, alpha=alpha, xi=xi)
+    return truncated_model(descriptor, n0, alpha, xi)
 
 
 def truncated_model(
     descriptor: SystemDescriptor, N0: int, alpha: float, xi: float
 ) -> TruncatedModel:
-    """Assemble (A_{N0}, B_{N0}) for a mode split accepted by classify_modes."""
+    """Assemble (A_{N0}, B_{N0}) for the mode split (N0, alpha, xi)."""
     lam = descriptor.eigenvalues(N0)
     A = np.diag(lam)
     B = descriptor.input_matrix(N0)

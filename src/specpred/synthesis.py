@@ -9,13 +9,17 @@ explicit tail constants.  Constants that the theory only proves to exist
 certifier and carry ``fitted`` provenance; everything else is ``exact``.
 The caller gives the whole design (D0, t0 and either K or the target
 poles); the default design lives in ``cli.DEFAULT_DESIGN``.
+
+The ``Certificate`` fields are the certificate file's schema, checked
+whenever a certificate is built; ``ENVELOPES`` is the one table of the
+fitted constants, their banks and the envelope shape each scales.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -33,7 +37,26 @@ LAMBDA_FRACTION = 0.95   # envelope rate lam / spectral abscissa of A_cl
 ENVELOPE_GRID = 8192     # grid points of the envelope supremum
 DELTA_SAFETY = 0.9       # delta_max / small-gain equality point
 KAPPA_FRACTION = 0.5     # kappa / min(alpha, sigma)
-FITTED_BANKS = ("u_constants", "y_constants", "z_constants", "x_constants")
+
+# The four ISS estimates: the certificate bank of each and the (constant,
+# shape) terms of its right-hand side.  Shapes X0 and Y0 are the decayed
+# initial norms |X(0)| and |Y(0)|, d1 and d2 the fading-memory sups of |d1|
+# and |d2|, and d2w the sup of |d2| over the causal window; the suffix _k
+# decays at kappa and _s at sigma.  Terms 0, 1 and 2 are the x0, d1 and d2
+# channels of the fit.
+ENVELOPES = {
+    "state": ("x_constants", (("Cbar1", "X0_k"), ("Cbar2", "d1_k"),
+                              ("Cbar3", "d2w_k"))),
+    "control": ("u_constants", (("Cbar4", "X0_k"), ("Cbar5", "d1_k"),
+                                ("Cbar6", "d2_k"))),
+    "head_state": ("y_constants", (("C1", "X0_s"), ("C2", "d1_s"),
+                                   ("C3", "d2w_s"))),
+    "transformed_state": ("z_constants", (("gamma3", "Y0_s"), ("gamma4", "d1_s"),
+                                          ("gamma5", "d2_s"))),
+}
+FITTED_BANKS = tuple(bank for bank, _ in ENVELOPES.values())
+EXACT = ("K", "M_lambda", "lambda", "delta_max", "sigma", "kappa",
+         "C~0", "C~1", "C~2", "C~3")
 
 
 @dataclass
@@ -44,6 +67,7 @@ class Certificate:
     lambdas: np.ndarray          # diagonal of A_{N0}
     B: np.ndarray                # N0 x m modal input matrix
     K: np.ndarray                # m x N0 feedback gain
+    A_cl: np.ndarray             # closed-loop matrix of the envelope
     N0: int
     D0: float                    # nominal delay
     t0: float                    # transition horizon
@@ -53,7 +77,6 @@ class Certificate:
     m_R: float
     M_R: float
     # Envelope of A_cl
-    A_cl: np.ndarray
     M_lambda: float
     lam: float
     # Margins and rates
@@ -64,15 +87,36 @@ class Certificate:
     kappa: float
     epsilon: float               # kappa / alpha
     # Explicit tail constants C~0..C~3
-    tail_constants: dict = field(default_factory=dict)
-    # Fitted constants (None until the certifier fills them in)
-    u_constants: Optional[dict] = None    # Cbar4, Cbar5, Cbar6 (rate kappa)
-    y_constants: Optional[dict] = None    # C1, C2, C3 (rate sigma)
-    z_constants: Optional[dict] = None    # gamma3, gamma4, gamma5 (rate sigma)
-    x_constants: Optional[dict] = None    # Cbar1..3 = sqrt(M_R)(Ci + sqrt(C~i))
+    tail_constants: dict
+    # The banks of ENVELOPES (None until the certifier fills them in)
+    u_constants: Optional[dict] = None
+    y_constants: Optional[dict] = None
+    z_constants: Optional[dict] = None
+    x_constants: Optional[dict] = None
     provenance: dict = field(default_factory=dict)
     fit_info: Optional[dict] = None
     degenerate_delta: bool = False        # BK = 0: unconstrained by small gain
+
+    def __post_init__(self):
+        """Refuse a field that disagrees with the others, naming it."""
+        N0, m = self.N0, (np.shape(self.B) or (0,))[-1]
+        for name, want in (("lambdas", (N0,)), ("B", (N0, m)),
+                           ("K", (m, N0)), ("A_cl", (N0, N0))):
+            if (shape := np.shape(getattr(self, name))) != want:
+                raise SynthesisError(f"certificate {name} has shape {shape}, "
+                                     f"not {want} for N0 = {N0} and m = {m}")
+        for name in ("N0", "D0", "t0", "lam", "sigma", "kappa"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise SynthesisError(f"certificate {_key(name)} must be "
+                                     f"positive and finite, got {v}")
+        if not 0 <= self.delta_max < self.D0:
+            raise SynthesisError(f"certificate delta_max must lie in [0, D0) "
+                                 f"= [0, {self.D0}), got {self.delta_max}")
+        for bank in FITTED_BANKS:
+            if (v := getattr(self, bank)) is not None and not (
+                    isinstance(v, dict) and all(map(is_number, v.values()))):
+                raise SynthesisError(f"{bank} must be null or a mapping from "
+                                     f"names to numbers, got {v!r}")
 
     @property
     def BK_norm(self) -> float:
@@ -309,24 +353,18 @@ def synthesize_certificate(
     sigma, dtil = sigma_rate(M_lambda, lam, A_cl_norm, BK_norm, r=D0, eps=delta_max)
     tail = iss_constants(descriptor, model, sigma)
     cert = Certificate(
-        lambdas=model.lambdas, B=B, K=K, N0=model.N0, D0=float(D0), t0=float(t0),
-        alpha=model.alpha, xi=model.xi,
+        lambdas=model.lambdas, B=B, K=K, A_cl=A_cl, N0=model.N0,
+        D0=float(D0), t0=float(t0), alpha=model.alpha, xi=model.xi,
         m_R=descriptor.riesz_lower, M_R=descriptor.riesz_upper,
-        A_cl=A_cl, M_lambda=M_lambda, lam=lam,
+        M_lambda=M_lambda, lam=lam,
         delta_star=delta_star, delta_max=float(delta_max),
         sigma=float(sigma), delta_tilde=dtil,
         kappa=tail["kappa"], epsilon=tail["epsilon"],
         tail_constants={"C0": tail["C0"], "C1": None, "C2": None, "C3": None},
         degenerate_delta=BK_norm == 0.0,
-        provenance={
-            "K": "exact", "M_lambda": "exact", "lambda": "exact",
-            "delta_max": "exact", "sigma": "exact", "kappa": "exact",
-            "C~0": "exact", "C~1": "exact", "C~2": "exact", "C~3": "exact",
-            "Cbar1": "fitted", "Cbar2": "fitted", "Cbar3": "fitted",
-            "Cbar4": "fitted", "Cbar5": "fitted", "Cbar6": "fitted",
-            "C1": "fitted", "C2": "fitted", "C3": "fitted",
-            "gamma3": "fitted", "gamma4": "fitted", "gamma5": "fitted",
-        },
+        provenance={**dict.fromkeys(EXACT, "exact"),
+                    **{key: "fitted" for _, terms in ENVELOPES.values()
+                       for key, _ in terms}},
     )
     return cert
 
@@ -369,55 +407,30 @@ def _array_from_list(v):
     return np.asarray(v, dtype=float)
 
 
+def _key(name: str) -> str:
+    """The certificate file's key of a field."""
+    return "lambda" if name == "lam" else name
+
+
+# Field type -> reader of its file value; the other fields are read as is.
+_READERS = {"np.ndarray": _array_from_list, "int": int, "float": float,
+            "bool": bool}
+
+
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "lambdas": _array_to_list(cert.lambdas),
-        "B": _array_to_list(cert.B),
-        "K": _array_to_list(cert.K),
-        "A_cl": _array_to_list(cert.A_cl),
-        "N0": cert.N0, "D0": cert.D0, "t0": cert.t0,
-        "alpha": cert.alpha, "xi": cert.xi,
-        "m_R": cert.m_R, "M_R": cert.M_R,
-        "M_lambda": cert.M_lambda, "lambda": cert.lam,
-        "delta_star": cert.delta_star, "delta_max": cert.delta_max,
-        "sigma": cert.sigma, "delta_tilde": cert.delta_tilde,
-        "kappa": cert.kappa, "epsilon": cert.epsilon,
-        "tail_constants": cert.tail_constants,
-        **{bank: getattr(cert, bank) for bank in FITTED_BANKS},
-        "provenance": cert.provenance,
-        "fit_info": cert.fit_info,
-        "degenerate_delta": cert.degenerate_delta,
-    }
-
-
-def _fitted_bank(d: dict, bank: str):
-    v = d.get(bank)
-    if v is not None and not (isinstance(v, dict)
-                              and all(map(is_number, v.values()))):
-        raise SynthesisError(f"{bank} must be null or a mapping from names "
-                             f"to numbers, got {v!r}")
-    return v
+    return {_key(f.name): _array_to_list(getattr(cert, f.name))
+            if f.type == "np.ndarray" else getattr(cert, f.name)
+            for f in fields(Certificate)}
 
 
 def certificate_from_dict(d: dict) -> Certificate:
-    return Certificate(
-        lambdas=_array_from_list(d["lambdas"]),
-        B=_array_from_list(d["B"]),
-        K=_array_from_list(d["K"]),
-        A_cl=_array_from_list(d["A_cl"]),
-        N0=int(d["N0"]), D0=float(d["D0"]), t0=float(d["t0"]),
-        alpha=float(d["alpha"]), xi=float(d["xi"]),
-        m_R=float(d["m_R"]), M_R=float(d["M_R"]),
-        M_lambda=float(d["M_lambda"]), lam=float(d["lambda"]),
-        delta_star=float(d["delta_star"]), delta_max=float(d["delta_max"]),
-        sigma=float(d["sigma"]), delta_tilde=float(d["delta_tilde"]),
-        kappa=float(d["kappa"]), epsilon=float(d["epsilon"]),
-        tail_constants=d["tail_constants"],
-        **{bank: _fitted_bank(d, bank) for bank in FITTED_BANKS},
-        provenance=d.get("provenance", {}),
-        fit_info=d.get("fit_info"),
-        degenerate_delta=bool(d.get("degenerate_delta", False)),
-    )
+    """The certificate of a file's dict; an absent key with a default takes
+    it, an absent key without one raises KeyError, and unknown keys are
+    ignored."""
+    return Certificate(**{
+        f.name: _READERS.get(f.type, lambda v: v)(d[_key(f.name)])
+        for f in fields(Certificate) if _key(f.name) in d
+        or f.default is MISSING and f.default_factory is MISSING})
 
 
 def save_certificate(cert: Certificate, path) -> None:

@@ -38,10 +38,9 @@ from specpred.controller import (
     SOLVE_CONDITIONING_FLOOR,
     SOLVE_RESIDUAL_TOL,
     ControllerError,
-    TransitionSignal,
     linear_stencil,
     predictor_taps,
-    transition_eval,
+    transition,
 )
 from specpred.iss_certifier import (
     FIT_INFLATION,
@@ -119,7 +118,6 @@ class StepController:
     def __init__(self, certificate, dt: float, T_final: float):
         self.cert = certificate
         self.dt = float(dt)
-        self.transition = TransitionSignal(certificate.t0)
         self.K = np.atleast_2d(np.asarray(certificate.K))
         m = self.K.shape[0]
         self.history = StepHistory(
@@ -153,7 +151,7 @@ class StepController:
     def step(self, t: float, Y_t, d2_t):
         """Compute, record and return u(t); t must be the next grid time."""
         hist = self.history
-        phi, _ = transition_eval(self.transition, t)
+        phi = transition(t, self.cert.t0)
         if phi == 0.0:
             u = np.zeros(self.K.shape[0], dtype=hist.samples.dtype)
         else:
@@ -264,7 +262,6 @@ def reference_oracle_simulate(scenario, refine: int = 20):
     lam_head = cert.lambdas
     B_head = cert.B
     D0 = cert.D0
-    transition = TransitionSignal(cert.t0)
 
     hf = dt / refine
     c = np.zeros((J + 1, n_modes))
@@ -288,7 +285,7 @@ def reference_oracle_simulate(scenario, refine: int = 20):
 
     def solve_u(j, Yj):
         t = ts[j]
-        phi, _ = transition_eval(transition, t)
+        phi = transition(t, cert.t0)
         if phi == 0.0:
             return np.zeros(m)
         # The window [t - D0, t] reads u = 0 before t = 0 from the pre-buffer.
@@ -388,8 +385,7 @@ PICARD_MAX_ITERS = 50
 PICARD_TOL = 1e-12
 
 
-def control_step(Y_t, d2_t, t: float, certificate, history: StepHistory,
-                 transition: TransitionSignal):
+def control_step(Y_t, d2_t, t: float, certificate, history: StepHistory):
     """Solve the implicit control law at time t and return u(t).
 
     Per-segment reference for ``StepController.step``, which evaluates
@@ -404,7 +400,7 @@ def control_step(Y_t, d2_t, t: float, certificate, history: StepHistory,
     lambdas = certificate.lambdas
     B = certificate.B
     D0 = certificate.D0
-    phi, _ = transition_eval(transition, t)
+    phi = transition(t, certificate.t0)
     m = K.shape[0]
     if phi == 0.0:
         return np.zeros(m, dtype=K.dtype)
@@ -592,7 +588,6 @@ def reference_artstein_residual(trajectory, cert):
     E = expm(-cert.D0 * A)
     BK = B @ K
     EB = E @ B
-    transition = TransitionSignal(cert.t0)
 
     def phiZ(x):
         """[phi Z](x) with Z linearly interpolated; zero for x < 0."""
@@ -602,13 +597,13 @@ def reference_artstein_residual(trajectory, cert):
         j0 = int(idx)
         w = idx - j0
         zx = (1.0 - w) * Z[j0] + w * Z[j0 + 1]
-        phi, _ = transition_eval(transition, x)
+        phi = transition(x, cert.t0)
         return phi * zx
 
     def phid2(x):
         if x < 0.0:
             return np.zeros(B.shape[1])
-        phi, _ = transition_eval(transition, x)
+        phi = transition(x, cert.t0)
         return phi * np.asarray(scen.d2(np.asarray(x)))
 
     res = []
@@ -618,7 +613,7 @@ def reference_artstein_residual(trajectory, cert):
     for j in range(1, len(ts) - 1):
         t = ts[j]
         dZ = (Z[j + 1] - Z[j - 1]) / (2.0 * dt)
-        phi, _ = transition_eval(transition, t)
+        phi = transition(t, cert.t0)
         rhs = (A + phi * (E @ BK)) @ Z[j]
         rhs = rhs + BK @ (phiZ(t - D_ts[j]) - phiZ(t - cert.D0))
         rhs = rhs + B @ d1_ts[j] + phi * (EB @ d2_ts[j])

@@ -279,12 +279,25 @@ PLANT = {"kind": "reaction_diffusion", "c": 15.0}
      "'bogus'"),
     ("validate-lemma2", "scenario", _set("lemma2", {"a": 0}), "'a'"),
     ("validate-lemma2", "scenario", _set("lemma2", {"eps": 1e308}), "'eps'"),
+    ("simulate", "certificate", _set("N0", 2), "N0 = 2"),
+    ("check", "certificate", _set("delta_max", 1.0), "certificate delta_max"),
+    ("simulate", "certificate", _set("t0", 0), "certificate t0"),
+    ("simulate", "certificate", _set("t0", float("inf")), "certificate t0"),
+    ("simulate", "certificate", _set("K", [[1, 2]]), "certificate K"),
+    ("simulate", "certificate", _set("D0", 0), "certificate D0"),
+    ("certify", "descriptor", lambda d: {
+        "kind": "explicit", "m": 1, "riesz_lower": 1.0, "riesz_upper": 1.0,
+        "explicit_eigenvalues": [1.0, -5.0], "explicit_b": [[1.0], [1.0]]},
+     "'explicit' descriptor"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
         "lemma2-unknown-key", "lemma2-pairs", "certificate-bank-list",
         "design-D0-null", "design-not-a-mapping", "design-unknown-key",
-        "lemma2-a-zero", "lemma2-eps-overflow"])
+        "lemma2-a-zero", "lemma2-eps-overflow", "certificate-N0-2",
+        "certificate-delta_max-past-D0", "certificate-t0-zero",
+        "certificate-t0-inf", "certificate-K-shape", "certificate-D0-zero",
+        "descriptor-explicit"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     root, cert_path, scen_path = artifacts
@@ -301,6 +314,9 @@ def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                  "--scenario", paths["scenario"]]
     if subcommand == "sweep":
         argv += ["--sweep", "delay_amplitude=0:0.001:2"]
+    if subcommand == "check":   # a trajectory written with the good certificate
+        assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
+                         scen_path, "--out", str(tmp_path / "out")]) == 0
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and names in err

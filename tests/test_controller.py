@@ -13,33 +13,29 @@ from reference import (
 )
 from specpred.controller import (
     ControllerError,
-    TransitionSignal,
     linear_stencil,
     predictor_taps,
-    transition_eval,
+    transition,
 )
 
 
-def test_transition_values_and_slope():
-    sig = TransitionSignal(t0=2.0)
-    phi, dphi = transition_eval(sig, -1.0)
-    assert phi == 0.0 and dphi == 0.0
-    phi, dphi = transition_eval(sig, 2.0)
-    assert phi == 1.0 and dphi == 0.0
-    phi, dphi = transition_eval(sig, 1.0)  # midpoint of the ramp
-    assert phi == pytest.approx(0.5)
-    assert dphi == pytest.approx(0.75)  # 6 s (1-s) / t0 at s = 1/2
-    with pytest.raises(ValueError):
-        TransitionSignal(t0=0.0)
+def test_transition_values_and_slope(exact_cert):
+    assert transition(-1.0, 2.0) == 0.0
+    assert transition(2.0, 2.0) == 1.0
+    assert transition(1.0, 2.0) == pytest.approx(0.5)  # midpoint of the ramp
+    # 6 s (1-s) / t0 at s = 1/2, by a central difference
+    assert (transition(1.0 + 1e-6, 2.0) - transition(1.0 - 1e-6, 2.0)) / 2e-6 \
+        == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="t0"):      # the certificate's check
+        replace(exact_cert, t0=0.0)
 
 
 def test_transition_c1_at_endpoints():
-    sig = TransitionSignal(t0=1.0)
-    for t in (1e-9, 1.0 - 1e-9):
-        _, dphi = transition_eval(sig, t)
-        assert abs(dphi) < 1e-7 or dphi > 0  # slope continuous, vanishing at ends
-    _, d_lo = transition_eval(sig, 1e-8)
-    assert d_lo == pytest.approx(0.0, abs=1e-6)
+    # One-sided difference quotients at both ends of the ramp vanish like h.
+    for h in (1e-4, 1e-6):
+        assert 0 <= (transition(h, 1.0) - transition(0.0, 1.0)) / h <= 4 * h
+        assert 0 <= (transition(1.0, 1.0) - transition(1.0 - h, 1.0)) / h <= 4 * h
+        assert transition(-h, 1.0) == 0.0 and transition(1.0 + h, 1.0) == 1.0
 
 
 def make_history(dt=0.01, D0=0.5, delta=0.05, T=3.0, m=1):
@@ -165,16 +161,15 @@ def test_control_step_residual_direct(exact_cert):
     cert = exact_cert
     dt = 1e-3
     hist = StepHistory(dt, cert.D0, cert.delta_max, 3.0, m=1)
-    trans = TransitionSignal(cert.t0)
     K = np.atleast_2d(cert.K)
     t = 0.0
     Y = np.array([0.7])
     d2 = np.array([0.05])
     for _ in range(1500):
         t += dt
-        u = control_step(Y * np.cos(t), d2, t, cert, hist, trans)
+        u = control_step(Y * np.cos(t), d2, t, cert, hist)
         hist.append(t, u)
-    phi, _ = transition_eval(trans, t)
+    phi = transition(t, cert.t0)
     I = predictor_integral(hist, t, cert.lambdas, cert.B, cert.D0)
     res = hist.samples[hist.filled] - phi * (K @ (Y * np.cos(t)) + d2 + K @ I)
     assert np.linalg.norm(res) < 1e-10
@@ -182,8 +177,7 @@ def test_control_step_residual_direct(exact_cert):
 
 def test_control_step_zero_before_ramp(exact_cert):
     hist = StepHistory(1e-3, exact_cert.D0, exact_cert.delta_max, 1.0, m=1)
-    u = control_step(np.array([5.0]), np.array([1.0]), 0.0, exact_cert, hist,
-                     TransitionSignal(exact_cert.t0))
+    u = control_step(np.array([5.0]), np.array([1.0]), 0.0, exact_cert, hist)
     assert u[0] == 0.0
 
 

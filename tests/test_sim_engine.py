@@ -10,7 +10,6 @@ from reference import (StepHistory, _CubicHistory, control_step,
                        predictor_integral, reference_artstein_residual,
                        reference_oracle_simulate)
 from specpred import cli
-from specpred.controller import TransitionSignal
 from specpred.numerics import exp_moments
 from specpred.sim_engine import (
     BLOCK_STEPS,
@@ -243,7 +242,6 @@ def per_segment_simulate(scen):
     W0 = E * m0 - W1
     hist = StepHistory(dt, cert.D0, cert.delta_max, scen.T_final,
                        m=desc.num_inputs)
-    trans = TransitionSignal(cert.t0)
     D, d1, d2 = scen.delay(ts), scen.d1(ts), scen.d2(ts)
     c = np.zeros((J + 1, scen.N_modes))
     c[0, : len(scen.X0_coeffs)] = scen.X0_coeffs
@@ -253,7 +251,7 @@ def per_segment_simulate(scen):
         v_next = hist.interp(np.asarray(ts[j + 1] - D[j + 1])) + d1[j + 1]
         c[j + 1] = E * c[j] + W0 * (B @ v_prev) + W1 * (B @ v_next)
         u[j + 1] = control_step(c[j + 1, : cert.N0], d2[j + 1], ts[j + 1],
-                                cert, hist, trans)
+                                cert, hist)
         hist.append(ts[j + 1], u[j + 1])
         v_prev = v_next
     Z = c[:, : cert.N0] + np.array([

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from specpred import cli, spectral_model
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
 from specpred.synthesis import (
     ENVELOPE_GRID,
+    FITTED_BANKS,
+    Certificate,
     SynthesisError,
     _last_feasible,
     certificate_from_dict,
@@ -125,9 +127,7 @@ def test_place_gain_places_the_triple_default_pole_at_c100(D0):
     # lambda_1..3 = 100 - (n pi)^2; the triple pole's computed roots move by
     # about eps^(1/3), so only the polynomial shows the placement is exact.
     desc = cli.default_descriptor(100.0)
-    split = spectral_model.classify_modes(desc, cli.DEFAULT_SCAN_DEPTH)
-    model = spectral_model.truncated_model(desc, split.N0, split.alpha,
-                                           split.xi)
+    model = spectral_model.classify_modes(desc, cli.DEFAULT_SCAN_DEPTH)
     assert model.N0 == 3
     K = place_gain(model, D0, [-2.0] * 3)
     assert char_poly_error(model, D0, K, [-2.0] * 3) <= 1e-9
@@ -330,6 +330,19 @@ def test_certificate_roundtrip(tmp_path, fitted_cert):
     assert back.x_constants == fitted_cert.x_constants
     assert back.provenance["K"] == "exact"
     assert back.provenance["Cbar4"] == "fitted"
+    # The fields are the schema: each is a key, in field order, and a
+    # fitted certificate's dict reads back to itself.
+    d = certificate_to_dict(fitted_cert)
+    assert [f.name for f in fields(Certificate)] == \
+        ["lam" if key == "lambda" else key for key in d]
+    assert certificate_to_dict(certificate_from_dict(d)) == d
+    # The optional keys take their defaults when absent.
+    optional = ("provenance", "fit_info", *FITTED_BANKS, "degenerate_delta")
+    bare = certificate_from_dict({k: v for k, v in d.items()
+                                  if k not in optional})
+    assert bare.provenance == {} and bare.fit_info is None
+    assert bare.degenerate_delta is False
+    assert all(getattr(bare, bank) is None for bank in FITTED_BANKS)
 
 
 def test_certificate_roundtrip_complex_arrays():
