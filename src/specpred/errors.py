@@ -16,9 +16,12 @@ def is_number(v) -> bool:
 def load_json(path, what: str, parse, error: type):
     """``parse`` of the JSON in ``path``; a file that is not JSON, or that
     ``parse`` cannot read (a missing key, a wrong type), raises ``error``
-    naming the ``what`` file.  Typed errors from ``parse`` pass through."""
+    naming the ``what`` file.  A typed error from ``parse`` keeps its type
+    and its message, which gains the file's name at the end."""
     with open(path) as fh:
         try:
             return parse(json.load(fh))
+        except SpecpredError as exc:
+            raise type(exc)(f"{exc} (in {what} file {path})") from exc
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
             raise error(f"malformed {what} file {path}: {exc}") from exc

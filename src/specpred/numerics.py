@@ -111,11 +111,11 @@ def affine_scan(E, g, x0):
     or one matrix per member (batch, dim, dim).
 
     A matrix E takes a doubling scan of the whole block.  A diagonal E takes
-    one of each chunk of ``SCAN_CHUNK`` rows, this scan of the chunk ends
-    with E^chunk, and one pass adding E^(i+1) times the end of the chunk
-    before to row i of each chunk; leftover rows are scanned on from the
-    last chunk.  That is about three passes over the block where a doubling
-    scan makes log2(n).
+    one of each chunk of ``SCAN_CHUNK`` rows, a doubling scan of the chunk
+    ends with E^chunk, and one pass adding E^(i+1) times the end of the
+    chunk before to row i of each chunk; leftover rows are scanned on from
+    the last chunk.  That is about three passes over the block where a
+    doubling scan makes log2(n).
     """
     n, c = g.shape[1], SCAN_CHUNK
     if E.ndim == 3 or n < 2 * c:
@@ -126,7 +126,7 @@ def affine_scan(E, g, x0):
     while d < c:              # row i of a chunk now sums its last d terms
         h[:, :, d:] += Ed * h[:, :, :-d]
         Ed, d = Ed * Ed, 2 * d
-    ends = affine_scan(Ed, h[:, :, -1].copy(), x0)
+    ends = _doubling_scan(Ed, h[:, :, -1].copy(), x0)
     starts = np.concatenate([x0[:, np.newaxis], ends[:, :-1]], axis=1)
     h += np.cumprod(np.broadcast_to(E, (c, len(E))), axis=0) \
         * starts[:, :, np.newaxis]

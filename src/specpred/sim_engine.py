@@ -567,9 +567,10 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
     coefficients (``compose_rk4_substeps``), so the plant is
     c_{j+1} = R c_j + g_j.  The delayed reads are cubic (Catmull-Rom); since
     D(t) is exogenous, the reads and forcing g of a block of steps are built
-    at once, the block as long as the shortest delay allows (at most
-    ``BLOCK_STEPS``).  With the Simpson taps of ``_predictor_tap`` the law is
-    the controller's, and each block advances through ``_advance_block``.
+    at once, the forcing as one product with the composed weights, the block
+    as long as the shortest delay allows (at most ``BLOCK_STEPS``).  With
+    the Simpson taps of ``_predictor_tap`` the law is the controller's, and
+    each block advances through ``_advance_block``.
     """
     cert = scenario.certificate
     desc = scenario.descriptor
@@ -592,6 +593,9 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
     n_pre = int(np.ceil((cert.D0 + cert.delta_max) / dt)) + 2
     samples = np.zeros((1, n_pre + J + 1, m))
     R, Wf = compose_rk4_substeps(lam_all, hf, ORACLE_REFINE)
+    # WB[(q, a), n] = Wf[q, n] B_all[n, a]: a block's forcing, the composed
+    # RK4 weights applied to B v at the half-substep points, is one product.
+    WB = (Wf[:, np.newaxis] * B_all.T).reshape(-1, n_modes)
     half = (hf / 2.0) * np.arange(2 * ORACLE_REFINE + 1)
     d2 = np.asarray(scenario.d2(ts))[np.newaxis]
 
@@ -603,12 +607,13 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
                        int((delay.D0 - delay.max_amplitude()) / dt) - 3))
     ctrl = PredictorController(
         cert, _predictor_tap(cert.lambdas, cert.B, cert.D0, dt), ts, block)
-    residual = 0.0
+    residual, margin = 0.0, np.inf
     v[0] = np.asarray(scenario.d1(ts[0]))   # u is zero up to t = 0
     for j0 in range(0, J, block):
         n = min(block, J - j0)
         tf = ts[j0: j0 + n, np.newaxis] + half
         x = (tf - np.asarray(delay(tf), dtype=float) + n_pre * dt) / dt
+        margin = min(margin, x.min())
         start, w = cubic_stencil(x, n_pre + j0 + np.arange(n)[:, np.newaxis])
         if start.max() + 3 > n_pre + j0:
             raise ScenarioError(
@@ -617,15 +622,16 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
         vf = catmull_rom(samples[0, start + _STENCIL], w[..., np.newaxis]) \
             + np.asarray(scenario.d1(tf))
         v[j0 + 1: j0 + n + 1] = vf[:, -1]
-        g = np.einsum("qn,jqn->jn", Wf, vf @ B_all.T)
+        g = (vf.reshape(n, -1) @ WB)[np.newaxis]
         residual = max(residual, *_advance_block(
-            c, j0, R, g[np.newaxis], ctrl, samples, n_pre + j0 + 1, d2, ts))
+            c, j0, R, g, ctrl, samples, n_pre + j0 + 1, d2, ts))
 
     return _trajectory(scenario, ts, c[0], samples[0, n_pre:], v, "rk4",
                        {"dt": dt, "refine": ORACLE_REFINE, "N_modes": n_modes,
-                        "block_steps": block,
+                        "steps": J, "block_steps": block,
                         "max_solve_residual": float(residual),
-                        "min_solve_sigma": ctrl.min_sigma})
+                        "min_solve_sigma": ctrl.min_sigma,
+                        "min_read_margin": float(margin)})
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,12 @@ class Certificate:
         N0, m = self.N0, (np.shape(self.B) or (0,))[-1]
         for name, want in (("lambdas", (N0,)), ("B", (N0, m)),
                            ("K", (m, N0)), ("A_cl", (N0, N0))):
-            if (shape := np.shape(getattr(self, name))) != want:
+            if (shape := np.shape(a := getattr(self, name))) != want:
                 raise SynthesisError(f"certificate {name} has shape {shape}, "
                                      f"not {want} for N0 = {N0} and m = {m}")
+            if not np.isfinite(a).all():
+                raise SynthesisError(f"certificate {name} has a non-finite "
+                                     "entry")
         for name in ("N0", "D0", "t0", "lam", "sigma", "kappa"):
             if not 0 < (v := getattr(self, name)) < math.inf:
                 raise SynthesisError(f"certificate {_key(name)} must be "
@@ -425,12 +428,21 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def certificate_from_dict(d: dict) -> Certificate:
     """The certificate of a file's dict; an absent key with a default takes
-    it, an absent key without one raises KeyError, and unknown keys are
+    it, an absent key without one raises KeyError, a value that does not
+    convert raises SynthesisError naming its key, and unknown keys are
     ignored."""
-    return Certificate(**{
-        f.name: _READERS.get(f.type, lambda v: v)(d[_key(f.name)])
-        for f in fields(Certificate) if _key(f.name) in d
-        or f.default is MISSING and f.default_factory is MISSING})
+    values = {}
+    for f in fields(Certificate):
+        key = _key(f.name)
+        if key not in d and (f.default is not MISSING
+                             or f.default_factory is not MISSING):
+            continue
+        try:
+            values[f.name] = _READERS.get(f.type, lambda v: v)(d[key])
+        except (TypeError, ValueError) as exc:
+            raise SynthesisError(f"certificate {key} cannot be read from "
+                                 f"{d[key]!r}: {exc}") from exc
+    return Certificate(**values)
 
 
 def save_certificate(cert: Certificate, path) -> None:

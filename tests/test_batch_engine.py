@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from reference import reference_simulate
+from reference import reference_oracle_simulate, reference_simulate
 from specpred import cli, controller, iss_certifier, sim_engine, synthesis
 from specpred.controller import (
     SOLVE_CONDITIONING_FLOOR,
@@ -148,6 +148,22 @@ def test_oracle_meta_reports_the_solve(descriptor, exact_cert):
     assert {"max_solve_residual", "min_solve_sigma"} <= meta.keys()
     assert 0 < meta["max_solve_residual"] <= SOLVE_RESIDUAL_TOL
     assert meta["min_solve_sigma"] >= SOLVE_CONDITIONING_FLOOR
+    assert meta["steps"] == 2000 == simulate(scen).meta["steps"]
+    # The pre-buffer holds the certified band and two rows more, so a
+    # certified read keeps the stencil's back row inside it.
+    assert meta["min_read_margin"] >= 2
+    # An uncertified delay that starts 2 delta_max past the band reads
+    # before the pre-buffer; the oracle clamps the read, and the margin,
+    # taken before the clamp, shows it.  Both minima are the read at t = 0.
+    deep = DelaySignal(kind="sinusoid", D0=exact_cert.D0,
+                       amplitude=3 * exact_cert.delta_max, omega=1.0,
+                       phase=np.pi / 2)
+    deep_margin = oracle_simulate(
+        replace(scen, delay=deep, certified=False)).meta["min_read_margin"]
+    assert deep_margin < 0
+    assert deep_margin == pytest.approx(
+        meta["min_read_margin"] - (deep(0.0) - scen.delay(0.0)) / 1e-3,
+        rel=1e-9)
 
 
 def test_complex_plant_batch_matches_reference():
@@ -341,6 +357,16 @@ def test_two_input_plant_matches_reference():
         assert err <= 1e-12, key
     for key, err in worst_relative(batch, [simulate(s) for s in scens]).items():
         assert err <= 1e-14, key
+
+
+def test_two_input_oracle_matches_per_node_reference():
+    # The oracle's composed forcing weights flatten (half-substep, input)
+    # pairs; m = 2 is the case a wrong order would show in.
+    for scen in two_input_scenarios():
+        traj, ref = oracle_simulate(scen), reference_oracle_simulate(scen)
+        for key in FIELDS:
+            got, want = getattr(traj, key), getattr(ref, key)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
 
 
 def near_delay(cert, min_delay):

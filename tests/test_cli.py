@@ -285,6 +285,9 @@ PLANT = {"kind": "reaction_diffusion", "c": 15.0}
     ("simulate", "certificate", _set("t0", float("inf")), "certificate t0"),
     ("simulate", "certificate", _set("K", [[1, 2]]), "certificate K"),
     ("simulate", "certificate", _set("D0", 0), "certificate D0"),
+    ("simulate", "certificate", _set("N0", "x"), "certificate N0"),
+    ("simulate", "certificate", _set("B", "abc"), "certificate B"),
+    ("simulate", "certificate", _set("K", [[None]]), "certificate K"),
     ("certify", "descriptor", lambda d: {
         "kind": "explicit", "m": 1, "riesz_lower": 1.0, "riesz_upper": 1.0,
         "explicit_eigenvalues": [1.0, -5.0], "explicit_b": [[1.0], [1.0]]},
@@ -297,6 +300,7 @@ PLANT = {"kind": "reaction_diffusion", "c": 15.0}
         "lemma2-a-zero", "lemma2-eps-overflow", "certificate-N0-2",
         "certificate-delta_max-past-D0", "certificate-t0-zero",
         "certificate-t0-inf", "certificate-K-shape", "certificate-D0-zero",
+        "certificate-N0-string", "certificate-B-string", "certificate-K-null",
         "descriptor-explicit"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 
 from reference import reference_matrix_exp_norm, segment_exp_integral
 from specpred.numerics import (
+    affine_scan,
     catmull_rom,
     cubic_stencil,
     exp_moments,
@@ -151,3 +152,60 @@ def test_cubic_stencil_clamps_at_both_ends():
     vals = catmull_rom(f[start + np.arange(4)[:, np.newaxis]], w)
     assert np.allclose(vals, 1.0 + 0.5 * np.clip(x, 0, hi) ** 2, rtol=0,
                        atol=1e-12)
+
+
+# Rates of x' = lam x at dt = 1e-3: the default plant's unstable head mode
+# 15 - pi^2 (about 5.13), a slow mode, and stiff tail modes whose factor
+# exp(lam dt) is e^-10 and underflows to 0.
+SCAN_DT = 1e-3
+SCAN_RATES = np.array([15.0 - np.pi ** 2, -1.0, -1e4, -1e6])
+
+
+def scan_case(kind, S, n, seed=0):
+    """(E, g, x0) of ``affine_scan`` for S members and n rows: E diagonal
+    real or complex, or one matrix per member with the rates as eigenvalues
+    in a random orthonormal basis."""
+    rng = np.random.default_rng(seed)
+    dim = len(SCAN_RATES)
+    if kind == "matrix":
+        Q = np.linalg.qr(rng.standard_normal((S, dim, dim)))[0]
+        E = Q @ (np.exp(SCAN_RATES * SCAN_DT)[:, np.newaxis]
+                 * Q.swapaxes(1, 2))
+    else:
+        E = np.exp(SCAN_RATES * SCAN_DT)
+    g = rng.standard_normal((S, n, dim))
+    x0 = rng.standard_normal((S, dim))
+    if kind == "complex":
+        E = E * np.exp(1j * SCAN_DT * np.array([3.0, 40.0, 100.0, 0.0]))
+        g = g + 1j * rng.standard_normal((S, n, dim))
+        x0 = x0 + 1j * rng.standard_normal((S, dim))
+    return E, g, x0
+
+
+def sequential_scan(E, g, x0):
+    x, out = x0, np.empty_like(g)
+    for j in range(g.shape[1]):
+        x = (np.einsum("sij,sj->si", E, x) if E.ndim == 3 else E * x) \
+            + g[:, j]
+        out[:, j] = x
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 57, 240, 241])
+@pytest.mark.parametrize("S", [1, 20])
+@pytest.mark.parametrize("kind", ["real", "complex", "matrix"])
+def test_affine_scan_matches_the_sequential_recurrence(kind, S, n):
+    # Below two chunks of 4, on and off the chunk grid, with leftover rows.
+    E, g, x0 = scan_case(kind, S, n)
+    want = sequential_scan(E, g, x0)
+    got = affine_scan(E, g.copy(), x0)
+    assert got.dtype == want.dtype
+    # Each member's components on their own, so a stiff one is not hidden
+    # behind the growing head.
+    scale = np.max(np.abs(want), axis=1)
+    assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * scale)
+    if S > 1:
+        for s in range(S):
+            alone = affine_scan(E[s:s + 1] if E.ndim == 3 else E,
+                                g[s:s + 1].copy(), x0[s:s + 1])
+            assert np.array_equal(got[s], alone[0]), s

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import fields, replace
@@ -350,3 +351,23 @@ def test_certificate_roundtrip_complex_arrays():
 
     a = np.array([1 + 2j, -3.0 + 0.5j])
     assert np.allclose(_array_from_list(_array_to_list(a)), a)
+
+
+@pytest.mark.parametrize("key, value, says", [
+    ("N0", "x", "certificate N0 cannot be read"),
+    ("B", "abc", "certificate B cannot be read"),
+    ("K", [[None]], "certificate K has a non-finite entry"),
+    ("lambdas", [float("inf")], "certificate lambdas has a non-finite entry"),
+])
+def test_certificate_file_value_refusals_name_the_field_and_file(
+        tmp_path, exact_cert, key, value, says):
+    d = certificate_to_dict(exact_cert)
+    d[key] = value
+    with pytest.raises(SynthesisError, match=says):
+        certificate_from_dict(d)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(SynthesisError) as info:
+        load_certificate(path)
+    assert str(info.value).startswith(says)
+    assert str(info.value).endswith(f"(in certificate file {path})")
