@@ -307,20 +307,15 @@ def fit_decay_rate(trajectory: Trajectory, certificate: Certificate):
         if np.max(n1) > 0 or np.max(n2) > 0:
             raise CertifierError("fit_decay_rate needs a disturbance-free run")
     ts = trajectory.t
-    t_start = cert.t0 + cert.D0 + cert.delta_max
-    mask = ts >= t_start
-    vals = trajectory.norm_upper[mask]
-    truncated = False
-    if np.any(vals <= DECAY_FIT_FLOOR):
-        truncated = True
-        last = int(np.argmax(vals <= DECAY_FIT_FLOOR))
-        vals = vals[:last]
-        mask_idx = np.nonzero(mask)[0][:last]
-    else:
-        mask_idx = np.nonzero(mask)[0]
-    if len(vals) < 10:
+    idx = np.nonzero(ts >= cert.t0 + cert.D0 + cert.delta_max)[0]
+    # The window ends before the first norm at or below the floor.
+    floor = trajectory.norm_upper[idx] <= DECAY_FIT_FLOOR
+    truncated = bool(floor.any())
+    if truncated:
+        idx = idx[:np.argmax(floor)]
+    if len(idx) < 10:
         raise CertifierError("fit window too short (state hit numerical zero)")
-    slope = np.polyfit(ts[mask_idx], np.log(vals), 1)[0]
+    slope = np.polyfit(ts[idx], np.log(trajectory.norm_upper[idx]), 1)[0]
     return -float(slope), truncated
 
 

@@ -46,7 +46,6 @@ import functools
 import io
 import json
 import os
-import shutil
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,7 +61,7 @@ from .controller import (
     predictor_taps,
     transition,
 )
-from .errors import SpecpredError, load_json
+from .errors import SpecpredError, is_number, load_json
 from .numerics import (affine_scan, catmull_rom, cubic_stencil, exp_moments,
                        simpson_weights, smoothstep)
 from .spectral_model import (SystemDescriptor, descriptor_from_dict,
@@ -99,6 +98,17 @@ class DelaySignal:
     phase: float = 0.0
     table: Optional[tuple] = None   # (times, values) knots, PCHIP interpolated
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "sinusoid", "table"):
+            raise ScenarioError(f"unknown delay kind {self.kind!r}")
+        _check_finite(self, "delay", ("D0", "amplitude", "omega", "phase"))
+        if self.kind == "table" and not (
+                len(self.table[0]) == len(self.table[1]) >= 2
+                and np.isfinite(self.table).all()
+                and (np.diff(self.table[0]) > 0).all()):
+            raise ScenarioError("delay times and values must be finite, of "
+                                "one length of at least 2, and times increasing")
+
     def __call__(self, t):
         """D(t); a table holds its end values outside the knot span, and PCHIP
         does not overshoot between knots, so the knots bound it."""
@@ -107,9 +117,7 @@ class DelaySignal:
             return np.broadcast_to(self.D0, t.shape).copy() if t.ndim else self.D0
         if self.kind == "sinusoid":
             return self.D0 + self.amplitude * np.sin(self.omega * t + self.phase)
-        if self.kind == "table":
-            return self._pchip(np.clip(t, self.table[0][0], self.table[0][-1]))
-        raise ScenarioError(f"unknown delay kind {self.kind!r}")
+        return self._pchip(np.clip(t, self.table[0][0], self.table[0][-1]))
 
     @functools.cached_property
     def _pchip(self):         # the table's interpolator, built once
@@ -121,9 +129,7 @@ class DelaySignal:
             return 0.0
         if self.kind == "sinusoid":
             return abs(self.amplitude)
-        if self.kind == "table":
-            return float(np.max(np.abs(np.asarray(self.table[1]) - self.D0)))
-        raise ScenarioError(f"unknown delay kind {self.kind!r}")
+        return float(np.max(np.abs(np.asarray(self.table[1]) - self.D0)))
 
 
 @dataclass(frozen=True)
@@ -153,8 +159,7 @@ class DisturbanceSignal:
         t = np.asarray(t, dtype=float)
         a = self._amp()
         if self.kind == "zero":
-            shape = t.shape + (self.m,)
-            return np.zeros(shape)
+            return np.zeros(t.shape + (self.m,))
         if self.kind == "sinusoid":
             base = np.sin(self.omega * t + self.phase)
         elif self.kind == "smoothed_step":
@@ -164,6 +169,14 @@ class DisturbanceSignal:
         else:
             raise ScenarioError(f"unknown disturbance kind {self.kind!r}")
         return np.asarray(base)[..., np.newaxis] * a
+
+
+def _check_finite(sig, section: str, names) -> None:
+    """A ScenarioError, led by ``section``, naming the first of the fields
+    ``names`` of ``sig`` that is not finite (arrays too: a stacked signal)."""
+    for name in names:
+        if not np.isfinite(value := getattr(sig, name)).all():
+            raise ScenarioError(f"{section} {name} must be finite, got {value}")
 
 
 def _given_floats(spec: dict, names) -> dict:
@@ -219,18 +232,23 @@ class Scenario:
 
     def __post_init__(self):
         cert = self.certificate
-        if self.N_modes < cert.N0:
-            raise ScenarioError("N_modes must be at least N0")
+        if not cert.N0 <= self.N_modes <= MAX_MODES:
+            raise ScenarioError(f"N_modes must lie in [N0, MAX_MODES] = "
+                                f"[{cert.N0}, {MAX_MODES}], got {self.N_modes}")
         _check_step("dt", self.dt)
         _check_step("T_final", self.T_final)
         if len(self.X0_coeffs) > self.N_modes:
             raise ScenarioError(f"X0_coeffs has {len(self.X0_coeffs)} entries, "
                                 f"more than N_modes = {self.N_modes}")
         m = self.descriptor.num_inputs
-        for name, sig in (("d1", self.d1), ("d2", self.d2)):
+        for section, sig in (("disturbance_d1", self.d1),
+                             ("disturbance_d2", self.d2)):
+            _check_finite(sig, section,
+                          ("amplitude", "omega", "phase", "t_on", "rate"))
+            _check_step(f"{section} ramp", sig.ramp)
             if sig._amp().shape != (m,):
-                raise ScenarioError(f"disturbance_{name} amplitude needs one "
-                                    f"entry per input ({m})")
+                raise ScenarioError(f"{section} amplitude needs one entry "
+                                    f"per input ({m})")
         # The delay's band [lo, hi] must lie in [D0 - delta_max, D0 + delta_max].
         amp = self.delay.max_amplitude()
         lo, hi = self.delay.D0 - amp, self.delay.D0 + amp
@@ -661,9 +679,9 @@ def _in_two(first, second, nbytes):
     ``second`` to run again here, so its error is raised with its own type.
 
     Forking a process with threads (OpenBLAS's pool) is safe here because
-    the child only formats or parses text and writes files: it calls no BLAS,
-    LAPACK or logging, whose locks another thread may hold, and it ends in
-    ``os._exit`` without running any of the parent's cleanup.
+    the child only formats or parses text and writes no file: it calls no
+    BLAS, LAPACK or logging, whose locks another thread may hold, and it ends
+    in ``os._exit`` without running any of the parent's cleanup.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if nbytes < _SPLIT_MIN_BYTES or len(cpus) < 2 or not hasattr(os, "fork"):
@@ -726,32 +744,20 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
             chunk = rows[i:i + _CSV_CHUNK_ROWS]
             out.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
-    def write_tail():
-        # Run in the process, the rows go straight to the file; a forked
-        # child writes them to the sibling part file, which the process
-        # appends.
-        if os.getpid() == pid:
-            write_rows(out, data[half:])
-            return b""
-        with open(part, "w") as tail:
-            write_rows(tail, data[half:])
-        return b"part"
+    def tail_bytes():
+        # The second half as the text-mode file holds it (platform newline).
+        text = io.TextIOWrapper(io.BytesIO())
+        write_rows(text, data[half:])
+        return text.detach().getbuffer()
 
     half = (len(data) + 1) // 2
-    pid = os.getpid()
-    part = f"{path}.{pid}.part"
-    try:
-        with open(path, "w") as out:
-            out.write(", ".join(cols) + "\n")
-            # %.17g text runs to about 21 bytes a value.
-            _, in_part = _in_two(lambda: write_rows(out, data[:half]),
-                                 write_tail, 21 * data.size)
-            if in_part:
-                with open(part) as tail:
-                    shutil.copyfileobj(tail, out)
-    finally:
-        if os.path.exists(part):
-            os.remove(part)
+    with open(path, "w") as out:
+        out.write(", ".join(cols) + "\n")
+        # %.17g text runs to about 21 bytes a value.
+        _, tail = _in_two(lambda: write_rows(out, data[:half]), tail_bytes,
+                          21 * data.size)
+        out.flush()
+        out.buffer.write(tail)
 
 
 def _lines(fh, hi):
@@ -875,6 +881,11 @@ def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
     integ = d["integration"]
     # T_final bounds the delay's positivity check, so it is checked first.
     T_final = _check_step("T_final", float(integ["T_final"]))
+    n_modes, certified = integ["N_modes"], integ.get("certified", True)
+    if not (is_number(n_modes) and n_modes % 1 == 0):
+        raise ScenarioError(f"N_modes must be a whole number, got {n_modes!r}")
+    if not isinstance(certified, bool):
+        raise ScenarioError(f"certified must be true or false, got {certified!r}")
     return Scenario(
         descriptor=desc,
         certificate=certificate,
@@ -884,8 +895,8 @@ def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
         X0_coeffs=_array_from_list(d["initial"]["X0_coeffs"]),
         dt=float(integ["dt"]),
         T_final=T_final,
-        N_modes=int(integ["N_modes"]),
-        certified=bool(integ.get("certified", True)),
+        N_modes=int(n_modes),
+        certified=certified,
     )
 
 

@@ -31,8 +31,6 @@ class SystemDescriptor:
     ``eigenvalue_law(n)`` and ``input_coeff_law(n, k)`` use 1-based indices.
     ``monotone_dominated`` declares that Re(lambda_n) -> -inf along the scan,
     which classify_modes relies on to trust a finite scan.
-    ``real_spectrum`` marks plants whose tail eigenvalues are real, for which
-    the sector constant xi equals 1 exactly.
     """
 
     eigenvalue_law: Callable[[int], complex]
@@ -42,7 +40,6 @@ class SystemDescriptor:
     riesz_upper: float
     field: str = "real"
     monotone_dominated: bool = True
-    real_spectrum: bool = False
     kind: str = "custom"
     params: dict = dataclass_field(default_factory=dict)
     # Sampler returning (x_grid, Be, ABe, psi) for quadrature of lifting norms
@@ -131,7 +128,6 @@ def build_reaction_diffusion(c: float, m: int = 1) -> SystemDescriptor:
         riesz_upper=1.0,
         field="real",
         monotone_dominated=True,
-        real_spectrum=True,
         kind="reaction_diffusion",
         params={"c": c},
         lifting_sampler=sampler,
@@ -192,7 +188,7 @@ def classify_modes(descriptor: SystemDescriptor,
     Returns the truncated model of the smallest N0 >= 1 such that
     Re(lambda_n) < 0 for every scanned n > N0, with alpha the spectral gap
     of the scan.  xi is the scan maximum of |lambda_n / Re lambda_n| over
-    the tail (exactly 1 for declared real-spectrum plants).
+    the tail (exactly 1 for a real tail).
     """
     if scan_depth < 2:
         raise ValueError("scan_depth must be >= 2")
@@ -211,10 +207,7 @@ def classify_modes(descriptor: SystemDescriptor,
     tail = lam[n0:]
     tail_re = re[n0:]
     alpha = float(-tail_re.max())
-    if descriptor.real_spectrum:
-        xi = 1.0
-    else:
-        xi = float(np.max(np.abs(tail) / np.abs(tail_re)))
+    xi = float(np.max(np.abs(tail) / np.abs(tail_re)))
     return truncated_model(descriptor, n0, alpha, xi)
 
 

@@ -253,6 +253,14 @@ def _set(*path_and_value):
     return mutate
 
 
+def _update(section, **fields):
+    """Mutator that updates the ``section`` mapping of a loaded JSON dict."""
+    def mutate(d):
+        d[section].update(fields)
+        return d
+    return mutate
+
+
 PLANT = {"kind": "reaction_diffusion", "c": 15.0}
 
 
@@ -381,8 +389,24 @@ def test_simulate_refuses_a_certified_delay_off_the_band(artifacts, tmp_path,
     ("T_final", _set("integration", "T_final", float("inf"))),
     ("disturbance_d1", _set("disturbance_d1", "amplitude", [0.1, 0.2, 0.3])),
     ("disturbance_d2", _set("disturbance_d2", "amplitude", [0.1, 0.2, 0.3])),
+    ("N_modes", _set("integration", "N_modes", sim_engine.MAX_MODES + 1)),
+    ("N_modes", _set("integration", "N_modes", 12.5)),
+    ("certified", _set("integration", "certified", "no")),
+    ("disturbance_d1", _update("disturbance_d1", kind="smoothed_step", ramp=0)),
+    ("disturbance_d2", _update("disturbance_d2", kind="sinusoid",
+                               amplitude=[float("inf")])),
+    ("disturbance_d1", _set("disturbance_d1", "omega", float("nan"))),
+    ("delay", _set("delay", "omega", float("nan"))),
+    ("delay", _update("delay", kind="table", times=[0.0, 2.0, 1.0],
+                      values=[0.5, 0.5, 0.5])),
+    ("delay", _update("delay", kind="table", times=[0.0], values=[0.5])),
+    ("delay", _update("delay", kind="table", times=[0.0, 1.0, 2.0],
+                      values=[0.5, 0.5])),
 ], ids=["X0-500", "N_modes-1", "dt-nan", "dt-negative", "T_final-inf",
-        "d1-three-entries", "d2-three-entries"])
+        "d1-three-entries", "d2-three-entries", "N_modes-past-max",
+        "N_modes-fraction", "certified-string", "d1-ramp-zero", "d2-amplitude-inf",
+        "d1-omega-nan", "delay-omega-nan", "table-not-increasing",
+        "table-one-knot", "table-unequal-lengths"])
 def test_malformed_scenario_fields_are_named(artifacts, tmp_path, capsys,
                                              field, mutate):
     _, cert_path, scen_path = artifacts

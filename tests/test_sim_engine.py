@@ -152,7 +152,7 @@ def open_loop_design():
         eigenvalue_law=lambda n: -1.0,
         input_coeff_law=lambda n, k: 1.0,
         num_inputs=1, riesz_lower=1.0, riesz_upper=1.0,
-        kind="explicit", monotone_dominated=False, real_spectrum=True,
+        kind="explicit", monotone_dominated=False,
         params={"explicit_eigenvalues": [-1.0], "explicit_b": [[1.0]],
                 "norm_Be_sq": [0.5], "norm_ABe_sq": [0.5]},
     )

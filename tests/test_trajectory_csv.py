@@ -5,8 +5,9 @@ to a forked child when the file is large and the process has two CPUs.  The
 file must be byte for byte the one-process ``np.savetxt`` file
 (``reference_trajectory_to_csv``) and the parsed arrays bit for bit the
 written ones, on the split path and on the inline path alike; a malformed
-row must be named by its line in the file, whichever half it sits in; and no
-run may leave a child process or a temporary file behind.
+row must be named by its line in the file, whichever half it sits in; no
+run may leave a child process or a file behind; and the writer opens no
+file but its target, since both children return their half over a pipe.
 """
 
 import os
@@ -202,12 +203,15 @@ def test_split_gates_keep_the_run_in_one_process(tmp_path, monkeypatch, gate):
 
 @pytest.mark.parametrize("gate", ["fork-fails", "small-file", "one-cpu",
                                   "no-fork", "split"])
-def test_only_a_forked_writer_uses_a_part_file(tmp_path, monkeypatch, gate):
+def test_writer_opens_no_file_but_its_target(tmp_path, monkeypatch, gate):
     opened = []
-    monkeypatch.setattr(
-        sim_engine, "open",
-        lambda file, *args, **kwargs: opened.append(str(file))
-        or open(file, *args, **kwargs), raising=False)
+
+    def recording_open(file, *args, **kwargs):
+        if not isinstance(file, int):   # an int is an end of the split's pipe
+            opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(sim_engine, "open", recording_open, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     if gate != "small-file":
         monkeypatch.setattr(sim_engine, "_SPLIT_MIN_BYTES", 0)
@@ -221,9 +225,8 @@ def test_only_a_forked_writer_uses_a_part_file(tmp_path, monkeypatch, gate):
         monkeypatch.delattr(os, "fork")
     traj = make_trajectory(CHUNK + 1)
     reference_trajectory_to_csv(traj, tmp_path / "ref.csv")
-    trajectory_to_csv(traj, tmp_path / "traj.csv")
-    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    # The process opens the part file only to append a child's half.
-    parts = [name for name in opened if name.endswith(".part")]
-    assert bool(parts) == (gate == "split"), parts
+    target = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, target)
+    assert opened == [str(target)]
+    assert target.read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert_clean(tmp_path, ["ref.csv", "traj.csv"])
