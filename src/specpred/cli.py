@@ -30,7 +30,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import iss_certifier, sim_engine, spectral_model, synthesis
-from .errors import SpecpredError, is_number, load_json
+from .errors import SpecpredError, load_json, read_as
 from .iss_certifier import CertifierError, Lemma2Problem
 from .sim_engine import DelaySignal, DisturbanceSignal, Scenario, ScenarioError
 from .spectral_model import SpectrumError, SystemDescriptor
@@ -259,11 +259,10 @@ def _section(d, name, keys, lists=()):
         if key not in (*keys, *lists):
             raise TypeError(f"unknown {name} key {key!r}; expected one of "
                             f"{', '.join((*keys, *lists))}")
-        number = is_number(value) if key in keys else (
-            isinstance(value, list) and all(map(is_number, value)))
-        if not number:
-            raise TypeError(f"{name} key {key!r} must be a number"
-                            f"{'' if key in keys else ' list'}, got {value!r}")
+        if key in lists and not isinstance(value, list):
+            raise TypeError(f"{name} key {key!r} must be a list, got {value!r}")
+        for v in value if key in lists else [value]:
+            read_as(float, v, f"{name} key {key!r}")
     return section
 
 
@@ -495,7 +494,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(argv)   # argv None: argparse reads sys.argv
         return HANDLERS[config.subcommand](config)
-    except (SpecpredError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (SpecpredError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

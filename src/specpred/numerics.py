@@ -1,6 +1,6 @@
 """Shared low-level numerics: exponential quadrature moments, Simpson rule,
-the Catmull-Rom cubic and its clamped read stencil, the scan of an affine
-recurrence, the smoothstep polynomial and the norm of a matrix
+the Catmull-Rom cubic and its clamped read stencil, the work-efficient scan
+of an affine recurrence, the smoothstep polynomial and the norm of a matrix
 exponential over a time grid.
 
 The exponential moments are the workhorse of both the predictor integral and
@@ -101,50 +101,29 @@ def cubic_stencil(x, hi):
     return j - 1, x - j
 
 
-# Rows of one chunk of the diagonal ``affine_scan``.
-SCAN_CHUNK = 4
-
-
 def affine_scan(E, g, x0):
     """x_{j+1} = E x_j + g_j from x_0 = ``x0`` (batch, dim), in place in the
     block ``g`` (batch, n, dim), which it returns; ``E`` is a diagonal (dim,)
     or one matrix per member (batch, dim, dim).
 
-    A matrix E takes a doubling scan of the whole block.  A diagonal E takes
-    one of each chunk of ``SCAN_CHUNK`` rows, a doubling scan of the chunk
-    ends with E^chunk, and one pass adding E^(i+1) times the end of the
-    chunk before to row i of each chunk; leftover rows are scanned on from
-    the last chunk.  That is about three passes over the block where a
-    doubling scan makes log2(n).
+    A work-efficient scan.  The up-sweep adds E^d times row d-1+2dk to row
+    2d-1+2dk for d = 1, 2, 4, ... while 2d <= n; the down-sweep then adds
+    E^d times row 2d-1+2dk to row 3d-1+2dk over the same d in reverse.  Each
+    level touches half the rows of the one below, so the block is passed
+    over about twice at any n.  Products stay per member, so a member of a
+    batch gets the same bits as its single run.
     """
-    n, c = g.shape[1], SCAN_CHUNK
-    if E.ndim == 3 or n < 2 * c:
-        return _doubling_scan(E, g, x0)
-    q = n // c
-    h = g[:, :q * c].reshape(len(g), q, c, -1)     # a view: rows split in chunks
-    Ed, d = E, 1
-    while d < c:              # row i of a chunk now sums its last d terms
-        h[:, :, d:] += Ed * h[:, :, :-d]
-        Ed, d = Ed * Ed, 2 * d
-    ends = _doubling_scan(Ed, h[:, :, -1].copy(), x0)
-    starts = np.concatenate([x0[:, np.newaxis], ends[:, :-1]], axis=1)
-    h += np.cumprod(np.broadcast_to(E, (c, len(E))), axis=0) \
-        * starts[:, :, np.newaxis]
-    if n > q * c:
-        _doubling_scan(E, g[:, q * c:], g[:, q * c - 1])
-    return g
-
-
-def _doubling_scan(E, g, x0):
-    """``affine_scan`` by one doubling scan of the block."""
     mat = E.ndim == 3
     mul = (lambda M, v: np.einsum("sij,s...j->s...i", M, v)) if mat \
         else np.multiply
     g[:, 0] += mul(E, x0)
-    Ed, d = E, 1
-    while d < g.shape[1]:     # row k now sums its last d terms
-        g[:, d:] += mul(Ed, g[:, :-d])
+    n, levels, Ed, d = g.shape[1], [], E, 1
+    while 2 * d <= n:         # row 2d-1+2dk now sums its last 2d terms
+        g[:, 2 * d - 1::2 * d] += mul(Ed, g[:, d - 1:n - d:2 * d])
+        levels.append((d, Ed))
         Ed, d = (Ed @ Ed if mat else Ed * Ed), 2 * d
+    for d, Ed in reversed(levels):   # row 3d-1+2dk now sums from row 0
+        g[:, 3 * d - 1::2 * d] += mul(Ed, g[:, 2 * d - 1:n - d:2 * d])
     return g
 
 

@@ -61,7 +61,7 @@ from .controller import (
     predictor_taps,
     transition,
 )
-from .errors import SpecpredError, is_number, load_json
+from .errors import SpecpredError, load_json, read_as
 from .numerics import (affine_scan, catmull_rom, cubic_stencil, exp_moments,
                        simpson_weights, smoothstep)
 from .spectral_model import (SystemDescriptor, descriptor_from_dict,
@@ -179,9 +179,10 @@ def _check_finite(sig, section: str, names) -> None:
             raise ScenarioError(f"{section} {name} must be finite, got {value}")
 
 
-def _given_floats(spec: dict, names) -> dict:
-    """The ``names`` fields of ``spec`` as floats; absent ones keep their default."""
-    return {k: float(spec[k]) for k in names if k in spec}
+def _given_floats(spec: dict, section: str, names) -> dict:
+    """The ``names`` fields given in the ``section`` mapping ``spec``, as floats."""
+    return {k: read_as(float, spec[k], f"{section} {k}", ScenarioError)
+            for k in names if k in spec}
 
 
 def make_delay(spec: dict, T_final: float = 100.0) -> DelaySignal:
@@ -189,21 +190,23 @@ def make_delay(spec: dict, T_final: float = 100.0) -> DelaySignal:
     on the horizon [0, T_final]."""
     kind = spec.get("kind", "constant")
     sig = DelaySignal(
-        kind=kind, D0=float(spec["D0"]),
+        kind=kind, D0=read_as(float, spec["D0"], "delay D0", ScenarioError),
         table=(tuple(spec["times"]), tuple(spec["values"])) if kind == "table" else None,
-        **_given_floats(spec, ("amplitude", "omega", "phase")))
+        **_given_floats(spec, "delay", ("amplitude", "omega", "phase")))
     if np.any(np.asarray(sig(np.linspace(0.0, T_final, 1001))) <= 0):
         raise ScenarioError("delay signal must stay positive")
     return sig
 
 
-def make_disturbance(spec: dict, m: int = 1) -> DisturbanceSignal:
-    """Build a disturbance signal from its config mapping."""
+def make_disturbance(spec: dict, m: int = 1,
+                     section: str = "disturbance") -> DisturbanceSignal:
+    """Build a disturbance signal from the ``section`` mapping of a scenario."""
     amp = spec.get("amplitude", 0.0)
     return DisturbanceSignal(
         kind=spec.get("kind", "zero"), m=m,
-        amplitude=tuple(np.atleast_1d(np.asarray(amp, dtype=float)).tolist()),
-        **_given_floats(spec, ("omega", "phase", "t_on", "ramp", "rate")))
+        amplitude=tuple(read_as(float, a, f"{section} amplitude", ScenarioError)
+                        for a in (amp if np.ndim(amp) else [amp])),
+        **_given_floats(spec, section, ("omega", "phase", "t_on", "ramp", "rate")))
 
 
 # ---------------------------------------------------------------------------
@@ -880,23 +883,21 @@ def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
     desc = descriptor_from_dict(d["system"])
     integ = d["integration"]
     # T_final bounds the delay's positivity check, so it is checked first.
-    T_final = _check_step("T_final", float(integ["T_final"]))
-    n_modes, certified = integ["N_modes"], integ.get("certified", True)
-    if not (is_number(n_modes) and n_modes % 1 == 0):
-        raise ScenarioError(f"N_modes must be a whole number, got {n_modes!r}")
-    if not isinstance(certified, bool):
-        raise ScenarioError(f"certified must be true or false, got {certified!r}")
+    T_final = _check_step("T_final", read_as(
+        float, integ["T_final"], "integration T_final", ScenarioError))
     return Scenario(
         descriptor=desc,
         certificate=certificate,
         delay=make_delay(d["delay"], T_final),
-        d1=make_disturbance(d["disturbance_d1"], m=desc.num_inputs),
-        d2=make_disturbance(d["disturbance_d2"], m=desc.num_inputs),
-        X0_coeffs=_array_from_list(d["initial"]["X0_coeffs"]),
-        dt=float(integ["dt"]),
+        d1=make_disturbance(d["disturbance_d1"], desc.num_inputs, "disturbance_d1"),
+        d2=make_disturbance(d["disturbance_d2"], desc.num_inputs, "disturbance_d2"),
+        X0_coeffs=read_as(_array_from_list, d["initial"]["X0_coeffs"],
+                          "initial X0_coeffs", ScenarioError),
+        dt=read_as(float, integ["dt"], "integration dt", ScenarioError),
         T_final=T_final,
-        N_modes=int(n_modes),
-        certified=certified,
+        N_modes=read_as(int, integ["N_modes"], "N_modes", ScenarioError),
+        certified=read_as(bool, integ.get("certified", True), "certified",
+                          ScenarioError),
     )
 
 

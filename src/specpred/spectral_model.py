@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SpecpredError, load_json
+from .errors import SpecpredError, load_json, read_as
 from .numerics import simpson_integrate
 
 class SpectrumError(SpecpredError, ValueError):
@@ -235,15 +235,20 @@ def descriptor_to_dict(descriptor: SystemDescriptor) -> dict:
 
 def descriptor_from_dict(d: dict) -> SystemDescriptor:
     kind = d.get("kind")
-    if kind == "reaction_diffusion":
-        return build_reaction_diffusion(float(d["c"]), int(d.get("m", 1)))
-    if kind == "explicit":
-        def num(v):   # a complex entry is stored as its string
-            return complex(v) if isinstance(v, str) else float(v)
 
-        eigs = [num(v) for v in d["explicit_eigenvalues"]]
-        b_rows = [[num(v) for v in row] for row in d["explicit_b"]]
-        m = int(d.get("m", len(b_rows[0])))
+    def read(key, v, as_type=float):
+        return read_as(as_type, v, f"descriptor {key}", SpectrumError)
+
+    if kind == "reaction_diffusion":
+        return build_reaction_diffusion(read("c", d["c"]),
+                                        read("m", d.get("m", 1), int))
+    if kind == "explicit":
+        def num(key, v):   # a complex entry is stored as its string
+            return read(key, v, complex if isinstance(v, str) else float)
+
+        eigs = [num("explicit_eigenvalues", v) for v in d["explicit_eigenvalues"]]
+        b_rows = [[num("explicit_b", v) for v in row] for row in d["explicit_b"]]
+        m = read("m", d.get("m", len(b_rows[0])), int)
         is_real = all(isinstance(v, float) for v in eigs + sum(b_rows, []))
 
         def lam(n, _eigs=eigs):
@@ -258,8 +263,8 @@ def descriptor_from_dict(d: dict) -> SystemDescriptor:
             eigenvalue_law=lam,
             input_coeff_law=b,
             num_inputs=m,
-            riesz_lower=float(d["riesz_lower"]),
-            riesz_upper=float(d["riesz_upper"]),
+            riesz_lower=read("riesz_lower", d["riesz_lower"]),
+            riesz_upper=read("riesz_upper", d["riesz_upper"]),
             field="real" if is_real else "complex",
             monotone_dominated=False,
             kind="explicit",

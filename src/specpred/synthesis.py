@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SpecpredError, is_number, load_json
+from .errors import SpecpredError, is_number, load_json, read_as
 from .numerics import matrix_exp_norm
 from .spectral_model import SystemDescriptor, TruncatedModel, lifting_norms
 
@@ -437,11 +437,8 @@ def certificate_from_dict(d: dict) -> Certificate:
         if key not in d and (f.default is not MISSING
                              or f.default_factory is not MISSING):
             continue
-        try:
-            values[f.name] = _READERS.get(f.type, lambda v: v)(d[key])
-        except (TypeError, ValueError) as exc:
-            raise SynthesisError(f"certificate {key} cannot be read from "
-                                 f"{d[key]!r}: {exc}") from exc
+        values[f.name] = read_as(_READERS.get(f.type, lambda v: v), d[key],
+                                 f"certificate {key}", SynthesisError)
     return Certificate(**values)
 
 

@@ -300,6 +300,9 @@ PLANT = {"kind": "reaction_diffusion", "c": 15.0}
         "kind": "explicit", "m": 1, "riesz_lower": 1.0, "riesz_upper": 1.0,
         "explicit_eigenvalues": [1.0, -5.0], "explicit_b": [[1.0], [1.0]]},
      "'explicit' descriptor"),
+    ("certify", "descriptor", lambda d: {**PLANT, "c": True}, "descriptor c "),
+    ("certify", "descriptor", lambda d: {**PLANT, "c": "x"}, "descriptor c "),
+    ("certify", "descriptor", lambda d: {**PLANT, "m": 1.7}, "descriptor m "),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -309,7 +312,8 @@ PLANT = {"kind": "reaction_diffusion", "c": 15.0}
         "certificate-delta_max-past-D0", "certificate-t0-zero",
         "certificate-t0-inf", "certificate-K-shape", "certificate-D0-zero",
         "certificate-N0-string", "certificate-B-string", "certificate-K-null",
-        "descriptor-explicit"])
+        "descriptor-explicit", "descriptor-c-true", "descriptor-c-string",
+        "descriptor-m-fraction"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     root, cert_path, scen_path = artifacts
@@ -402,11 +406,16 @@ def test_simulate_refuses_a_certified_delay_off_the_band(artifacts, tmp_path,
     ("delay", _update("delay", kind="table", times=[0.0], values=[0.5])),
     ("delay", _update("delay", kind="table", times=[0.0, 1.0, 2.0],
                       values=[0.5, 0.5])),
+    ("disturbance_d2 omega", _set("disturbance_d2", "omega", "x")),
+    ("delay amplitude", _set("delay", "amplitude", "x")),
+    ("integration dt", _set("integration", "dt", "x")),
+    ("initial X0_coeffs", _set("initial", "X0_coeffs", ["a"])),
 ], ids=["X0-500", "N_modes-1", "dt-nan", "dt-negative", "T_final-inf",
         "d1-three-entries", "d2-three-entries", "N_modes-past-max",
         "N_modes-fraction", "certified-string", "d1-ramp-zero", "d2-amplitude-inf",
         "d1-omega-nan", "delay-omega-nan", "table-not-increasing",
-        "table-one-knot", "table-unequal-lengths"])
+        "table-one-knot", "table-unequal-lengths", "d2-omega-string",
+        "delay-amplitude-string", "dt-string", "X0-string"])
 def test_malformed_scenario_fields_are_named(artifacts, tmp_path, capsys,
                                              field, mutate):
     _, cert_path, scen_path = artifacts
@@ -415,6 +424,49 @@ def test_malformed_scenario_fields_are_named(artifacts, tmp_path, capsys,
     assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
                      str(bad), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} ")
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    ("certify", "descriptor"), ("certify", "out"),
+    ("simulate", "certificate"), ("simulate", "scenario"), ("simulate", "out"),
+    ("check", "certificate"), ("check", "scenario"), ("check", "out"),
+    ("sweep", "certificate"), ("sweep", "scenario"), ("sweep", "out"),
+    ("validate-lemma2", "scenario"), ("validate-lemma2", "out")])
+def test_a_directory_as_a_file_exits_2(artifacts, tmp_path, capsys,
+                                       subcommand, flag):
+    # Status 1 is check's failed envelope, so a path that cannot be opened
+    # must not end in a traceback's status.
+    _, cert_path, scen_path = artifacts
+    paths = {"certificate": cert_path, "scenario": scen_path,
+             "out": str(tmp_path / "out.csv"), flag: str(tmp_path)}
+    if subcommand == "check" and flag != "out":
+        assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
+                         scen_path, "--out", paths["out"]]) == 0
+    argv = [subcommand, "--out", paths["out"]]
+    for name in ("descriptor", "certificate", "scenario"):
+        if name in cli.REQUIRES[subcommand] or name == flag:
+            argv += [f"--{name}", paths[name]]
+    if subcommand == "sweep":
+        argv += ["--sweep", "delay_amplitude=0:0.001:2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("kind", ["certificate", "scenario", "descriptor"])
+def test_a_file_that_is_not_utf8_names_itself(artifacts, tmp_path, capsys,
+                                              kind):
+    _, cert_path, scen_path = artifacts
+    bad = tmp_path / f"{kind}.json"
+    bad.write_bytes(b"\xff\xfe")
+    if kind == "descriptor":
+        argv = ["certify", "--descriptor", str(bad)]
+    else:
+        argv = ["simulate", "--certificate", cert_path, "--scenario",
+                scen_path, f"--{kind}", str(bad)]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: malformed {kind} file {bad}: 'utf-8' codec")
 
 
 SMALL_GAIN_REFUSAL = "error: small-gain violated at sigma -> 0+"

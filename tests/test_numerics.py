@@ -166,6 +166,9 @@ def scan_case(kind, S, n, seed=0):
     real or complex, or one matrix per member with the rates as eigenvalues
     in a random orthonormal basis."""
     rng = np.random.default_rng(seed)
+    if kind == "lemma2":     # validate-lemma2's blocks: a 1x1 matrix each
+        E = np.exp(-rng.uniform(0.0, 5.0, (S, 1, 1)) * SCAN_DT)
+        return E, rng.standard_normal((S, n, 1)), rng.standard_normal((S, 1))
     dim = len(SCAN_RATES)
     if kind == "matrix":
         Q = np.linalg.qr(rng.standard_normal((S, dim, dim)))[0]
@@ -191,11 +194,13 @@ def sequential_scan(E, g, x0):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 57, 240, 241])
-@pytest.mark.parametrize("S", [1, 20])
-@pytest.mark.parametrize("kind", ["real", "complex", "matrix"])
+@pytest.mark.parametrize("kind, S, n", [
+    (kind, S, n) for kind in ("real", "complex", "matrix") for S in (1, 20)
+    for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 57, 127, 128, 129, 240, 241, 256)
+] + [("lemma2", 50, 87)])
 def test_affine_scan_matches_the_sequential_recurrence(kind, S, n):
-    # Below two chunks of 4, on and off the chunk grid, with leftover rows.
+    # Blocks on, below and above each power of two, where the up-sweep
+    # gains or loses a level, the engines' 240-row blocks and lemma 2's.
     E, g, x0 = scan_case(kind, S, n)
     want = sequential_scan(E, g, x0)
     got = affine_scan(E, g.copy(), x0)

@@ -344,6 +344,11 @@ def test_certificate_roundtrip(tmp_path, fitted_cert):
     assert bare.provenance == {} and bare.fit_info is None
     assert bare.degenerate_delta is False
     assert all(getattr(bare, bank) is None for bank in FITTED_BANKS)
+    # A degenerate design (BK = 0) writes delta_star as Infinity; it loads.
+    save_certificate(replace(fitted_cert, delta_star=math.inf,
+                             degenerate_delta=True), path)
+    back = load_certificate(path)
+    assert math.isinf(back.delta_star) and back.degenerate_delta is True
 
 
 def test_certificate_roundtrip_complex_arrays():
@@ -358,6 +363,10 @@ def test_certificate_roundtrip_complex_arrays():
     ("B", "abc", "certificate B cannot be read"),
     ("K", [[None]], "certificate K has a non-finite entry"),
     ("lambdas", [float("inf")], "certificate lambdas has a non-finite entry"),
+    ("N0", 1.9, "certificate N0 cannot be read"),
+    ("t0", True, "certificate t0 cannot be read"),
+    ("D0", "0.5", "certificate D0 cannot be read"),
+    ("degenerate_delta", "no", "certificate degenerate_delta cannot be read"),
 ])
 def test_certificate_file_value_refusals_name_the_field_and_file(
         tmp_path, exact_cert, key, value, says):
