@@ -13,7 +13,6 @@ from .controller import (
 from .errors import SpecpredError
 from .iss_certifier import (
     CertifierError,
-    EnvelopeReport,
     Lemma2Problem,
     check_envelopes,
     fading_memory_sup,

@@ -38,7 +38,6 @@ delayed reads and the Artstein residual's reads of Z) goes through
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SpecpredError
 from .numerics import exp_moments, smoothstep
@@ -46,6 +45,13 @@ from .numerics import exp_moments, smoothstep
 
 class ControllerError(SpecpredError, RuntimeError):
     pass
+
+
+def solve_triangular(*args, **kwargs):
+    """``scipy.linalg.solve_triangular``, with scipy.linalg imported on the
+    first call (see ``numerics.matrix_exp_norm``)."""
+    from scipy.linalg import solve_triangular as solve
+    return solve(*args, **kwargs)
 
 
 def transition(t, t0: float):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,65 +97,30 @@ def windowed_fading_sup(norms, kappa: float, dt: float, lag_steps: int) -> np.nd
 # ---------------------------------------------------------------------------
 # Envelope evaluation
 
-@dataclass
-class EstimateCheck:
-    name: str
-    passed: bool
-    vacuous: bool
-    worst_ratio: float
-    worst_time: float
-    constants: dict
-    provenance: dict
-
-
-@dataclass
-class EnvelopeReport:
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            name: {
-                "pass": c.passed,
-                "vacuous": c.vacuous,
-                "worst_ratio": c.worst_ratio,
-                "worst_time": c.worst_time,
-                "constants": c.constants,
-                "provenance": c.provenance,
-            }
-            for name, c in self.checks.items()
-        }
-
-
 def _signal_norms(scen: Scenario, ts):
     d1 = np.asarray(scen.d1(ts))
     d2 = np.asarray(scen.d2(ts))
     return np.linalg.norm(d1, axis=-1), np.linalg.norm(d2, axis=-1)
 
 
-def _ratio_check(name, observed, bound, ts, constants,
-                 provenance) -> EstimateCheck:
+def _ratio_check(observed, bound, ts, constants, provenance) -> dict:
+    """One estimate's entry of the envelope report: whether ``observed``
+    stays within ``bound`` on the grid ``ts``, and where the ratio peaks."""
     observed = np.asarray(observed, dtype=float)
     bound = np.asarray(bound, dtype=float)
     live = bound > CHECK_BOUND_FLOOR
     zero = observed <= CHECK_BOUND_FLOOR
     if not np.any(live) and np.all(zero):
-        return EstimateCheck(name, True, True, 0.0, 0.0, constants, provenance)
-    ratios = np.where(live, observed / np.where(live, bound, 1.0), np.inf)
-    ratios = np.where(~live & zero, 0.0, ratios)
-    worst = int(np.argmax(ratios))
-    return EstimateCheck(
-        name=name,
-        passed=bool(ratios[worst] <= 1.0),
-        vacuous=False,
-        worst_ratio=float(ratios[worst]),
-        worst_time=float(ts[worst]),
-        constants=constants,
-        provenance=provenance,
-    )
+        passed, vacuous, worst_ratio, worst_time = True, True, 0.0, 0.0
+    else:
+        ratios = np.where(live, observed / np.where(live, bound, 1.0), np.inf)
+        ratios = np.where(~live & zero, 0.0, ratios)
+        worst = int(np.argmax(ratios))
+        passed, vacuous = bool(ratios[worst] <= 1.0), False
+        worst_ratio, worst_time = float(ratios[worst]), float(ts[worst])
+    return {"pass": passed, "vacuous": vacuous, "worst_ratio": worst_ratio,
+            "worst_time": worst_time, "constants": constants,
+            "provenance": provenance}
 
 
 CHANNELS = ("x0", "d1", "d2")
@@ -199,25 +164,30 @@ def _observed(traj: Trajectory, estimate: str) -> np.ndarray:
     return np.linalg.norm(series, axis=1)
 
 
-def check_envelopes(trajectory: Trajectory, certificate: Certificate) -> EnvelopeReport:
-    """Evaluate the X, u, Y and Z fading-memory envelopes on one trajectory."""
-    cert = certificate
+def check_envelopes(trajectory: Trajectory) -> dict:
+    """Evaluate the X, u, Y and Z fading-memory envelopes of the certificate
+    the trajectory's scenario ran under.
+
+    Returns ``{estimate: {"pass", "vacuous", "worst_ratio", "worst_time",
+    "constants", "provenance"}}`` in ``ENVELOPES`` order, the mapping that
+    ``specpred check`` prints under ``"checks"``.
+    """
     if trajectory.scenario is None:
         raise CertifierError("trajectory must carry its scenario")
+    cert = trajectory.scenario.certificate
     if not cert.has_fitted_constants:
         raise CertifierError("missing fitted constants; run fit_constants first")
     shapes = _shapes(trajectory, cert, {shape for _, terms in ENVELOPES.values()
                                         for _, shape in terms})
-    report = EnvelopeReport()
+    report = {}
     for name, (bank, terms) in ENVELOPES.items():
         constants = getattr(cert, bank)
         rhs = sum(constants[key] * shapes[shape] for key, shape in terms)
         # The state constants add the exact tail to their fitted part.
         provenance = {key: "fitted+exact-tail" for key, _ in terms} \
             if name == "state" else {"scale": "fitted"}
-        report.checks[name] = _ratio_check(
-            name, _observed(trajectory, name), rhs, trajectory.t, constants,
-            provenance)
+        report[name] = _ratio_check(_observed(trajectory, name), rhs,
+                                    trajectory.t, constants, provenance)
     return report
 
 

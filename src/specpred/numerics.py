@@ -16,7 +16,6 @@ used when |lam * h| is tiny to avoid catastrophic cancellation in the
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 # Below this threshold on |lam*h| the closed forms lose digits to cancellation
 # (relative error ~eps/|lam h|) while the truncated Taylor series is accurate
@@ -133,7 +132,11 @@ def smoothstep(s):
 
 
 def matrix_exp_norm(A, ts):
-    """2-norm of exp(A t) for each t in ``ts``, from one batched ``expm``."""
+    """2-norm of exp(A t) for each t in ``ts``, from one batched ``expm``.
+
+    scipy.linalg is imported here, not with the module: it costs more than
+    the work of the subcommands that never call it."""
+    from scipy.linalg import expm
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     return np.linalg.norm(expm(np.multiply.outer(ts, np.asarray(A))), 2,
                           axis=(1, 2))

@@ -191,7 +191,9 @@ def make_delay(spec: dict, T_final: float = 100.0) -> DelaySignal:
     kind = spec.get("kind", "constant")
     sig = DelaySignal(
         kind=kind, D0=read_as(float, spec["D0"], "delay D0", ScenarioError),
-        table=(tuple(spec["times"]), tuple(spec["values"])) if kind == "table" else None,
+        table=tuple(tuple(read_as(float, x, f"delay {key}", ScenarioError)
+                          for x in spec[key]) for key in ("times", "values"))
+        if kind == "table" else None,
         **_given_floats(spec, "delay", ("amplitude", "omega", "phase")))
     if np.any(np.asarray(sig(np.linspace(0.0, T_final, 1001))) <= 0):
         raise ScenarioError("delay signal must stay positive")
@@ -231,13 +233,16 @@ class Scenario:
     T_final: float
     N_modes: int
     certified: bool = True
-    label: str = ""
 
     def __post_init__(self):
         cert = self.certificate
         if not cert.N0 <= self.N_modes <= MAX_MODES:
             raise ScenarioError(f"N_modes must lie in [N0, MAX_MODES] = "
                                 f"[{cert.N0}, {MAX_MODES}], got {self.N_modes}")
+        explicit = self.descriptor.params.get("explicit_eigenvalues")
+        if explicit is not None and self.N_modes > len(explicit):
+            raise ScenarioError(f"N_modes = {self.N_modes} exceeds the length "
+                                f"{len(explicit)} of the explicit spectrum")
         _check_step("dt", self.dt)
         _check_step("T_final", self.T_final)
         if len(self.X0_coeffs) > self.N_modes:
@@ -275,7 +280,6 @@ class Trajectory:
     norm_lower: np.ndarray
     norm_upper: np.ndarray
     scenario: Optional[Scenario] = None
-    engine: str = "exp"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -304,16 +308,16 @@ def state_norm(coeffs, m_R: float, M_R: float):
     return np.sqrt(m_R * S), np.sqrt(M_R * S)
 
 
-def _trajectory(scenario: Scenario, ts, c, u, v, engine: str,
-                meta: dict, taps=None) -> Trajectory:
+def _trajectory(scenario: Scenario, ts, c, u, v, meta: dict,
+                taps=None) -> Trajectory:
     """Common epilogue of both engines: state norms, the record and Z
     (with the run's predictor taps when the engine has built them)."""
     desc = scenario.descriptor
     lower, upper = state_norm(c, desc.riesz_lower, desc.riesz_upper)
     traj = Trajectory(t=ts, coeffs=c, u=u, v=v, Z=None,
                       norm_lower=lower, norm_upper=upper,
-                      scenario=scenario, engine=engine, meta=meta)
-    traj.Z = artstein_transform(traj, scenario.certificate, taps=taps)
+                      scenario=scenario, meta=meta)
+    traj.Z = artstein_transform(traj, taps=taps)
     return traj
 
 
@@ -410,7 +414,7 @@ def simulate(scenario):
             "min_solve_sigma": ctrl.min_sigma}
     del ctrl                  # its block law is freed before Z is built
     trajs = Trajectories(
-        _trajectory(sc, ts, c[s], hist.samples[s, hist.n_pre:], v[s], "exp",
+        _trajectory(sc, ts, c[s], hist.samples[s, hist.n_pre:], v[s],
                     {**meta, "max_solve_residual": float(max_residual[s]),
                      "min_read_margin": float(hist.margin[s])}, taps)
         for s, sc in enumerate(scens))
@@ -454,16 +458,16 @@ def _advance_block(c, j0, E, g, ctrl, samples, top, d2, ts):
     return residual.max(axis=1)
 
 
-def artstein_transform(trajectory: Trajectory, certificate: Certificate,
-                       *, taps=None) -> np.ndarray:
-    """Z(t) = Y(t) + int_{t-D0}^t exp((t-D0-s)A) B u(s) ds on the trajectory grid.
+def artstein_transform(trajectory: Trajectory, *, taps=None) -> np.ndarray:
+    """Z(t) = Y(t) + int_{t-D0}^t exp((t-D0-s)A) B u(s) ds on the trajectory
+    grid, for the certificate the trajectory's scenario ran under.
 
     The integral is the controller's predictor convolution with the same
     exact taps, evaluated for all grid points at once; u vanishes before
     t = 0, so the window clips at 0.  ``taps`` are the certificate's
     ``predictor_taps`` at the grid step, built here when not given.
     """
-    cert = certificate
+    cert = trajectory.scenario.certificate
     ts = trajectory.t
     u = trajectory.u
     if taps is None:
@@ -475,8 +479,9 @@ def artstein_transform(trajectory: Trajectory, certificate: Certificate,
     return Z
 
 
-def artstein_residual(trajectory: Trajectory, certificate: Certificate):
-    """Central-difference residual of the transformed dynamics at interior points.
+def artstein_residual(trajectory: Trajectory):
+    """Central-difference residual of the transformed dynamics at interior
+    points, for the certificate the trajectory's scenario ran under.
 
     Returns (t_interior, residual_norms).  The residual compares dZ/dt with
     the delay-difference dynamics that the transformation satisfies in
@@ -485,10 +490,10 @@ def artstein_residual(trajectory: Trajectory, certificate: Certificate):
     points, and phi vanishes for t <= 0, so the delayed terms
     [phi Z](t - D) and [phi d2](t - D) read 0 before the run starts.
     """
-    cert = certificate
     scen = trajectory.scenario
     if scen is None:
         raise ValueError("trajectory must carry its scenario")
+    cert = scen.certificate
     ts = trajectory.t
     dt = ts[1] - ts[0]
     Z = trajectory.Z
@@ -647,7 +652,7 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
         residual = max(residual, *_advance_block(
             c, j0, R, g, ctrl, samples, n_pre + j0 + 1, d2, ts))
 
-    return _trajectory(scenario, ts, c[0], samples[0, n_pre:], v, "rk4",
+    return _trajectory(scenario, ts, c[0], samples[0, n_pre:], v,
                        {"dt": dt, "refine": ORACLE_REFINE, "N_modes": n_modes,
                         "steps": J, "block_steps": block,
                         "max_solve_residual": float(residual),
@@ -846,8 +851,7 @@ def trajectory_from_csv(path) -> Trajectory:
     _, coeffs, _, Z, u, v, norms = np.split(
         data, np.cumsum([1, n, n0, n0, m, m]), axis=1)
     return Trajectory(t=data[:, 0], coeffs=coeffs, u=u, v=v, Z=Z,
-                      norm_lower=norms[:, 0], norm_upper=norms[:, 1],
-                      engine="csv")
+                      norm_lower=norms[:, 0], norm_upper=norms[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,16 @@ def descriptor_from_dict(d: dict) -> SystemDescriptor:
 
         eigs = [num("explicit_eigenvalues", v) for v in d["explicit_eigenvalues"]]
         b_rows = [[num("explicit_b", v) for v in row] for row in d["explicit_b"]]
+        if not eigs:
+            raise SpectrumError("descriptor explicit_eigenvalues is empty")
+        if len(b_rows) != len(eigs):
+            raise SpectrumError(
+                f"descriptor explicit_b has {len(b_rows)} rows for "
+                f"{len(eigs)} eigenvalues; it needs one row per eigenvalue")
         m = read("m", d.get("m", len(b_rows[0])), int)
+        if any(len(row) != m for row in b_rows):
+            raise SpectrumError(f"descriptor explicit_b needs m = {m} "
+                                "entries in every row")
         is_real = all(isinstance(v, float) for v in eigs + sum(b_rows, []))
 
         def lam(n, _eigs=eigs):

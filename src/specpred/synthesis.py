@@ -405,9 +405,20 @@ def _array_to_list(a):
 
 
 def _array_from_list(v):
+    """The array of a file's nested list, or of its {"real", "imag"} pair of
+    nested lists.  A leaf must be a number by the float rule of
+    ``errors.read_as`` (so not a bool or a string), or null, which reads as
+    NaN for the finiteness checks to name; another raises TypeError."""
     if isinstance(v, dict):
-        return np.asarray(v["real"]) + 1j * np.asarray(v["imag"])
-    return np.asarray(v, dtype=float)
+        return _array_from_list(v["real"]) + 1j * _array_from_list(v["imag"])
+
+    def numbers(x):
+        if isinstance(x, list):
+            return [numbers(y) for y in x]
+        if not (x is None or is_number(x)):
+            raise TypeError(f"{x!r} is not a number")
+        return x
+    return np.asarray(numbers(v), dtype=float)
 
 
 def _key(name: str) -> str:

@@ -215,8 +215,7 @@ def reference_simulate(scenario):
             raise ScenarioError(f"non-finite state at step {j + 1} (t={tn:.6g})")
         u[j + 1] = controller.step(tn, c[j + 1, : cert.N0], d2_ts[j + 1])
 
-    return _trajectory(scenario, ts, c, u, v, "exp",
-                       {"dt": dt, "N_modes": n_modes})
+    return _trajectory(scenario, ts, c, u, v, {"dt": dt, "N_modes": n_modes})
 
 
 class _CubicHistory:
@@ -329,7 +328,7 @@ def reference_oracle_simulate(scenario, refine: int = 20):
         u[j + 1] = solve_u(j + 1, c[j + 1, : cert.N0])
         hist.append(u[j + 1])
 
-    return _trajectory(scenario, ts, c, u, v, "rk4",
+    return _trajectory(scenario, ts, c, u, v,
                        {"dt": dt, "refine": refine, "N_modes": n_modes})
 
 
@@ -531,8 +530,8 @@ def reference_check_ratios(traj, cert):
                 "control": np.linalg.norm(traj.u, axis=1),
                 "head_state": np.linalg.norm(traj.Y, axis=1),
                 "transformed_state": np.linalg.norm(traj.Z, axis=1)}
-    return {name: _ratio_check(name, observed[name], rhs[name], ts, {},
-                               {}).worst_ratio for name in rhs}
+    return {name: _ratio_check(observed[name], rhs[name], ts, {},
+                               {})["worst_ratio"] for name in rhs}
 
 
 # Fitted constants of the |u|, |Y| and |Z| envelopes on each channel.

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -262,6 +265,36 @@ def _update(section, **fields):
 
 
 PLANT = {"kind": "reaction_diffusion", "c": 15.0}
+EXPLICIT = {"kind": "explicit", "m": 1, "riesz_lower": 1.0, "riesz_upper": 1.0}
+
+
+def _explicit_scenario(eigs, b, n_modes=2, **plant):
+    """Mutator that runs the scenario on an explicit plant of ``n_modes``."""
+    def mutate(d):
+        d["system"] = {**EXPLICIT, **plant, "explicit_eigenvalues": eigs,
+                       "explicit_b": b}
+        d["integration"]["N_modes"] = n_modes
+        d["initial"]["X0_coeffs"] = [1.0] + [0.0] * (n_modes - 1)
+        return d
+    return mutate
+
+
+def _table_delay(times):
+    """Mutator that gives the scenario a table delay knotted at ``times``."""
+    def mutate(d):
+        D0 = d["delay"]["D0"]
+        d["delay"] = {"kind": "table", "D0": D0, "times": times,
+                      "values": [D0] * len(times)}
+        return d
+    return mutate
+
+
+def _first_x0(value):
+    """Mutator that sets the first initial coefficient to ``value``."""
+    def mutate(d):
+        d["initial"]["X0_coeffs"][0] = value
+        return d
+    return mutate
 
 
 @pytest.mark.parametrize("subcommand, kind, mutate, names", [
@@ -303,6 +336,24 @@ PLANT = {"kind": "reaction_diffusion", "c": 15.0}
     ("certify", "descriptor", lambda d: {**PLANT, "c": True}, "descriptor c "),
     ("certify", "descriptor", lambda d: {**PLANT, "c": "x"}, "descriptor c "),
     ("certify", "descriptor", lambda d: {**PLANT, "m": 1.7}, "descriptor m "),
+    ("simulate", "scenario", _explicit_scenario([-1.0], [[1.0]], n_modes=3),
+     "N_modes = 3 exceeds the length 1 of the explicit spectrum"),
+    ("simulate", "scenario", _explicit_scenario([-1.0, -5.0], [[1.0]]),
+     "descriptor explicit_b"),
+    ("simulate", "scenario",
+     _explicit_scenario([-1.0, -5.0], [[1.0], [1.0]], m=2),
+     "descriptor explicit_b needs m = 2"),
+    ("simulate", "scenario", _explicit_scenario([], []),
+     "descriptor explicit_eigenvalues"),
+    ("certify", "descriptor", lambda d: {
+        **EXPLICIT, "explicit_eigenvalues": [], "explicit_b": []},
+     "descriptor explicit_eigenvalues"),
+    ("simulate", "certificate", _set("K", [[True]]), "certificate K"),
+    ("simulate", "certificate",
+     _set("K", {"real": [[1.0]], "imag": [[False]]}), "certificate K"),
+    ("simulate", "scenario", _first_x0(True), "initial X0_coeffs"),
+    ("simulate", "scenario", _table_delay([0, True, 2]), "delay times"),
+    ("simulate", "scenario", _table_delay([0, "1", 2]), "delay times"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -313,7 +364,11 @@ PLANT = {"kind": "reaction_diffusion", "c": 15.0}
         "certificate-t0-inf", "certificate-K-shape", "certificate-D0-zero",
         "certificate-N0-string", "certificate-B-string", "certificate-K-null",
         "descriptor-explicit", "descriptor-c-true", "descriptor-c-string",
-        "descriptor-m-fraction"])
+        "descriptor-m-fraction", "explicit-N_modes-past-spectrum",
+        "explicit-b-rows-short", "explicit-b-row-short-of-m",
+        "explicit-empty", "certify-explicit-empty", "certificate-K-true",
+        "certificate-K-imag-false", "initial-X0-true", "delay-times-true",
+        "delay-times-string"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     root, cert_path, scen_path = artifacts
@@ -558,3 +613,18 @@ def test_cmd_certify_refuses_a_vacuous_certificate(tmp_path, capsys):
     assert err.startswith("error: vacuous certificate")
     assert "e^(lambda_1 D0)" in err and "smaller D0" in err
     assert not out_path.exists()
+
+
+def test_scipy_linalg_loads_only_where_it_is_used():
+    # Neither the import nor validate-lemma2 solves or exponentiates a matrix.
+    code = """if True:
+        import sys
+        import specpred.cli as cli
+        assert "scipy.linalg" not in sys.modules, "on import"
+        assert cli.main(["validate-lemma2", "--seed", "0"]) == 0
+        assert "scipy.linalg" not in sys.modules, "after validate-lemma2"
+    """
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr

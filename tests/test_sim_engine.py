@@ -481,7 +481,7 @@ def test_artstein_transform_definition(descriptor, exact_cert):
 
     scen = cli.builtin_scenarios(descriptor, exact_cert, dt=2e-3, T=2.0)[0]
     traj = simulate(scen)
-    Z = artstein_transform(traj, exact_cert)
+    Z = artstein_transform(traj)
     # At t = 0 the control history is identically zero, so Z = Y.
     assert np.allclose(Z[0], traj.Y[0])
     assert np.allclose(Z, traj.Z)
@@ -503,7 +503,7 @@ def test_artstein_transform_definition(descriptor, exact_cert):
 def test_artstein_residual_small(descriptor, exact_cert):
     scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.5)[0]
     traj = simulate(scen)
-    ts, res = artstein_residual(traj, exact_cert)
+    ts, res = artstein_residual(traj)
     assert np.max(res) < 5e-3 * max(np.max(np.abs(traj.Z)), 1.0)
 
 
@@ -512,7 +512,7 @@ def test_artstein_residual_matches_pointwise_reference(descriptor, exact_cert):
     # by rounding relative to those terms, not to the residual itself.
     for scen in cli.builtin_scenarios(descriptor, exact_cert, dt=2e-3, T=2.5):
         traj = simulate(scen)
-        ts, res = artstein_residual(traj, exact_cert)
+        ts, res = artstein_residual(traj)
         ts_ref, ref = reference_artstein_residual(traj, exact_cert)
         assert np.array_equal(ts, ts_ref)
         assert np.max(np.abs(res - ref)) <= 1e-8 * np.max(ref)
