@@ -615,12 +615,21 @@ def test_cmd_certify_refuses_a_vacuous_certificate(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_scipy_linalg_loads_only_where_it_is_used():
-    # Neither the import nor validate-lemma2 solves or exponentiates a matrix.
-    code = """if True:
+def test_scipy_linalg_loads_only_where_it_is_used(artifacts, tmp_path):
+    # Neither the import, check nor validate-lemma2 solves or exponentiates
+    # a matrix.
+    _, cert_path, scen_path = artifacts
+    traj_path = str(tmp_path / "traj.csv")
+    assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
+                     scen_path, "--out", traj_path]) == 0
+    check = ["check", "--certificate", cert_path, "--scenario", scen_path,
+             "--out", traj_path]
+    code = f"""if True:
         import sys
         import specpred.cli as cli
         assert "scipy.linalg" not in sys.modules, "on import"
+        assert cli.main({check!r}) == 0
+        assert "scipy.linalg" not in sys.modules, "after check"
         assert cli.main(["validate-lemma2", "--seed", "0"]) == 0
         assert "scipy.linalg" not in sys.modules, "after validate-lemma2"
     """
