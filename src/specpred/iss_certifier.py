@@ -15,9 +15,7 @@ term on its own channel.
 
 from __future__ import annotations
 
-import functools
 import math
-from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -48,26 +46,46 @@ DECAY_FIT_FLOOR = 1e-280
 # ---------------------------------------------------------------------------
 # Fading-memory suprema
 
-def fading_memory_sup(norms, kappa: float, dt: float) -> np.ndarray:
-    """O(1)-per-step recursion for s_j = max_{i<=j} e^{-kappa (t_j-t_i)} ||d_i||.
+def fading_memory_sup(norms, kappa, dt: float) -> np.ndarray:
+    """s_j = max_{i<=j} e^{-kappa (t_j-t_i)} ||d_i|| for each row of ``norms``.
 
-    Equals the brute-force grid maximum bit-exactly: the recursion
-    s_j = max(e^{-kappa dt} s_{j-1}, ||d_j||) expands to exactly the same
-    products of per-step decay factors (on Python floats), and a NaN stays
-    from its sample on, as in that maximum.
+    ``norms`` is shaped (..., n), time last; ``kappa`` is one rate or one
+    per row.  Each row equals bit for bit the recursion
+    s_j = max(g(s_{j-1}), ||d_j||), g(x) = fl(e^{-kappa dt} x), on Python
+    floats, and so the brute-force grid maximum; a NaN stays from its
+    sample on.  g is monotone, so it commutes with the maximum: in a chunk
+    of about sqrt(n) samples from c0, s_j = max(g^{j-c0+1}(s_{c0-1}), l_j)
+    with l the chunk's own recursion.  The local recursions step every row
+    and chunk at once; each carry s_{c0-1} is decayed through its chunk by
+    one sequential product (``np.multiply.accumulate``).
     """
-    if kappa <= 0:
+    norms = np.asarray(norms, dtype=float)
+    *lead, n = norms.shape
+    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), lead)
+    if np.any(kappa <= 0):
         raise ValueError("kappa must be positive")
-    decay = math.exp(-kappa * dt)
-    # Unboxed doubles, read and written one Python float at a time.
-    out = array("d", np.asarray(norms, dtype=float).tobytes())
-    s = out[0]
-    for j, d in enumerate(out[1:], 1):
-        s = decay * s
-        if not d <= s and s == s:     # d is larger or NaN; a NaN s stays
-            s = d
-        out[j] = s
-    return np.array(out)
+    # One factor per row, from math.exp as the scalar recursion takes it.
+    decay = np.array([math.exp(-k * dt) for k in kappa.ravel().tolist()])
+    rows = decay.size
+    B = max(1, math.isqrt(n))           # chunk length
+    C = -(-n // B)                      # chunks, the last one zero-padded
+    out = np.zeros((rows, C * B))
+    out[:, :n] = norms.reshape(rows, n)
+    chunks = out.reshape(rows, C, B)
+    # The local recursions, one (row, chunk) slab per step.
+    step = np.empty((rows, C))
+    for k in range(1, B):
+        np.multiply(chunks[..., k - 1], decay[:, np.newaxis], out=step)
+        np.maximum(step, chunks[..., k], out=chunks[..., k])
+    # carry[:, k] = g^k(carry[:, 0]) after the accumulate.
+    factors = np.empty((rows, B + 1))
+    factors[:, 1:] = decay[:, np.newaxis]
+    carry = np.empty_like(factors)
+    for c in range(1, C):
+        factors[:, 0] = chunks[:, c - 1, -1]
+        np.multiply.accumulate(factors, axis=1, out=carry)
+        np.maximum(carry[:, 1:], chunks[:, c], out=chunks[:, c])
+    return out[:, :n].reshape(norms.shape)
 
 
 def causal_lag_steps(D0: float, delta: float, dt: float) -> int:
@@ -126,42 +144,57 @@ def _ratio_check(observed, bound, ts, constants, provenance) -> dict:
 CHANNELS = ("x0", "d1", "d2")
 
 
-def _shapes(traj: Trajectory, cert: Certificate, names) -> dict:
-    """The envelope shapes ``names`` (see ``ENVELOPES``) on the trajectory's
-    grid; only the shapes asked for are built, and the fading-memory sup of
-    each (signal, rate) pair at most once."""
-    ts = traj.t
+def _shapes(runs, cert: Certificate) -> list:
+    """The envelope shapes ``names`` (see ``ENVELOPES``) of each
+    ``(trajectory, names)`` of ``runs``, whose trajectories share one grid.
+    Only the shapes asked for are built, and the fading-memory sup of each
+    (run, signal, rate) once: all of them in one ``fading_memory_sup``
+    call."""
+    ts = runs[0][0].t
     dt = ts[1] - ts[0]
     rates = {"k": cert.kappa, "s": cert.sigma}
+    decays = {rate: np.exp(-rate * ts) for rate in rates.values()}
     lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
-    signals = {"X0": traj.norm_upper[0], "Y0": np.linalg.norm(traj.Y[0])}
-    if any(name.startswith("d") for name in names):
-        signals["d1"], signals["d2"] = _signal_norms(traj.scenario, ts)
-
-    @functools.cache
-    def sup(signal, rate):
-        return fading_memory_sup(signals[signal], rate, dt)
-
-    out = {}
-    for name in names:
-        signal, suffix = name.split("_")
-        rate = rates[suffix]
-        if signal in ("X0", "Y0"):
-            out[name] = np.exp(-rate * ts) * signals[signal]
-        elif signal == "d2w":
-            out[name] = _causal_window(sup("d2", rate), rate, dt, lag)
-        else:
-            out[name] = sup(signal, rate)
+    signals, rows = [], {}
+    for i, (traj, names) in enumerate(runs):
+        sig = {"X0": traj.norm_upper[0], "Y0": np.linalg.norm(traj.Y[0])}
+        # The causal windows of d2 are built from its full sups.
+        pairs = {(signal[:2], rates[suffix]) for signal, suffix
+                 in (name.split("_") for name in names) if signal[0] == "d"}
+        if pairs:
+            sig["d1"], sig["d2"] = _signal_norms(traj.scenario, ts)
+            rows.update(((i, signal, rate), sig[signal])
+                        for signal, rate in sorted(pairs))
+        signals.append(sig)
+    sups = dict(zip(rows, fading_memory_sup(
+        np.reshape(list(rows.values()), (len(rows), len(ts))),
+        [rate for _, _, rate in rows], dt)))
+    out = []
+    for i, (sig, (_, names)) in enumerate(zip(signals, runs)):
+        shapes = {}
+        for name in names:
+            signal, suffix = name.split("_")
+            rate = rates[suffix]
+            if signal in ("X0", "Y0"):
+                shapes[name] = decays[rate] * sig[signal]
+            elif signal == "d2w":
+                shapes[name] = _causal_window(sups[i, "d2", rate], rate, dt,
+                                              lag)
+            else:
+                shapes[name] = sups[i, signal, rate]
+        out.append(shapes)
     return out
 
 
-def _observed(traj: Trajectory, estimate: str) -> np.ndarray:
-    """The trajectory norm that the estimate bounds."""
+def _observed(trajs, estimate: str) -> np.ndarray:
+    """The trajectory norms that the estimate bounds, one row per trajectory
+    of ``trajs`` (which share one grid)."""
     if estimate == "state":
-        return traj.norm_upper
-    series = {"control": traj.u, "head_state": traj.Y,
-              "transformed_state": traj.Z}[estimate]
-    return np.linalg.norm(series, axis=1)
+        return np.stack([traj.norm_upper for traj in trajs])
+    series = {"control": "u", "head_state": "Y",
+              "transformed_state": "Z"}[estimate]
+    return np.linalg.norm(np.stack([getattr(traj, series) for traj in trajs]),
+                          axis=-1)
 
 
 def check_envelopes(trajectory: Trajectory) -> dict:
@@ -177,8 +210,8 @@ def check_envelopes(trajectory: Trajectory) -> dict:
     cert = trajectory.scenario.certificate
     if not cert.has_fitted_constants:
         raise CertifierError("missing fitted constants; run fit_constants first")
-    shapes = _shapes(trajectory, cert, {shape for _, terms in ENVELOPES.values()
-                                        for _, shape in terms})
+    shapes, = _shapes([(trajectory, {shape for _, terms in ENVELOPES.values()
+                                     for _, shape in terms})], cert)
     report = {}
     for name, (bank, terms) in ENVELOPES.items():
         constants = getattr(cert, bank)
@@ -186,7 +219,7 @@ def check_envelopes(trajectory: Trajectory) -> dict:
         # The state constants add the exact tail to their fitted part.
         provenance = {key: "fitted+exact-tail" for key, _ in terms} \
             if name == "state" else {"scale": "fitted"}
-        report[name] = _ratio_check(_observed(trajectory, name), rhs,
+        report[name] = _ratio_check(_observed([trajectory], name)[0], rhs,
                                     trajectory.t, constants, provenance)
     return report
 
@@ -205,12 +238,15 @@ def _channel_of(scen: Scenario) -> str:
 
 
 def _max_ratio(num, den):
+    """The largest num/den over the samples where den > RATIO_BOUND_FLOOR,
+    or 0.0 where there is none, along the last axis: one float, or a list
+    of one per row."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
     ok = den > RATIO_BOUND_FLOOR
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(num[ok] / den[ok]))
+    ratios = np.divide(num, den, out=np.full(ok.shape, -np.inf), where=ok)
+    worst = np.max(ratios, axis=-1, initial=-np.inf)
+    return np.where(ok.any(axis=-1), worst, 0.0).tolist()
 
 
 # The estimates whose constants the ensemble fits; the state constants
@@ -226,8 +262,12 @@ def fit_constants(trajectories: Sequence[Trajectory],
     runs; by linearity each channel isolates its constants: term i of each
     fitted estimate in ``ENVELOPES`` on channel i.  Each constant is the
     worst observed ratio over its channel times ``FIT_INFLATION``.
-    Fills the u/y/z constants on the certificate, then the tail constants
-    and the assembled state bounds (``finalize_tail_constants``).
+    The runs must share one time grid, as the members of one batched run
+    do: the fading-memory sups of every member and rate are built by one
+    ``fading_memory_sup`` call, and each channel's norms and ratios are
+    taken as one stack.  Fills the u/y/z constants on the certificate,
+    then the tail constants and the assembled state bounds
+    (``finalize_tail_constants``).
     """
     cert = certificate
     buckets = {ch: [] for ch in CHANNELS}
@@ -243,14 +283,19 @@ def fit_constants(trajectories: Sequence[Trajectory],
         if not runs:
             raise CertifierError(f"fit ensemble is missing the {ch} channel")
 
+    if len({(len(traj.t), traj.t[1] - traj.t[0])
+            for traj in trajectories}) > 1:
+        raise CertifierError("fit ensemble runs must share one time grid")
+    fitted = {ch: [(name, ENVELOPES[name][1][i]) for name in _FITTED]
+              for i, ch in enumerate(CHANNELS)}
+    shapes = iter(_shapes([(traj, {shape for _, (_, shape) in fitted[ch]})
+                           for ch in CHANNELS for traj in buckets[ch]], cert))
     fits = {}
-    for i, ch in enumerate(CHANNELS):
-        terms = [(name, ENVELOPES[name][1][i]) for name in _FITTED]
-        for traj in buckets[ch]:
-            shapes = _shapes(traj, cert, {shape for _, (_, shape) in terms})
-            for name, (key, shape) in terms:
-                fits[key] = max(fits.get(key, 0.0),
-                                _max_ratio(_observed(traj, name), shapes[shape]))
+    for ch, runs in buckets.items():
+        stacked = [next(shapes) for _ in runs]
+        for name, (key, shape) in fitted[ch]:
+            fits[key] = max(0.0, *_max_ratio(
+                _observed(runs, name), np.stack([s[shape] for s in stacked])))
 
     for name in _FITTED:
         bank, terms = ENVELOPES[name]
@@ -461,28 +506,32 @@ def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
                              f"{eig:.6g} needs an RK4 step below dt/16")
     h = dt / parts
     ts, xs, ps = simulate_delay_difference(problems, h, T, with_forcing=True)
+    p_norms = [np.linalg.norm(ps[:, i], axis=1) for i in range(len(problems))]
+    sup_x0 = [np.max(np.linalg.norm(_sample(
+        pr.x0, np.linspace(-(pr.r + pr.eps), 0.0, 201)), axis=1))
+        for pr in problems]
+    has_p = [np.max(p) > 0 for p in p_norms]
+    channels = ["x0" if s > 0 and not p else "p" if p and s == 0 else "mixed"
+                for s, p in zip(sup_x0, has_p)]
+    # The p members' fading-memory sups, in one call.
+    forced = [i for i, ch in enumerate(channels) if ch == "p"]
+    fading = dict(zip(forced, fading_memory_sup(np.reshape(
+        [p_norms[i] for i in forced], (len(forced), len(ts))), sigma, h)))
     M_fit = 1.0
     N_fit = 0.0
     per_member = []
-    for i, prob in enumerate(problems):
+    for i, ch in enumerate(channels):
         xn = np.linalg.norm(xs[:, i], axis=1)
-        hist_ts = np.linspace(-(prob.r + prob.eps), 0.0, 201)
-        sup_x0 = np.max(np.linalg.norm(_sample(prob.x0, hist_ts), axis=1))
-        p_norms = np.linalg.norm(ps[:, i], axis=1)
-        has_p = np.max(p_norms) > 0
-        if sup_x0 > 0 and not has_p:
-            ratio = _max_ratio(xn, np.exp(-sigma * ts) * sup_x0)
+        if ch == "x0":
+            ratio = _max_ratio(xn, np.exp(-sigma * ts) * sup_x0[i])
             M_fit = max(M_fit, ratio)
-            per_member.append({"channel": "x0", "ratio": ratio})
-        elif has_p and sup_x0 == 0:
-            fad = fading_memory_sup(p_norms, sigma, h)
-            ratio = _max_ratio(xn, fad)
+        elif ch == "p":
+            ratio = _max_ratio(xn, fading[i])
             N_fit = max(N_fit, ratio)
-            per_member.append({"channel": "p", "ratio": ratio})
         else:
             # Mixed members only sanity-check finiteness.
-            per_member.append({"channel": "mixed",
-                               "ratio": float(np.max(xn))})
+            ratio = float(np.max(xn))
+        per_member.append({"channel": ch, "ratio": ratio})
     finite = all(np.isfinite(m["ratio"]) for m in per_member)
     return {
         "M": M_fit,

@@ -248,6 +248,8 @@ class Scenario:
         if len(self.X0_coeffs) > self.N_modes:
             raise ScenarioError(f"X0_coeffs has {len(self.X0_coeffs)} entries, "
                                 f"more than N_modes = {self.N_modes}")
+        if not np.isfinite(self.X0_coeffs).all():
+            raise ScenarioError("initial X0_coeffs has a non-finite entry")
         m = self.descriptor.num_inputs
         for section, sig in (("disturbance_d1", self.d1),
                              ("disturbance_d2", self.d2)):
@@ -467,6 +469,8 @@ def artstein_transform(trajectory: Trajectory, *, taps=None) -> np.ndarray:
     t = 0, so the window clips at 0.  ``taps`` are the certificate's
     ``predictor_taps`` at the grid step, built here when not given.
     """
+    if trajectory.scenario is None:
+        raise ValueError("trajectory must carry its scenario")
     cert = trajectory.scenario.certificate
     ts = trajectory.t
     u = trajectory.u

@@ -352,6 +352,8 @@ def _first_x0(value):
     ("simulate", "certificate",
      _set("K", {"real": [[1.0]], "imag": [[False]]}), "certificate K"),
     ("simulate", "scenario", _first_x0(True), "initial X0_coeffs"),
+    ("simulate", "scenario", _first_x0(None),
+     "initial X0_coeffs has a non-finite entry (in scenario file"),
     ("simulate", "scenario", _table_delay([0, True, 2]), "delay times"),
     ("simulate", "scenario", _table_delay([0, "1", 2]), "delay times"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
@@ -367,8 +369,8 @@ def _first_x0(value):
         "descriptor-m-fraction", "explicit-N_modes-past-spectrum",
         "explicit-b-rows-short", "explicit-b-row-short-of-m",
         "explicit-empty", "certify-explicit-empty", "certificate-K-true",
-        "certificate-K-imag-false", "initial-X0-true", "delay-times-true",
-        "delay-times-string"])
+        "certificate-K-imag-false", "initial-X0-true", "initial-X0-null",
+        "delay-times-true", "delay-times-string"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     root, cert_path, scen_path = artifacts

@@ -50,6 +50,31 @@ def test_fading_memory_recursion_equals_brute_bit_for_bit(norms, kappa, dt):
     assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
+_SAMPLES = (st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf, math.nan])
+            | st.floats(0.0, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 60), st.integers(1, 5),
+       st.sampled_from([1e-3, 0.05, 0.1]))
+def test_stacked_fading_sup_equals_each_row_bit_for_bit(data, n, rows, dt):
+    # A stack of rows, each with its own kappa: every row is its own 1-D
+    # sup and the brute-force maximum, with zeros, ties, inf and NaN.
+    norms = np.array(data.draw(st.lists(
+        st.lists(_SAMPLES, min_size=n, max_size=n),
+        min_size=rows, max_size=rows)))
+    kappas = np.array(data.draw(st.lists(st.floats(0.01, 5.0),
+                                         min_size=rows, max_size=rows)))
+    got = fading_memory_sup(norms, kappas, dt)
+    assert got.shape == norms.shape
+    deeper = fading_memory_sup(norms[np.newaxis], kappas[np.newaxis], dt)
+    assert np.array_equal(deeper[0].view(np.int64), got.view(np.int64))
+    for row, kappa, s in zip(norms, kappas.tolist(), got):
+        for want in (fading_memory_sup(row, kappa, dt),
+                     fading_memory_sup_brute(row, kappa, dt)):
+            assert np.array_equal(s.view(np.int64), want.view(np.int64))
+
+
 def test_fading_memory_monotone_decay_between_events():
     norms = np.zeros(50)
     norms[0] = 3.0
@@ -61,6 +86,8 @@ def test_fading_memory_monotone_decay_between_events():
 def test_fading_memory_rejects_bad_kappa():
     with pytest.raises(ValueError):
         fading_memory_sup([1.0, 2.0], kappa=0.0, dt=0.1)
+    with pytest.raises(ValueError):
+        fading_memory_sup(np.ones((2, 3)), kappa=[1.0, 0.0], dt=0.1)
 
 
 def test_causal_lag_steps():
@@ -104,26 +131,30 @@ def test_windowed_sup_matches_the_per_sample_reference(rng):
 
 
 def test_each_fading_sup_is_built_once(monkeypatch, descriptor, fitted_cert):
-    calls = []
+    calls, rows = [], []
 
     def counted(norms, kappa, dt):
+        # One (series, rate) row per series of the stack.
         calls.append(kappa)
+        rows.extend(np.broadcast_to(kappa, np.shape(norms)[:-1]).ravel())
         return fading_memory_sup(norms, kappa, dt)
 
     monkeypatch.setattr(iss_certifier, "fading_memory_sup", counted)
     scen = cli.builtin_scenarios(descriptor, fitted_cert, dt=5e-3, T=1.0)[4]
     check_envelopes(simulate(scen))
     # |d1| and |d2| at kappa and sigma; the causal windows reuse the d2 sups.
-    assert len(calls) == 4
+    assert len(rows) == 4 and len(calls) == 1
     calls.clear()
+    rows.clear()
     trajs = simulate(cli.fitting_ensemble(descriptor, replace(fitted_cert),
                                           seed=3, n_members=6, dt=5e-3,
                                           T=1.0))
     fit_constants(trajs, replace(fitted_cert))
-    # A d1 or d2 member needs its signal's sups at kappa and sigma only.
+    # A d1 or d2 member needs its signal's sups at kappa and sigma only, and
+    # the members share one grid.
     disturbed = sum(iss_certifier._channel_of(t.scenario) != "x0"
                     for t in trajs)
-    assert len(calls) == 2 * disturbed
+    assert len(rows) == 2 * disturbed and len(calls) == 1
 
 
 def test_check_envelopes_requires_fitted_constants(descriptor, exact_cert):
@@ -184,6 +215,15 @@ def test_fit_constants_equals_reference_fit(descriptor, exact_cert):
     fit_constants(trajs, cert)
     for bank, want in reference_fit(trajs, cert).items():
         assert getattr(cert, bank) == want
+
+
+def test_fit_constants_refuses_runs_on_two_grids(descriptor, exact_cert):
+    cert = replace(exact_cert)
+    scens = cli.fitting_ensemble(descriptor, cert, seed=3, n_members=6,
+                                 dt=5e-3, T=1.0)
+    trajs = [*simulate(scens[:-1]), simulate(replace(scens[-1], T_final=1.5))]
+    with pytest.raises(CertifierError, match="one time grid"):
+        fit_constants(trajs, cert)
 
 
 def test_envelope_table_matches_certificate_provenance(exact_cert):

@@ -518,6 +518,18 @@ def test_artstein_residual_matches_pointwise_reference(descriptor, exact_cert):
         assert np.max(np.abs(res - ref)) <= 1e-8 * np.max(ref)
 
 
+def test_artstein_needs_the_scenario(tmp_path, descriptor, exact_cert):
+    # A trajectory read back from its CSV carries no scenario to take the
+    # certificate from.
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=5e-3, T=1.0)[0]
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(simulate(scen), path)
+    back = trajectory_from_csv(path)
+    for transform in (artstein_transform, artstein_residual):
+        with pytest.raises(ValueError, match="must carry its scenario"):
+            transform(back)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 
