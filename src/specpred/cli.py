@@ -25,6 +25,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from multiprocessing import Pool
 
 import numpy as np
@@ -318,40 +319,34 @@ SWEEP_COLUMNS = ("index", "param", "value", "certified", "delta_max",
     + tuple(f"ratio_{name}" for name in iss_certifier.ENVELOPES) + ("pass",)
 
 
-def apply_sweep_param(scen_dict: dict, param: str, value: float) -> dict:
-    """Return a scenario dict with one swept parameter overridden."""
-    d = json.loads(json.dumps(scen_dict))   # deep copy
+def apply_sweep_param(scen: Scenario, param: str, value: float) -> Scenario:
+    """``scen`` with ``param`` set to ``value``, as one checked ``replace``.
+    A zero signal swept off 0 becomes a sinusoid (omega 2.0 for the delay,
+    1.5 for a disturbance, where its omega is 0); a delay point stays
+    certified only if the certificate admits ``value``."""
     if param == "delay_amplitude":
-        delay = d["delay"]
-        delay["kind"] = "sinusoid" if value != 0.0 else "constant"
-        delay["amplitude"] = value
-        if not delay.get("omega"):
-            delay["omega"] = 2.0
-    elif param in ("d1_amplitude", "d2_amplitude"):
-        key = "disturbance_d1" if param == "d1_amplitude" else "disturbance_d2"
-        sig = d[key]
-        if value != 0.0 and sig.get("kind", "zero") == "zero":
-            sig["kind"] = "sinusoid"
-            sig.setdefault("omega", 1.5)
-        m = len(np.atleast_1d(sig.get("amplitude", [0.0])))
-        sig["amplitude"] = [value] * m
-    elif param == "X0_scale":
-        x0 = synthesis._array_from_list(d["initial"]["X0_coeffs"])
-        d["initial"]["X0_coeffs"] = synthesis._array_to_list(value * x0)
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}; "
-                         f"choose from {SWEEP_PARAMS}")
-    return d
+        delay = replace(scen.delay, kind="sinusoid" if value else "constant",
+                        amplitude=value, omega=scen.delay.omega or 2.0,
+                        table=None)
+        return replace(scen, delay=delay, certified=scen.certified
+                       and scen.certificate.admits(value))
+    if param in ("d1_amplitude", "d2_amplitude"):
+        sig = getattr(scen, param[:2])
+        if value and sig.kind == "zero":
+            sig = replace(sig, kind="sinusoid", omega=sig.omega or 1.5)
+        return replace(scen, **{param[:2]: replace(sig, amplitude=(value,))})
+    if param == "X0_scale":
+        return replace(scen, X0_coeffs=value * scen.X0_coeffs)
+    raise ValueError(f"unknown sweep parameter {param!r}; "
+                     f"choose from {SWEEP_PARAMS}")
 
 
 def _sweep_point(args):
     """Evaluate one sweep grid point (runs in a worker process)."""
     idx, cert_dict, scen_dict, param, value, seed = args
     cert = synthesis.certificate_from_dict(cert_dict)
-    d = apply_sweep_param(scen_dict, param, value)
-    if param == "delay_amplitude" and not cert.admits(value):
-        d["integration"]["certified"] = False
-    scen = sim_engine.scenario_from_dict(d, cert)
+    scen = apply_sweep_param(sim_engine.scenario_from_dict(scen_dict, cert),
+                             param, value)
     traj = sim_engine.simulate(scen)
     report = iss_certifier.check_envelopes(traj)
     # Disturbed runs and X0 = 0 have no decay rate to fit.

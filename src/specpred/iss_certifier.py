@@ -149,7 +149,7 @@ def _shapes(runs, cert: Certificate) -> list:
     ``(trajectory, names)`` of ``runs``, whose trajectories share one grid.
     Only the shapes asked for are built, and the fading-memory sup of each
     (run, signal, rate) once: all of them in one ``fading_memory_sup``
-    call."""
+    call.  A signal of kind ``zero`` gets no row; its sups are exactly 0.0."""
     ts = runs[0][0].t
     dt = ts[1] - ts[0]
     rates = {"k": cert.kappa, "s": cert.sigma}
@@ -160,7 +160,8 @@ def _shapes(runs, cert: Certificate) -> list:
         sig = {"X0": traj.norm_upper[0], "Y0": np.linalg.norm(traj.Y[0])}
         # The causal windows of d2 are built from its full sups.
         pairs = {(signal[:2], rates[suffix]) for signal, suffix
-                 in (name.split("_") for name in names) if signal[0] == "d"}
+                 in (name.split("_") for name in names) if signal[0] == "d"
+                 and getattr(traj.scenario, signal[:2]).kind != "zero"}
         if pairs:
             sig["d1"], sig["d2"] = _signal_norms(traj.scenario, ts)
             rows.update(((i, signal, rate), sig[signal])
@@ -168,7 +169,8 @@ def _shapes(runs, cert: Certificate) -> list:
         signals.append(sig)
     sups = dict(zip(rows, fading_memory_sup(
         np.reshape(list(rows.values()), (len(rows), len(ts))),
-        [rate for _, _, rate in rows], dt)))
+        [rate for _, _, rate in rows], dt))) if rows else {}
+    zeros = np.zeros(len(ts))
     out = []
     for i, (sig, (_, names)) in enumerate(zip(signals, runs)):
         shapes = {}
@@ -178,10 +180,10 @@ def _shapes(runs, cert: Certificate) -> list:
             if signal in ("X0", "Y0"):
                 shapes[name] = decays[rate] * sig[signal]
             elif signal == "d2w":
-                shapes[name] = _causal_window(sups[i, "d2", rate], rate, dt,
-                                              lag)
+                shapes[name] = _causal_window(sups.get((i, "d2", rate), zeros),
+                                              rate, dt, lag)
             else:
-                shapes[name] = sups[i, signal, rate]
+                shapes[name] = sups.get((i, signal, rate), zeros)
         out.append(shapes)
     return out
 

@@ -27,7 +27,8 @@ def exp_moments(lam, h):
     """Return (m0, m1) with m0 = int_0^h e^{-lam t} dt, m1 = int_0^h t e^{-lam t} dt.
 
     ``lam`` may be a scalar or array (real or complex); ``h`` a scalar or an
-    array broadcastable against ``lam``.
+    array broadcastable against ``lam``.  The closed form takes 1 - e^{-x} as
+    -expm1(-x), free of cancellation for real and complex x alike.
     """
     lam = np.asarray(lam)
     h = np.asarray(h)
@@ -36,12 +37,7 @@ def exp_moments(lam, h):
     # Guard the divisions; the masked entries are overwritten below.
     lam_safe = np.where(small, 1.0, lam)
     em = np.exp(-lam_safe * h)
-    if np.iscomplexobj(lam):
-        one_minus_em = 1.0 - em
-    else:
-        # expm1 avoids the 1 - e^{-x} cancellation entirely for real rates.
-        one_minus_em = -np.expm1(-lam_safe * h)
-    m0 = one_minus_em / lam_safe
+    m0 = -np.expm1(-lam_safe * h) / lam_safe
     # Integration by parts: m1 = (m0 - h e^{-lam h}) / lam.
     m1 = (m0 - h * em) / lam_safe
     # Taylor in x = lam*h around 0, terms through x^4.

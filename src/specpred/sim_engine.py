@@ -149,6 +149,10 @@ class DisturbanceSignal:
     ramp: float = 1.0      # smoothed_step rise time (smoothstep kernel)
     rate: float = 1.0      # exp_decay rate
 
+    def __post_init__(self):
+        if self.kind not in ("zero", "sinusoid", "smoothed_step", "exp_decay"):
+            raise ScenarioError(f"unknown disturbance kind {self.kind!r}")
+
     def _amp(self):
         a = np.asarray(self.amplitude, dtype=float)
         if a.size == 1:
@@ -164,10 +168,8 @@ class DisturbanceSignal:
             base = np.sin(self.omega * t + self.phase)
         elif self.kind == "smoothed_step":
             base = smoothstep(np.clip((t - self.t_on) / self.ramp, 0.0, 1.0))
-        elif self.kind == "exp_decay":
-            base = np.exp(-self.rate * np.maximum(t, 0.0))
         else:
-            raise ScenarioError(f"unknown disturbance kind {self.kind!r}")
+            base = np.exp(-self.rate * np.maximum(t, 0.0))
         return np.asarray(base)[..., np.newaxis] * a
 
 
@@ -179,25 +181,28 @@ def _check_finite(sig, section: str, names) -> None:
             raise ScenarioError(f"{section} {name} must be finite, got {value}")
 
 
-def _given_floats(spec: dict, section: str, names) -> dict:
-    """The ``names`` fields given in the ``section`` mapping ``spec``, as floats."""
+def _given_floats(spec: dict, section: str, names, others=()) -> dict:
+    """The ``names`` fields given in the ``section`` mapping ``spec``, as
+    floats; a key outside ``names`` and ``others`` raises a ScenarioError."""
+    for key in spec:
+        if key not in (*names, *others):
+            raise ScenarioError(f"unknown {section} key {key!r}; expected "
+                                f"one of {', '.join((*others, *names))}")
     return {k: read_as(float, spec[k], f"{section} {k}", ScenarioError)
             for k in names if k in spec}
 
 
-def make_delay(spec: dict, T_final: float = 100.0) -> DelaySignal:
-    """Build a delay signal from its config mapping; it must stay positive
-    on the horizon [0, T_final]."""
+def make_delay(spec: dict) -> DelaySignal:
+    """Build a delay signal from its config mapping.  ``Scenario`` refuses a
+    delay that reaches zero: its ``dt`` must lie below the minimum delay."""
     kind = spec.get("kind", "constant")
-    sig = DelaySignal(
+    return DelaySignal(
         kind=kind, D0=read_as(float, spec["D0"], "delay D0", ScenarioError),
         table=tuple(tuple(read_as(float, x, f"delay {key}", ScenarioError)
                           for x in spec[key]) for key in ("times", "values"))
         if kind == "table" else None,
-        **_given_floats(spec, "delay", ("amplitude", "omega", "phase")))
-    if np.any(np.asarray(sig(np.linspace(0.0, T_final, 1001))) <= 0):
-        raise ScenarioError("delay signal must stay positive")
-    return sig
+        **_given_floats(spec, "delay", ("amplitude", "omega", "phase"),
+                        ("kind", "D0", "times", "values")))
 
 
 def make_disturbance(spec: dict, m: int = 1,
@@ -208,7 +213,8 @@ def make_disturbance(spec: dict, m: int = 1,
         kind=spec.get("kind", "zero"), m=m,
         amplitude=tuple(read_as(float, a, f"{section} amplitude", ScenarioError)
                         for a in (amp if np.ndim(amp) else [amp])),
-        **_given_floats(spec, section, ("omega", "phase", "t_on", "ramp", "rate")))
+        **_given_floats(spec, section, ("omega", "phase", "t_on", "ramp", "rate"),
+                        ("kind", "amplitude")))
 
 
 # ---------------------------------------------------------------------------
@@ -890,19 +896,17 @@ def scenario_to_dict(scen: Scenario) -> dict:
 def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
     desc = descriptor_from_dict(d["system"])
     integ = d["integration"]
-    # T_final bounds the delay's positivity check, so it is checked first.
-    T_final = _check_step("T_final", read_as(
-        float, integ["T_final"], "integration T_final", ScenarioError))
+    _given_floats(d["initial"], "initial", (), ("X0_coeffs",))
     return Scenario(
         descriptor=desc,
         certificate=certificate,
-        delay=make_delay(d["delay"], T_final),
+        delay=make_delay(d["delay"]),
         d1=make_disturbance(d["disturbance_d1"], desc.num_inputs, "disturbance_d1"),
         d2=make_disturbance(d["disturbance_d2"], desc.num_inputs, "disturbance_d2"),
         X0_coeffs=read_as(_array_from_list, d["initial"]["X0_coeffs"],
                           "initial X0_coeffs", ScenarioError),
-        dt=read_as(float, integ["dt"], "integration dt", ScenarioError),
-        T_final=T_final,
+        **_given_floats(integ, "integration", ("dt", "T_final"),
+                        ("N_modes", "certified")),
         N_modes=read_as(int, integ["N_modes"], "N_modes", ScenarioError),
         certified=read_as(bool, integ.get("certified", True), "certified",
                           ScenarioError),

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,21 +90,48 @@ def test_main_maps_package_errors_to_status_2(monkeypatch, capsys):
 
 def test_apply_sweep_param(descriptor, exact_cert):
     scen = cli.builtin_scenarios(descriptor, exact_cert, dt=5e-3, T=1.0)[0]
-    d = sim_engine.scenario_to_dict(scen)
-    d2 = cli.apply_sweep_param(d, "delay_amplitude", 0.003)
-    assert d2["delay"]["kind"] == "sinusoid"
-    assert d2["delay"]["amplitude"] == 0.003
-    assert d["delay"]["amplitude"] == 0.0  # original untouched
-    d3 = cli.apply_sweep_param(d, "d1_amplitude", 0.5)
-    assert d3["disturbance_d1"]["amplitude"] == [0.5]
-    d4 = cli.apply_sweep_param(d, "X0_scale", 2.0)
-    assert d4["initial"]["X0_coeffs"][0] == pytest.approx(2.0 * d["initial"]["X0_coeffs"][0])
+    dm = exact_cert.delta_max
+    s2 = cli.apply_sweep_param(scen, "delay_amplitude", 0.5 * dm)
+    assert (s2.delay.kind, s2.delay.amplitude, s2.delay.omega) == \
+        ("sinusoid", 0.5 * dm, 2.0)
+    assert s2.certified
+    assert scen.delay.amplitude == 0.0  # original untouched
+    # Past delta_max the point is marked uncertified, not refused.
+    assert not cli.apply_sweep_param(scen, "delay_amplitude", 2 * dm).certified
+    s3 = cli.apply_sweep_param(scen, "d1_amplitude", 0.5)
+    assert (s3.d1.kind, s3.d1.omega) == ("sinusoid", 1.5)
+    assert np.array_equal(s3.d1._amp(), [0.5] * descriptor.num_inputs)
+    assert scen.d1.kind == "zero" and s3.d2 is scen.d2
+    s4 = cli.apply_sweep_param(scen, "X0_scale", 2.0)
+    assert np.array_equal(s4.X0_coeffs, 2.0 * scen.X0_coeffs)
     # A complex initial state keeps its imaginary part through the sweep.
-    d["initial"]["X0_coeffs"] = {"real": [1.0, 0.5], "imag": [1.0, -2.0]}
-    d5 = cli.apply_sweep_param(d, "X0_scale", 2.0)
-    assert d5["initial"]["X0_coeffs"] == {"real": [2.0, 1.0], "imag": [2.0, -4.0]}
+    s5 = cli.apply_sweep_param(replace(scen, X0_coeffs=np.array([1 + 1j, 0.5 - 2j])),
+                               "X0_scale", 2.0)
+    assert np.array_equal(s5.X0_coeffs, [2 + 2j, 1 - 4j])
     with pytest.raises(ValueError):
-        cli.apply_sweep_param(d, "nonsense", 1.0)
+        cli.apply_sweep_param(scen, "nonsense", 1.0)
+
+
+@pytest.mark.parametrize("param", ["d1_amplitude", "d2_amplitude"])
+def test_sweeping_a_zero_disturbance_runs_a_sinusoid(tmp_path, descriptor,
+                                                     fitted_cert, param):
+    # The written scenario gives its zero disturbances omega 0.
+    scen = cli.builtin_scenarios(descriptor, fitted_cert, dt=5e-3, T=2.0)[0]
+    cert_path, scen_path = tmp_path / "cert.json", tmp_path / "scen.json"
+    synthesis.save_certificate(fitted_cert, cert_path)
+    sim_engine.save_scenario(scen, scen_path)
+    out = tmp_path / "sweep.csv"
+    cli.main(["sweep", "--certificate", str(cert_path), "--scenario",
+              str(scen_path), "--out", str(out), "--sweep", f"{param}=0:1:2"])
+    ratios = [_sweep_column(out, f"ratio_{name}")
+              for name in iss_certifier.ENVELOPES]
+    assert all(col[0] != col[1] for col in ratios)
+    sig = sim_engine.DisturbanceSignal(kind="sinusoid", m=descriptor.num_inputs,
+                                       amplitude=(1.0,), omega=1.5)
+    report = iss_certifier.check_envelopes(
+        sim_engine.simulate(replace(scen, **{param[:2]: sig})))
+    assert [col[1] for col in ratios] == \
+        [repr(c["worst_ratio"]) for c in report.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +170,7 @@ def test_cmd_simulate_zero_everything(tmp_path, descriptor, fitted_cert, capsys)
     scen = cli.builtin_scenarios(descriptor, fitted_cert, dt=5e-3, T=1.0)[0]
     d = sim_engine.scenario_to_dict(scen)
     d["initial"]["X0_coeffs"] = [0.0] * len(d["initial"]["X0_coeffs"])
+    d["lemma2"] = {"a": -2.0}   # top-level keys other commands read are free
     scen_path = tmp_path / "zero.json"
     scen_path.write_text(json.dumps(d))
     out_path = tmp_path / "zero.csv"
@@ -356,6 +385,22 @@ def _first_x0(value):
      "initial X0_coeffs has a non-finite entry (in scenario file"),
     ("simulate", "scenario", _table_delay([0, True, 2]), "delay times"),
     ("simulate", "scenario", _table_delay([0, "1", 2]), "delay times"),
+    ("simulate", "scenario", _set("delay", "amplitud", 1e-3),
+     "unknown delay key 'amplitud'"),
+    ("simulate", "scenario", _set("disturbance_d1", "omgea", 1.0),
+     "unknown disturbance_d1 key 'omgea'"),
+    ("simulate", "scenario", _set("disturbance_d2", "omgea", 1.0),
+     "unknown disturbance_d2 key 'omgea'"),
+    ("simulate", "scenario", _set("initial", "X0", [1.0]),
+     "unknown initial key 'X0'"),
+    ("simulate", "scenario", _set("integration", "T_fnal", 1.0),
+     "unknown integration key 'T_fnal'"),
+    ("simulate", "scenario", _set("disturbance_d1", "kind", "sine"),
+     "unknown disturbance kind 'sine'"),
+    ("check", "scenario", _set("disturbance_d1", "kind", "sine"),
+     "unknown disturbance kind 'sine'"),
+    ("sweep", "scenario", _set("disturbance_d2", "kind", "sine"),
+     "unknown disturbance kind 'sine'"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -370,7 +415,10 @@ def _first_x0(value):
         "explicit-b-rows-short", "explicit-b-row-short-of-m",
         "explicit-empty", "certify-explicit-empty", "certificate-K-true",
         "certificate-K-imag-false", "initial-X0-true", "initial-X0-null",
-        "delay-times-true", "delay-times-string"])
+        "delay-times-true", "delay-times-string", "delay-unknown-key",
+        "d1-unknown-key", "d2-unknown-key", "initial-unknown-key",
+        "integration-unknown-key", "simulate-d1-bad-kind", "check-d1-bad-kind",
+        "sweep-d2-bad-kind"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     root, cert_path, scen_path = artifacts

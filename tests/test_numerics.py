@@ -30,9 +30,10 @@ def test_exp_moments_against_quadrature(lam, h):
 
 
 def test_exp_moments_series_branch_continuity():
-    # The closed form and the Taylor branch must agree around the threshold.
+    # The closed form and the Taylor branch must agree around the threshold,
+    # for complex rates too (expm1 in place of 1 - e^{-x}).
     h = 1.0
-    for lam in (2e-3, 5e-4, -2e-3, -5e-4):
+    for lam in (2e-3, 5e-4, -2e-3, -5e-4, 1.5e-3 + 1e-3j, -1e-3 + 5e-4j):
         m0, m1 = exp_moments(lam, h)
         assert m0 == pytest.approx(quad_moment(lam, h, 0), rel=1e-11)
         assert m1 == pytest.approx(quad_moment(lam, h, 1), rel=1e-11)

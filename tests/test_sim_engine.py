@@ -85,9 +85,15 @@ def test_table_delay_builds_one_interpolator(monkeypatch):
     assert len(built) == 1
 
 
-def test_make_delay_rejects_nonpositive():
-    with pytest.raises(ScenarioError):
-        make_delay({"kind": "sinusoid", "D0": 0.1, "amplitude": 0.2, "omega": 1.0})
+def test_scenario_refuses_a_delay_that_reaches_zero(descriptor, exact_cert):
+    # Uncertified, so the certified band does not refuse them first.
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=5e-3, T=1.0)[0]
+    for delay in (make_delay({"kind": "sinusoid", "D0": 0.1, "amplitude": 0.2,
+                              "omega": 1.0}),
+                  DelaySignal(kind="table", D0=0.1,
+                              table=((0.0, 1.0), (0.1, 0.0)))):
+        with pytest.raises(ScenarioError, match="minimum delay"):
+            replace(scen, delay=delay, certified=False)
 
 
 def test_disturbance_kinds():
@@ -103,6 +109,8 @@ def test_disturbance_kinds():
     assert step(0.5)[0] == 0.0
     assert step(2.0)[0] == pytest.approx(2.0)
     assert 0.0 < step(1.25)[0] < 2.0
+    with pytest.raises(ScenarioError, match="unknown disturbance kind 'sine'"):
+        DisturbanceSignal(kind="sine")
 
 
 # ---------------------------------------------------------------------------
