@@ -7,7 +7,7 @@ Subcommands:
 * ``simulate``       run a scenario and write the trajectory CSV;
 * ``check``          evaluate the ISS envelopes on a stored trajectory;
 * ``sweep``          grid a scenario parameter and emit one summary row per
-                     point (parallel, deterministic for a fixed seed);
+                     point (parallel; the same for any --jobs and --seed);
 * ``validate-lemma2`` ensemble evidence for the delay-difference decay lemma.
 
 The exit status is 0 exactly when every requested check passes (``certify``
@@ -31,7 +31,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import iss_certifier, sim_engine, spectral_model, synthesis
-from .errors import SpecpredError, load_json, read_as
+from .errors import SpecpredError, load_json, read_section
 from .iss_certifier import CertifierError, Lemma2Problem
 from .sim_engine import DelaySignal, DisturbanceSignal, Scenario, ScenarioError
 from .spectral_model import SpectrumError, SystemDescriptor
@@ -41,6 +41,7 @@ log = logging.getLogger("specpred")
 
 DEFAULT_SCAN_DEPTH = 200
 DEFAULT_DESIGN = {"D0": 0.5, "t0": 1.0, "target_pole": -2.0}
+DESIGN_KINDS = {**dict.fromkeys(DEFAULT_DESIGN, float), "target_poles": tuple}
 VACUOUS_DELTA = 1e-9     # certify refuses delta_max below this fraction of D0
 FIT_MEMBERS, FIT_DT, FIT_T = 20, 2e-3, 8.0   # certify's fitting ensemble
 
@@ -215,7 +216,8 @@ def build_parser():
     p.add_argument("--scenario", help="scenario JSON")
     p.add_argument("--out", help="output path (CSV or JSON per subcommand); "
                                  "check reads its trajectory CSV from it")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds certify's fitting "
+                   "ensemble and validate-lemma2's suite; nothing else is random")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--sweep", help="sweep axis param=lo:hi:n")
     return p
@@ -243,35 +245,17 @@ def config_from_args(argv) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 
-def _section(d, name, keys, lists=()):
-    """The optional ``name`` mapping of a loaded file: ``keys`` to numbers
-    and ``lists`` to lists of numbers.  Anything else raises TypeError, which
-    ``load_json`` reports naming the file."""
-    section = d.get(name, {})
-    if not isinstance(section, dict):
-        raise TypeError(f"the {name} section must be a mapping, "
-                        f"got {section!r}")
-    for key, value in section.items():
-        if key not in (*keys, *lists):
-            raise TypeError(f"unknown {name} key {key!r}; expected one of "
-                            f"{', '.join((*keys, *lists))}")
-        if key in lists and not isinstance(value, list):
-            raise TypeError(f"{name} key {key!r} must be a list, got {value!r}")
-        for v in value if key in lists else [value]:
-            read_as(float, v, f"{name} key {key!r}")
-    return section
-
-
 def _load_plant(path):
     """(descriptor, design) from a descriptor file and its optional
     ``design`` section; with no file, the built-in c=15 plant."""
     if path is None:
         log.info("no descriptor given; using the built-in c=15 plant")
         return default_descriptor(), {}
-    return load_json(path, "descriptor",
-                     lambda d: (spectral_model.descriptor_from_dict(d),
-                                _section(d, "design", DEFAULT_DESIGN,
-                                         ("target_poles",))), SpectrumError)
+    return load_json(path, "descriptor", lambda d: (
+        spectral_model.descriptor_from_dict(
+            {key: v for key, v in d.items() if key != "design"}),
+        read_section(d.get("design", {}), "design", DESIGN_KINDS,
+                     SpectrumError)), SpectrumError)
 
 
 def cmd_certify(config) -> int:
@@ -327,7 +311,7 @@ def apply_sweep_param(scen: Scenario, param: str, value: float) -> Scenario:
     if param == "delay_amplitude":
         delay = replace(scen.delay, kind="sinusoid" if value else "constant",
                         amplitude=value, omega=scen.delay.omega or 2.0,
-                        table=None)
+                        times=(), values=())
         return replace(scen, delay=delay, certified=scen.certified
                        and scen.certificate.admits(value))
     if param in ("d1_amplitude", "d2_amplitude"):
@@ -446,7 +430,8 @@ def cmd_validate_lemma2(config) -> int:
     # The scenario file's optional lemma2 mapping overrides LEMMA2_DEFAULTS.
     p = {**LEMMA2_DEFAULTS, **({} if config.scenario is None else load_json(
         config.scenario, "scenario",
-        lambda d: _section(d, "lemma2", LEMMA2_DEFAULTS), CertifierError))}
+        lambda d: read_section(d.get("lemma2", {}), "lemma2", dict.fromkeys(
+            LEMMA2_DEFAULTS, float), CertifierError), CertifierError))}
     for key, ok in (("a", p["a"] < 0), ("c_norm", p["c_norm"] >= 0),
                     ("eps", 0 <= p["eps"] < p["r"]),
                     *((key, math.isfinite(v)) for key, v in p.items())):

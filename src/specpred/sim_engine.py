@@ -47,7 +47,7 @@ import io
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,7 @@ from .controller import (
     predictor_taps,
     transition,
 )
-from .errors import SpecpredError, load_json, read_as
+from .errors import KINDS, SpecpredError, load_json, read_section
 from .numerics import (affine_scan, catmull_rom, cubic_stencil, exp_moments,
                        simpson_weights, smoothstep)
 from .spectral_model import (SystemDescriptor, descriptor_from_dict,
@@ -89,25 +89,27 @@ class ScenarioError(SpecpredError, ValueError):
 
 @dataclass(frozen=True)
 class DelaySignal:
-    """Time-varying input delay D(t) within [D0 - amplitude, D0 + amplitude]."""
+    """Time-varying input delay D(t) within [D0 - amplitude, D0 + amplitude];
+    the fields are the keys of a scenario's ``delay`` section."""
 
     kind: str              # constant | sinusoid | table
     D0: float
     amplitude: float = 0.0
     omega: float = 0.0
     phase: float = 0.0
-    table: Optional[tuple] = None   # (times, values) knots, PCHIP interpolated
+    times: tuple = ()      # a table's knots (times, values), PCHIP interpolated;
+    values: tuple = ()     # the other kinds ignore them
 
     def __post_init__(self):
         if self.kind not in ("constant", "sinusoid", "table"):
             raise ScenarioError(f"unknown delay kind {self.kind!r}")
-        _check_finite(self, "delay", ("D0", "amplitude", "omega", "phase"))
+        _check_finite(self, "delay",
+                      ("D0", "amplitude", "omega", "phase", "times", "values"))
         if self.kind == "table" and not (
-                len(self.table[0]) == len(self.table[1]) >= 2
-                and np.isfinite(self.table).all()
-                and (np.diff(self.table[0]) > 0).all()):
-            raise ScenarioError("delay times and values must be finite, of "
-                                "one length of at least 2, and times increasing")
+                len(self.times) == len(self.values) >= 2
+                and (np.diff(self.times) > 0).all()):
+            raise ScenarioError("delay times and values must be of one length "
+                                "of at least 2, and times increasing")
 
     def __call__(self, t):
         """D(t); a table holds its end values outside the knot span, and PCHIP
@@ -117,19 +119,19 @@ class DelaySignal:
             return np.broadcast_to(self.D0, t.shape).copy() if t.ndim else self.D0
         if self.kind == "sinusoid":
             return self.D0 + self.amplitude * np.sin(self.omega * t + self.phase)
-        return self._pchip(np.clip(t, self.table[0][0], self.table[0][-1]))
+        return self._pchip(np.clip(t, self.times[0], self.times[-1]))
 
     @functools.cached_property
     def _pchip(self):         # the table's interpolator, built once
         from scipy.interpolate import PchipInterpolator
-        return PchipInterpolator(*map(np.asarray, self.table))
+        return PchipInterpolator(self.times, self.values)
 
     def max_amplitude(self) -> float:
         if self.kind == "constant":
             return 0.0
         if self.kind == "sinusoid":
             return abs(self.amplitude)
-        return float(np.max(np.abs(np.asarray(self.table[1]) - self.D0)))
+        return float(np.max(np.abs(np.asarray(self.values) - self.D0)))
 
 
 @dataclass(frozen=True)
@@ -181,40 +183,24 @@ def _check_finite(sig, section: str, names) -> None:
             raise ScenarioError(f"{section} {name} must be finite, got {value}")
 
 
-def _given_floats(spec: dict, section: str, names, others=()) -> dict:
-    """The ``names`` fields given in the ``section`` mapping ``spec``, as
-    floats; a key outside ``names`` and ``others`` raises a ScenarioError."""
-    for key in spec:
-        if key not in (*names, *others):
-            raise ScenarioError(f"unknown {section} key {key!r}; expected "
-                                f"one of {', '.join((*others, *names))}")
-    return {k: read_as(float, spec[k], f"{section} {k}", ScenarioError)
-            for k in names if k in spec}
+# A signal section's keys: its class's fields, each of the kind its type names.
+_SIGNAL_KINDS = {cls: {f.name: KINDS[f.type] for f in fields(cls) if f.name != "m"}
+                 for cls in (DelaySignal, DisturbanceSignal)}
 
 
 def make_delay(spec: dict) -> DelaySignal:
-    """Build a delay signal from its config mapping.  ``Scenario`` refuses a
-    delay that reaches zero: its ``dt`` must lie below the minimum delay."""
-    kind = spec.get("kind", "constant")
-    return DelaySignal(
-        kind=kind, D0=read_as(float, spec["D0"], "delay D0", ScenarioError),
-        table=tuple(tuple(read_as(float, x, f"delay {key}", ScenarioError)
-                          for x in spec[key]) for key in ("times", "values"))
-        if kind == "table" else None,
-        **_given_floats(spec, "delay", ("amplitude", "omega", "phase"),
-                        ("kind", "D0", "times", "values")))
+    """The delay of a scenario's ``delay`` section (``errors.read_section``; an
+    absent kind reads as constant); ``Scenario`` refuses one that reaches 0."""
+    return DelaySignal(**{"kind": "constant", **read_section(
+        spec, "delay", _SIGNAL_KINDS[DelaySignal], ScenarioError)})
 
 
 def make_disturbance(spec: dict, m: int = 1,
                      section: str = "disturbance") -> DisturbanceSignal:
-    """Build a disturbance signal from the ``section`` mapping of a scenario."""
-    amp = spec.get("amplitude", 0.0)
-    return DisturbanceSignal(
-        kind=spec.get("kind", "zero"), m=m,
-        amplitude=tuple(read_as(float, a, f"{section} amplitude", ScenarioError)
-                        for a in (amp if np.ndim(amp) else [amp])),
-        **_given_floats(spec, section, ("omega", "phase", "t_on", "ramp", "rate"),
-                        ("kind", "amplitude")))
+    """The disturbance of a scenario's ``section`` (``errors.read_section``;
+    an absent kind reads as zero, and ``m`` is the plant's input count)."""
+    return DisturbanceSignal(**{"kind": "zero", **read_section(
+        spec, section, _SIGNAL_KINDS[DisturbanceSignal], ScenarioError)}, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +237,8 @@ class Scenario:
                                 f"{len(explicit)} of the explicit spectrum")
         _check_step("dt", self.dt)
         _check_step("T_final", self.T_final)
+        if round(self.T_final / self.dt) < 1:
+            raise ScenarioError(f"T_final = {self.T_final:g} is under half a step")
         if len(self.X0_coeffs) > self.N_modes:
             raise ScenarioError(f"X0_coeffs has {len(self.X0_coeffs)} entries, "
                                 f"more than N_modes = {self.N_modes}")
@@ -868,25 +856,16 @@ def trajectory_from_csv(path) -> Trajectory:
 # Scenario config files
 
 def scenario_to_dict(scen: Scenario) -> dict:
-    def sig_dict(s):
-        d = {"kind": s.kind}
-        if isinstance(s, DelaySignal):
-            d.update({"D0": s.D0, "amplitude": s.amplitude,
-                      "omega": s.omega, "phase": s.phase})
-            if s.table is not None:
-                d.update({"times": list(s.table[0]), "values": list(s.table[1])})
-        else:
-            d.update({"amplitude": list(s._amp()), "omega": s.omega,
-                      "phase": s.phase, "t_on": s.t_on, "ramp": s.ramp,
-                      "rate": s.rate})
-        return d
+    def signal(sig):     # a tuple field as a list, as JSON reads it back
+        return {key: list(v) if isinstance(v := getattr(sig, key), tuple)
+                else v for key in _SIGNAL_KINDS[type(sig)]}
 
     return {
         "system": descriptor_to_dict(scen.descriptor),
         "certificate": None,   # stored separately, in the --certificate file
-        "delay": sig_dict(scen.delay),
-        "disturbance_d1": sig_dict(scen.d1),
-        "disturbance_d2": sig_dict(scen.d2),
+        "delay": signal(scen.delay),
+        "disturbance_d1": signal(scen.d1),
+        "disturbance_d2": signal(scen.d2),
         "initial": {"X0_coeffs": _array_to_list(scen.X0_coeffs)},
         "integration": {"dt": scen.dt, "T_final": scen.T_final,
                         "N_modes": scen.N_modes, "certified": scen.certified},
@@ -895,21 +874,17 @@ def scenario_to_dict(scen: Scenario) -> dict:
 
 def scenario_from_dict(d: dict, certificate: Certificate) -> Scenario:
     desc = descriptor_from_dict(d["system"])
-    integ = d["integration"]
-    _given_floats(d["initial"], "initial", (), ("X0_coeffs",))
     return Scenario(
         descriptor=desc,
         certificate=certificate,
         delay=make_delay(d["delay"]),
         d1=make_disturbance(d["disturbance_d1"], desc.num_inputs, "disturbance_d1"),
         d2=make_disturbance(d["disturbance_d2"], desc.num_inputs, "disturbance_d2"),
-        X0_coeffs=read_as(_array_from_list, d["initial"]["X0_coeffs"],
-                          "initial X0_coeffs", ScenarioError),
-        **_given_floats(integ, "integration", ("dt", "T_final"),
-                        ("N_modes", "certified")),
-        N_modes=read_as(int, integ["N_modes"], "N_modes", ScenarioError),
-        certified=read_as(bool, integ.get("certified", True), "certified",
-                          ScenarioError),
+        **read_section(d["initial"], "initial", {"X0_coeffs": _array_from_list},
+                       ScenarioError),
+        **read_section(d["integration"], "integration", {
+            "dt": float, "T_final": float, "N_modes": int, "certified": bool},
+            ScenarioError),
     )
 
 

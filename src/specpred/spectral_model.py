@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SpecpredError, load_json, read_as
+from .errors import SpecpredError, load_json, read_as, read_section
 from .numerics import simpson_integrate
 
 class SpectrumError(SpecpredError, ValueError):
@@ -233,28 +233,35 @@ def descriptor_to_dict(descriptor: SystemDescriptor) -> dict:
     }
 
 
+def _entry(v):      # explicit data: a number, or a complex one as its string
+    return complex(v) if isinstance(v, str) else read_as(float, v, "entry")
+
+
+_DESCRIPTOR_KINDS = {"kind": str, "c": float, "m": int, "riesz_lower": float,
+                     "riesz_upper": float,
+                     "explicit_eigenvalues": lambda v: [_entry(x) for x in v],
+                     "explicit_b": lambda v: [[_entry(x) for x in r] for r in v]}
+
+
 def descriptor_from_dict(d: dict) -> SystemDescriptor:
-    kind = d.get("kind")
-
-    def read(key, v, as_type=float):
-        return read_as(as_type, v, f"descriptor {key}", SpectrumError)
-
+    """The plant of a descriptor file or a scenario's ``system`` section, read
+    by ``errors.read_section`` with the keys of both kinds.  A null reads as
+    absent: ``descriptor_to_dict`` writes the other kind's keys as null."""
+    if isinstance(d, dict):
+        d = {key: v for key, v in d.items() if v is not None}
+    p = read_section(d, "descriptor", _DESCRIPTOR_KINDS, SpectrumError)
+    kind = p.get("kind")
     if kind == "reaction_diffusion":
-        return build_reaction_diffusion(read("c", d["c"]),
-                                        read("m", d.get("m", 1), int))
+        return build_reaction_diffusion(p["c"], p.get("m", 1))
     if kind == "explicit":
-        def num(key, v):   # a complex entry is stored as its string
-            return read(key, v, complex if isinstance(v, str) else float)
-
-        eigs = [num("explicit_eigenvalues", v) for v in d["explicit_eigenvalues"]]
-        b_rows = [[num("explicit_b", v) for v in row] for row in d["explicit_b"]]
+        eigs, b_rows = p["explicit_eigenvalues"], p["explicit_b"]
         if not eigs:
             raise SpectrumError("descriptor explicit_eigenvalues is empty")
         if len(b_rows) != len(eigs):
             raise SpectrumError(
                 f"descriptor explicit_b has {len(b_rows)} rows for "
                 f"{len(eigs)} eigenvalues; it needs one row per eigenvalue")
-        m = read("m", d.get("m", len(b_rows[0])), int)
+        m = p.get("m", len(b_rows[0]))
         if any(len(row) != m for row in b_rows):
             raise SpectrumError(f"descriptor explicit_b needs m = {m} "
                                 "entries in every row")
@@ -272,8 +279,8 @@ def descriptor_from_dict(d: dict) -> SystemDescriptor:
             eigenvalue_law=lam,
             input_coeff_law=b,
             num_inputs=m,
-            riesz_lower=read("riesz_lower", d["riesz_lower"]),
-            riesz_upper=read("riesz_upper", d["riesz_upper"]),
+            riesz_lower=p["riesz_lower"],
+            riesz_upper=p["riesz_upper"],
             field="real" if is_real else "complex",
             monotone_dominated=False,
             kind="explicit",

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import SpecpredError, is_number, load_json, read_as
+from .errors import KINDS, SpecpredError, is_number, load_json, read_section
 from .numerics import matrix_exp_norm
 from .spectral_model import SystemDescriptor, TruncatedModel, lifting_norms
 
@@ -130,8 +130,9 @@ class Certificate:
         return all(getattr(self, bank) is not None for bank in FITTED_BANKS)
 
     def admits(self, amplitude: float) -> bool:
-        """True when a delay amplitude lies in the certified band (up to rounding)."""
-        return amplitude <= self.delta_max * (1 + 1e-12)
+        """True when a delay amplitude, of either sign, lies in the certified
+        band (up to rounding)."""
+        return abs(amplitude) <= self.delta_max * (1 + 1e-12)
 
 
 def closed_loop(lambdas, B, K, D0: float) -> np.ndarray:
@@ -426,31 +427,25 @@ def _key(name: str) -> str:
     return "lambda" if name == "lam" else name
 
 
-# Field type -> reader of its file value; the other fields are read as is.
-_READERS = {"np.ndarray": _array_from_list, "int": int, "float": float,
-            "bool": bool}
-
-
 def certificate_to_dict(cert: Certificate) -> dict:
     return {_key(f.name): _array_to_list(getattr(cert, f.name))
             if f.type == "np.ndarray" else getattr(cert, f.name)
             for f in fields(Certificate)}
 
 
+# The file key of each field -> its reader, by the field's type (else as is).
+_CERTIFICATE_KINDS = {
+    _key(f.name): {**KINDS, "np.ndarray": _array_from_list}.get(
+        f.type, lambda v: v) for f in fields(Certificate)}
+
+
 def certificate_from_dict(d: dict) -> Certificate:
-    """The certificate of a file's dict; an absent key with a default takes
-    it, an absent key without one raises KeyError, a value that does not
-    convert raises SynthesisError naming its key, and unknown keys are
-    ignored."""
-    values = {}
-    for f in fields(Certificate):
-        key = _key(f.name)
-        if key not in d and (f.default is not MISSING
-                             or f.default_factory is not MISSING):
-            continue
-        values[f.name] = read_as(_READERS.get(f.type, lambda v: v), d[key],
-                                 f"certificate {key}", SynthesisError)
-    return Certificate(**values)
+    """The certificate of a file's dict, read by ``errors.read_section``; an
+    absent key takes its field's default, and one without a default raises
+    TypeError naming the field."""
+    values = read_section(d, "certificate", _CERTIFICATE_KINDS, SynthesisError)
+    return Certificate(**{f.name: values[_key(f.name)] for f in fields(Certificate)
+                          if _key(f.name) in values})
 
 
 def save_certificate(cert: Certificate, path) -> None:

@@ -203,6 +203,19 @@ def test_cmd_sweep_margin(artifacts, capsys):
     assert all(p == "True" for p in passes)
 
 
+def test_a_negative_delay_amplitude_sweep_marks_rows_past_the_band(artifacts,
+                                                                   tmp_path):
+    # The band is D0 -/+ |amplitude|, so a negative amplitude past
+    # delta_max runs uncertified, as a positive one does.
+    _, cert_path, scen_path = artifacts
+    hi = 1.5 * synthesis.load_certificate(cert_path).delta_max
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--certificate", cert_path, "--scenario",
+                     scen_path, "--out", str(out),
+                     "--sweep", f"delay_amplitude={-hi}:0:4"]) == 0
+    assert _sweep_column(out, "certified") == ["False", "True", "True", "True"]
+
+
 def test_sweep_deterministic_across_jobs(artifacts):
     root, cert_path, scen_path = artifacts
     outs = []
@@ -336,14 +349,14 @@ def _first_x0(value):
     ("certify", "descriptor", lambda d: [1, 2], ""),
     ("certify", "descriptor",
      lambda d: {"kind": "reaction_diffusion", "c": None}, ""),
-    ("validate-lemma2", "scenario", _set("lemma2", {"a": "x"}), "'a'"),
+    ("validate-lemma2", "scenario", _set("lemma2", {"a": "x"}), "lemma2 a "),
     ("validate-lemma2", "scenario", _set("lemma2", {"epsilon": 0.6}),
      "'epsilon'"),
     ("validate-lemma2", "scenario", _set("lemma2", [["a", 1.0]]),
      "malformed scenario file"),
     ("sweep", "certificate", _set("u_constants", [1, 2]), "u_constants"),
     ("certify", "descriptor", lambda d: {**PLANT, "design": {"D0": None}},
-     "'D0'"),
+     "design D0 "),
     ("certify", "descriptor", lambda d: {**PLANT, "design": 5}, "design"),
     ("certify", "descriptor", lambda d: {**PLANT, "design": {"bogus": 1}},
      "'bogus'"),
@@ -401,6 +414,12 @@ def _first_x0(value):
      "unknown disturbance kind 'sine'"),
     ("sweep", "scenario", _set("disturbance_d2", "kind", "sine"),
      "unknown disturbance kind 'sine'"),
+    ("simulate", "scenario", _set("integration", "T_final", 1e-3),
+     "T_final = 0.001 is under half a step"),
+    ("check", "scenario", _set("integration", "T_final", 1e-3),
+     "T_final = 0.001 is under half a step"),
+    ("sweep", "scenario", _set("integration", "T_final", 1e-3),
+     "T_final = 0.001 is under half a step"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -418,10 +437,47 @@ def _first_x0(value):
         "delay-times-true", "delay-times-string", "delay-unknown-key",
         "d1-unknown-key", "d2-unknown-key", "initial-unknown-key",
         "integration-unknown-key", "simulate-d1-bad-kind", "check-d1-bad-kind",
-        "sweep-d2-bad-kind"])
+        "sweep-d2-bad-kind", "simulate-sub-step-horizon",
+        "check-sub-step-horizon", "sweep-sub-step-horizon"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
-    root, cert_path, scen_path = artifacts
+    assert _run_mutated(artifacts, tmp_path, subcommand, kind, mutate) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+
+
+@pytest.mark.parametrize("subcommand, kind, mutate, section, key", [
+    ("simulate", "certificate", _set("delta_maxx", 1.0), "certificate",
+     "delta_maxx"),
+    ("certify", "descriptor", lambda d: {**PLANT, "M": 2}, "descriptor", "M"),
+    ("certify", "descriptor", lambda d: {**PLANT, "design": {"d0": 0.4}},
+     "design", "d0"),
+    ("validate-lemma2", "scenario", _set("lemma2", {"c": 1.0}), "lemma2", "c"),
+    ("sweep", "scenario", _set("delay", "table", [[0.0, 1.0], [0.5, 0.5]]),
+     "delay", "table"),
+    ("simulate", "scenario", _set("disturbance_d1", "m", 1),
+     "disturbance_d1", "m"),
+    ("check", "scenario", _set("disturbance_d2", "freq", 1.0),
+     "disturbance_d2", "freq"),
+    ("sweep", "scenario", _set("initial", "X0_coeff", [1.0]), "initial",
+     "X0_coeff"),
+    ("check", "scenario", _set("integration", "steps", 10), "integration",
+     "steps"),
+], ids=["certificate", "descriptor", "design", "lemma2", "delay",
+        "disturbance_d1", "disturbance_d2", "initial", "integration"])
+def test_an_unknown_key_in_any_section_exits_2(artifacts, tmp_path, capsys,
+                                               subcommand, kind, mutate,
+                                               section, key):
+    assert _run_mutated(artifacts, tmp_path, subcommand, kind, mutate) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown {section} key {key!r}")
+
+
+def _run_mutated(artifacts, tmp_path, subcommand, kind, mutate):
+    """``subcommand``'s exit status on the good files of ``artifacts`` with
+    the ``kind`` file replaced by its ``mutate``d dict (a descriptor starts
+    from {})."""
+    _, cert_path, scen_path = artifacts
     paths = {"certificate": cert_path, "scenario": scen_path}
     base = {} if kind == "descriptor" else json.loads(open(paths[kind]).read())
     bad = tmp_path / f"{kind}.json"
@@ -438,9 +494,7 @@ def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
     if subcommand == "check":   # a trajectory written with the good certificate
         assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
                          scen_path, "--out", str(tmp_path / "out")]) == 0
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and names in err
+    return cli.main(argv)
 
 
 @pytest.mark.parametrize("text", [
@@ -499,8 +553,8 @@ def test_simulate_refuses_a_certified_delay_off_the_band(artifacts, tmp_path,
     ("disturbance_d1", _set("disturbance_d1", "amplitude", [0.1, 0.2, 0.3])),
     ("disturbance_d2", _set("disturbance_d2", "amplitude", [0.1, 0.2, 0.3])),
     ("N_modes", _set("integration", "N_modes", sim_engine.MAX_MODES + 1)),
-    ("N_modes", _set("integration", "N_modes", 12.5)),
-    ("certified", _set("integration", "certified", "no")),
+    ("integration N_modes", _set("integration", "N_modes", 12.5)),
+    ("integration certified", _set("integration", "certified", "no")),
     ("disturbance_d1", _update("disturbance_d1", kind="smoothed_step", ramp=0)),
     ("disturbance_d2", _update("disturbance_d2", kind="sinusoid",
                                amplitude=[float("inf")])),

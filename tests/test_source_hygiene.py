@@ -4,7 +4,9 @@ Every module of ``src/specpred`` except ``__init__.py`` is parsed with
 ``ast``.  An import whose bound name is never read in its module fails, and
 so does a top-level function or class, or a module-level UPPER_CASE
 constant, whose name appears nowhere in ``src/``, ``tests/`` or
-``specbench/`` apart from its own definition.
+``specbench/`` apart from its own definition.  The rule for reading an input
+file's sections lives in ``errors.py`` alone: no other module builds an
+"unknown <section> key" refusal.
 """
 
 import ast
@@ -77,3 +79,23 @@ def test_every_module_constant_is_referenced(path):
                  and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", t.id)]
     orphans = _orphans(constants)
     assert not orphans, f"{path.name}: constants never referenced {orphans}"
+
+
+def _strings(tree):
+    """The text of every string literal, an f-string's fields as {}."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            yield "".join(part.value if isinstance(part, ast.Constant)
+                          else "{}" for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_errors_refuses_an_unknown_section_key(path):
+    refusals = [text for text in _strings(ast.parse(_corpus()[path]))
+                if re.search(r"unknown \S+ key", text)]
+    if path.name == "errors.py":
+        assert refusals, "errors.py no longer refuses an unknown key"
+    else:
+        assert not refusals, f"{path.name} builds its own refusal {refusals}"

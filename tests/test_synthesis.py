@@ -337,6 +337,9 @@ def test_certificate_roundtrip(tmp_path, fitted_cert):
     assert [f.name for f in fields(Certificate)] == \
         ["lam" if key == "lambda" else key for key in d]
     assert certificate_to_dict(certificate_from_dict(d)) == d
+    text = json.dumps(d)     # and through JSON text
+    assert json.dumps(certificate_to_dict(certificate_from_dict(
+        json.loads(text)))) == text
     # The optional keys take their defaults when absent.
     optional = ("provenance", "fit_info", *FITTED_BANKS, "degenerate_delta")
     bare = certificate_from_dict({k: v for k, v in d.items()
