@@ -436,7 +436,7 @@ def cmd_validate_lemma2(config) -> int:
                     ("eps", 0 <= p["eps"] < p["r"]),
                     *((key, math.isfinite(v)) for key, v in p.items())):
         if not ok:
-            raise CertifierError(f"lemma2 key {key!r} = {p[key]!r} is out of "
+            raise CertifierError(f"lemma2 {key} = {p[key]:g} is out of "
                                  "range; lemma 2 needs finite a < 0, "
                                  "c_norm >= 0 and 0 <= eps < r")
     # Decay data of e^{At} for the scalar nominal part: exact envelope.

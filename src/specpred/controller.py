@@ -29,13 +29,18 @@ array: diagonal blocks I - phi_j K G_0, checked against
 side; the engine holds each row's componentwise backward error to
 ``SOLVE_RESIDUAL_TOL``.  The system depends on the block only through its
 length and its steps' phis, so ``PredictorController.block_law`` builds it
-once per such phi pattern: once t >= t0 every full block shares one.  Every
-linear history read (the
-delayed reads and the Artstein residual's reads of Z) goes through
+once per such phi pattern: once t >= t0 every full block shares one.  A law
+whose steps share one phi is block-Toeplitz, and so is its inverse, built
+once from its first block column and applied to all members as one stacked
+product (``apply_inverse``); the transition blocks, whose laws are each used
+once, solve by forward substitution per member.  Every linear history read
+(the delayed reads and the Artstein residual's reads of Z) goes through
 ``linear_stencil``, which owns the covered-span check.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -49,9 +54,39 @@ class ControllerError(SpecpredError, RuntimeError):
 
 def solve_triangular(*args, **kwargs):
     """``scipy.linalg.solve_triangular``, with scipy.linalg imported on the
-    first call (see ``numerics.matrix_exp_norm``)."""
+    first call (see ``numerics.matrix_exps``)."""
     from scipy.linalg import solve_triangular as solve
     return solve(*args, **kwargs)
+
+
+def apply_inverse(inverse, scaled):
+    """The controls (S, n m) of a steady block from the transposed inverse
+    of its unit matrix and its scaled right-hand sides (S, n m): one stacked
+    product that runs per member, so a member's bits do not depend on S."""
+    return (scaled[:, np.newaxis] @ inverse)[:, 0]
+
+
+def _substitute(unit, scaled):
+    """The controls (S, n m) of a transition block: one forward substitution
+    per member, which keeps its rounding independent of S."""
+    return np.stack([solve_triangular(unit, r, lower=True, unit_diagonal=True,
+                                      check_finite=False) for r in scaled])
+
+
+def _toeplitz_inverse(unit, n: int, m: int):
+    """Transposed inverse of a unit lower-triangular block-Toeplitz matrix
+    of n blocks of m x m.  The inverse is block-Toeplitz too: its first
+    block column X_0..X_{n-1} is one m-column solve, and block (i, k) is
+    X_{i-k}, filled as a strided view like ``PredictorController.T``."""
+    X = np.zeros((2 * n - 1, m, m), dtype=unit.dtype)
+    X[n - 1:] = solve_triangular(unit, np.eye(n * m, m), lower=True,
+                                 unit_diagonal=True,
+                                 check_finite=False).reshape(n, m, m)
+    # inverse[i, a, k, b] = X[n-1 + i-k][a, b], so its transpose [k, b, i, a]
+    # is one window per k of the rows n-1-k..2n-2-k; copied, so that the
+    # product runs in BLAS.
+    return np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(
+        X, n, axis=0)[::-1].transpose(0, 2, 3, 1).reshape(n * m, n * m))
 
 
 def transition(t, t0: float):
@@ -195,13 +230,16 @@ class PredictorController:
 
     def block_law(self, w):
         """The operators of a block whose steps have the phis ``phis[w]``:
-        the phis, the inverses that scale its rows, the unit lower-triangular
-        scaled matrix, the unscaled matrix A and |A|.
+        the phis, the inverses that scale its rows, the solve of its unit
+        lower-triangular scaled matrix, the unscaled matrix A and |A|.
 
+        A block whose steps share one phi (every full block after t0, and
+        the short final one) solves by the explicit inverse of its
+        block-Toeplitz scaled matrix, built from that matrix alone; a
+        transition block, whose law is used once, by forward substitution.
         phi is monotone in t, so the blocks of one pattern are consecutive
-        and one kept law builds each pattern once: once t >= t0 every full
-        block reuses the law of the first.  The law it replaces is released
-        before the new one is built.
+        and one kept law builds each pattern once.  The law it replaces is
+        released before the new one is built.
         """
         if self._law[0] != (key := w.tobytes()):
             self._law = (None, None)
@@ -211,8 +249,12 @@ class PredictorController:
             A[np.arange(n), :, np.arange(n)] = self.systems[w]
             inverses = self.inverses[w]
             unit = np.einsum("iab,ibkc->iakc", inverses, A).reshape(n * m, -1)
+            if (w == w[0]).all():
+                solve = partial(apply_inverse, _toeplitz_inverse(unit, n, m))
+            else:
+                solve = partial(_substitute, unit)
             A = A.reshape(n * m, -1)
-            self._law = key, (phis, inverses, unit, A, np.abs(A))
+            self._law = key, (phis, inverses, solve, A, np.abs(A))
         return self._law[1]
 
     def step(self, samples, top: int, j0: int, Y, d2):
@@ -227,17 +269,16 @@ class PredictorController:
         lower-triangular matrix, one for all members.
         """
         S, n, N0 = Y.shape
-        phis, inverses, unit, A, abs_A = self.block_law(
+        phis, inverses, solve, A, abs_A = self.block_law(
             self.which[j0 + 1: j0 + n + 1])
         window = samples[:, top - self.L: top].reshape(S, -1)
         # One product per member: the same BLAS call as its run alone.
         Q = Y + (window[:, np.newaxis] @ self.H[: n * N0].T)[:, 0].reshape(S, n, N0)
         rhs = phis[:, np.newaxis] * (np.einsum("sin,an->sia", Q, self.K) + d2)
         scaled = np.einsum("iab,sib->sia", inverses, rhs).reshape(S, -1)
-        # One solve per member keeps its rounding independent of S.
-        u = np.stack([solve_triangular(unit, r, lower=True, unit_diagonal=True,
-                                       check_finite=False)
-                      for r in scaled])                        # (S, n m)
+        # Per member, by product or substitution: the rounding of a member
+        # does not depend on S.
+        u = solve(scaled)                                       # (S, n m)
         rhs = rhs.reshape(S, -1)
         scale = np.abs(u) @ abs_A.T + np.abs(rhs)
         residual = np.abs(u @ A.T - rhs) / np.maximum(scale, np.finfo(float).tiny)

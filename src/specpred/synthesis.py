@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import KINDS, SpecpredError, is_number, load_json, read_section
-from .numerics import matrix_exp_norm
+from .numerics import matrix_exps, max_spectral_norm
 from .spectral_model import SystemDescriptor, TruncatedModel, lifting_norms
 
 
@@ -204,7 +204,10 @@ def decay_envelope(A_cl):
     defective A_cl) still gives a finite supremum.  The grid ends at
     T_check, the time beyond which the conditioning-based tail bound
     kappa(V) e^{abscissa t} e^{lam t} has dropped below 1, so the grid
-    maximum has provably passed its peak.
+    maximum has provably passed its peak.  The supremum takes an SVD only
+    at grid points whose Frobenius norm reaches the running best
+    (``numerics.max_spectral_norm``): the same float as the full-grid
+    maximum, from one SVD (t = 0) when N0 = 1.
     """
     A_cl = np.asarray(A_cl)
     mu, V = np.linalg.eig(A_cl)
@@ -220,7 +223,7 @@ def decay_envelope(A_cl):
     gap = (1.0 - LAMBDA_FRACTION) * (-abscissa)
     T_check = max(1.0, np.log(max(condV, 1.0)) / gap * 1.1)
     ts = np.linspace(0.0, T_check, ENVELOPE_GRID)
-    M = float(np.max(matrix_exp_norm(A_cl + lam * np.eye(len(A_cl)), ts)))
+    M = max_spectral_norm(matrix_exps(A_cl + lam * np.eye(len(A_cl)), ts))
     if not np.isfinite(M):
         raise SynthesisError("decay envelope supremum is not finite")
     M_lambda = max(1.0, M) * 1.05
@@ -442,8 +445,12 @@ _CERTIFICATE_KINDS = {
 def certificate_from_dict(d: dict) -> Certificate:
     """The certificate of a file's dict, read by ``errors.read_section``; an
     absent key takes its field's default, and one without a default raises
-    TypeError naming the field."""
+    TypeError naming the file's key."""
     values = read_section(d, "certificate", _CERTIFICATE_KINDS, SynthesisError)
+    for f in fields(Certificate):
+        if (_key(f.name) not in values and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise TypeError(f"missing certificate key {_key(f.name)!r}")
     return Certificate(**{f.name: values[_key(f.name)] for f in fields(Certificate)
                           if _key(f.name) in values})
 

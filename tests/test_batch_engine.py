@@ -224,6 +224,22 @@ def test_solve_gate_refuses_a_perturbed_solve(monkeypatch, c):
         simulate(scen)
 
 
+def test_solve_gate_refuses_a_perturbed_steady_product(monkeypatch):
+    # Only the blocks after t0 = 1 solve by their law's explicit inverse,
+    # and the 2 s run has such blocks.
+    _, cert = cli.design_pipeline(cli.default_descriptor(15.0))
+    scen = cli.builtin_scenarios(cli.default_descriptor(15.0), cert, dt=1e-3,
+                                 T=2.0)[4]
+    assert cert.t0 < 2.0 - BLOCK_STEPS * 1e-3
+    apply = controller.apply_inverse
+    monkeypatch.setattr(controller, "apply_inverse",
+                        lambda *a: apply(*a) * (1.0 + 1e-9))
+    with pytest.raises(ControllerError,
+                       match="implicit equation backward error") as info:
+        simulate(scen)
+    assert float(re.search(r"t=(\S+)$", str(info.value))[1]) > cert.t0
+
+
 def test_read_margin_on_certified_and_past_the_prebuffer(descriptor,
                                                          exact_cert):
     scen = cli.builtin_scenarios(descriptor, exact_cert, dt=1e-3, T=2.0)[1]

@@ -360,8 +360,10 @@ def _first_x0(value):
     ("certify", "descriptor", lambda d: {**PLANT, "design": 5}, "design"),
     ("certify", "descriptor", lambda d: {**PLANT, "design": {"bogus": 1}},
      "'bogus'"),
-    ("validate-lemma2", "scenario", _set("lemma2", {"a": 0}), "'a'"),
-    ("validate-lemma2", "scenario", _set("lemma2", {"eps": 1e308}), "'eps'"),
+    ("validate-lemma2", "scenario", _set("lemma2", {"a": 0}),
+     "lemma2 a = 0 is out of range"),
+    ("validate-lemma2", "scenario", _set("lemma2", {"eps": 1e308}),
+     "lemma2 eps = 1e+308 is out of range"),
     ("simulate", "certificate", _set("N0", 2), "N0 = 2"),
     ("check", "certificate", _set("delta_max", 1.0), "certificate delta_max"),
     ("simulate", "certificate", _set("t0", 0), "certificate t0"),
@@ -420,6 +422,9 @@ def _first_x0(value):
      "T_final = 0.001 is under half a step"),
     ("sweep", "scenario", _set("integration", "T_final", 1e-3),
      "T_final = 0.001 is under half a step"),
+    ("simulate", "certificate",
+     lambda d: {key: v for key, v in d.items() if key != "lambda"},
+     "missing certificate key 'lambda'"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -438,7 +443,8 @@ def _first_x0(value):
         "d1-unknown-key", "d2-unknown-key", "initial-unknown-key",
         "integration-unknown-key", "simulate-d1-bad-kind", "check-d1-bad-kind",
         "sweep-d2-bad-kind", "simulate-sub-step-horizon",
-        "check-sub-step-horizon", "sweep-sub-step-horizon"])
+        "check-sub-step-horizon", "sweep-sub-step-horizon",
+        "certificate-lambda-missing"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     assert _run_mutated(artifacts, tmp_path, subcommand, kind, mutate) == 2

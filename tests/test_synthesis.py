@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from reference import reference_matrix_exp_norm
 from specpred import cli, spectral_model
+from specpred.numerics import matrix_exp_norm
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
 from specpred.synthesis import (
     ENVELOPE_GRID,
@@ -140,8 +141,6 @@ def test_decay_envelope_properties(rng):
     assert M >= 1.0
     assert lam == pytest.approx(0.95 * 1.0)
     ts = rng.uniform(0, 3 * T, size=500)
-    from specpred.numerics import matrix_exp_norm
-
     assert np.all(matrix_exp_norm(A, ts) <= M * np.exp(-lam * ts) + 1e-12)
 
 
@@ -169,9 +168,16 @@ def test_decay_envelope_sound_on_near_defective_design():
     assert M > 1e9
 
 
-def test_decay_envelope_matches_the_unshifted_supremum(rng):
+def test_decay_envelope_matches_the_unshifted_supremum(rng, monkeypatch):
     # M_lambda from ||e^{(A + lam I) t}|| against the former
-    # max(||e^{At}|| e^{lam t}), on random Hurwitz matrices, real and complex.
+    # max(||e^{At}|| e^{lam t}), on random Hurwitz matrices, real and complex;
+    # and the Frobenius-screened supremum bit-equal to the full-grid one,
+    # there and on the defective c = 50 A_cl (a double pole at -2).
+    def full_grid(A, lam, T):
+        ts = np.linspace(0.0, T, ENVELOPE_GRID)
+        shifted = matrix_exp_norm(A + lam * np.eye(len(A)), ts)
+        return max(1.0, np.max(shifted)) * 1.05, ts
+
     for i in range(12):
         n = 1 + i // 2
         G = rng.normal(size=(n, n))
@@ -180,10 +186,20 @@ def test_decay_envelope_matches_the_unshifted_supremum(rng):
         A = G - (np.max(np.linalg.eigvals(G).real)
                  + rng.uniform(0.1, 2.0)) * np.eye(n)
         M, lam, T = decay_envelope(A)
-        ts = np.linspace(0.0, T, ENVELOPE_GRID)
+        exact, ts = full_grid(A, lam, T)
+        assert M == exact
         want = max(1.0, np.max(reference_matrix_exp_norm(A, ts)
                                * np.exp(lam * ts))) * 1.05
         assert abs(M - want) <= 1e-12 * want
+    _, cert = cli.design_pipeline(cli.default_descriptor(50.0))
+    M, lam, T = decay_envelope(cert.A_cl)
+    assert M == full_grid(cert.A_cl, lam, T)[0] and M > 1e9
+    # An N0 = 1 design takes one SVD, at t = 0, not one per grid point.
+    svd, matrices = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        matrices.append(np.shape(a)[:-2]) or svd(a, *args, **kwargs)))
+    _, cert = cli.design_pipeline(cli.default_descriptor(15.0))
+    assert cert.N0 == 1 and matrices == [()]
 
 
 def test_decay_envelope_rejects_non_hurwitz():
