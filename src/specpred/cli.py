@@ -283,6 +283,7 @@ def cmd_check(config) -> int:
     cert = synthesis.load_certificate(config.certificate)
     scen = sim_engine.load_scenario(config.scenario, cert)
     traj = sim_engine.trajectory_from_csv(config.out)
+    sim_engine.match_trajectory(traj, scen, config.out)
     traj.scenario = scen
     report = iss_certifier.check_envelopes(traj)
     for name, chk in report.items():

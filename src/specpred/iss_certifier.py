@@ -8,9 +8,9 @@ provenance.  An ensemble can falsify an envelope but never prove it; reports
 state worst observed ratios, not theorems.
 
 ``synthesis.ENVELOPES`` says once which envelope shape each constant
-scales.  The check, the fit and the sweep rows all read it: the check sums
-every term of every estimate, and the fit takes the ratio of each fitted
-term on its own channel.
+scales, and ``_shapes`` is the one lookup of any of those shapes by name.
+The check sums every term of every estimate; the fit takes the ratio of
+each fitted term on its own channel; the sweep rows report the check.
 """
 
 from __future__ import annotations
@@ -144,48 +144,41 @@ def _ratio_check(observed, bound, ts, constants, provenance) -> dict:
 CHANNELS = ("x0", "d1", "d2")
 
 
-def _shapes(runs, cert: Certificate) -> list:
-    """The envelope shapes ``names`` (see ``ENVELOPES``) of each
-    ``(trajectory, names)`` of ``runs``, whose trajectories share one grid.
-    Only the shapes asked for are built, and the fading-memory sup of each
-    (run, signal, rate) once: all of them in one ``fading_memory_sup``
-    call.  A signal of kind ``zero`` gets no row; its sups are exactly 0.0."""
-    ts = runs[0][0].t
+def _shapes(runs, cert: Certificate):
+    """The lookup ``shape(i, name)`` of envelope shape ``name`` (see
+    ``ENVELOPES``) of run ``i`` of ``runs``, which share one grid.  The
+    fading-memory sups of every live disturbance (kind not ``zero``; a zero
+    signal's sups are 0.0) of every run at both rates are built up front in
+    one ``fading_memory_sup`` call; the X0/Y0 decays and the d2 causal
+    windows are made on lookup, from the two e^{-rate t} arrays."""
+    ts = runs[0].t
     dt = ts[1] - ts[0]
     rates = {"k": cert.kappa, "s": cert.sigma}
-    decays = {rate: np.exp(-rate * ts) for rate in rates.values()}
+    decays = {suffix: np.exp(-rate * ts) for suffix, rate in rates.items()}
     lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
-    signals, rows = [], {}
-    for i, (traj, names) in enumerate(runs):
-        sig = {"X0": traj.norm_upper[0], "Y0": np.linalg.norm(traj.Y[0])}
-        # The causal windows of d2 are built from its full sups.
-        pairs = {(signal[:2], rates[suffix]) for signal, suffix
-                 in (name.split("_") for name in names) if signal[0] == "d"
-                 and getattr(traj.scenario, signal[:2]).kind != "zero"}
-        if pairs:
-            sig["d1"], sig["d2"] = _signal_norms(traj.scenario, ts)
-            rows.update(((i, signal, rate), sig[signal])
-                        for signal, rate in sorted(pairs))
-        signals.append(sig)
+    rows = {}
+    for i, traj in enumerate(runs):
+        live = [signal for signal in ("d1", "d2")
+                if getattr(traj.scenario, signal).kind != "zero"]
+        if live:
+            norms = dict(zip(("d1", "d2"), _signal_norms(traj.scenario, ts)))
+            rows.update(((i, signal, suffix), norms[signal])
+                        for signal in live for suffix in rates)
     sups = dict(zip(rows, fading_memory_sup(
         np.reshape(list(rows.values()), (len(rows), len(ts))),
-        [rate for _, _, rate in rows], dt))) if rows else {}
+        [rates[suffix] for _, _, suffix in rows], dt))) if rows else {}
     zeros = np.zeros(len(ts))
-    out = []
-    for i, (sig, (_, names)) in enumerate(zip(signals, runs)):
-        shapes = {}
-        for name in names:
-            signal, suffix = name.split("_")
-            rate = rates[suffix]
-            if signal in ("X0", "Y0"):
-                shapes[name] = decays[rate] * sig[signal]
-            elif signal == "d2w":
-                shapes[name] = _causal_window(sups.get((i, "d2", rate), zeros),
-                                              rate, dt, lag)
-            else:
-                shapes[name] = sups.get((i, signal, rate), zeros)
-        out.append(shapes)
-    return out
+
+    def shape(i, name):
+        signal, suffix = name.split("_")
+        if signal == "X0":
+            return decays[suffix] * runs[i].norm_upper[0]
+        if signal == "Y0":
+            return decays[suffix] * np.linalg.norm(runs[i].Y[0])
+        sup = sups.get((i, signal[:2], suffix), zeros)
+        return _causal_window(sup, rates[suffix], dt, lag) \
+            if signal == "d2w" else sup
+    return shape
 
 
 def _observed(trajs, estimate: str) -> np.ndarray:
@@ -212,12 +205,11 @@ def check_envelopes(trajectory: Trajectory) -> dict:
     cert = trajectory.scenario.certificate
     if not cert.has_fitted_constants:
         raise CertifierError("missing fitted constants; run fit_constants first")
-    shapes, = _shapes([(trajectory, {shape for _, terms in ENVELOPES.values()
-                                     for _, shape in terms})], cert)
+    shape = _shapes([trajectory], cert)
     report = {}
     for name, (bank, terms) in ENVELOPES.items():
         constants = getattr(cert, bank)
-        rhs = sum(constants[key] * shapes[shape] for key, shape in terms)
+        rhs = sum(constants[key] * shape(0, term) for key, term in terms)
         # The state constants add the exact tail to their fitted part.
         provenance = {key: "fitted+exact-tail" for key, _ in terms} \
             if name == "state" else {"scale": "fitted"}
@@ -261,50 +253,41 @@ def fit_constants(trajectories: Sequence[Trajectory],
     """Fit the existential channel gains from an isolated-channel ensemble.
 
     The ensemble must contain disturbance-free (x0), d1-only and d2-only
-    runs; by linearity each channel isolates its constants: term i of each
-    fitted estimate in ``ENVELOPES`` on channel i.  Each constant is the
-    worst observed ratio over its channel times ``FIT_INFLATION``.
-    The runs must share one time grid, as the members of one batched run
-    do: the fading-memory sups of every member and rate are built by one
-    ``fading_memory_sup`` call, and each channel's norms and ratios are
-    taken as one stack.  Fills the u/y/z constants on the certificate,
-    then the tail constants and the assembled state bounds
+    runs on one time grid; by linearity each channel isolates its constants:
+    term i of each fitted estimate in ``ENVELOPES`` on channel i.  Each
+    constant is the worst ratio of the estimate's norms (``_observed``) to
+    the term's shape (``_shapes``) over its channel's runs, times
+    ``FIT_INFLATION``.  Fills the u/y/z constants on the certificate, then
+    the tail constants and the assembled state bounds
     (``finalize_tail_constants``).
     """
     cert = certificate
-    buckets = {ch: [] for ch in CHANNELS}
+    channels = []
     for traj in trajectories:
-        scen = traj.scenario
-        if scen is None:
+        if traj.scenario is None:
             raise CertifierError("ensemble trajectories must carry scenarios")
-        ch = _channel_of(scen)
-        if ch == "mixed":
+        channels.append(_channel_of(traj.scenario))
+        if channels[-1] == "mixed":
             raise CertifierError("fit ensemble runs must isolate one channel")
-        buckets[ch].append(traj)
-    for ch, runs in buckets.items():
-        if not runs:
+    rows = {ch: [i for i, c in enumerate(channels) if c == ch]
+            for ch in CHANNELS}
+    for ch, members in rows.items():
+        if not members:
             raise CertifierError(f"fit ensemble is missing the {ch} channel")
-
     if len({(len(traj.t), traj.t[1] - traj.t[0])
             for traj in trajectories}) > 1:
         raise CertifierError("fit ensemble runs must share one time grid")
-    fitted = {ch: [(name, ENVELOPES[name][1][i]) for name in _FITTED]
-              for i, ch in enumerate(CHANNELS)}
-    shapes = iter(_shapes([(traj, {shape for _, (_, shape) in fitted[ch]})
-                           for ch in CHANNELS for traj in buckets[ch]], cert))
-    fits = {}
-    for ch, runs in buckets.items():
-        stacked = [next(shapes) for _ in runs]
-        for name, (key, shape) in fitted[ch]:
-            fits[key] = max(0.0, *_max_ratio(
-                _observed(runs, name), np.stack([s[shape] for s in stacked])))
 
+    shape = _shapes(trajectories, cert)
     for name in _FITTED:
         bank, terms = ENVELOPES[name]
-        setattr(cert, bank, {key: fits[key] * FIT_INFLATION for key, _ in terms})
+        setattr(cert, bank, {key: max(0.0, *_max_ratio(
+            _observed([trajectories[i] for i in rows[ch]], name),
+            np.stack([shape(i, term) for i in rows[ch]]))) * FIT_INFLATION
+            for ch, (key, term) in zip(CHANNELS, terms)})
     cert.fit_info = {
         "ensemble_size": len(trajectories),
-        "channels": {ch: len(runs) for ch, runs in buckets.items()},
+        "channels": {ch: len(members) for ch, members in rows.items()},
         "inflation": FIT_INFLATION,
     }
     finalize_tail_constants(cert)

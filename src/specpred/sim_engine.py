@@ -261,6 +261,20 @@ class Scenario:
                 f"delay band [{lo:.6g}, {hi:.6g}] leaves the certified band "
                 f"[{cert.D0 - cert.delta_max:.6g}, {cert.D0 + cert.delta_max:.6g}]"
                 "; set certified=False for an uncertified run")
+        # A certified run also needs the plant head the certificate is for.
+        if self.certified:
+            for what, have, want in (
+                    ("eigenvalues", self.descriptor.eigenvalues(cert.N0),
+                     cert.lambdas),
+                    ("input matrix", self.descriptor.input_matrix(cert.N0),
+                     cert.B)):
+                if np.shape(have) != np.shape(want) or np.linalg.norm(
+                        have - want) > 1e-12 * np.linalg.norm(want):
+                    raise ScenarioError(
+                        f"plant head {what} {np.asarray(have).tolist()} "
+                        f"differ from the certificate's "
+                        f"{np.asarray(want).tolist()}; set certified=False "
+                        "for an uncertified run")
         if self.dt > lo:
             raise ScenarioError(f"dt must be smaller than the minimum delay "
                                 f"{lo:.6g}")
@@ -850,6 +864,34 @@ def trajectory_from_csv(path) -> Trajectory:
         data, np.cumsum([1, n, n0, n0, m, m]), axis=1)
     return Trajectory(t=data[:, 0], coeffs=coeffs, u=u, v=v, Z=Z,
                       norm_lower=norms[:, 0], norm_upper=norms[:, 1])
+
+
+def match_trajectory(traj: Trajectory, scen: Scenario, path) -> None:
+    """Refuse, as a ScenarioError naming the field and both values, the
+    trajectory read from ``path`` unless its grid, its columns and its first
+    row are those ``simulate`` writes for ``scen``.  %.17g round-trips, so
+    the first row must equal ``X0_coeffs`` zero-padded exactly."""
+    for field, have, want in (
+            ("dt (the grid step)", traj.t[1] - traj.t[0], scen.dt),
+            ("round(T_final / dt) + 1 (the rows)", len(traj.t),
+             round(scen.T_final / scen.dt) + 1),
+            ("N_modes (the c_* columns)", traj.coeffs.shape[1], scen.N_modes),
+            ("the certificate's N0 (the Y_*, Z_* columns)", traj.Z.shape[1],
+             scen.certificate.N0),
+            ("the plant's m (the u_* columns)", traj.u.shape[1],
+             scen.descriptor.num_inputs)):
+        if abs(have - want) > 1e-9 * want:
+            raise ScenarioError(f"trajectory file {path} does not match its "
+                                f"scenario: {field} is {have} in the file "
+                                f"and {want} in the scenario")
+    X0 = np.asarray(scen.X0_coeffs)
+    X0 = np.pad(X0, (0, scen.N_modes - len(X0)))
+    if (off := np.flatnonzero(traj.coeffs[0] != X0)).size:
+        k = off[0]
+        raise ScenarioError(f"trajectory file {path} does not match its "
+                            f"scenario: c_{k + 1} of the first row is "
+                            f"{traj.coeffs[0, k].item()} in the file and "
+                            f"X0_coeffs gives {X0[k].item()}")
 
 
 # ---------------------------------------------------------------------------

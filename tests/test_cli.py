@@ -331,6 +331,21 @@ def _table_delay(times):
     return mutate
 
 
+def _widen(*names):
+    """Trajectory mutator that doubles the columns of the series ``names``."""
+    def mutate(traj):
+        return replace(traj, **{name: np.column_stack([getattr(traj, name)] * 2)
+                                for name in names})
+    return mutate
+
+
+def _nudge_first_c1(traj):
+    """Trajectory mutator that moves c_1 of the first row by one ulp."""
+    coeffs = traj.coeffs.copy()
+    coeffs[0, 0] = np.nextafter(coeffs[0, 0], np.inf)
+    return replace(traj, coeffs=coeffs)
+
+
 def _first_x0(value):
     """Mutator that sets the first initial coefficient to ``value``."""
     def mutate(d):
@@ -425,6 +440,21 @@ def _first_x0(value):
     ("simulate", "certificate",
      lambda d: {key: v for key, v in d.items() if key != "lambda"},
      "missing certificate key 'lambda'"),
+    ("check", "scenario", _set("integration", "dt", 1e-3),
+     "dt (the grid step) is 0.005 in the file and 0.001 in the scenario"),
+    ("check", "scenario", _set("integration", "T_final", 9.0),
+     "(the rows) is 801 in the file and 1801 in the scenario"),
+    ("check", "scenario", _set("integration", "N_modes", 20),
+     "N_modes (the c_* columns) is 12 in the file and 20 in the scenario"),
+    ("check", "trajectory", _widen("Z"),
+     "N0 (the Y_*, Z_* columns) is 2 in the file and 1 in the scenario"),
+    ("check", "trajectory", _widen("u", "v"),
+     "m (the u_* columns) is 2 in the file and 1 in the scenario"),
+    ("check", "trajectory", _nudge_first_c1,
+     "c_1 of the first row is 1.0000000000000002 in the file and "
+     "X0_coeffs gives 1.0"),
+    ("simulate", "scenario", _set("system", "c", 25.0),
+     "plant head eigenvalues"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -444,7 +474,10 @@ def _first_x0(value):
         "integration-unknown-key", "simulate-d1-bad-kind", "check-d1-bad-kind",
         "sweep-d2-bad-kind", "simulate-sub-step-horizon",
         "check-sub-step-horizon", "sweep-sub-step-horizon",
-        "certificate-lambda-missing"])
+        "certificate-lambda-missing", "check-dt-not-the-grid",
+        "check-T_final-not-the-rows", "check-N_modes-not-the-columns",
+        "check-N0-not-the-columns", "check-m-not-the-columns",
+        "check-first-row-not-X0", "simulate-certified-other-plant"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     assert _run_mutated(artifacts, tmp_path, subcommand, kind, mutate) == 2
@@ -482,13 +515,16 @@ def test_an_unknown_key_in_any_section_exits_2(artifacts, tmp_path, capsys,
 def _run_mutated(artifacts, tmp_path, subcommand, kind, mutate):
     """``subcommand``'s exit status on the good files of ``artifacts`` with
     the ``kind`` file replaced by its ``mutate``d dict (a descriptor starts
-    from {})."""
+    from {}), or, for ``check``, the good trajectory by its ``mutate``d
+    Trajectory."""
     _, cert_path, scen_path = artifacts
     paths = {"certificate": cert_path, "scenario": scen_path}
-    base = {} if kind == "descriptor" else json.loads(open(paths[kind]).read())
-    bad = tmp_path / f"{kind}.json"
-    bad.write_text(json.dumps(mutate(base)))
-    paths[kind] = str(bad)
+    if kind != "trajectory":
+        base = {} if kind == "descriptor" \
+            else json.loads(open(paths[kind]).read())
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(mutate(base)))
+        paths[kind] = str(bad)
     argv = [subcommand, "--out", str(tmp_path / "out")]
     if subcommand == "certify":
         argv += ["--descriptor", paths["descriptor"]]
@@ -497,9 +533,13 @@ def _run_mutated(artifacts, tmp_path, subcommand, kind, mutate):
                  "--scenario", paths["scenario"]]
     if subcommand == "sweep":
         argv += ["--sweep", "delay_amplitude=0:0.001:2"]
-    if subcommand == "check":   # a trajectory written with the good certificate
+    if subcommand == "check":   # a trajectory written with the good files
+        out = tmp_path / "out"
         assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
-                         scen_path, "--out", str(tmp_path / "out")]) == 0
+                         scen_path, "--out", str(out)]) == 0
+        if kind == "trajectory":
+            sim_engine.trajectory_to_csv(
+                mutate(sim_engine.trajectory_from_csv(out)), out)
     return cli.main(argv)
 
 

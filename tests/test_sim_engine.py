@@ -35,7 +35,9 @@ from specpred.sim_engine import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from specpred.spectral_model import SystemDescriptor, TruncatedModel
+from specpred.spectral_model import (SystemDescriptor, TruncatedModel,
+                                     build_reaction_diffusion,
+                                     descriptor_from_dict)
 from specpred.synthesis import save_certificate, synthesize_certificate
 
 
@@ -95,6 +97,29 @@ def test_scenario_refuses_a_delay_that_reaches_zero(descriptor, exact_cert):
                               times=(0.0, 1.0), values=(0.1, 0.0))):
         with pytest.raises(ScenarioError, match="minimum delay"):
             replace(scen, delay=delay, certified=False)
+
+
+def test_a_certified_scenario_runs_its_certificates_plant(descriptor,
+                                                         exact_cert):
+    scen = cli.builtin_scenarios(descriptor, exact_cert, dt=5e-3, T=1.0)[4]
+    # The c = 25 plant under the c = 15 certificate diverges: refused while
+    # certified, run when not.
+    hotter = build_reaction_diffusion(25.0)
+    with pytest.raises(ScenarioError, match=r"plant head eigenvalues .*; set "
+                       r"certified=False for an uncertified run$"):
+        replace(scen, descriptor=hotter)
+    assert not replace(scen, descriptor=hotter, certified=False).certified
+
+    # An explicit plant with the certificate's head: its input matrix.
+    def explicit(b):
+        return descriptor_from_dict({
+            "kind": "explicit", "m": 1, "riesz_lower": 1.0, "riesz_upper": 1.0,
+            "explicit_eigenvalues": exact_cert.lambdas.tolist() + [-50.0],
+            "explicit_b": [[b], [1.0]]})
+    head = replace(scen, N_modes=2, X0_coeffs=scen.X0_coeffs[:2],
+                   descriptor=explicit(exact_cert.B[0, 0]))
+    with pytest.raises(ScenarioError, match="plant head input matrix"):
+        replace(head, descriptor=explicit(1.01 * exact_cert.B[0, 0]))
 
 
 def test_disturbance_kinds():
