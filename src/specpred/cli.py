@@ -141,7 +141,14 @@ def certify_pipeline(descriptor: SystemDescriptor, design: dict = None,
              cert.N0, cert.delta_max, cert.sigma, cert.kappa)
     scens = fitting_ensemble(descriptor, cert, seed=seed, n_members=n_fit,
                              dt=dt, T=T)
-    trajs = sim_engine.simulate(scens)
+    # The fit reads u, Y and Z alone, and the tail modes never feed the law,
+    # so only the N0-mode head is stepped: per mode its bits are the full
+    # run's.  Each run carries its full scenario, whose X0 sets the X0 term.
+    trajs = sim_engine.simulate([
+        replace(scen, N_modes=cert.N0, X0_coeffs=scen.X0_coeffs[:cert.N0])
+        for scen in scens])
+    for traj, scen in zip(trajs, scens):
+        traj.scenario = scen
     iss_certifier.fit_constants(trajs, cert)
     log.info("fitted constants from %d members", n_fit)
     return cert

@@ -201,10 +201,15 @@ class PredictorController:
         # u_{j0-L+1}..u_{j0}; taps on the block's own samples form the
         # strictly lower block-Toeplitz T, with K folded in.
         self.L = L = len(taps) - 1
-        tap_of = np.arange(1, block + 1)[:, np.newaxis] + np.arange(L - 1, -1, -1)
-        H = np.where((tap_of <= L)[..., np.newaxis, np.newaxis],
-                     taps[np.minimum(tap_of, L)], 0.0)         # (block, L, N0, m)
-        self.H = H.transpose(0, 2, 1, 3).reshape(block * N0, L * m)
+        # Block step i reads sample l of the window at lag i + L - l, so
+        # H[i, l] = P[i + L - l] for the taps P zero-padded past L: row
+        # block-1-i of the windows of P reversed.
+        P = np.zeros((L + block, N0, m), dtype=taps.dtype)
+        P[:L + 1] = taps
+        H = np.lib.stride_tricks.sliding_window_view(
+            P[::-1], L, axis=0)[block - 1::-1]               # (block, N0, m, L)
+        self.H = np.ascontiguousarray(H.transpose(0, 1, 3, 2)).reshape(
+            block * N0, L * m)
         # T[i, :, k, :] = K G_{i-k} for 0 < i - k <= L, a strided view of
         # the taps at lags -(block - 1)..block - 1, zero at lags <= 0 and
         # past L (a block may outrun the taps: the oracle's, under a delay

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SpecpredError
 from .numerics import affine_scan, catmull_rom, cubic_stencil
 from .sim_engine import (DelaySignal, DisturbanceSignal, Scenario, Trajectory,
-                         rk4_substep)
+                         rk4_substep, state_norm)
 from .synthesis import (ENVELOPES, Certificate, finalize_tail_constants,
                         smallgain_lhs)
 
@@ -150,18 +150,24 @@ def _shapes(runs, cert: Certificate):
     fading-memory sups of every live disturbance (kind not ``zero``; a zero
     signal's sups are 0.0) of every run at both rates are built up front in
     one ``fading_memory_sup`` call; the X0/Y0 decays and the d2 causal
-    windows are made on lookup, from the two e^{-rate t} arrays."""
+    windows are made on lookup, from the two e^{-rate t} arrays.  The X0
+    term is the upper norm of the scenario's ``initial_state``: the same
+    reduction as a full run's first ``norm_upper``, so it holds for a run
+    that stepped only the head modes."""
     ts = runs[0].t
     dt = ts[1] - ts[0]
     rates = {"k": cert.kappa, "s": cert.sigma}
     decays = {suffix: np.exp(-rate * ts) for suffix, rate in rates.items()}
     lag = causal_lag_steps(cert.D0, cert.delta_max, dt)
-    rows = {}
+    x0_norms, rows = [], {}
     for i, traj in enumerate(runs):
+        scen, desc = traj.scenario, traj.scenario.descriptor
+        x0_norms.append(state_norm(scen.initial_state, desc.riesz_lower,
+                                   desc.riesz_upper)[1])
         live = [signal for signal in ("d1", "d2")
-                if getattr(traj.scenario, signal).kind != "zero"]
+                if getattr(scen, signal).kind != "zero"]
         if live:
-            norms = dict(zip(("d1", "d2"), _signal_norms(traj.scenario, ts)))
+            norms = dict(zip(("d1", "d2"), _signal_norms(scen, ts)))
             rows.update(((i, signal, suffix), norms[signal])
                         for signal in live for suffix in rates)
     sups = dict(zip(rows, fading_memory_sup(
@@ -172,7 +178,7 @@ def _shapes(runs, cert: Certificate):
     def shape(i, name):
         signal, suffix = name.split("_")
         if signal == "X0":
-            return decays[suffix] * runs[i].norm_upper[0]
+            return decays[suffix] * x0_norms[i]
         if signal == "Y0":
             return decays[suffix] * np.linalg.norm(runs[i].Y[0])
         sup = sups.get((i, signal[:2], suffix), zeros)
@@ -259,7 +265,9 @@ def fit_constants(trajectories: Sequence[Trajectory],
     the term's shape (``_shapes``) over its channel's runs, times
     ``FIT_INFLATION``.  Fills the u/y/z constants on the certificate, then
     the tail constants and the assembled state bounds
-    (``finalize_tail_constants``).
+    (``finalize_tail_constants``).  The fit reads only u, Y and Z, and the
+    X0 term is the initial-state norm of each run's scenario, so a run may
+    step only the N0 head modes of its scenario, as ``certify``'s does.
     """
     cert = certificate
     channels = []
@@ -366,8 +374,11 @@ def _sampler(fs, width):
     """ts -> the member functions ``fs`` on ``ts``, (len(ts), len(fs), width)
     zero-padded.  The sinusoid signals of each class are stacked into one
     signal of that class whose parameters are rows, sampled by one call on a
-    column of times; the other members go through ``_sample``."""
-    rest, stacks = set(range(len(fs))), []
+    column of times; zero signals are skipped, as ``out`` starts at zero,
+    and the other members go through ``_sample``."""
+    rest = {i for i, f in enumerate(fs)
+            if not (type(f) is DisturbanceSignal and f.kind == "zero")}
+    stacks = []
     for cls in (DelaySignal, DisturbanceSignal):
         idx = [i for i, f in enumerate(fs)
                if type(f) is cls and f.kind == "sinusoid"]

@@ -70,6 +70,9 @@ from .synthesis import Certificate, _array_from_list, _array_to_list
 
 DEFAULT_MODE_DECAY_FACTOR = 50.0
 MAX_MODES = 400
+# Most steps round(T_final / dt) a scenario may take: the state array of one
+# run at the built-in plant's 12 modes is then at most 96 MB.
+MAX_STEPS = 10**6
 # Longest block of steps ``simulate`` solves at once, and the longest block
 # whose delayed reads ``oracle_simulate`` builds at once; the delay may
 # shorten it.
@@ -237,7 +240,12 @@ class Scenario:
                                 f"{len(explicit)} of the explicit spectrum")
         _check_step("dt", self.dt)
         _check_step("T_final", self.T_final)
-        if round(self.T_final / self.dt) < 1:
+        # T_final / dt is inf for a subnormal dt, which round() refuses.
+        if not (steps := self.T_final / self.dt) <= MAX_STEPS:
+            raise ScenarioError(f"T_final / dt = {self.T_final:g} / {self.dt:g}"
+                                f" is {steps:g} steps, more than MAX_STEPS = "
+                                f"{MAX_STEPS}")
+        if round(steps) < 1:
             raise ScenarioError(f"T_final = {self.T_final:g} is under half a step")
         if len(self.X0_coeffs) > self.N_modes:
             raise ScenarioError(f"X0_coeffs has {len(self.X0_coeffs)} entries, "
@@ -278,6 +286,12 @@ class Scenario:
         if self.dt > lo:
             raise ScenarioError(f"dt must be smaller than the minimum delay "
                                 f"{lo:.6g}")
+
+    @property
+    def initial_state(self) -> np.ndarray:
+        """X0_coeffs zero-padded to N_modes: row 0 of a run's modal state."""
+        X0 = np.asarray(self.X0_coeffs)
+        return np.pad(X0, (0, self.N_modes - len(X0)))
 
 
 @dataclass
@@ -321,9 +335,17 @@ def state_norm(coeffs, m_R: float, M_R: float):
 def _trajectory(scenario: Scenario, ts, c, u, v, meta: dict,
                 taps=None) -> Trajectory:
     """Common epilogue of both engines: state norms, the record and Z
-    (with the run's predictor taps when the engine has built them)."""
+    (with the run's predictor taps when the engine has built them).  A
+    finite state whose norm overflows raises ScenarioError naming the first
+    such step."""
     desc = scenario.descriptor
-    lower, upper = state_norm(c, desc.riesz_lower, desc.riesz_upper)
+    with np.errstate(over="ignore"):
+        lower, upper = state_norm(c, desc.riesz_lower, desc.riesz_upper)
+    if not np.isfinite(upper).all():
+        j = int(np.argmin(np.isfinite(upper)))
+        raise ScenarioError(f"state norm ||X||_upper overflows at step {j} "
+                            f"(t={ts[j]:.6g}); the run's state is too large "
+                            "to bound")
     traj = Trajectory(t=ts, coeffs=c, u=u, v=v, Z=None,
                       norm_lower=lower, norm_upper=upper,
                       scenario=scenario, meta=meta)
@@ -375,8 +397,7 @@ def simulate(scenario):
 
     c = np.zeros((S, J + 1, n_modes), dtype=cdtype)
     for s, scen in enumerate(scens):
-        X0 = np.asarray(scen.X0_coeffs, dtype=cdtype)
-        c[s, 0, : len(X0)] = X0
+        c[s, 0] = scen.initial_state
     v = np.zeros((S, J + 1, m), dtype=cdtype)
     # The pre-buffer follows the certificate, so a delay reaching past
     # D0 + delta_max + dt reads outside it.
@@ -624,8 +645,7 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
 
     hf = dt / ORACLE_REFINE
     c = np.zeros((1, J + 1, n_modes))
-    X0 = np.asarray(scenario.X0_coeffs)
-    c[0, 0, : len(X0)] = X0
+    c[0, 0] = scenario.initial_state
     v = np.zeros((J + 1, m))
     # u_j is row n_pre + j; the rows before it hold the zero initial control.
     n_pre = int(np.ceil((cert.D0 + cert.delta_max) / dt)) + 2
@@ -884,8 +904,7 @@ def match_trajectory(traj: Trajectory, scen: Scenario, path) -> None:
             raise ScenarioError(f"trajectory file {path} does not match its "
                                 f"scenario: {field} is {have} in the file "
                                 f"and {want} in the scenario")
-    X0 = np.asarray(scen.X0_coeffs)
-    X0 = np.pad(X0, (0, scen.N_modes - len(X0)))
+    X0 = scen.initial_state
     if (off := np.flatnonzero(traj.coeffs[0] != X0)).size:
         k = off[0]
         raise ScenarioError(f"trajectory file {path} does not match its "

@@ -8,6 +8,7 @@ is the former one-scenario loop through ``reference.StepController``.
 """
 
 import copy
+import json
 import re
 from collections import Counter
 from dataclasses import replace
@@ -332,6 +333,50 @@ def test_each_block_is_one_controller_step_and_one_read(descriptor,
     assert calls == {"step": -(-J // B)}
 
 
+def test_certify_steps_only_the_head_modes(monkeypatch, descriptor):
+    runs = []
+
+    def recording(scens, _simulate=simulate):
+        runs.append([scen.N_modes for scen in scens])
+        return _simulate(scens)
+
+    monkeypatch.setattr(sim_engine, "simulate", recording)
+    cert = cli.certify_pipeline(descriptor, seed=0)
+    assert runs == [[cert.N0] * cli.FIT_MEMBERS]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_head_run_is_the_full_run_bit_for_bit(fitting_run):
+    # Every plant operation works per mode and the law reads only Y, so the
+    # head modes of the fitting ensemble step alone to the same bits.
+    cert, scens, batch, _ = fitting_run
+    heads = simulate([replace(scen, N_modes=cert.N0,
+                              X0_coeffs=scen.X0_coeffs[:cert.N0])
+                      for scen in scens])
+    for head, full in zip(heads, batch, strict=True):
+        assert head.coeffs.shape[1] == cert.N0 < full.coeffs.shape[1]
+        for key in ("u", "v", "Y", "Z"):
+            assert np.array_equal(bits(getattr(head, key)),
+                                  bits(getattr(full, key))), key
+
+
+@pytest.mark.parametrize("c, design, seed", [
+    (15.0, None, 0), (15.0, None, 1), (15.0, None, 2), (15.0, None, 3),
+    (50.0, {"D0": 0.01, "target_poles": [-8.0, -32.0]}, 1)],
+    ids=["seed0", "seed1", "seed2", "seed3", "c50-N0-2-seed1"])
+def test_certify_equals_the_fit_on_the_full_run(c, design, seed):
+    descriptor = cli.default_descriptor(c)
+    got = cli.certify_pipeline(descriptor, design, seed=seed)
+    _, cert = cli.design_pipeline(descriptor, design)
+    iss_certifier.fit_constants(
+        simulate(cli.fitting_ensemble(descriptor, cert, seed=seed)), cert)
+    assert json.dumps(synthesis.certificate_to_dict(got)) \
+        == json.dumps(synthesis.certificate_to_dict(cert))
+
+
 # ---------------------------------------------------------------------------
 # The causal block solve
 
@@ -361,6 +406,29 @@ def two_input_scenarios():
         N_modes=6)
     return [scen, replace(scen, X0_coeffs=np.array([-0.3, 0.8]),
                           d2=sinusoid((-0.5, 0.2), 0.7))]
+
+
+def gathered_pre_block_product(taps, block):
+    """H by a gather of the tap at each (step, window sample) lag."""
+    L, N0, m = taps.shape[0] - 1, taps.shape[1], taps.shape[2]
+    tap_of = np.arange(1, block + 1)[:, np.newaxis] + np.arange(L - 1, -1, -1)
+    H = np.where((tap_of <= L)[..., np.newaxis, np.newaxis],
+                 taps[np.minimum(tap_of, L)], 0.0)
+    return H.transpose(0, 2, 1, 3).reshape(block * N0, L * m)
+
+
+@pytest.mark.parametrize("dt, block", [(1e-3, BLOCK_STEPS), (2e-3, 7),
+                                       (0.2, 5)])
+def test_pre_block_product_equals_the_gather_bit_for_bit(exact_cert, dt,
+                                                         block):
+    # N0 = m = 1 on the built-in plant, then N0 = m = 2; at dt = 0.2 the
+    # block outruns the L = 3 taps.
+    for cert in (exact_cert, two_input_scenarios()[0].certificate):
+        taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
+        H = PredictorController(cert, taps, dt * np.arange(3), block).H
+        want = gathered_pre_block_product(taps, block)
+        assert H.shape == want.shape and H.flags.c_contiguous
+        assert np.array_equal(bits(H), bits(want))
 
 
 def test_two_input_plant_matches_reference():
@@ -443,6 +511,20 @@ def test_non_finite_run_names_its_first_bad_step(descriptor, exact_cert,
     assert 769 < step <= 896
     expected = ScenarioError if channel == "d1" else ControllerError
     assert type(got.value) is expected
+
+
+def test_overflowing_state_norm_names_its_first_step(descriptor, exact_cert):
+    # A d2 of amplitude 1e308 keeps the state and control finite up to
+    # T = 0.6, but the squares of the state norm overflow once the delayed
+    # control reaches the plant; both engines refuse with no RuntimeWarning.
+    base = cli.builtin_scenarios(descriptor, exact_cert, dt=5e-3, T=0.6)[3]
+    scen = replace(base, d2=replace(base.d2, amplitude=(1e308,)))
+    for engine, step, t in ((simulate, 101, "0.505"),
+                            (oracle_simulate, 100, "0.5")):
+        with pytest.raises(ScenarioError) as info:
+            engine(scen)
+        assert str(info.value).startswith(
+            f"state norm ||X||_upper overflows at step {step} (t={t})")
 
 
 def test_out_of_span_member_fails_the_batch_before_the_first_step(

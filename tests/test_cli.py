@@ -596,6 +596,8 @@ def test_simulate_refuses_a_certified_delay_off_the_band(artifacts, tmp_path,
     ("dt", _set("integration", "dt", float("nan"))),
     ("dt", _set("integration", "dt", -1e-3)),
     ("T_final", _set("integration", "T_final", float("inf"))),
+    ("T_final / dt", _set("integration", "dt", 1e-320)),
+    ("T_final / dt", _set("integration", "T_final", 1e308)),
     ("disturbance_d1", _set("disturbance_d1", "amplitude", [0.1, 0.2, 0.3])),
     ("disturbance_d2", _set("disturbance_d2", "amplitude", [0.1, 0.2, 0.3])),
     ("N_modes", _set("integration", "N_modes", sim_engine.MAX_MODES + 1)),
@@ -616,6 +618,7 @@ def test_simulate_refuses_a_certified_delay_off_the_band(artifacts, tmp_path,
     ("integration dt", _set("integration", "dt", "x")),
     ("initial X0_coeffs", _set("initial", "X0_coeffs", ["a"])),
 ], ids=["X0-500", "N_modes-1", "dt-nan", "dt-negative", "T_final-inf",
+        "dt-subnormal", "T_final-1e308",
         "d1-three-entries", "d2-three-entries", "N_modes-past-max",
         "N_modes-fraction", "certified-string", "d1-ramp-zero", "d2-amplitude-inf",
         "d1-omega-nan", "delay-omega-nan", "table-not-increasing",
@@ -629,6 +632,25 @@ def test_malformed_scenario_fields_are_named(artifacts, tmp_path, capsys,
     assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
                      str(bad), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} ")
+
+
+def test_simulate_refuses_a_state_norm_that_overflows(artifacts, tmp_path,
+                                                      capsys):
+    # Until T = 0.6 a d2 of amplitude 1e308 keeps the state and control
+    # finite, but the squares of the state norm overflow once the delayed
+    # control reaches the plant.
+    _, cert_path, scen_path = artifacts
+    d = json.loads(open(scen_path).read())
+    d["integration"]["T_final"] = 0.6
+    d["disturbance_d2"].update(kind="sinusoid", amplitude=[1e308], omega=2.5)
+    bad = tmp_path / "scenario.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--certificate", cert_path, "--scenario",
+                     str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: state norm ||X||_upper overflows at step 101 (t=0.505)")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand, flag", [

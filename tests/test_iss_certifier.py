@@ -26,8 +26,12 @@ from specpred.sim_engine import (
     DisturbanceSignal,
     Scenario,
     Trajectory,
+    oracle_simulate,
     simulate,
+    trajectory_from_csv,
+    trajectory_to_csv,
 )
+from test_sim_engine import complex_plant_scenario
 
 
 def test_fading_memory_recursion_equals_brute(rng):
@@ -155,6 +159,29 @@ def test_each_fading_sup_is_built_once(monkeypatch, descriptor, fitted_cert):
     disturbed = sum(iss_certifier._channel_of(t.scenario) != "x0"
                     for t in trajs)
     assert len(rows) == 2 * disturbed and len(calls) == 1
+
+
+def test_x0_shape_is_the_first_upper_norm_bit_for_bit(tmp_path, descriptor,
+                                                     exact_cert):
+    # The X0 term reads the scenario's X0_coeffs, zero-padded: the same
+    # reduction as row 0 of a run's norm_upper.  The last built-in-plant
+    # scenario has six nonzero entries of 12, where the padding counts.
+    scens = cli.builtin_scenarios(descriptor, exact_cert, dt=5e-3, T=1.0)
+    scens.append(replace(scens[0], X0_coeffs=np.random.default_rng(3)
+                         .standard_normal(6)))
+    runs = [*simulate(scens), *map(oracle_simulate, scens),
+            simulate(complex_plant_scenario())]
+    for i, traj in enumerate(simulate(scens)):
+        trajectory_to_csv(traj, tmp_path / f"{i}.csv")
+        runs.append(trajectory_from_csv(tmp_path / f"{i}.csv"))
+        runs[-1].scenario = scens[i]
+    for traj in runs:
+        cert = traj.scenario.certificate
+        shape = iss_certifier._shapes([traj], cert)
+        for suffix, rate in (("k", cert.kappa), ("s", cert.sigma)):
+            want = np.exp(-rate * traj.t) * traj.norm_upper[0]
+            assert np.array_equal(shape(0, f"X0_{suffix}").view(np.uint64),
+                                  want.view(np.uint64))
 
 
 def test_check_envelopes_requires_fitted_constants(descriptor, exact_cert):

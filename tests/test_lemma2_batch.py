@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specpred import cli, synthesis
+from specpred import cli, iss_certifier, synthesis
 from specpred.iss_certifier import (
     CertifierError,
     Lemma2Problem,
@@ -275,6 +275,27 @@ def test_signal_members_are_sampled_once_per_block(monkeypatch):
         steps = [(size - 1) // 2 for size, _ in got]
         assert sum(steps) == J and steps[0] >= int((r - eps) / dt) - 4
         assert len(got) == math.ceil(J / steps[0]) < J / 50
+
+
+def test_zero_members_are_not_sampled(monkeypatch):
+    # The sampler's output starts at zero, so a zero member costs no call.
+    called = []
+
+    def recording(f, ts, _sample=iss_certifier._sample):
+        called.append(f)
+        return _sample(f, ts)
+
+    monkeypatch.setattr(iss_certifier, "_sample", recording)
+    zero = DisturbanceSignal("zero", m=2)
+    ramp = DisturbanceSignal("smoothed_step", m=2, amplitude=(1.0, -0.5))
+    other = (lambda t: np.array([t, 2.0 * t]))
+    ts = np.linspace(0.0, 1.5, 7)
+    got = iss_certifier._sampler([zero, ramp, zero, other], 3)(ts)
+    assert called == [ramp, other]
+    assert got.shape == (7, 4, 3) and np.all(got[:, [0, 2]] == 0.0)
+    assert np.array_equal(got[:, 1, :2], ramp(ts))
+    assert np.array_equal(got[:, 3, :2], np.array([other(t) for t in ts]))
+    assert np.all(got[:, 1:, 2] == 0.0)
 
 
 def test_stiff_members_step_on_dt_split_into_equal_parts():
