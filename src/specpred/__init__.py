@@ -46,9 +46,7 @@ from .spectral_model import (
     TruncatedModel,
     build_reaction_diffusion,
     classify_modes,
-    load_descriptor,
     modal_input_coeffs,
-    save_descriptor,
     truncated_model,
 )
 from .synthesis import (

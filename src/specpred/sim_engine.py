@@ -1,36 +1,24 @@
 """Closed-loop simulation of the modal system with delayed boundary input.
 
-Two engines share one output schema:
+One closed loop, ``_closed_loop``, with two discretizations.  Since
+D(t) >= D0 - delta_max > 0, the state at t_j depends only on controls many
+steps old, and the only same-time coupling is the predictor law, which is
+linear in u.  So a run advances one causal block of steps at a time: the
+engine writes the block's delayed reads v and forcing g, the plant scan
+c_{j+1} = E c_j + g_j runs by ``numerics.affine_scan``, and
+``controller.PredictorController.step``, built with the engine's taps,
+solves the block's controls, once per pattern of phis for the block's
+system; one fault report checks every row.
 
-* ``simulate`` advances every mode with the exact variation-of-constants step
-  (unconditionally stable for the stiff tail), with the boundary input
-  piecewise-linear on each step.  It steps S >= 1 scenarios that share a
-  descriptor, certificate, dt, horizon and mode count together; one scenario
-  is the case S = 1.  Since D(t) >= D0 - delta_max > 0, the state at t_j
-  depends only on controls many steps old, and the only same-time coupling
-  is the predictor law, which is linear in u.  So the run advances one
-  causal block of B <= ``BLOCK_STEPS`` steps at a time: it takes the
-  block's delayed reads, all from earlier blocks, from
-  ``controller.ControlHistory.interp`` and has ``_advance_block`` advance
-  it.  ``simulate`` owns the batch checks, the plant step and the block
-  length; ``controller`` owns the control law, the control record and its
-  reads;
-* ``oracle_simulate`` is an independent cross-check with its own
-  discretization: classical RK4 at dt/20, with the substeps of each coarse
-  step composed once into per-mode coefficients, cubic (Catmull-Rom)
-  delayed reads, and Simpson quadrature of the predictor integral over the
-  cubic history as its own taps (``_predictor_tap``).  The delayed reads
-  and forcing of a block of steps, as long as the shortest delay allows,
-  are built together.
-
-``_advance_block`` is the one block step of both engines: the plant scan
-c_{j+1} = E c_j + g_j by ``numerics.affine_scan`` (E is the propagator for
-``simulate``, the composed RK4 factor for the oracle), the block's controls
-from ``controller.PredictorController.step`` (built with the engine's taps)
-and the one fault report: state, control and residual checks on every row
-of the block.  The controller builds a block's system once per pattern of
-phis, so after the transition (t >= t0) every full block of a run reuses
-one set of operators and a block step costs its products and solves.
+* ``simulate`` steps each mode by its exact variation-of-constants map
+  (unconditionally stable for the stiff tail) under a piecewise-linear
+  input, with linear delayed reads (``controller.ControlHistory.interp``)
+  and the controller's exact taps.  It steps S >= 1 scenarios that share a
+  descriptor, certificate, dt, horizon and mode count together;
+* ``oracle_simulate`` is an independent cross-check: classical RK4 at
+  dt/20, its substeps composed into per-mode coefficients (E), cubic
+  (Catmull-Rom) delayed reads, and Simpson quadrature of the predictor
+  integral over the cubic history as its own taps (``_predictor_tap``).
 
 Both evaluate the same implicit predictor feedback through the delayed
 channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
@@ -245,7 +233,7 @@ class Scenario:
             raise ScenarioError(f"T_final / dt = {self.T_final:g} / {self.dt:g}"
                                 f" is {steps:g} steps, more than MAX_STEPS = "
                                 f"{MAX_STEPS}")
-        if round(steps) < 1:
+        if self.steps < 1:
             raise ScenarioError(f"T_final = {self.T_final:g} is under half a step")
         if len(self.X0_coeffs) > self.N_modes:
             raise ScenarioError(f"X0_coeffs has {len(self.X0_coeffs)} entries, "
@@ -286,6 +274,16 @@ class Scenario:
         if self.dt > lo:
             raise ScenarioError(f"dt must be smaller than the minimum delay "
                                 f"{lo:.6g}")
+
+    @property
+    def steps(self) -> int:
+        """round(T_final / dt): the steps J of a run."""
+        return round(self.T_final / self.dt)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The grid t_j = j dt, j = 0..J, of a run."""
+        return self.dt * np.arange(self.steps + 1)
 
     @property
     def initial_state(self) -> np.ndarray:
@@ -369,10 +367,8 @@ def simulate(scenario):
 
     ``scenario`` is one Scenario or a sequence of them that share the same
     descriptor and certificate objects, dt, T_final and N_modes; a sequence
-    of S members is stepped together (state (S, J+1, N_modes), control
-    history ``ControlHistory.samples``) and one scenario is the case S = 1.
-    The run advances one causal block of B steps at a time (see the module
-    docstring).  Returns a Trajectory, or ``Trajectories`` for a sequence.
+    of S members is stepped together and one scenario is the case S = 1.
+    Returns a Trajectory, or ``Trajectories`` for a sequence.
     """
     single = isinstance(scenario, Scenario)
     scens = [scenario] if single else list(scenario)
@@ -386,24 +382,11 @@ def simulate(scenario):
         raise ScenarioError("batched scenarios must share descriptor, "
                             "certificate, dt, T_final and N_modes")
     cert, desc, dt = first.certificate, first.descriptor, first.dt
-    S = len(scens)
-    J = int(round(first.T_final / dt))
-    ts = dt * np.arange(J + 1)
-    n_modes = first.N_modes
-    m = desc.num_inputs
-    lam_all = desc.eigenvalues(n_modes)
-    B_all = desc.input_matrix(n_modes)
+    ts, lam_all, B_all = _modal_plant(first)
     cdtype = complex if desc.field == "complex" else float
 
-    c = np.zeros((S, J + 1, n_modes), dtype=cdtype)
-    for s, scen in enumerate(scens):
-        c[s, 0] = scen.initial_state
-    v = np.zeros((S, J + 1, m), dtype=cdtype)
-    # The pre-buffer follows the certificate, so a delay reaching past
-    # D0 + delta_max + dt reads outside it.
-    hist = ControlHistory(
-        np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens]),
-        dt, cert.D0, cert.delta_max, m, cdtype)
+    v = np.zeros((len(scens), len(ts), desc.num_inputs), dtype=cdtype)
+    hist = _control_history(scens, cdtype)
 
     # Per-mode propagators and forcing weights for linear v on each step:
     # c_{j+1} = E c_j + W0 (B v_j) + W1 (B v_{j+1}), from the moments of the
@@ -420,73 +403,93 @@ def simulate(scenario):
     block = max(1, min(BLOCK_STEPS, int((cert.D0 - cert.delta_max) / dt) - 1,
                        int(hist.min_lag)))
     d1 = np.stack([np.asarray(sc.d1(ts)) for sc in scens])      # (S, J+1, m)
-    d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens])
     taps = predictor_taps(cert.lambdas, cert.B, cert.D0, dt)
-    ctrl = PredictorController(cert, taps, ts, block)
-    max_residual = np.zeros(S)
 
-    v[:, 0] = hist.interp(0) + d1[:, 0]
-    for j0 in range(0, J, block):
-        n = min(block, J - j0)
+    def forcing(j0, n, g):
         rows = slice(j0 + 1, j0 + n + 1)
         v[:, rows] = hist.interp(rows) + d1[:, rows]
-        # The forcing goes into the block's rows of c, where the scan runs,
-        # and few block-sized arrays live at once: a higher heap high-water
-        # made the allocator return and re-fault memory on every run.
         f = np.einsum("sjk,nk->sjn", v[:, j0: j0 + n + 1], B_all)
-        g = np.multiply(W0, f[:, :-1], out=c[:, rows])
+        np.multiply(W0, f[:, :-1], out=g)
         g += W1 * f[:, 1:]
-        del f
-        np.maximum(max_residual, _advance_block(
-            c, j0, E, g, ctrl, hist.samples, hist.n_pre + j0 + 1, d2, ts),
-            out=max_residual)
 
-    meta = {"dt": dt, "N_modes": n_modes, "steps": J, "block_steps": block,
-            "min_solve_sigma": ctrl.min_sigma}
-    del ctrl                  # its block law is freed before Z is built
+    v[:, 0] = hist.interp(0) + d1[:, 0]
+    c, metas = _closed_loop(scens, ts, E, taps, block, hist.samples,
+                            hist.n_pre, forcing)
     trajs = Trajectories(
         _trajectory(sc, ts, c[s], hist.samples[s, hist.n_pre:], v[s],
-                    {**meta, "max_solve_residual": float(max_residual[s]),
-                     "min_read_margin": float(hist.margin[s])}, taps)
+                    {**metas[s], "min_read_margin": float(hist.margin[s])},
+                    taps)
         for s, sc in enumerate(scens))
     return trajs[0] if single else trajs
 
 
-def _advance_block(c, j0, E, g, ctrl, samples, top, d2, ts):
-    """Advance a run over the block of steps j0+1..j0+n; both engines step
-    through here.
+def _control_history(scens, dtype=float) -> ControlHistory:
+    """The control record of a run of ``scens`` with its delayed reads.  The
+    pre-buffer follows the certificate, so a delay reaching past
+    D0 + delta_max + dt reads outside it."""
+    first, cert = scens[0], scens[0].certificate
+    ts = first.grid
+    return ControlHistory(
+        np.stack([ts - np.asarray(sc.delay(ts), dtype=float) for sc in scens]),
+        first.dt, cert.D0, cert.delta_max, first.descriptor.num_inputs, dtype)
 
-    The states (S, J+1, modes) ``c`` follow c_{j+1} = E c_j + g_j, with the
-    block's forcing ``g`` (S, n, modes), which may be the block's own rows
-    of ``c``, by ``numerics.affine_scan``; then
-    ``ctrl.step`` solves the block's controls into rows top..top+n-1 of
-    ``samples``, with the matched disturbances ``d2`` (S, J+1, m).  The
-    first faulty row, checked in the per-step order (non-finite state,
-    non-finite control, backward error above ``SOLVE_RESIDUAL_TOL``), raises
-    an error naming its step on the grid ``ts``.  Returns each member's
-    largest backward error in the block.
+
+def _modal_plant(scen: Scenario):
+    """A run's grid and its modes' eigenvalues and input matrix."""
+    n, desc = scen.N_modes, scen.descriptor
+    return scen.grid, desc.eigenvalues(n), desc.input_matrix(n)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _closed_loop(scens, ts, E, taps, block: int, samples, n_pre: int,
+                 forcing):
+    """Run the members ``scens`` on the grid ``ts`` in blocks of at most
+    ``block`` steps; returns the states (S, J+1, N_modes) and each member's
+    meta.  ``forcing(j0, n, g)`` writes the delayed reads of steps
+    j0+1..j0+n and their forcing into g, the block's rows of the states,
+    where the scan then runs: a higher heap high-water made the allocator
+    return and re-fault memory on every run.  The controls go to
+    ``samples``, u_j in row n_pre + j.  The first row with a non-finite
+    state or control or a backward error above ``SOLVE_RESIDUAL_TOL``, in
+    that order, raises an error naming its step, so the loop runs without
+    overflow and invalid-value warnings (an overflowing backward error
+    reads nan).
     """
-    rows = slice(j0 + 1, j0 + g.shape[1] + 1)
-    c[:, rows] = affine_scan(E, g, c[:, j0])
-    ub, residual = ctrl.step(samples, top, j0, g[:, :, :ctrl.K.shape[1]],
-                             d2[:, rows])
-    # Whole-block checks first; the rows are searched only on a fault.
-    if (np.isfinite(g).all() and np.isfinite(ub).all()
-            and residual.max() <= SOLVE_RESIDUAL_TOL):
-        return residual.max(axis=1)
-    faults = np.stack([~np.isfinite(g).all(axis=(0, 2)),
-                       ~np.isfinite(ub).all(axis=(0, 2)),
-                       (residual > SOLVE_RESIDUAL_TOL).any(axis=0)], axis=1)
-    if faults.any():
-        i, kind = np.argwhere(faults)[0]
-        j = j0 + 1 + i
-        if kind == 0:
-            raise ScenarioError(f"non-finite state at step {j} (t={ts[j]:.6g})")
-        if kind == 1:
-            raise ControllerError(f"non-finite control value at t={ts[j]}")
-        raise ControllerError(f"implicit equation backward error "
-                              f"{residual[:, i].max():.3g} at t={ts[j]}")
-    return residual.max(axis=1)
+    J, S = len(ts) - 1, len(scens)
+    c = np.zeros((S, J + 1, scens[0].N_modes), dtype=samples.dtype)
+    c[:, 0] = [scen.initial_state for scen in scens]
+    d2 = np.stack([np.asarray(sc.d2(ts)) for sc in scens])     # (S, J+1, m)
+    ctrl = PredictorController(scens[0].certificate, taps, ts, block)
+    max_residual = np.zeros(S)
+    for j0 in range(0, J, block):
+        rows = slice(j0 + 1, min(j0 + block, J) + 1)
+        g = c[:, rows]
+        forcing(j0, g.shape[1], g)
+        affine_scan(E, g, c[:, j0])
+        ub, residual = ctrl.step(samples, n_pre + j0 + 1, j0,
+                                 g[:, :, :ctrl.K.shape[1]], d2[:, rows])
+        # Whole-block checks first; the rows are searched only on a fault.
+        if not (np.isfinite(g).all() and np.isfinite(ub).all()
+                and residual.max() <= SOLVE_RESIDUAL_TOL):
+            faults = np.argwhere(np.stack([
+                ~np.isfinite(g).all(axis=(0, 2)),
+                ~np.isfinite(ub).all(axis=(0, 2)),
+                (residual > SOLVE_RESIDUAL_TOL).any(axis=0)], axis=1))
+            if len(faults):
+                i, kind = faults[0]
+                j = j0 + 1 + i
+                if kind == 0:
+                    raise ScenarioError(f"non-finite state at step {j} "
+                                        f"(t={ts[j]:.6g})")
+                if kind == 1:
+                    raise ControllerError(f"non-finite control value at "
+                                          f"t={ts[j]}")
+                raise ControllerError(f"implicit equation backward error "
+                                      f"{residual[:, i].max():.3g} at t={ts[j]}")
+        np.maximum(max_residual, residual.max(axis=1), out=max_residual)
+    meta = {"dt": scens[0].dt, "N_modes": scens[0].N_modes, "steps": J,
+            "block_steps": block, "min_solve_sigma": ctrl.min_sigma}
+    return c, [{**meta, "max_solve_residual": float(r)} for r in max_residual]
 
 
 def artstein_transform(trajectory: Trajectory, *, taps=None) -> np.ndarray:
@@ -624,38 +627,27 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
 
     The substeps of each coarse step are composed once into per-mode
     coefficients (``compose_rk4_substeps``), so the plant is
-    c_{j+1} = R c_j + g_j.  The delayed reads are cubic (Catmull-Rom); since
-    D(t) is exogenous, the reads and forcing g of a block of steps are built
-    at once, the forcing as one product with the composed weights, the block
-    as long as the shortest delay allows (at most ``BLOCK_STEPS``).  With
-    the Simpson taps of ``_predictor_tap`` the law is the controller's, and
-    each block advances through ``_advance_block``.
+    c_{j+1} = R c_j + g_j.  Since D(t) is exogenous, the cubic reads and the
+    forcing of a block, as long as the shortest delay allows, are built at
+    once, the forcing as one product with the composed weights.  With the
+    Simpson taps of ``_predictor_tap`` the law is the controller's.
     """
-    cert = scenario.certificate
-    desc = scenario.descriptor
+    cert, desc = scenario.certificate, scenario.descriptor
     if desc.field != "real":
         raise ScenarioError("the RK4 oracle supports real-field plants")
     dt = scenario.dt
-    J = int(round(scenario.T_final / dt))
-    ts = dt * np.arange(J + 1)
-    n_modes = scenario.N_modes
-    m = desc.num_inputs
-    lam_all = desc.eigenvalues(n_modes)
-    B_all = desc.input_matrix(n_modes)
+    ts, lam_all, B_all = _modal_plant(scenario)
 
     hf = dt / ORACLE_REFINE
-    c = np.zeros((1, J + 1, n_modes))
-    c[0, 0] = scenario.initial_state
-    v = np.zeros((J + 1, m))
+    v = np.zeros((len(ts), desc.num_inputs))
     # u_j is row n_pre + j; the rows before it hold the zero initial control.
     n_pre = int(np.ceil((cert.D0 + cert.delta_max) / dt)) + 2
-    samples = np.zeros((1, n_pre + J + 1, m))
+    samples = np.zeros((1, n_pre + len(ts), desc.num_inputs))
     R, Wf = compose_rk4_substeps(lam_all, hf, ORACLE_REFINE)
     # WB[(q, a), n] = Wf[q, n] B_all[n, a]: a block's forcing, the composed
     # RK4 weights applied to B v at the half-substep points, is one product.
-    WB = (Wf[:, np.newaxis] * B_all.T).reshape(-1, n_modes)
+    WB = (Wf[:, np.newaxis] * B_all.T).reshape(-1, scenario.N_modes)
     half = (hf / 2.0) * np.arange(2 * ORACLE_REFINE + 1)
-    d2 = np.asarray(scenario.d2(ts))[np.newaxis]
 
     # A read one step past t_j - D_min touches rows up to floor(x) + 2, so
     # the block reads only earlier blocks; each read is clamped as at its own
@@ -663,12 +655,12 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
     delay = scenario.delay
     block = max(1, min(BLOCK_STEPS,
                        int((delay.D0 - delay.max_amplitude()) / dt) - 3))
-    ctrl = PredictorController(
-        cert, _predictor_tap(cert.lambdas, cert.B, cert.D0, dt), ts, block)
-    residual, margin = 0.0, np.inf
-    v[0] = np.asarray(scenario.d1(ts[0]))   # u is zero up to t = 0
-    for j0 in range(0, J, block):
-        n = min(block, J - j0)
+    margin, vf = np.inf, None
+
+    def forcing(j0, n, g):
+        # vf lives on to the next block: freed before the block's solve, it
+        # left the heap top to the allocator to return and re-fault per block.
+        nonlocal margin, vf
         tf = ts[j0: j0 + n, np.newaxis] + half
         x = (tf - np.asarray(delay(tf), dtype=float) + n_pre * dt) / dt
         margin = min(margin, x.min())
@@ -680,15 +672,14 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
         vf = catmull_rom(samples[0, start + _STENCIL], w[..., np.newaxis]) \
             + np.asarray(scenario.d1(tf))
         v[j0 + 1: j0 + n + 1] = vf[:, -1]
-        g = (vf.reshape(n, -1) @ WB)[np.newaxis]
-        residual = max(residual, *_advance_block(
-            c, j0, R, g, ctrl, samples, n_pre + j0 + 1, d2, ts))
+        np.matmul(vf.reshape(n, -1), WB, out=g[0])
 
+    v[0] = np.asarray(scenario.d1(ts[0]))   # u is zero up to t = 0
+    c, (meta,) = _closed_loop(
+        [scenario], ts, R, _predictor_tap(cert.lambdas, cert.B, cert.D0, dt),
+        block, samples, n_pre, forcing)
     return _trajectory(scenario, ts, c[0], samples[0, n_pre:], v,
-                       {"dt": dt, "refine": ORACLE_REFINE, "N_modes": n_modes,
-                        "steps": J, "block_steps": block,
-                        "max_solve_residual": float(residual),
-                        "min_solve_sigma": ctrl.min_sigma,
+                       {**meta, "refine": ORACLE_REFINE,
                         "min_read_margin": float(margin)})
 
 
@@ -888,13 +879,15 @@ def trajectory_from_csv(path) -> Trajectory:
 
 def match_trajectory(traj: Trajectory, scen: Scenario, path) -> None:
     """Refuse, as a ScenarioError naming the field and both values, the
-    trajectory read from ``path`` unless its grid, its columns and its first
-    row are those ``simulate`` writes for ``scen``.  %.17g round-trips, so
-    the first row must equal ``X0_coeffs`` zero-padded exactly."""
+    trajectory read from ``path`` unless its grid, its columns, its first
+    row and its delayed reads are those ``simulate`` writes for ``scen``.
+    %.17g round-trips, so the first row must equal ``X0_coeffs`` zero-padded
+    exactly, and v = u(t - D(t)) + d1(t), read from the file's u as
+    ``simulate`` reads it, must hold to 1e-12 of the size of its terms."""
     for field, have, want in (
             ("dt (the grid step)", traj.t[1] - traj.t[0], scen.dt),
             ("round(T_final / dt) + 1 (the rows)", len(traj.t),
-             round(scen.T_final / scen.dt) + 1),
+             scen.steps + 1),
             ("N_modes (the c_* columns)", traj.coeffs.shape[1], scen.N_modes),
             ("the certificate's N0 (the Y_*, Z_* columns)", traj.Z.shape[1],
              scen.certificate.N0),
@@ -911,6 +904,19 @@ def match_trajectory(traj: Trajectory, scen: Scenario, path) -> None:
                             f"scenario: c_{k + 1} of the first row is "
                             f"{traj.coeffs[0, k].item()} in the file and "
                             f"X0_coeffs gives {X0[k].item()}")
+    hist = _control_history([scen])
+    hist.samples[0, hist.n_pre:] = traj.u
+    read, d1 = hist.interp(slice(None))[0], np.asarray(scen.d1(scen.grid))
+    v = read + d1
+    if (off := np.argwhere(~(np.abs(traj.v - v)
+                             <= 1e-12 * (np.abs(read) + np.abs(d1))))).size:
+        j, a = off[0]
+        raise ScenarioError(f"trajectory file {path} does not match its "
+                            f"scenario: the delayed read v_{a + 1} at step {j} "
+                            f"(t={traj.t[j]:.6g}) is {traj.v[j, a].item()} in "
+                            f"the file, and u(t - D(t)) + d1(t) from its u_* "
+                            f"columns under the scenario's delay and d1 is "
+                            f"{v[j, a].item()}")
 
 
 # ---------------------------------------------------------------------------

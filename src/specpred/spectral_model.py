@@ -10,14 +10,13 @@ sector constant ``xi``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SpecpredError, load_json, read_as, read_section
+from .errors import SpecpredError, read_as, read_section
 from .numerics import simpson_integrate
 
 class SpectrumError(SpecpredError, ValueError):
@@ -288,12 +287,3 @@ def descriptor_from_dict(d: dict) -> SystemDescriptor:
                     "explicit_b": d["explicit_b"]},
         )
     raise ValueError(f"unknown descriptor kind: {kind!r}")
-
-
-def save_descriptor(descriptor: SystemDescriptor, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(descriptor_to_dict(descriptor), fh, indent=2)
-
-
-def load_descriptor(path) -> SystemDescriptor:
-    return load_json(path, "descriptor", descriptor_from_dict, SpectrumError)

@@ -10,6 +10,7 @@ is the former one-scenario loop through ``reference.StepController``.
 import copy
 import json
 import re
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -525,6 +526,23 @@ def test_overflowing_state_norm_names_its_first_step(descriptor, exact_cert):
             engine(scen)
         assert str(info.value).startswith(
             f"state norm ||X||_upper overflows at step {step} (t={t})")
+
+
+def test_overflowing_run_is_refused_without_a_warning(descriptor, exact_cert):
+    # Over T = 2 the same d2 drives the controls past the float range; the
+    # backward-error products overflow before the state does, and each
+    # engine reaches its refusal with no RuntimeWarning on the way.
+    base = cli.builtin_scenarios(descriptor, exact_cert, dt=5e-3, T=2.0)[3]
+    scen = replace(base, d2=replace(base.d2, amplitude=(1e308,)))
+    for engine, error, text in (
+            (simulate, ScenarioError, "non-finite state at step 124 (t=0.62)"),
+            (oracle_simulate, ControllerError,
+             "non-finite control value at t=0.63")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                engine(scen)
+        assert str(info.value) == text
 
 
 def test_out_of_span_member_fails_the_batch_before_the_first_step(

@@ -164,6 +164,34 @@ def test_cmd_simulate_and_check(artifacts, capsys):
                                       "transformed_state"}
 
 
+@pytest.fixture(scope="module")
+def builtin_csvs(tmp_path_factory, descriptor, fitted_cert):
+    """The certificate, and each built-in scenario's file with the CSV that
+    ``simulate`` writes for it."""
+    root = tmp_path_factory.mktemp("builtin")
+    cert_path = str(root / "cert.json")
+    synthesis.save_certificate(fitted_cert, cert_path)
+    files = []
+    for i, scen in enumerate(cli.builtin_scenarios(descriptor, fitted_cert,
+                                                   dt=5e-3, T=4.0)):
+        scen_path, csv = str(root / f"scen{i}.json"), str(root / f"traj{i}.csv")
+        sim_engine.save_scenario(scen, scen_path)
+        assert cli.main(["simulate", "--certificate", cert_path,
+                         "--scenario", scen_path, "--out", csv]) == 0
+        files.append((scen_path, csv))
+    return cert_path, files
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_check_accepts_each_builtin_scenarios_own_csv(builtin_csvs, capsys,
+                                                      i):
+    cert_path, files = builtin_csvs
+    scen_path, csv = files[i]
+    assert cli.main(["check", "--certificate", cert_path,
+                     "--scenario", scen_path, "--out", csv]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_cmd_simulate_zero_everything(tmp_path, descriptor, fitted_cert, capsys):
     cert_path = tmp_path / "cert.json"
     synthesis.save_certificate(fitted_cert, cert_path)
@@ -455,6 +483,10 @@ def _first_x0(value):
      "X0_coeffs gives 1.0"),
     ("simulate", "scenario", _set("system", "c", 25.0),
      "plant head eigenvalues"),
+    ("check", "scenario", _set("disturbance_d1", "kind", "zero"),
+     "the delayed read v_1 at step 1 (t=0.005) is "),
+    ("check", "scenario", _set("delay", "D0", 0.501),
+     "the delayed read v_1 at step 101 (t=0.505) is "),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -477,7 +509,8 @@ def _first_x0(value):
         "certificate-lambda-missing", "check-dt-not-the-grid",
         "check-T_final-not-the-rows", "check-N_modes-not-the-columns",
         "check-N0-not-the-columns", "check-m-not-the-columns",
-        "check-first-row-not-X0", "simulate-certified-other-plant"])
+        "check-first-row-not-X0", "simulate-certified-other-plant",
+        "check-d1-not-the-reads", "check-delay-not-the-reads"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     assert _run_mutated(artifacts, tmp_path, subcommand, kind, mutate) == 2

@@ -6,7 +6,8 @@ so does a top-level function or class, or a module-level UPPER_CASE
 constant, whose name appears nowhere in ``src/``, ``tests/`` or
 ``specbench/`` apart from its own definition.  The rule for reading an input
 file's sections lives in ``errors.py`` alone: no other module builds an
-"unknown <section> key" refusal.
+"unknown <section> key" refusal.  Both simulation engines run through one
+closed loop: ``sim_engine.py`` builds ``PredictorController`` in one place.
 """
 
 import ast
@@ -99,3 +100,12 @@ def test_only_errors_refuses_an_unknown_section_key(path):
         assert refusals, "errors.py no longer refuses an unknown key"
     else:
         assert not refusals, f"{path.name} builds its own refusal {refusals}"
+
+
+def test_sim_engine_builds_one_controller():
+    # Both engines run through one closed loop, which builds the controller.
+    calls = [node.lineno for node in ast.walk(ast.parse(
+        (PACKAGE / "sim_engine.py").read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "PredictorController"]
+    assert len(calls) == 1, f"PredictorController built at lines {calls}"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from specpred.cli import _load_plant
 from specpred.spectral_model import (
     SpectrumError,
     SystemDescriptor,
@@ -12,9 +13,7 @@ from specpred.spectral_model import (
     descriptor_from_dict,
     descriptor_to_dict,
     lifting_norms,
-    load_descriptor,
     modal_input_coeffs,
-    save_descriptor,
     truncated_model,
 )
 
@@ -104,8 +103,9 @@ def test_descriptor_validation():
 def test_descriptor_roundtrip_reaction_diffusion(tmp_path):
     d = build_reaction_diffusion(7.5)
     path = tmp_path / "desc.json"
-    save_descriptor(d, path)
-    d2 = load_descriptor(path)
+    path.write_text(json.dumps(descriptor_to_dict(d)))
+    d2, design = _load_plant(str(path))
+    assert design == {}
     assert d2.kind == "reaction_diffusion"
     assert np.allclose(d2.eigenvalues(5), d.eigenvalues(5))
     assert np.allclose(d2.input_matrix(5), d.input_matrix(5))
