@@ -62,6 +62,10 @@ def default_descriptor(c: float = 15.0) -> SystemDescriptor:
 def design_pipeline(descriptor: SystemDescriptor, design: dict = None):
     """Descriptor -> (model, certificate) with the exactly-computable part."""
     design = {**DEFAULT_DESIGN, **(design or {})}
+    for key in ("D0", "t0"):
+        if not 0 < (v := design[key]) < math.inf:
+            raise synthesis.SynthesisError(f"design {key} must be positive "
+                                           f"and finite, got {v}")
     model = spectral_model.classify_modes(descriptor, DEFAULT_SCAN_DEPTH)
     poles = design.get("target_poles")
     if poles is None:

@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SpecpredError
-from .numerics import affine_scan, catmull_rom, cubic_stencil
-from .sim_engine import (DelaySignal, DisturbanceSignal, Scenario, Trajectory,
-                         rk4_substep, state_norm)
+from .numerics import affine_scan, cubic_reader
+from .sim_engine import (MAX_STEPS, DelaySignal, DisturbanceSignal, Scenario,
+                         Trajectory, rk4_substep, state_norm)
 from .synthesis import (ENVELOPES, Certificate, finalize_tail_constants,
                         smallgain_lhs)
 
@@ -353,13 +353,9 @@ class Lemma2Problem:
                                   M_lambda, lam) < lam)
 
 
-# Catmull-Rom stencil: offsets of the four samples of a history read.
-_STENCIL = np.arange(4).reshape(4, 1, 1, 1)
-
-
 def _matvec(M, v):
     """Per-member product M[s] @ v[s] for M (S, n, n) and v (..., S, n)."""
-    return np.matmul(M, v[..., np.newaxis])[..., 0]
+    return np.einsum("sij,...sj->...si", M, v)
 
 
 def _sample(f, ts):
@@ -412,14 +408,15 @@ def simulate_delay_difference(problem, dt: float, T: float,
 
     ``problem`` is one ``Lemma2Problem`` or a sequence of them.  A sequence
     is stepped together in one pass: the state is shaped (S, n), the history
-    (n_pre + J + 1, S, n), and every history read is one gather over the
-    members, whose A, C, r and eps may differ; members of a lower state
-    dimension are zero-padded to the largest n.  The delayed reads lag at
-    least r - eps behind t, so a block of L steps reads only samples known
-    when it starts: it samples d, q and p on its step and half-step times
-    once (``_sampler``), its forcing is one gather and one Catmull-Rom call,
-    and each of its RK4 steps is x_{j+1} = R x_j + b_j (R the RK4 polynomial
-    of dt A, b_j the step from x = 0), advanced by one ``affine_scan``.
+    (n_pre + J + 1, S, n), and every history read is one ``cubic_reader``
+    read over the members, whose A, C, r and eps may differ; members of a
+    lower state dimension are zero-padded to the largest n.  The delayed
+    reads lag at least r - eps behind t, so a block of L steps reads only
+    samples known when it starts: it samples d, q and p on its step and
+    half-step times once (``_sampler``), its forcing is one read of both
+    delayed arguments, and each of its RK4 steps is x_{j+1} = R x_j + b_j
+    (R the RK4 polynomial of dt A, b_j the step from x = 0), advanced by one
+    ``affine_scan``.  A history of more than ``MAX_STEPS`` rows is refused.
 
     Returns (ts, xs) with xs shaped (J+1, n) for one problem and (J+1, S, n)
     for a sequence; ``with_forcing`` appends p sampled on ts, shaped as xs.
@@ -427,6 +424,13 @@ def simulate_delay_difference(problem, dt: float, T: float,
     single = isinstance(problem, Lemma2Problem)
     members = [problem] if single else list(problem)
     S = len(members)
+    reach = max(pr.r + pr.eps for pr in members)
+    n_pre = int(math.ceil(reach / dt)) + 2
+    J = int(round(T / dt))
+    if (rows := n_pre + J + 1) > MAX_STEPS:
+        raise CertifierError(f"lemma-2 history of {rows} rows exceeds "
+                             f"MAX_STEPS = {MAX_STEPS}: r + eps = {reach:g} "
+                             f"and T = {T:g} over dt = {dt:g}")
     dims = [np.asarray(pr.A).shape[0] for pr in members]
     n = max(dims)
     A = np.zeros((S, n, n))
@@ -440,13 +444,11 @@ def simulate_delay_difference(problem, dt: float, T: float,
     # least r - eps behind t, so dt must be well below that margin.
     if np.any(dt * 3 > r - eps):
         raise ValueError("dt too large for the delay margin")
-    n_pre = max(int(math.ceil((pr.r + pr.eps) / dt)) for pr in members) + 2
-    J = int(round(T / dt))
     xs = np.zeros((n_pre + J + 1, S, n))
     t_hist = -n_pre * dt + dt * np.arange(n_pre + 1)
     for i, (pr, k) in enumerate(zip(members, dims)):
         xs[:n_pre + 1, i, :k] = _sample(pr.x0, np.maximum(t_hist, -(pr.r + pr.eps)))
-    rows = np.arange(S)
+    read = cubic_reader(xs)
     # One sampler for d, q and p: d and q in one expression, p in another.
     sample = _sampler([pr.d for pr in members] + [pr.q for pr in members]
                       + [pr.p for pr in members], n)
@@ -466,8 +468,7 @@ def simulate_delay_difference(problem, dt: float, T: float,
         d, q, pf = dqp[:, :S, 0], dqp[:, S:2 * S, 0], dqp[:, 2 * S:]
         tr = tf[:, np.newaxis] - r
         x = (np.stack([tr - eps * d, tr]) - t_hist[0]) / dt
-        start, w = cubic_stencil(x, n_pre + J)
-        lag, nom = catmull_rom(xs[start + _STENCIL, rows], w[..., np.newaxis])
+        (lag, nom), _ = read(x, n_pre + J)
         f = q[..., np.newaxis] * _matvec(C, lag - nom) + pf
         ps[j0:j0 + len(tb)] = pf[0::2]
         b = rk4_substep(lambda v: _matvec(A, v), dt, np.zeros_like(f[1::2]),
@@ -478,6 +479,15 @@ def simulate_delay_difference(problem, dt: float, T: float,
     if single:
         xs, ps = xs[:, 0], ps[:, 0]
     return (ts, xs, ps) if with_forcing else (ts, xs)
+
+
+def _stacked(f, mats):
+    """f of each matrix of ``mats``, one float each, from one call per shape."""
+    out = np.empty(len(mats))
+    for shape in {np.shape(M) for M in mats}:
+        idx = [i for i, M in enumerate(mats) if np.shape(M) == shape]
+        out[idx] = f(np.stack([mats[i] for i in idx]))
+    return out.tolist()
 
 
 def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
@@ -494,46 +504,44 @@ def lemma2_validate(problems: Sequence[Lemma2Problem], sigma: float,
     / growing), never prove it.  Steps are dt split into the fewest equal
     parts with h max|eig A| <= 2.5 (RK4 is stable to 2.78); more than 16 refuse.
     """
-    if not all(prob.smallgain_ok(M_lambda, lam) for prob in problems):
+    norm_A, norm_C = (_stacked(lambda M: np.linalg.norm(M, 2, axis=(1, 2)),
+                               [getattr(pr, k) for pr in problems]) for k in "AC")
+    if not all(smallgain_lhs(pr.eps, a, c, M_lambda, lam) < lam
+               for pr, a, c in zip(problems, norm_A, norm_C)):
         raise CertifierError("small-gain precondition violated for a member")
-    eig = max(float(np.max(np.abs(np.linalg.eigvals(pr.A)))) for pr in problems)
+    eig = max(_stacked(lambda M: np.max(np.abs(np.linalg.eigvals(M)), axis=1),
+                       [pr.A for pr in problems]))
     if (parts := max(1, math.ceil(dt * eig / 2.5))) > 16:
         raise CertifierError(f"stiff lemma-2 member: |a| = max|eig A| = "
                              f"{eig:.6g} needs an RK4 step below dt/16")
     h = dt / parts
     ts, xs, ps = simulate_delay_difference(problems, h, T, with_forcing=True)
-    p_norms = [np.linalg.norm(ps[:, i], axis=1) for i in range(len(problems))]
-    sup_x0 = [np.max(np.linalg.norm(_sample(
+    # Each member's np.linalg.norm(v[:, i], axis=1) as a row, from one reduction
+    # squaring xs and ps in place; freed, they keep the report under the peak.
+    x_norms, p_norms = [np.sqrt(s, out=s).T for s in (
+        np.add.reduce(np.multiply(v, v, out=v), axis=2) for v in (xs, ps))]
+    del xs, ps
+    sup_x0 = np.array([np.max(np.linalg.norm(_sample(
         pr.x0, np.linspace(-(pr.r + pr.eps), 0.0, 201)), axis=1))
-        for pr in problems]
-    has_p = [np.max(p) > 0 for p in p_norms]
+        for pr in problems])
+    has_p = np.max(p_norms, axis=1) > 0
     channels = ["x0" if s > 0 and not p else "p" if p and s == 0 else "mixed"
-                for s, p in zip(sup_x0, has_p)]
-    # The p members' fading-memory sups, in one call.
-    forced = [i for i, ch in enumerate(channels) if ch == "p"]
-    fading = dict(zip(forced, fading_memory_sup(np.reshape(
-        [p_norms[i] for i in forced], (len(forced), len(ts))), sigma, h)))
-    M_fit = 1.0
-    N_fit = 0.0
-    per_member = []
-    for i, ch in enumerate(channels):
-        xn = np.linalg.norm(xs[:, i], axis=1)
-        if ch == "x0":
-            ratio = _max_ratio(xn, np.exp(-sigma * ts) * sup_x0[i])
-            M_fit = max(M_fit, ratio)
-        elif ch == "p":
-            ratio = _max_ratio(xn, fading[i])
-            N_fit = max(N_fit, ratio)
-        else:
-            # Mixed members only sanity-check finiteness.
-            ratio = float(np.max(xn))
-        per_member.append({"channel": ch, "ratio": ratio})
-    finite = all(np.isfinite(m["ratio"]) for m in per_member)
+                for s, p in zip(sup_x0.tolist(), has_p.tolist())]
+    x0, forced = ([i for i, ch in enumerate(channels) if ch == c]
+                  for c in ("x0", "p"))
+    # Mixed members only sanity-check finiteness.
+    ratio = np.max(x_norms, axis=1)
+    ratio[x0] = _max_ratio(x_norms[x0], np.exp(-sigma * ts)
+                           * sup_x0[x0, np.newaxis])
+    ratio[forced] = _max_ratio(x_norms[forced], fading_memory_sup(
+        p_norms[forced], sigma, h))
+    ratio = ratio.tolist()
     return {
-        "M": M_fit,
-        "N": N_fit,
+        "M": max([1.0] + [ratio[i] for i in x0]),
+        "N": max([0.0] + [ratio[i] for i in forced]),
         "sigma": sigma,
-        "finite": finite,
-        "members": per_member,
+        "finite": all(np.isfinite(ratio)),
+        "members": [{"channel": ch, "ratio": r}
+                    for ch, r in zip(channels, ratio)],
         "note": "ensemble evidence only: can falsify the estimate, not prove it",
     }

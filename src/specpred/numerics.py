@@ -1,7 +1,7 @@
 """Shared low-level numerics: exponential quadrature moments, Simpson rule,
-the Catmull-Rom cubic and its clamped read stencil, the work-efficient scan
-of an affine recurrence, the smoothstep polynomial, the matrix exponential
-over a time grid and the largest 2-norm of a stack of matrices.
+the Catmull-Rom cubic, its clamped stencil and the history reader on both,
+the work-efficient scan of an affine recurrence, the smoothstep polynomial,
+the matrix exponential over a time grid and the largest 2-norm of a stack.
 
 The exponential moments are the workhorse of both the predictor integral and
 the per-mode exponential integrator: every integral of the form
@@ -21,6 +21,8 @@ import numpy as np
 # (relative error ~eps/|lam h|) while the truncated Taylor series is accurate
 # to ~|lam h|^5 / 720; 1e-3 balances the two at ~1e-12 relative error.
 MOMENT_SERIES_THRESHOLD = 1e-3
+# Row offsets of the four samples of a Catmull-Rom stencil.
+_STENCIL = np.arange(4)
 
 
 def exp_moments(lam, h):
@@ -75,16 +77,30 @@ def simpson_integrate(values, h, axis=-1):
     return np.sum(values * w.reshape(shape), axis=axis)
 
 
-def catmull_rom(p, w):
+def catmull_rom(p, w, work=None):
     """Catmull-Rom cubic on the uniform stencil p = (p0, p1, p2, p3) at
-    w in grid units past p1: p1 at w = 0, p2 at w = 1, exact for quadratics."""
-    p0, p1, p2, p3 = p
-    return (
-        p1
-        + 0.5 * w * (p2 - p0)
-        + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
-        + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0))
-    )
+    w in grid units past p1: p1 at w = 0, p2 at w = 1, exact for quadratics.
+    It runs in ``work`` (six rows of the result's shape whose first four are
+    p; new rows if not given), with the operations, and so the bits, of
+    p1 + 0.5 w (p2 - p0) + w^2 (p0 - 2.5 p1 + 2 p2 - 0.5 p3)
+    + w^3 (1.5 (p1 - p2) + 0.5 (p3 - p0)); the result is a row of ``work``."""
+    if work is None:
+        shape = np.broadcast_shapes(*map(np.shape, p), np.shape(w))
+        work = np.empty((6,) + shape, np.result_type(*p, w))
+        work[:4] = [np.broadcast_to(pk, shape) for pk in p]
+    p0, p1, p2, p3, a, b = (work[k:k + 1] for k in range(6))
+    np.multiply(np.subtract(p1, p2, out=a), 1.5, out=a)
+    a += np.multiply(np.subtract(p3, p0, out=b), 0.5, out=b)
+    a *= w * w * w
+    np.subtract(p0, np.multiply(p1, 2.5, out=b), out=b)
+    np.multiply(np.subtract(p2, p0, out=p0), 0.5 * w, out=p0)
+    p1 += p0
+    b += np.multiply(p2, 2.0, out=p0)
+    b -= np.multiply(p3, 0.5, out=p0)
+    b *= w * w
+    p1 += b
+    p1 += a
+    return p1[0]
 
 
 def cubic_stencil(x, hi):
@@ -94,6 +110,33 @@ def cubic_stencil(x, hi):
     x = np.clip(x, 0.0, hi)
     j = np.clip(x.astype(int), 1, hi - 2)
     return j - 1, x - j
+
+
+def cubic_reader(samples):
+    """Clamped Catmull-Rom reads of a history ``samples`` (rows, *members,
+    width) that may be written between reads: ``read(x, hi)`` reads member
+    i at the grid positions x[..., i] from rows 0..hi by one ``np.take`` of
+    the stencils, into a workspace that the next read reuses.  It returns
+    the values, x.shape + (width,), and the last row read."""
+    flat = samples.reshape(-1, samples.shape[-1], copy=False)
+    stride = flat.shape[0] // len(samples)       # members per history row
+    offset = np.arange(stride).reshape(samples.shape[1:-1])
+    work = np.empty(0, samples.dtype)
+
+    def read(x, hi):
+        nonlocal work
+        start, w = cubic_stencil(x, hi)
+        if work.size < (size := 6 * x.size * flat.shape[1]):
+            work = np.empty(size, samples.dtype)
+        buf = work[:size].reshape((6,) + x.shape + flat.shape[1:])
+        top = int(start.max()) + 3
+        start *= stride
+        start += offset
+        # The clamped stencil is in range: "clip" takes into buf unbuffered.
+        np.take(flat, np.add.outer(stride * _STENCIL, start), axis=0,
+                out=buf[:4], mode="clip")
+        return catmull_rom(buf[:4], w[..., np.newaxis], buf), top
+    return read
 
 
 def affine_scan(E, g, x0):

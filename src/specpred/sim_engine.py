@@ -25,7 +25,7 @@ channel v(t) = u(t - D(t)) + d1(t).  ``artstein_transform`` evaluates the
 transformed state Z with the controller's predictor taps as one convolution,
 and ``artstein_residual`` checks its dynamics on the whole grid at once.
 The Artstein residual's linear reads use ``controller.linear_stencil`` and
-the oracle's cubic reads ``numerics.cubic_stencil``.
+the oracle's cubic reads ``numerics.cubic_reader``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .controller import (
     transition,
 )
 from .errors import KINDS, SpecpredError, load_json, read_section
-from .numerics import (affine_scan, catmull_rom, cubic_stencil, exp_moments,
+from .numerics import (affine_scan, catmull_rom, cubic_reader, exp_moments,
                        simpson_weights, smoothstep)
 from .spectral_model import (SystemDescriptor, descriptor_from_dict,
                              descriptor_to_dict)
@@ -58,8 +58,9 @@ from .synthesis import Certificate, _array_from_list, _array_to_list
 
 DEFAULT_MODE_DECAY_FACTOR = 50.0
 MAX_MODES = 400
-# Most steps round(T_final / dt) a scenario may take: the state array of one
-# run at the built-in plant's 12 modes is then at most 96 MB.
+# Most steps round(T_final / dt) a scenario may take, and most rows of a
+# lemma-2 history: the state array of one run at the built-in plant's 12
+# modes is then at most 96 MB.
 MAX_STEPS = 10**6
 # Longest block of steps ``simulate`` solves at once, and the longest block
 # whose delayed reads ``oracle_simulate`` builds at once; the delay may
@@ -67,8 +68,6 @@ MAX_STEPS = 10**6
 BLOCK_STEPS = 240
 # RK4 substeps per coarse step of ``oracle_simulate``.
 ORACLE_REFINE = 20
-# Row offsets of a Catmull-Rom stencil, on the leading axis of a gather.
-_STENCIL = np.arange(4).reshape(4, 1, 1)
 
 
 class ScenarioError(SpecpredError, ValueError):
@@ -655,22 +654,19 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
     delay = scenario.delay
     block = max(1, min(BLOCK_STEPS,
                        int((delay.D0 - delay.max_amplitude()) / dt) - 3))
-    margin, vf = np.inf, None
+    margin, read = np.inf, cubic_reader(samples[0])
 
     def forcing(j0, n, g):
-        # vf lives on to the next block: freed before the block's solve, it
-        # left the heap top to the allocator to return and re-fault per block.
-        nonlocal margin, vf
+        nonlocal margin
         tf = ts[j0: j0 + n, np.newaxis] + half
         x = (tf - np.asarray(delay(tf), dtype=float) + n_pre * dt) / dt
         margin = min(margin, x.min())
-        start, w = cubic_stencil(x, n_pre + j0 + np.arange(n)[:, np.newaxis])
-        if start.max() + 3 > n_pre + j0:
+        vf, top = read(x, n_pre + j0 + np.arange(n)[:, np.newaxis])
+        if top > n_pre + j0:
             raise ScenarioError(
                 f"oracle: a delayed read after t = {ts[j0]:.6g} needs a "
                 f"control of its own {block}-step block")
-        vf = catmull_rom(samples[0, start + _STENCIL], w[..., np.newaxis]) \
-            + np.asarray(scenario.d1(tf))
+        vf += np.asarray(scenario.d1(tf))
         v[j0 + 1: j0 + n + 1] = vf[:, -1]
         np.matmul(vf.reshape(n, -1), WB, out=g[0])
 

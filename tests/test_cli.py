@@ -487,6 +487,14 @@ def _first_x0(value):
      "the delayed read v_1 at step 1 (t=0.005) is "),
     ("check", "scenario", _set("delay", "D0", 0.501),
      "the delayed read v_1 at step 101 (t=0.505) is "),
+    ("validate-lemma2", "scenario", _set("lemma2", {"r": 1e6}),
+     "exceeds MAX_STEPS = 1000000: r + eps = 1e+06 and T = 12 over dt = 0.005"),
+    ("certify", "descriptor", lambda d: {**PLANT, "design": {"D0": -0.5}},
+     "design D0 must be positive and finite, got -0.5"),
+    ("certify", "descriptor", lambda d: {**PLANT, "design": {"D0": -1e6}},
+     "design D0 must be positive and finite, got -1000000.0"),
+    ("certify", "descriptor", lambda d: {**PLANT, "design": {"t0": 0.0}},
+     "design t0 must be positive and finite, got 0.0"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -510,7 +518,9 @@ def _first_x0(value):
         "check-T_final-not-the-rows", "check-N_modes-not-the-columns",
         "check-N0-not-the-columns", "check-m-not-the-columns",
         "check-first-row-not-X0", "simulate-certified-other-plant",
-        "check-d1-not-the-reads", "check-delay-not-the-reads"])
+        "check-d1-not-the-reads", "check-delay-not-the-reads",
+        "lemma2-history-past-MAX_STEPS", "design-D0-negative",
+        "design-D0-minus-1e6", "design-t0-zero"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     assert _run_mutated(artifacts, tmp_path, subcommand, kind, mutate) == 2

@@ -7,6 +7,7 @@ from reference import reference_matrix_exp_norm, segment_exp_integral
 from specpred.numerics import (
     affine_scan,
     catmull_rom,
+    cubic_reader,
     cubic_stencil,
     exp_moments,
     matrix_exp_norm,
@@ -153,6 +154,51 @@ def test_cubic_stencil_clamps_at_both_ends():
     vals = catmull_rom(f[start + np.arange(4)[:, np.newaxis]], w)
     assert np.allclose(vals, 1.0 + 0.5 * np.clip(x, 0, hi) ** 2, rtol=0,
                        atol=1e-12)
+
+
+def _textbook_catmull_rom(p, w):
+    p0, p1, p2, p3 = p
+    return (p1 + 0.5 * w * (p2 - p0)
+            + w * w * (p0 - 2.5 * p1 + 2.0 * p2 - 0.5 * p3)
+            + w * w * w * (1.5 * (p1 - p2) + 0.5 * (p3 - p0)))
+
+
+@pytest.mark.parametrize("form", ["scalars", "scalar-w", "rows", "weights"])
+def test_catmull_rom_keeps_the_textbook_expressions_bits(form):
+    # Numpy-scalar stencils, a stencil of arrays, and the weight form
+    # catmull_rom(np.eye(4), w) of the oracle's taps.
+    rng = np.random.default_rng(11)
+    w = 0.3 if form == "scalar-w" else rng.uniform(-1.0, 2.0, size=(5, 3, 1))
+    p = {"scalars": rng.normal(size=4), "scalar-w": rng.normal(size=4),
+         "rows": rng.normal(size=(4, 5, 3, 2)), "weights": np.eye(4)}[form]
+    got = np.asarray(catmull_rom(p, w))
+    want = np.asarray(_textbook_catmull_rom(p, w))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("members, width", [((), 1), ((), 3), ((4,), 1),
+                                            ((4,), 2), ((2, 3), 2)])
+def test_cubic_reader_is_the_gathered_catmull_rom_bit_for_bit(members, width):
+    """Each read equals catmull_rom of the clamped stencil's gathered rows,
+    member i reading its own column, at both clamped ends; a write to the
+    history between reads is read, and a smaller read reuses the workspace."""
+    rng = np.random.default_rng(len(members) * 10 + width)
+    rows = 40
+    samples = rng.normal(size=(rows,) + members + (width,))
+    member = tuple(np.indices(members))
+    read = cubic_reader(samples)
+    for lead, hi in (((7, 5), rows - 1), ((3,), 25)):
+        x = rng.uniform(-4.0, hi + 4.0, size=lead + members)
+        x[0], x[1] = -2.5, hi + 1.5             # clamped at both ends
+        got, top = read(x, hi)
+        start, w = cubic_stencil(x, hi)
+        offsets = np.arange(4).reshape((4,) + (1,) * x.ndim)
+        want = catmull_rom(samples[(start + offsets,) + member],
+                           w[..., np.newaxis])
+        assert got.shape == want.shape == x.shape + (width,)
+        assert got.tobytes() == want.tobytes()
+        assert top == start.max() + 3 and 0 in start and hi - 3 in start
+        samples[: hi + 1] += rng.normal(size=samples[: hi + 1].shape)
 
 
 # Rates of x' = lam x at dt = 1e-3: the default plant's unstable head mode

@@ -8,6 +8,9 @@ constant, whose name appears nowhere in ``src/``, ``tests/`` or
 file's sections lives in ``errors.py`` alone: no other module builds an
 "unknown <section> key" refusal.  Both simulation engines run through one
 closed loop: ``sim_engine.py`` builds ``PredictorController`` in one place.
+Cubic history reads go through ``numerics.cubic_reader``: ``src/`` defines
+one stencil-offset array, in ``numerics.py``, and no other module applies
+``catmull_rom`` to a gathered stencil.
 """
 
 import ast
@@ -109,3 +112,23 @@ def test_sim_engine_builds_one_controller():
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "PredictorController"]
     assert len(calls) == 1, f"PredictorController built at lines {calls}"
+
+
+def test_numerics_defines_the_one_stencil_offset_array():
+    found = [(path.name, node.lineno) for path in MODULES
+             for node in ast.walk(ast.parse(_corpus()[path]))
+             if isinstance(node, ast.Assign)
+             and "np.arange(4)" in ast.unparse(node.value)]
+    assert [name for name, _ in found] == ["numerics.py"], \
+        f"stencil-offset arrays defined at {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_numerics_applies_catmull_rom_to_a_gathered_stencil(path):
+    # The weight form catmull_rom(np.eye(4), w) gathers nothing.
+    gathers = [node.lineno for node in ast.walk(ast.parse(_corpus()[path]))
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "catmull_rom"
+               and isinstance(node.args[0], ast.Subscript)]
+    if path.name != "numerics.py":
+        assert not gathers, f"{path.name} gathers a stencil at {gathers}"
