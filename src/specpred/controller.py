@@ -54,7 +54,7 @@ class ControllerError(SpecpredError, RuntimeError):
 
 def solve_triangular(*args, **kwargs):
     """``scipy.linalg.solve_triangular``, with scipy.linalg imported on the
-    first call (see ``numerics.matrix_exps``)."""
+    first call (see ``numerics.matrix_exp_norm``)."""
     from scipy.linalg import solve_triangular as solve
     return solve(*args, **kwargs)
 

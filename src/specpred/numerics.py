@@ -1,7 +1,7 @@
 """Shared low-level numerics: exponential quadrature moments, Simpson rule,
 the Catmull-Rom cubic, its clamped stencil and the history reader on both,
-the work-efficient scan of an affine recurrence, the smoothstep polynomial,
-the matrix exponential over a time grid and the largest 2-norm of a stack.
+the work-efficient scan of an affine recurrence, the smoothstep polynomial
+and the 2-norm of the matrix exponential over a time grid.
 
 The exponential moments are the workhorse of both the predictor integral and
 the per-mode exponential integrator: every integral of the form
@@ -170,39 +170,12 @@ def smoothstep(s):
     return s * s * (3.0 - 2.0 * s)
 
 
-def matrix_exps(A, ts):
-    """exp(A t) for each t in ``ts``, stacked, from one batched ``expm``.
+def matrix_exp_norm(A, ts):
+    """2-norm of exp(A t) for each t in ``ts``, from one batched ``expm``.
 
     scipy.linalg is imported here, not with the module: it costs more than
     the work of the subcommands that never call it."""
     from scipy.linalg import expm
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return expm(np.multiply.outer(ts, np.asarray(A)))
-
-
-def matrix_exp_norm(A, ts):
-    """2-norm of exp(A t) for each t in ``ts``."""
-    return np.linalg.norm(matrix_exps(A, ts), 2, axis=(1, 2))
-
-
-def max_spectral_norm(P):
-    """max_k ||P[k]||_2 of a stack of matrices, the same float as
-    np.max(np.linalg.norm(P, 2, axis=(1, 2))), from few SVDs.
-
-    The Frobenius norm bounds the 2-norm from above, and with a 1e-12
-    relative margin it still does after rounding.  Starting from the exact
-    norm of P[0], the matrices are visited by falling bound, and an SVD is
-    taken only while the bound reaches the best norm so far.  A non-finite
-    entry gives a non-finite result, as the full maximum would.
-    """
-    bound = np.linalg.norm(P, axis=(1, 2)) * (1.0 + 1e-12)
-    if not np.isfinite(bound).all():
-        return float(np.max(bound))
-    best = np.linalg.svd(P[0], compute_uv=False)[0]
-    candidates = np.flatnonzero(bound >= best)
-    for k in candidates[np.argsort(-bound[candidates], kind="stable")]:
-        if bound[k] < best:
-            break
-        if k:
-            best = max(best, np.linalg.svd(P[k], compute_uv=False)[0])
-    return float(best)
+    return np.linalg.norm(expm(np.multiply.outer(ts, np.asarray(A))), 2,
+                          axis=(1, 2))

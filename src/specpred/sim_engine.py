@@ -832,8 +832,8 @@ def _read_rows(path, lo, hi):
 
 def trajectory_from_csv(path) -> Trajectory:
     """Read a trajectory CSV; a file with a malformed row, of another layout,
-    of fewer than two rows or whose t is not an increasing uniform grid
-    raises ScenarioError."""
+    of fewer than two rows, with a value that is not finite or whose t is
+    not an increasing uniform grid raises ScenarioError."""
     with open(path, "rb") as fh:
         header = [h.strip() for h in fh.readline().decode().split(",")]
         lo, end = fh.tell(), os.fstat(fh.fileno()).st_size
@@ -862,6 +862,14 @@ def trajectory_from_csv(path) -> Trajectory:
         raise ScenarioError(f"trajectory file {path} is not in the layout "
                             "simulate writes: t, c_*, Y_*, Z_*, u_*, v_*, "
                             "norm_lower, norm_upper, one value per column")
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        with open(path, "rb") as fh:     # the row's line, past blank lines
+            lineno = [n for n, line in enumerate(fh, 1)
+                      if n > 1 and line.split(b"#")[0].strip()][row]
+        raise ScenarioError(f"trajectory file {path}, line {lineno}, column "
+                            f"{col + 1} ({header[col]}) is {data[row, col]}, "
+                            "not a finite number")
     steps = np.diff(data[:, 0])
     if not (steps[0] > 0 and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])):
         raise ScenarioError(f"trajectory file {path}: t is not an increasing "

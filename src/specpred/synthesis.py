@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import KINDS, SpecpredError, is_number, load_json, read_section
-from .numerics import matrix_exps, max_spectral_norm
+from .numerics import matrix_exp_norm
 from .spectral_model import SystemDescriptor, TruncatedModel, lifting_norms
 
 
@@ -178,7 +178,13 @@ def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
     np.fill_diagonal(gaps, 1.0)
     if np.any(gaps == 0.0):
         raise SynthesisError(f"uncontrollable: repeated head eigenvalue in {lam}")
-    bt = np.exp(-D0 * lam) * B[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        bt = np.exp(-D0 * lam) * B[:, 0]
+    if not np.all(np.isfinite(bt)):
+        n = int(np.flatnonzero(~np.isfinite(bt))[0])
+        raise SynthesisError(f"placing gain overflows: the factor "
+                             f"e^(-D0 lambda_{n + 1}) b_{n + 1} is not finite "
+                             f"for lambda_{n + 1} = {lam[n]:.6g} and D0 = {D0:g}")
     with np.errstate(all="ignore"):     # a gain past the float range: below
         K = -np.prod(lam[:, np.newaxis] - target, axis=1) / (bt * np.prod(gaps, axis=1))
     if not np.all(np.isfinite(K)):
@@ -197,17 +203,17 @@ def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
 def decay_envelope(A_cl):
     """Certified envelope ||e^{A_cl t}|| <= M_lambda e^{-lam t}.
 
-    lam is a fraction of the spectral abscissa; M_lambda is the dense-grid
-    supremum of ||e^{(A_cl + lam I) t}|| = ||e^{A_cl t}|| e^{lam t}, inflated
-    by 5% and clamped >= 1.  The shifted form never multiplies an underflowed
-    norm by an overflowed e^{lam t}, so a long grid (a defective or nearly
-    defective A_cl) still gives a finite supremum.  The grid ends at
+    lam is a fraction of the spectral abscissa; M_lambda is the supremum of
+    ||e^{B t}|| = ||e^{A_cl t}|| e^{lam t}, B = A_cl + lam I, inflated by 5%
+    and clamped >= 1.  By Dahlquist's logarithmic-norm bound
+    ||e^{B t}|| <= e^{mu t}, mu the largest eigenvalue of (B + B^H)/2, so
+    for mu <= 0 (every N0 = 1 design) the supremum is exactly 1, its value
+    at t = 0.  Otherwise it is the maximum over a dense grid ending at
     T_check, the time beyond which the conditioning-based tail bound
     kappa(V) e^{abscissa t} e^{lam t} has dropped below 1, so the grid
-    maximum has provably passed its peak.  The supremum takes an SVD only
-    at grid points whose Frobenius norm reaches the running best
-    (``numerics.max_spectral_norm``): the same float as the full-grid
-    maximum, from one SVD (t = 0) when N0 = 1.
+    maximum has provably passed its peak.  The shifted form never multiplies
+    an underflowed norm by an overflowed e^{lam t}, so a long grid (a
+    defective or nearly defective A_cl) still gives a finite supremum.
     """
     A_cl = np.asarray(A_cl)
     mu, V = np.linalg.eig(A_cl)
@@ -222,8 +228,12 @@ def decay_envelope(A_cl):
     # always (t = 0), so the supremum is attained on [0, T_tail].
     gap = (1.0 - LAMBDA_FRACTION) * (-abscissa)
     T_check = max(1.0, np.log(max(condV, 1.0)) / gap * 1.1)
-    ts = np.linspace(0.0, T_check, ENVELOPE_GRID)
-    M = max_spectral_norm(matrix_exps(A_cl + lam * np.eye(len(A_cl)), ts))
+    B = A_cl + lam * np.eye(len(A_cl))
+    if np.linalg.eigvalsh((B + B.conj().T) / 2)[-1] <= 0.0:
+        M = 1.0
+    else:
+        ts = np.linspace(0.0, T_check, ENVELOPE_GRID)
+        M = float(np.max(matrix_exp_norm(B, ts)))
     if not np.isfinite(M):
         raise SynthesisError("decay envelope supremum is not finite")
     M_lambda = max(1.0, M) * 1.05

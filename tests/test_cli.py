@@ -374,6 +374,14 @@ def _nudge_first_c1(traj):
     return replace(traj, coeffs=coeffs)
 
 
+def _nan_norm_upper(traj):
+    """Trajectory mutator that makes norm_upper of data row 100 a NaN, which
+    the match against the scenario does not read."""
+    upper = traj.norm_upper.copy()
+    upper[100] = np.nan
+    return replace(traj, norm_upper=upper)
+
+
 def _first_x0(value):
     """Mutator that sets the first initial coefficient to ``value``."""
     def mutate(d):
@@ -495,6 +503,11 @@ def _first_x0(value):
      "design D0 must be positive and finite, got -1000000.0"),
     ("certify", "descriptor", lambda d: {**PLANT, "design": {"t0": 0.0}},
      "design t0 must be positive and finite, got 0.0"),
+    ("certify", "descriptor", lambda d: {**PLANT, "c": -1e6},
+     "placing gain overflows: the factor e^(-D0 lambda_1) b_1 is not finite "
+     "for lambda_1 = -1.00001e+06 and D0 = 0.5"),
+    ("check", "trajectory", _nan_norm_upper,
+     "line 102, column 19 (norm_upper) is nan, not a finite number"),
 ], ids=["scenario-dt-null", "scenario-delay-5", "scenario-delay-null",
         "sweep-delay-5", "sweep-delay-null", "certificate-D0-null",
         "descriptor-list", "descriptor-c-null", "lemma2-a-string",
@@ -520,7 +533,8 @@ def _first_x0(value):
         "check-first-row-not-X0", "simulate-certified-other-plant",
         "check-d1-not-the-reads", "check-delay-not-the-reads",
         "lemma2-history-past-MAX_STEPS", "design-D0-negative",
-        "design-D0-minus-1e6", "design-t0-zero"])
+        "design-D0-minus-1e6", "design-t0-zero", "descriptor-c-minus-1e6",
+        "check-norm_upper-nan"])
 def test_malformed_input_files_exit_2(artifacts, tmp_path, capsys,
                                       subcommand, kind, mutate, names):
     assert _run_mutated(artifacts, tmp_path, subcommand, kind, mutate) == 2

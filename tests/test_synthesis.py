@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from reference import reference_matrix_exp_norm
-from specpred import cli, spectral_model
+from specpred import cli, spectral_model, synthesis
 from specpred.numerics import matrix_exp_norm
 from specpred.spectral_model import SystemDescriptor, TruncatedModel
 from specpred.synthesis import (
@@ -76,11 +76,16 @@ def test_place_gain_rejections():
     with pytest.raises(SynthesisError):
         place_gain(dead, 0.3, [-2.0, -3.0])
     # A repeated eigenvalue, and a compensation e^{-D0 lambda} that
-    # underflows, are refused typed, with no RuntimeWarning on the way.
+    # underflows or overflows (real or complex lambda), are refused typed,
+    # with no RuntimeWarning on the way.
+    overflow = (r"placing gain overflows: the factor e\^\(-D0 lambda_1\) b_1 "
+                r"is not finite for lambda_1 = -2000")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lam, match in (([2.0, 2.0], "repeated head eigenvalue"),
-                           ([-1.0, 2000.0], "placing gain overflows")):
+                           ([-1.0, 2000.0], "placing gain overflows"),
+                           ([-2000.0, 1.0], overflow + " and D0 = 0.5$"),
+                           ([-2000.0 + 1j, 1.0], overflow)):
             head = replace(m, A=np.diag(lam))
             with pytest.raises(SynthesisError, match=match):
                 place_gain(head, 0.5, [-2.0, -3.0])
@@ -171,8 +176,8 @@ def test_decay_envelope_sound_on_near_defective_design():
 def test_decay_envelope_matches_the_unshifted_supremum(rng, monkeypatch):
     # M_lambda from ||e^{(A + lam I) t}|| against the former
     # max(||e^{At}|| e^{lam t}), on random Hurwitz matrices, real and complex;
-    # and the Frobenius-screened supremum bit-equal to the full-grid one,
-    # there and on the defective c = 50 A_cl (a double pole at -2).
+    # and the supremum bit-equal to the full-grid one, there and on the
+    # defective c = 50 A_cl (a double pole at -2).
     def full_grid(A, lam, T):
         ts = np.linspace(0.0, T, ENVELOPE_GRID)
         shifted = matrix_exp_norm(A + lam * np.eye(len(A)), ts)
@@ -194,12 +199,49 @@ def test_decay_envelope_matches_the_unshifted_supremum(rng, monkeypatch):
     _, cert = cli.design_pipeline(cli.default_descriptor(50.0))
     M, lam, T = decay_envelope(cert.A_cl)
     assert M == full_grid(cert.A_cl, lam, T)[0] and M > 1e9
-    # An N0 = 1 design takes one SVD, at t = 0, not one per grid point.
+    # An N0 = 1 design takes no SVD: its envelope is the logarithmic-norm
+    # bound, not a grid search.
     svd, matrices = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
         matrices.append(np.shape(a)[:-2]) or svd(a, *args, **kwargs)))
     _, cert = cli.design_pipeline(cli.default_descriptor(15.0))
-    assert cert.N0 == 1 and matrices == [()]
+    assert cert.N0 == 1 and matrices == []
+
+
+def test_decay_envelope_of_an_n0_1_design_is_the_exact_bound(monkeypatch):
+    # mu(A_cl + lam I) = 0.05 Re A_cl < 0 for a 1 x 1 Hurwitz A_cl: M = 1
+    # exactly, with no grid of exponentials and no SVD.
+    _, cert = cli.design_pipeline(cli.default_descriptor(15.0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an N0 = 1 envelope needs no grid")
+    monkeypatch.setattr(synthesis, "matrix_exp_norm", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for A in (cert.A_cl, np.array([[-3.0]]), np.array([[-1.0 + 5j]])):
+        M, lam, _ = decay_envelope(A)
+        assert M == 1.05 and lam == 0.95 * -np.real(A[0, 0])
+
+
+def test_decay_envelope_is_one_where_the_hermitian_part_is_negative(rng):
+    # A = H + S with H = -s (I + 0.02 W), 0 <= W <= I, and S skew: the real
+    # parts of the eigenvalues lie in [-1.02 s, -s], so lam <= 0.969 s and
+    # (A + lam I) has a negative definite Hermitian part however non-normal
+    # S makes A.  Then ||e^{(A + lam I) t}|| <= 1 for all t.
+    for i in range(12):
+        n = 2 + i // 2
+        field = complex if i % 2 else float
+        G = rng.normal(size=(n, n)).astype(field)
+        if field is complex:
+            G += 1j * rng.normal(size=(n, n))
+        Q = np.linalg.qr(G)[0]
+        W = Q @ np.diag(rng.uniform(0.0, 1.0, n)) @ Q.conj().T
+        s = rng.uniform(0.1, 5.0)
+        A = -s * (np.eye(n) + 0.02 * W) + rng.uniform(0.0, 10.0) * (G - G.conj().T)
+        M, lam, T = decay_envelope(A)
+        assert M == 1.05
+        ts = np.linspace(0.0, 3 * T, 2001)
+        shifted = reference_matrix_exp_norm(A + lam * np.eye(n), ts)
+        assert np.all(shifted <= 1 + 1e-12)
 
 
 def test_decay_envelope_rejects_non_hurwitz():

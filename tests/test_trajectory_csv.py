@@ -141,6 +141,27 @@ def test_malformed_row_is_named_by_its_line(tmp_path, mode, edit, where):
     assert_clean(tmp_path, ["traj.csv"], mode, splits=2)
 
 
+@pytest.mark.parametrize("value", [b"nan", b"inf", b"-inf"])
+@pytest.mark.parametrize("where", ["first-half", "second-half"])
+def test_non_finite_value_is_named_by_its_line_and_column(tmp_path, mode,
+                                                          value, where):
+    # The c_2 cell (column 3) of the row that a blank line 3, which the
+    # parser skips, moves to line k.
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(make_trajectory(41), path)
+    k = {"first-half": 4, "second-half": 41}[where]
+    lines = path.read_bytes().split(b"\n")
+    fields = lines[k - 2].split(b", ")
+    fields[2] = value
+    lines[k - 2] = b", ".join(fields)
+    path.write_bytes(b"\n".join(lines[:2] + [b""] + lines[2:]))
+    with pytest.raises(ScenarioError) as err:
+        trajectory_from_csv(path)
+    assert str(err.value) == (f"trajectory file {path}, line {k}, column 3 "
+                              f"(c_2) is {float(value)}, not a finite number")
+    assert_clean(tmp_path, ["traj.csv"], mode, splits=2)
+
+
 def test_second_half_of_another_width_is_named_at_the_cut(tmp_path, mode):
     path = tmp_path / "traj.csv"
     trajectory_to_csv(make_trajectory(41), path)
