@@ -30,10 +30,13 @@ the oracle's cubic reads ``numerics.cubic_reader``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import io
+import itertools
 import json
 import os
+import stat
+import tempfile
 import warnings
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -683,14 +686,16 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
 # CSV export / import
 #
 # Text I/O costs several times the closed loop, and CPython's %-formatting
-# and numpy's text parser are already the fastest serial paths, so both
-# directions split the rows in two: a forked child formats or parses the
-# second half while the process handles the first.  The file's bytes and the
-# parsed arrays are those of a one-process run.
+# and numpy's text parser are already the fastest serial paths.  So the
+# writer splits the rows in two, a forked child formatting the second half
+# while the process writes the first (the file's bytes are those of a
+# one-process run), and keeps the rows it formatted in a cache beside the
+# file, which the reader loads in place of parsing the text whenever the
+# file's bytes still have the digest the cache was written for.
 
-# CSV text below this many bytes is written and read in one process: a fork
-# and its reaping cost 10-30 ms in a process with numpy and scipy loaded,
-# about what halving the work on 2 MB of text saves.
+# CSV text below this many bytes is written in one process: a fork and its
+# reaping cost 10-30 ms in a process with numpy and scipy loaded, about what
+# halving the work on 2 MB of text saves.
 _SPLIT_MIN_BYTES = 2 << 20
 # Rows formatted by one % operation of the writer.
 _CSV_CHUNK_ROWS = 512
@@ -706,9 +711,9 @@ def _in_two(first, second, nbytes):
     ``second`` to run again here, so its error is raised with its own type.
 
     Forking a process with threads (OpenBLAS's pool) is safe here because
-    the child only formats or parses text and writes no file: it calls no
-    BLAS, LAPACK or logging, whose locks another thread may hold, and it ends
-    in ``os._exit`` without running any of the parent's cleanup.
+    the child only formats text and writes no file: it calls no BLAS, LAPACK
+    or logging, whose locks another thread may hold, and it ends in
+    ``os._exit`` without running any of the parent's cleanup.
     """
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if nbytes < _SPLIT_MIN_BYTES or len(cpus) < 2 or not hasattr(os, "fork"):
@@ -745,6 +750,26 @@ def _in_two(first, second, nbytes):
     return head, (tail if ok else second())
 
 
+def _digest(chunks, out=None):
+    """The SHA-256 hash fed the byte chunks in order, each written to the
+    binary file ``out`` first when one is given.
+
+    hashlib is imported here, not with the module: its 4 ms would fall on
+    every subcommand, and only ``simulate`` and ``check`` hash."""
+    import hashlib
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        if out is not None:
+            out.write(chunk)
+        digest.update(chunk)
+    return digest
+
+
+def _cache_path(path) -> str:
+    """The cache file of the trajectory file ``path``, beside it."""
+    return os.fspath(path) + ".cache"
+
+
 def _csv_columns(n, n0, m):
     """The trajectory CSV header for n modes, N0 = n0 and m inputs."""
     return ["t"] + [f"{name}_{i}" for name, k in (
@@ -753,8 +778,9 @@ def _csv_columns(n, n0, m):
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write the trajectory with the fixed header schema (round-trip floats);
-    the schema is real, so complex data raises ScenarioError."""
+    """Write the trajectory with the fixed header schema (round-trip floats),
+    and its rows to the file's cache (``_write_cache``); the schema is real,
+    so complex data raises ScenarioError."""
     if any(np.iscomplexobj(a) for a in (traj.coeffs, traj.Z, traj.u, traj.v)):
         raise ScenarioError("trajectory CSV holds real data only; "
                             "complex-field trajectories cannot be written")
@@ -763,45 +789,85 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
         traj.t, traj.coeffs, traj.Y, traj.Z,
         traj.u, traj.v, traj.norm_lower, traj.norm_upper,
     ])
-    # %.17g round-trips every double; these are np.savetxt's bytes.
-    row_fmt = ", ".join(["%.17g"] * data.shape[1]) + "\n"
+    # %.17g round-trips every double; these are np.savetxt's bytes, ended
+    # by the platform's newline as a text-mode file writes it.
+    row_fmt = ", ".join(["%.17g"] * data.shape[1]) + os.linesep
 
-    def write_rows(out, rows):
+    def formatted(rows):
         for i in range(0, len(rows), _CSV_CHUNK_ROWS):
             chunk = rows[i:i + _CSV_CHUNK_ROWS]
-            out.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+            yield ((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist())).encode()
 
-    def tail_bytes():
-        # The second half as the text-mode file holds it (platform newline).
-        text = io.TextIOWrapper(io.BytesIO())
-        write_rows(text, data[half:])
-        return text.detach().getbuffer()
-
+    header = (", ".join(cols) + os.linesep).encode()
     half = (len(data) + 1) // 2
-    with open(path, "w") as out:
-        out.write(", ".join(cols) + "\n")
+    with open(path, "wb") as out:
         # %.17g text runs to about 21 bytes a value.
-        _, tail = _in_two(lambda: write_rows(out, data[:half]), tail_bytes,
-                          21 * data.size)
-        out.flush()
-        out.buffer.write(tail)
+        digest, tail = _in_two(
+            lambda: _digest(itertools.chain([header], formatted(data[:half])),
+                            out),
+            lambda: b"".join(formatted(data[half:])), 21 * data.size)
+        out.write(tail)
+        digest.update(tail)
+    _write_cache(path, digest.digest(), data)
 
 
-def _lines(fh, hi):
-    """The lines of the binary file ``fh`` from where it stands to byte
-    ``hi``: one read, split at LF in memory as they are iterated."""
-    return io.BytesIO(fh.read(hi - fh.tell()))
+def _write_cache(path, digest: bytes, data) -> None:
+    """Keep the rows ``data`` of the trajectory file ``path``, whose bytes
+    have the SHA-256 ``digest``, in its cache: that digest, the digest of
+    the array's bytes, then the array as ``np.save`` writes it.  A temporary
+    file in the same directory, given the trajectory file's permissions,
+    replaces the cache whole, so no reader sees part of one and a symlink
+    there is replaced, not followed.  A cache that cannot be written is left
+    out: the trajectory file alone holds the run."""
+    rows = np.ascontiguousarray(data, dtype=np.float64)
+    cache = _cache_path(path)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(cache) + ".",
+                                   dir=os.path.dirname(os.path.abspath(cache)))
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(digest + _digest([rows]).digest())
+            np.save(fh, rows, allow_pickle=False)
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
-def _malformed(path, hi) -> ScenarioError:
-    """The error naming the first line of the trajectory file, up to byte
-    ``hi``, that the parser refuses: one holding a value that is not a
-    number, or other than as many values as the first data row."""
+def _cached_rows(path, digest: bytes, width: int):
+    """The rows kept in the cache of the trajectory file ``path``, whose bytes
+    have the SHA-256 ``digest``; None (a miss) unless the cache is a regular
+    file that holds that digest and a 2-D float64 array of ``width`` columns
+    whose bytes have the digest stored beside it."""
+    cache = _cache_path(path)
+    try:
+        if not stat.S_ISREG(os.lstat(cache).st_mode):
+            return None
+        with open(cache, "rb") as fh:
+            if fh.read(len(digest)) != digest:
+                return None
+            key = fh.read(len(digest))
+            rows = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != width \
+            or key != _digest([np.ascontiguousarray(rows)]).digest():
+        return None
+    return rows
+
+
+def _malformed(path) -> ScenarioError:
+    """The error naming the first line of the trajectory file that the parser
+    refuses: one holding a value that is not a number, or other than as
+    many values as the first data row."""
     with open(path, "rb") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         fh.readline()
         width = None
-        for lineno, line in enumerate(_lines(fh, hi), 2):
+        for lineno, line in enumerate(fh, 2):
             try:
                 row = np.loadtxt([line], delimiter=",", ndmin=2)
             except ValueError as exc:
@@ -817,42 +883,30 @@ def _malformed(path, hi) -> ScenarioError:
     return ScenarioError(f"trajectory file {path} is not rows of numbers")
 
 
-def _read_rows(path, lo, hi):
-    """The rows of the trajectory file between byte offsets lo and hi, which
-    are line starts; a malformed row raises ScenarioError naming its line."""
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        # A file with no rows is refused below, not warned about.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        fh.seek(lo)
-        try:
-            return np.loadtxt(_lines(fh, hi), delimiter=",", ndmin=2)
-        except ValueError:
-            raise _malformed(path, hi) from None
-
-
 def trajectory_from_csv(path) -> Trajectory:
     """Read a trajectory CSV; a file with a malformed row, of another layout,
     of fewer than two rows, with a value that is not finite or whose t is
-    not an increasing uniform grid raises ScenarioError."""
+    not an increasing uniform grid raises ScenarioError.
+
+    The rows are the file's cache when it holds the digest of the file's
+    bytes (``_cached_rows``), and the parsed text otherwise; every check
+    runs on them either way."""
     with open(path, "rb") as fh:
         header = [h.strip() for h in fh.readline().decode().split(",")]
-        lo, end = fh.tell(), os.fstat(fh.fileno()).st_size
-        # The halves meet at the first line start past the middle.
-        fh.seek((lo + end) // 2)
-        fh.readline()
-        cut = fh.tell()
-
-    def read_tail():
-        rows = _read_rows(path, cut, end)
-        return np.int64(rows.shape[1]).tobytes() + rows.tobytes()
-
-    head, raw = _in_two(lambda: _read_rows(path, lo, cut), read_tail, end - lo)
-    tail = np.frombuffer(raw, np.float64, offset=8).reshape(
-        -1, int(np.frombuffer(raw, np.int64, 1)[0]))
-    parts = [rows for rows in (head, tail) if len(rows)]
-    if len({rows.shape[1] for rows in parts}) > 1:
-        raise _malformed(path, end)
-    data = np.concatenate(parts) if parts else head
+        lo = fh.tell()
+        fh.seek(0)
+        digest = _digest(iter(functools.partial(fh.read, 1 << 20), b""))
+        data = _cached_rows(path, digest.digest(), len(header))
+        if data is None:
+            fh.seek(lo)
+            with warnings.catch_warnings():
+                # A file with no rows is refused below, not warned about.
+                warnings.filterwarnings("ignore",
+                                        "loadtxt: input contained no data")
+                try:
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                except ValueError:
+                    raise _malformed(path) from None
     if len(data) < 2:
         raise ScenarioError(f"trajectory file {path} has {len(data)} data "
                             "rows; a trajectory needs at least two")
@@ -884,10 +938,12 @@ def trajectory_from_csv(path) -> Trajectory:
 def match_trajectory(traj: Trajectory, scen: Scenario, path) -> None:
     """Refuse, as a ScenarioError naming the field and both values, the
     trajectory read from ``path`` unless its grid, its columns, its first
-    row and its delayed reads are those ``simulate`` writes for ``scen``.
-    %.17g round-trips, so the first row must equal ``X0_coeffs`` zero-padded
-    exactly, and v = u(t - D(t)) + d1(t), read from the file's u as
-    ``simulate`` reads it, must hold to 1e-12 of the size of its terms."""
+    row, its delayed reads and its controls are those ``simulate`` writes
+    for ``scen``.  %.17g round-trips, so the first row must equal
+    ``X0_coeffs`` zero-padded exactly; v = u(t - D(t)) + d1(t), read from
+    the file's u as ``simulate`` reads it, must hold to 1e-12 of the size
+    of its terms; and the control law u = phi(t) (K Z + d2(t)) at every step
+    past t = 0, from the file's Z, to 1e-9 of |u| + phi (|K| |Z| + |d2|)."""
     for field, have, want in (
             ("dt (the grid step)", traj.t[1] - traj.t[0], scen.dt),
             ("round(T_final / dt) + 1 (the rows)", len(traj.t),
@@ -921,6 +977,20 @@ def match_trajectory(traj: Trajectory, scen: Scenario, path) -> None:
                             f"the file, and u(t - D(t)) + d1(t) from its u_* "
                             f"columns under the scenario's delay and d1 is "
                             f"{v[j, a].item()}")
+    K = np.atleast_2d(scen.certificate.K)
+    phi = transition(traj.t[1:], scen.certificate.t0)[:, np.newaxis]
+    Z, d2 = traj.Z[1:], np.asarray(scen.d2(traj.t[1:]))
+    law = phi * (Z @ K.T + d2)
+    scale = np.abs(traj.u[1:]) + phi * (np.abs(Z) @ np.abs(K).T + np.abs(d2))
+    if (off := np.argwhere(~(np.abs(traj.u[1:] - law) <= 1e-9 * scale))).size:
+        j, a = off[0]
+        raise ScenarioError(f"trajectory file {path} does not match its "
+                            f"scenario: the control law u = phi(t) (K Z + "
+                            f"d2(t)) fails at step {j + 1} "
+                            f"(t={traj.t[j + 1]:.6g}): u_{a + 1} is "
+                            f"{traj.u[j + 1, a].item()} in the file, and the "
+                            f"law from its Z_* columns under the scenario's "
+                            f"d2 gives {law[j, a].item()}")
 
 
 # ---------------------------------------------------------------------------

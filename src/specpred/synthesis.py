@@ -201,7 +201,7 @@ def place_gain(model: TruncatedModel, D0: float, target_poles) -> np.ndarray:
 
 
 def decay_envelope(A_cl):
-    """Certified envelope ||e^{A_cl t}|| <= M_lambda e^{-lam t}.
+    """Certified envelope ||e^{A_cl t}|| <= M_lambda e^{-lam t}: (M_lambda, lam).
 
     lam is a fraction of the spectral abscissa; M_lambda is the supremum of
     ||e^{B t}|| = ||e^{A_cl t}|| e^{lam t}, B = A_cl + lam I, inflated by 5%
@@ -216,28 +216,26 @@ def decay_envelope(A_cl):
     defective or nearly defective A_cl) still gives a finite supremum.
     """
     A_cl = np.asarray(A_cl)
-    mu, V = np.linalg.eig(A_cl)
-    abscissa = float(mu.real.max())
+    abscissa = float(np.linalg.eigvals(A_cl).real.max())
     if abscissa >= 0.0:
         raise SynthesisError("decay_envelope requires a Hurwitz matrix")
     lam = LAMBDA_FRACTION * (-abscissa)
-    condV = float(np.linalg.cond(V))
-    if not np.isfinite(condV):
-        condV = 1e16
-    # kappa(V) e^{(abscissa + lam) t} <= 1  for t >= T_tail; M_lambda >= 1
-    # always (t = 0), so the supremum is attained on [0, T_tail].
-    gap = (1.0 - LAMBDA_FRACTION) * (-abscissa)
-    T_check = max(1.0, np.log(max(condV, 1.0)) / gap * 1.1)
     B = A_cl + lam * np.eye(len(A_cl))
     if np.linalg.eigvalsh((B + B.conj().T) / 2)[-1] <= 0.0:
         M = 1.0
     else:
+        condV = float(np.linalg.cond(np.linalg.eig(A_cl)[1]))
+        if not np.isfinite(condV):
+            condV = 1e16
+        # kappa(V) e^{(abscissa + lam) t} <= 1  for t >= T_tail; M_lambda >= 1
+        # always (t = 0), so the supremum is attained on [0, T_tail].
+        gap = (1.0 - LAMBDA_FRACTION) * (-abscissa)
+        T_check = max(1.0, np.log(max(condV, 1.0)) / gap * 1.1)
         ts = np.linspace(0.0, T_check, ENVELOPE_GRID)
         M = float(np.max(matrix_exp_norm(B, ts)))
     if not np.isfinite(M):
         raise SynthesisError("decay envelope supremum is not finite")
-    M_lambda = max(1.0, M) * 1.05
-    return M_lambda, float(lam), float(T_check)
+    return max(1.0, M) * 1.05, float(lam)
 
 
 def _last_feasible(ok, lo: float, hi: float) -> float:
@@ -362,7 +360,7 @@ def synthesize_certificate(
     K = np.atleast_2d(np.asarray(K))
     B = model.B
     A_cl = closed_loop(model.lambdas, B, K, D0)
-    M_lambda, lam, _ = decay_envelope(A_cl)
+    M_lambda, lam = decay_envelope(A_cl)
     BK_norm = float(np.linalg.norm(B @ K, 2))
     delta_star = delta_margin(A_cl, BK_norm, M_lambda, lam)
     delta_max = min(delta_star * DELTA_SAFETY, D0 * (1.0 - 1e-6))

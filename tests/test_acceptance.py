@@ -74,7 +74,7 @@ def test_criterion_03_envelope_soundness():
         G = rng.normal(size=(n, n))
         shift = float(np.max(np.linalg.eigvals(G).real)) + rng.uniform(0.1, 2.0)
         A = G - shift * np.eye(n)
-        M, lam, _ = decay_envelope(A)
+        M, lam = decay_envelope(A)
         ts = rng.uniform(0.0, 20.0, size=10_000)
         mu, V = np.linalg.eig(A)
         Vinv = np.linalg.inv(V)

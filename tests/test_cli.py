@@ -192,6 +192,62 @@ def test_check_accepts_each_builtin_scenarios_own_csv(builtin_csvs, capsys,
     assert capsys.readouterr().err == ""
 
 
+def test_check_refuses_a_csv_made_under_another_d2(builtin_csvs, tmp_path,
+                                                  capsys):
+    # Built-in scenario 3 runs d2 alone; its CSV checked under d2 with the
+    # phase moved by 0.01 rad matches every column but the control law.
+    cert_path, files = builtin_csvs
+    scen_path, csv = files[3]
+    d = json.loads(open(scen_path).read())
+    d["disturbance_d2"]["phase"] += 0.01
+    shifted = tmp_path / "shifted.json"
+    shifted.write_text(json.dumps(d))
+    assert cli.main(["check", "--certificate", cert_path,
+                     "--scenario", str(shifted), "--out", csv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "the control law u = phi(t) (K Z + d2(t)) fails at step 1 " in err
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_check_accepts_random_sinusoid_runs(tmp_path, descriptor, fitted_cert,
+                                            capsys, seed):
+    # The benchmark's long-horizon draws (a sinusoidal delay inside the
+    # band, sinusoidal d1 and d2, a random X0 on four modes) at seeds 0-11,
+    # on a shorter, coarser grid: each run's own CSV passes the matching,
+    # the control law included.
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    m = descriptor.num_inputs
+    n_modes = sim_engine.default_mode_count(descriptor, fitted_cert.alpha)
+
+    def sinusoid():
+        return sim_engine.DisturbanceSignal(
+            kind="sinusoid", m=m, amplitude=tuple(rng.uniform(0.2, 1.5, size=m)),
+            omega=float(rng.uniform(0.3, 5.0)),
+            phase=float(rng.uniform(0.0, 2 * np.pi)))
+
+    delay = sim_engine.DelaySignal(
+        kind="sinusoid", D0=fitted_cert.D0,
+        amplitude=float(rng.uniform(0.3, 1.0)) * fitted_cert.delta_max,
+        omega=float(rng.uniform(0.5, 4.0)),
+        phase=float(rng.uniform(0.0, 2 * np.pi)))
+    X0 = np.zeros(n_modes)
+    X0[:4] = rng.normal(size=4)
+    X0 *= rng.uniform(0.5, 2.0) / np.linalg.norm(X0)
+    scen = sim_engine.Scenario(
+        descriptor=descriptor, certificate=fitted_cert, delay=delay,
+        d1=sinusoid(), d2=sinusoid(), X0_coeffs=X0, dt=5e-3, T_final=4.0,
+        N_modes=n_modes)
+    cert_path, scen_path = tmp_path / "cert.json", tmp_path / "scen.json"
+    synthesis.save_certificate(fitted_cert, cert_path)
+    sim_engine.save_scenario(scen, scen_path)
+    argv = ["--certificate", str(cert_path), "--scenario", str(scen_path),
+            "--out", str(tmp_path / "traj.csv")]
+    assert cli.main(["simulate"] + argv) == 0
+    assert cli.main(["check"] + argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_cmd_simulate_zero_everything(tmp_path, descriptor, fitted_cert, capsys):
     cert_path = tmp_path / "cert.json"
     synthesis.save_certificate(fitted_cert, cert_path)

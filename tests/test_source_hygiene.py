@@ -10,7 +10,9 @@ file's sections lives in ``errors.py`` alone: no other module builds an
 closed loop: ``sim_engine.py`` builds ``PredictorController`` in one place.
 Cubic history reads go through ``numerics.cubic_reader``: ``src/`` defines
 one stencil-offset array, in ``numerics.py``, and no other module applies
-``catmull_rom`` to a gathered stencil.
+``catmull_rom`` to a gathered stencil.  The trajectory file's writer and
+reader agree on its cache through one digest helper and one cache-path
+helper in ``sim_engine.py``, and only the writer splits its work in two.
 """
 
 import ast
@@ -132,3 +134,35 @@ def test_only_numerics_applies_catmull_rom_to_a_gathered_stencil(path):
                and isinstance(node.args[0], ast.Subscript)]
     if path.name != "numerics.py":
         assert not gathers, f"{path.name} gathers a stencil at {gathers}"
+
+
+def test_trajectory_io_shares_one_digest_and_one_cache_path():
+    tree = ast.parse(_corpus()[PACKAGE / "sim_engine.py"])
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    hashing = [name for name, node in defs.items() if "hashlib" in names(node)]
+    paths = [name for name, node in defs.items()
+             if any(isinstance(n, ast.Constant) and n.value == ".cache"
+                    for n in ast.walk(node))]
+    assert hashing == ["_digest"], f"SHA-256 taken in {hashing}"
+    assert paths == ["_cache_path"], f"cache path built in {paths}"
+
+    def reached(name, seen):
+        # The module functions ``name`` calls, directly or through others.
+        for callee in names(defs[name]) & defs.keys() - seen:
+            seen.add(callee)
+            reached(callee, seen)
+        return seen
+
+    for entry in ("trajectory_to_csv", "trajectory_from_csv"):
+        assert {"_digest", "_cache_path"} <= reached(entry, set()), entry
+    calls = [(path.name, node.lineno) for path in MODULES
+             for node in ast.walk(ast.parse(_corpus()[path]))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_in_two"]
+    assert len(calls) == 1, f"_in_two called at {calls}"
+    assert "_in_two" in names(defs["trajectory_to_csv"])

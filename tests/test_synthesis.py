@@ -140,12 +140,27 @@ def test_place_gain_places_the_triple_default_pole_at_c100(D0):
     assert char_poly_error(model, D0, K, [-2.0] * 3) <= 1e-9
 
 
+def envelope_and_grid(A):
+    """``decay_envelope(A)`` and the grid its supremum was taken on, None
+    where the logarithmic-norm bound gave it."""
+    grids = []
+
+    def recording(B, ts):
+        grids.append(ts)
+        return matrix_exp_norm(B, ts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "matrix_exp_norm", recording)
+        M, lam = decay_envelope(A)
+    assert len(grids) <= 1
+    return M, lam, (grids[0] if grids else None)
+
+
 def test_decay_envelope_properties(rng):
     A = np.array([[-1.0, 3.0], [0.0, -2.0]])
-    M, lam, T = decay_envelope(A)
+    M, lam, grid = envelope_and_grid(A)
     assert M >= 1.0
     assert lam == pytest.approx(0.95 * 1.0)
-    ts = rng.uniform(0, 3 * T, size=500)
+    ts = rng.uniform(0, 3 * grid[-1], size=500)
     assert np.all(matrix_exp_norm(A, ts) <= M * np.exp(-lam * ts) + 1e-12)
 
 
@@ -153,8 +168,8 @@ def test_decay_envelope_sound_on_jordan_block():
     # A defective A_cl: ||e^{At}|| = e^{-t} (5t + sqrt(25 t^2 + 4)) / 2
     # peaks near t = 19.8, long after t = 0.
     A = np.array([[-1.0, 5.0], [0.0, -1.0]])
-    M, lam, T = decay_envelope(A)
-    ts = np.linspace(0.0, T, 100_003)
+    M, lam, grid = envelope_and_grid(A)
+    ts = np.linspace(0.0, grid[-1], 100_003)
     jordan = (5 * ts + np.sqrt(25 * ts**2 + 4)) / 2
     assert np.all(np.exp(-ts) * jordan <= M * np.exp(-lam * ts))
     assert M == pytest.approx(1.05 * np.max(np.exp((lam - 1) * ts) * jordan),
@@ -165,9 +180,9 @@ def test_decay_envelope_sound_on_near_defective_design():
     # c = 50 has two unstable head modes; the default poles [-2, -2] give
     # A_cl a double eigenvalue with cond(V) ~ 1e15.
     _, cert = cli.design_pipeline(cli.default_descriptor(50.0))
-    M, lam, T = decay_envelope(cert.A_cl)
+    M, lam, grid = envelope_and_grid(cert.A_cl)
     assert cert.M_lambda == M
-    ts = np.linspace(0.0, T, 10_007)
+    ts = np.linspace(0.0, grid[-1], 10_007)
     norms = np.array([np.linalg.norm(expm(cert.A_cl * t), 2) for t in ts])
     assert np.all(norms <= M * np.exp(-lam * ts))
     assert M > 1e9
@@ -177,11 +192,13 @@ def test_decay_envelope_matches_the_unshifted_supremum(rng, monkeypatch):
     # M_lambda from ||e^{(A + lam I) t}|| against the former
     # max(||e^{At}|| e^{lam t}), on random Hurwitz matrices, real and complex;
     # and the supremum bit-equal to the full-grid one, there and on the
-    # defective c = 50 A_cl (a double pole at -2).
-    def full_grid(A, lam, T):
-        ts = np.linspace(0.0, T, ENVELOPE_GRID)
+    # defective c = 50 A_cl (a double pole at -2).  Where the
+    # logarithmic-norm bound gives M, the reference is taken on a grid of
+    # 100 / lam.
+    def full_grid(A, lam, ts):
+        assert len(ts) == ENVELOPE_GRID and ts[0] == 0.0
         shifted = matrix_exp_norm(A + lam * np.eye(len(A)), ts)
-        return max(1.0, np.max(shifted)) * 1.05, ts
+        return max(1.0, np.max(shifted)) * 1.05
 
     for i in range(12):
         n = 1 + i // 2
@@ -190,15 +207,18 @@ def test_decay_envelope_matches_the_unshifted_supremum(rng, monkeypatch):
             G = G + 1j * rng.normal(size=(n, n))
         A = G - (np.max(np.linalg.eigvals(G).real)
                  + rng.uniform(0.1, 2.0)) * np.eye(n)
-        M, lam, T = decay_envelope(A)
-        exact, ts = full_grid(A, lam, T)
-        assert M == exact
+        M, lam, ts = envelope_and_grid(A)
+        if ts is None:
+            assert M == 1.05
+            ts = np.linspace(0.0, 100.0 / lam, ENVELOPE_GRID)
+        else:
+            assert M == full_grid(A, lam, ts)
         want = max(1.0, np.max(reference_matrix_exp_norm(A, ts)
                                * np.exp(lam * ts))) * 1.05
         assert abs(M - want) <= 1e-12 * want
     _, cert = cli.design_pipeline(cli.default_descriptor(50.0))
-    M, lam, T = decay_envelope(cert.A_cl)
-    assert M == full_grid(cert.A_cl, lam, T)[0] and M > 1e9
+    M, lam, ts = envelope_and_grid(cert.A_cl)
+    assert M == full_grid(cert.A_cl, lam, ts) and M > 1e9
     # An N0 = 1 design takes no SVD: its envelope is the logarithmic-norm
     # bound, not a grid search.
     svd, matrices = np.linalg.svd, []
@@ -210,15 +230,17 @@ def test_decay_envelope_matches_the_unshifted_supremum(rng, monkeypatch):
 
 def test_decay_envelope_of_an_n0_1_design_is_the_exact_bound(monkeypatch):
     # mu(A_cl + lam I) = 0.05 Re A_cl < 0 for a 1 x 1 Hurwitz A_cl: M = 1
-    # exactly, with no grid of exponentials and no SVD.
+    # exactly, with no grid of exponentials, no SVD, and no eigenvectors or
+    # their conditioning, which only the grid's end needs.
     _, cert = cli.design_pipeline(cli.default_descriptor(15.0))
 
     def refuse(*args, **kwargs):
         raise AssertionError("an N0 = 1 envelope needs no grid")
     monkeypatch.setattr(synthesis, "matrix_exp_norm", refuse)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for name in ("svd", "eig", "cond"):
+        monkeypatch.setattr(np.linalg, name, refuse)
     for A in (cert.A_cl, np.array([[-3.0]]), np.array([[-1.0 + 5j]])):
-        M, lam, _ = decay_envelope(A)
+        M, lam = decay_envelope(A)
         assert M == 1.05 and lam == 0.95 * -np.real(A[0, 0])
 
 
@@ -237,9 +259,9 @@ def test_decay_envelope_is_one_where_the_hermitian_part_is_negative(rng):
         W = Q @ np.diag(rng.uniform(0.0, 1.0, n)) @ Q.conj().T
         s = rng.uniform(0.1, 5.0)
         A = -s * (np.eye(n) + 0.02 * W) + rng.uniform(0.0, 10.0) * (G - G.conj().T)
-        M, lam, T = decay_envelope(A)
+        M, lam = decay_envelope(A)
         assert M == 1.05
-        ts = np.linspace(0.0, 3 * T, 2001)
+        ts = np.linspace(0.0, 100.0 / lam, 2001)
         shifted = reference_matrix_exp_norm(A + lam * np.eye(n), ts)
         assert np.all(shifted <= 1 + 1e-12)
 

@@ -1,23 +1,29 @@
-"""The trajectory CSV split across two processes.
+"""The trajectory CSV, its writer's split and its cache.
 
-``trajectory_to_csv`` and ``trajectory_from_csv`` hand one half of the rows
-to a forked child when the file is large and the process has two CPUs.  The
-file must be byte for byte the one-process ``np.savetxt`` file
-(``reference_trajectory_to_csv``) and the parsed arrays bit for bit the
-written ones, on the split path and on the inline path alike; a malformed
-row must be named by its line in the file, whichever half it sits in; no
-run may leave a child process or a file behind; and the writer opens no
-file but its target, since both children return their half over a pipe.
+``trajectory_to_csv`` hands the second half of the rows to a forked child
+when the file is large and the process has two CPUs, and keeps the rows in
+a cache beside the file, which ``trajectory_from_csv`` loads when the file's
+digest matches.  The file must be byte for byte the one-process
+``np.savetxt`` file (``reference_trajectory_to_csv``) and the read arrays
+bit for bit the written ones, on the split path and on the inline path, from
+the cache and from the text alike; a malformed row must be named by its line
+in the file, whichever half of the writer's it sits in; any edit of the file,
+and a cache that is missing, damaged or a symlink, reads the text; no run may
+leave a child process or a file behind but the file and its cache; and the
+writer opens no file but its target and its cache's temporary file, since
+the child returns its half over a pipe.
 """
 
 import os
 import re
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
 
 from reference import reference_trajectory_to_csv
-from specpred import sim_engine
+from specpred import cli, sim_engine, synthesis
 from specpred.sim_engine import (ScenarioError, Trajectory,
                                  trajectory_from_csv, trajectory_to_csv)
 
@@ -59,7 +65,7 @@ def mode(request, monkeypatch):
 
 def assert_clean(directory, names, mode=None, splits=0):
     """No child process is left, ``directory`` holds exactly ``names`` and,
-    in ``mode``, ``splits`` files were split."""
+    in ``mode``, the writer split ``splits`` files."""
     if mode is not None:
         assert len(mode[1]) == (splits if mode[0] == "split" else 0)
     with pytest.raises(ChildProcessError):
@@ -68,17 +74,14 @@ def assert_clean(directory, names, mode=None, splits=0):
 
 
 def cut_line(path):
-    """The file line number at which the reader's second half starts: the
-    first line start past the byte midpoint of the data."""
-    raw = path.read_bytes()
-    lo = raw.index(b"\n") + 1
-    cut = raw.index(b"\n", (lo + len(raw)) // 2) + 1
-    return raw.count(b"\n", 0, cut) + 1
+    """The file line number at which the writer's second half starts."""
+    rows = path.read_bytes().count(b"\n") - 1
+    return (rows + 1) // 2 + 2
 
 
 def edit_line(path, lineno, edit):
     """Replace line ``lineno`` of the file by ``edit`` of it, of equal length,
-    so that the halves still meet at the same line."""
+    so that the file's digest changes and its size does not."""
     lines = path.read_bytes().split(b"\n")
     new = edit(lines[lineno - 1])
     assert len(new) == len(lines[lineno - 1])
@@ -97,7 +100,8 @@ def test_split_file_is_the_savetxt_file_and_reads_back_exactly(tmp_path, mode,
     back = trajectory_from_csv(tmp_path / "traj.csv")
     for name in FIELDS:
         assert np.array_equal(getattr(back, name), getattr(traj, name)), name
-    assert_clean(tmp_path, ["ref.csv", "traj.csv"], mode, splits=2)
+    assert_clean(tmp_path, ["ref.csv", "traj.csv", "traj.csv.cache"], mode,
+                 splits=1)
 
 
 def test_non_uniform_step_at_the_cut_is_refused(tmp_path, mode):
@@ -111,7 +115,7 @@ def test_non_uniform_step_at_the_cut_is_refused(tmp_path, mode):
     assert cut_line(path) == k
     with pytest.raises(ScenarioError, match="uniform grid"):
         trajectory_from_csv(path)
-    assert_clean(tmp_path, ["traj.csv"], mode, splits=2)
+    assert_clean(tmp_path, ["traj.csv", "traj.csv.cache"], mode, splits=1)
 
 
 def ragged(line):
@@ -138,7 +142,7 @@ def test_malformed_row_is_named_by_its_line(tmp_path, mode, edit, where):
         trajectory_from_csv(path)
     assert re.search(rf"trajectory file {re.escape(str(path))}, line {k}\b",
                      str(err.value))
-    assert_clean(tmp_path, ["traj.csv"], mode, splits=2)
+    assert_clean(tmp_path, ["traj.csv", "traj.csv.cache"], mode, splits=1)
 
 
 @pytest.mark.parametrize("value", [b"nan", b"inf", b"-inf"])
@@ -159,7 +163,7 @@ def test_non_finite_value_is_named_by_its_line_and_column(tmp_path, mode,
         trajectory_from_csv(path)
     assert str(err.value) == (f"trajectory file {path}, line {k}, column 3 "
                               f"(c_2) is {float(value)}, not a finite number")
-    assert_clean(tmp_path, ["traj.csv"], mode, splits=2)
+    assert_clean(tmp_path, ["traj.csv", "traj.csv.cache"], mode, splits=1)
 
 
 def test_second_half_of_another_width_is_named_at_the_cut(tmp_path, mode):
@@ -171,7 +175,7 @@ def test_second_half_of_another_width_is_named_at_the_cut(tmp_path, mode):
     with pytest.raises(ScenarioError,
                        match=rf", line {k} has 9 values where line 2 has 10"):
         trajectory_from_csv(path)
-    assert_clean(tmp_path, ["traj.csv"], mode, splits=2)
+    assert_clean(tmp_path, ["traj.csv", "traj.csv.cache"], mode, splits=1)
 
 
 class Unformattable:
@@ -219,20 +223,31 @@ def test_split_gates_keep_the_run_in_one_process(tmp_path, monkeypatch, gate):
     assert np.array_equal(trajectory_from_csv(tmp_path / "traj.csv").coeffs,
                           traj.coeffs)
     assert not forks
-    assert_clean(tmp_path, ["ref.csv", "traj.csv"])
+    assert_clean(tmp_path, ["ref.csv", "traj.csv", "traj.csv.cache"])
 
 
 @pytest.mark.parametrize("gate", ["fork-fails", "small-file", "one-cpu",
                                   "no-fork", "split"])
-def test_writer_opens_no_file_but_its_target(tmp_path, monkeypatch, gate):
+def test_writer_opens_its_target_and_its_caches_temporary_file(tmp_path,
+                                                               monkeypatch,
+                                                               gate):
     opened = []
 
     def recording_open(file, *args, **kwargs):
-        if not isinstance(file, int):   # an int is an end of the split's pipe
+        # An int is an end of the split's pipe or the temporary file's
+        # descriptor, which mkstemp opened.
+        if not isinstance(file, int):
             opened.append(str(file))
         return open(file, *args, **kwargs)
+    mkstemp = tempfile.mkstemp
+
+    def recording_mkstemp(*args, **kwargs):
+        fd, name = mkstemp(*args, **kwargs)
+        opened.append(name)
+        return fd, name
 
     monkeypatch.setattr(sim_engine, "open", recording_open, raising=False)
+    monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     if gate != "small-file":
         monkeypatch.setattr(sim_engine, "_SPLIT_MIN_BYTES", 0)
@@ -248,6 +263,159 @@ def test_writer_opens_no_file_but_its_target(tmp_path, monkeypatch, gate):
     reference_trajectory_to_csv(traj, tmp_path / "ref.csv")
     target = tmp_path / "traj.csv"
     trajectory_to_csv(traj, target)
-    assert opened == [str(target)]
+    assert len(opened) == 2 and opened[0] == str(target)
+    temporary = os.path.split(opened[1])
+    assert temporary[0] == str(tmp_path)
+    assert temporary[1].startswith("traj.csv.cache.")
+    # mkstemp makes the file private; the cache is as readable as the CSV.
+    assert tmp_path.joinpath("traj.csv.cache").stat().st_mode \
+        == target.stat().st_mode
     assert target.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert_clean(tmp_path, ["ref.csv", "traj.csv", "traj.csv.cache"])
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """One entry for each call of ``np.loadtxt``: a read that misses the
+    cache parses the file's text in one call."""
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *args, **kwargs: calls.append(1)
+                        or loadtxt(*args, **kwargs))
+    return calls
+
+
+def assert_bits_equal(a, b):
+    for name in FIELDS:
+        x, y = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+@pytest.mark.parametrize("rows", [2, 7, CHUNK + 1])
+def test_a_cache_hit_and_a_miss_read_the_same_bits(tmp_path, mode, parses,
+                                                   rows):
+    traj = make_trajectory(rows, seed=rows)
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, path)
+    hit = trajectory_from_csv(path)
+    assert parses == []
+    assert_bits_equal(hit, traj)
+    (tmp_path / "traj.csv.cache").unlink()
+    miss = trajectory_from_csv(path)
+    assert parses == [1]
+    assert_bits_equal(hit, miss)
+    assert_clean(tmp_path, ["traj.csv"], mode, splits=1)
+
+
+def one_digit(path):
+    """Line 3's c_1 with its leading digit changed, the file's size kept;
+    returns the file to read and the value its text now holds."""
+    fields = path.read_bytes().split(b"\n")[2].split(b", ")
+    value = re.sub(rb"\d", lambda m: str(int(m[0]) % 9 + 1).encode(),
+                   fields[1], count=1)
+    edit_line(path, 3, lambda line: line.replace(fields[1], value, 1))
+    return path, float(value)
+
+
+def copied(path):
+    """The file copied without its cache."""
+    shutil.copyfile(path, path.with_name("copy.csv"))
+    return path.with_name("copy.csv"), None
+
+
+def truncated(size):
+    """The cache cut to ``size`` bytes: its digests alone, or short of its
+    last value."""
+    def spoil(path):
+        cache = path.with_name("traj.csv.cache")
+        cache.write_bytes(cache.read_bytes()[:size])
+        return path, None
+    spoil.__name__ = f"truncated-{size}"
+    return spoil
+
+
+def flipped(offset):
+    """The cache with one bit of its byte at ``offset`` flipped: in the
+    file's digest, the array's digest, the .npy header or the array."""
+    def spoil(path):
+        cache = path.with_name("traj.csv.cache")
+        raw = bytearray(cache.read_bytes())
+        raw[offset] ^= 0x10
+        cache.write_bytes(bytes(raw))
+        return path, None
+    spoil.__name__ = f"flipped-{offset}"
+    return spoil
+
+
+def symlinked(path):
+    """The cache moved aside and its path a symlink to it."""
+    cache = path.with_name("traj.csv.cache")
+    cache.rename(path.with_name("aside"))
+    cache.symlink_to(path.with_name("aside"))
+    return path, None
+
+
+@pytest.mark.parametrize("spoil", [one_digit, copied, truncated(64),
+                                   truncated(-8), flipped(0),
+                                   flipped(40), flipped(84), flipped(-1),
+                                   symlinked], ids=lambda f: f.__name__)
+def test_a_cache_that_does_not_match_the_file_is_a_miss(tmp_path, parses,
+                                                        spoil):
+    traj = make_trajectory(41)
+    path = tmp_path / "traj.csv"
+    trajectory_to_csv(traj, path)
+    read, c = spoil(path)
+    back = trajectory_from_csv(read)
+    assert parses == [1]
+    if c is not None:
+        assert back.coeffs[1, 0] != traj.coeffs[1, 0]
+        traj.coeffs[1, 0] = c
+    assert_bits_equal(back, traj)
+
+
+def test_the_writer_replaces_a_symlink_at_the_cache_path(tmp_path, parses):
+    path, aside = tmp_path / "traj.csv", tmp_path / "aside"
+    aside.write_bytes(b"not a cache")
+    path.with_name("traj.csv.cache").symlink_to(aside)
+    traj = make_trajectory(9)
+    trajectory_to_csv(traj, path)
+    assert aside.read_bytes() == b"not a cache"
+    assert not path.with_name("traj.csv.cache").is_symlink()
+    assert_bits_equal(trajectory_from_csv(path), traj)
+    assert parses == []
+
+
+@pytest.mark.parametrize("step", ["mkstemp", "replace"])
+def test_a_cache_that_cannot_be_written_leaves_the_file_as_it_is(
+        tmp_path, monkeypatch, parses, step):
+    def refuse(*args, **kwargs):
+        raise OSError("no room")
+    monkeypatch.setattr(tempfile if step == "mkstemp" else os, step, refuse)
+    traj = make_trajectory(CHUNK + 1)
+    reference_trajectory_to_csv(traj, tmp_path / "ref.csv")
+    trajectory_to_csv(traj, tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     assert_clean(tmp_path, ["ref.csv", "traj.csv"])
+    assert_bits_equal(trajectory_from_csv(tmp_path / "traj.csv"), traj)
+    assert parses == [1]
+
+
+def test_check_prints_the_same_with_and_without_the_cache(tmp_path, capsys,
+                                                          descriptor,
+                                                          fitted_cert):
+    cert, scen, csv = (tmp_path / name for name in
+                       ("cert.json", "scen.json", "traj.csv"))
+    synthesis.save_certificate(fitted_cert, cert)
+    sim_engine.save_scenario(cli.builtin_scenarios(
+        descriptor, fitted_cert, dt=5e-3, T=4.0)[2], scen)
+    argv = ["--certificate", str(cert), "--scenario", str(scen),
+            "--out", str(csv)]
+    assert cli.main(["simulate"] + argv) == 0
+    capsys.readouterr()
+    runs = []
+    for cached in (True, False):
+        assert csv.with_name("traj.csv.cache").exists() == cached
+        runs.append((cli.main(["check"] + argv), capsys.readouterr()))
+        csv.with_name("traj.csv.cache").unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].err == ""
