@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .errors import SpecpredError
-from .numerics import exp_moments, smoothstep
+from .numerics import exp_moments, history_rows, smoothstep
 
 
 class ControllerError(SpecpredError, RuntimeError):
@@ -91,7 +91,7 @@ def _toeplitz_inverse(unit, n: int, m: int):
 
 def transition(t, t0: float):
     """phi(t), the C^1 smoothstep ramp: 0 on (-inf, 0], 1 on [t0, inf)."""
-    return smoothstep(np.clip(np.asarray(t, dtype=float) / t0, 0.0, 1.0))
+    return smoothstep(np.clip(np.asarray(t, dtype=float), 0.0, t0) / t0)
 
 
 class ControlHistory:
@@ -107,7 +107,7 @@ class ControlHistory:
     def __init__(self, read_times, dt: float, D0: float, delta: float,
                  m: int, dtype=float):
         S, n = read_times.shape
-        self.n_pre = int(np.ceil((D0 + delta) / dt - 1e-12)) + 1
+        self.n_pre = history_rows(D0 + delta, dt)
         self.samples = np.zeros((S, self.n_pre + n, m), dtype=dtype)
         self._flat = self.samples.reshape(-1, m)
         x = (read_times + self.n_pre * dt) / dt               # grid indices

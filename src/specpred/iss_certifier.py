@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import SpecpredError
-from .numerics import affine_scan, cubic_reader
+from .numerics import affine_scan, cubic_reader, history_rows
 from .sim_engine import (MAX_STEPS, DelaySignal, DisturbanceSignal, Scenario,
                          Trajectory, rk4_substep, state_norm)
 from .synthesis import (ENVELOPES, Certificate, finalize_tail_constants,
@@ -425,7 +425,7 @@ def simulate_delay_difference(problem, dt: float, T: float,
     members = [problem] if single else list(problem)
     S = len(members)
     reach = max(pr.r + pr.eps for pr in members)
-    n_pre = int(math.ceil(reach / dt)) + 2
+    n_pre = history_rows(reach, dt) + 1     # + the cubic stencil's back row
     J = int(round(T / dt))
     if (rows := n_pre + J + 1) > MAX_STEPS:
         raise CertifierError(f"lemma-2 history of {rows} rows exceeds "

@@ -1,7 +1,8 @@
 """Shared low-level numerics: exponential quadrature moments, Simpson rule,
 the Catmull-Rom cubic, its clamped stencil and the history reader on both,
-the work-efficient scan of an affine recurrence, the smoothstep polynomial
-and the 2-norm of the matrix exponential over a time grid.
+the work-efficient scan of an affine recurrence, the pre-buffer length of a
+delayed history, the smoothstep polynomial and the 2-norm of the matrix
+exponential over a time grid.
 
 The exponential moments are the workhorse of both the predictor integral and
 the per-mode exponential integrator: every integral of the form
@@ -163,6 +164,14 @@ def affine_scan(E, g, x0):
     for d, Ed in reversed(levels):   # row 3d-1+2dk now sums from row 0
         g[:, 3 * d - 1::2 * d] += mul(Ed, g[:, 2 * d - 1:n - d:2 * d])
     return g
+
+
+def history_rows(reach: float, dt: float) -> int:
+    """Rows before t = 0 of a history sampled every ``dt`` that reads back to
+    t = -reach: the grid point at or before -reach, and one row before it.
+    The 1e-12 keeps a ``reach`` a rounding error past a grid point from
+    adding a row."""
+    return int(np.ceil(reach / dt - 1e-12)) + 1
 
 
 def smoothstep(s):

@@ -54,7 +54,7 @@ from .controller import (
 )
 from .errors import KINDS, SpecpredError, load_json, read_section
 from .numerics import (affine_scan, catmull_rom, cubic_reader, exp_moments,
-                       simpson_weights, smoothstep)
+                       history_rows, simpson_weights, smoothstep)
 from .spectral_model import (SystemDescriptor, descriptor_from_dict,
                              descriptor_to_dict)
 from .synthesis import Certificate, _array_from_list, _array_to_list
@@ -642,8 +642,9 @@ def oracle_simulate(scenario: Scenario) -> Trajectory:
 
     hf = dt / ORACLE_REFINE
     v = np.zeros((len(ts), desc.num_inputs))
-    # u_j is row n_pre + j; the rows before it hold the zero initial control.
-    n_pre = int(np.ceil((cert.D0 + cert.delta_max) / dt)) + 2
+    # u_j is row n_pre + j; the rows before it hold the zero initial control,
+    # one more than ControlHistory's for the cubic stencil's back row.
+    n_pre = history_rows(cert.D0 + cert.delta_max, dt) + 1
     samples = np.zeros((1, n_pre + len(ts), desc.num_inputs))
     R, Wf = compose_rk4_substeps(lam_all, hf, ORACLE_REFINE)
     # WB[(q, a), n] = Wf[q, n] B_all[n, a]: a block's forcing, the composed

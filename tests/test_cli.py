@@ -266,6 +266,22 @@ def test_cmd_simulate_zero_everything(tmp_path, descriptor, fitted_cert, capsys)
     assert np.all(traj.u == 0.0)
 
 
+def test_check_runs_clean_under_a_subnormal_t0(tmp_path, descriptor,
+                                                 fitted_cert, capsys):
+    # phi(t) = transition(t, t0) clips t to [0, t0] before dividing by t0,
+    # so t / 1e-320 never overflows in check's control-law identity.
+    cert = replace(fitted_cert, t0=1e-320)
+    cert_path, scen_path = tmp_path / "cert.json", tmp_path / "scen.json"
+    synthesis.save_certificate(cert, cert_path)
+    sim_engine.save_scenario(
+        cli.builtin_scenarios(descriptor, cert, dt=5e-3, T=1.0)[1], scen_path)
+    argv = ["--certificate", str(cert_path), "--scenario", str(scen_path),
+            "--out", str(tmp_path / "traj.csv")]
+    assert cli.main(["simulate"] + argv) == 0
+    assert cli.main(["check"] + argv) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_cmd_sweep_margin(artifacts, capsys):
     root, cert_path, scen_path = artifacts
     cert = synthesis.load_certificate(cert_path)

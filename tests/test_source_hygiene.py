@@ -13,6 +13,9 @@ one stencil-offset array, in ``numerics.py``, and no other module applies
 ``catmull_rom`` to a gathered stencil.  The trajectory file's writer and
 reader agree on its cache through one digest helper and one cache-path
 helper in ``sim_engine.py``, and only the writer splits its work in two.
+``__init__.py`` holds only its docstring and ``__version__``: each name is
+imported from the module that defines it, so a re-export cannot count as
+the use of an otherwise unreferenced definition.
 """
 
 import ast
@@ -43,6 +46,18 @@ def _imported_names(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
+
+
+def test_package_init_is_its_docstring_and_version():
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    assert len(body) == 2, [ast.unparse(node) for node in body[1:]]
+    doc, version = body
+    assert isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant)
+    assert isinstance(doc.value.value, str)
+    assert isinstance(version, ast.Assign)
+    assert [ast.unparse(t) for t in version.targets] == ["__version__"]
+    assert isinstance(version.value, ast.Constant)
+    assert isinstance(version.value.value, str)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
